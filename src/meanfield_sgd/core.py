@@ -78,7 +78,11 @@ class Activation:
 
     ``value``, ``deriv`` and ``deriv2`` are vectorized callables; the ``sup_*``
     fields are the analytically known suprema of their absolute values, kept on
-    the object so bound checks never have to rediscover them.
+    the object so bound checks never have to rediscover them.  ``value`` and
+    ``deriv_from_value`` take an optional ``out=`` array in the ufunc
+    convention and then make no temporary of the argument's size, and
+    ``deriv_from_value`` may write over its own argument (``out=v``); where
+    there is no ``deriv_from_value``, ``deriv`` takes ``out=`` the same way.
     """
 
     kind: str
@@ -93,12 +97,27 @@ class Activation:
     deriv_from_value: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def _tanh_dfv(v):
-    return 1.0 - v * v
+#: elements of the scratch block through which in-place shortcuts that read
+#: their argument twice are streamed
+_SCRATCH_ELEMS = 1 << 16
 
 
-def _logistic_dfv(v):
-    return v * (1.0 - v)
+def _tanh_dfv(v, out=None):
+    if out is None:
+        return 1.0 - v * v
+    np.multiply(v, v, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
+def _logistic_dfv(v, out=None):
+    if out is None:
+        return v * (1.0 - v)
+    # out may be v itself, so 1 - v goes through one small block at a time
+    rows = max(1, _SCRATCH_ELEMS // max(1, v[0].size))
+    for lo in range(0, v.shape[0], rows):
+        vb = v[lo:lo + rows]
+        np.multiply(vb, 1.0 - vb, out=out[lo:lo + rows])
+    return out
 
 
 def _tanh_d1(z):
@@ -121,14 +140,23 @@ def _logistic_d2(z):
     return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
-def _bump(z):
+def _bump(z, out=None):
     z = np.asarray(z)
-    return np.exp(-0.5 * z * z)
+    if out is None:
+        return np.exp(-0.5 * z * z)
+    # same operation order as above; out must not be z
+    np.multiply(-0.5, z, out=out)
+    np.multiply(out, z, out=out)
+    return np.exp(out, out=out)
 
 
-def _bump_d1(z):
+def _bump_d1(z, out=None):
     z = np.asarray(z)
-    return -z * np.exp(-0.5 * z * z)
+    if out is None:
+        return -z * np.exp(-0.5 * z * z)
+    _bump(z, out=out)
+    np.multiply(out, z, out=out)
+    return np.negative(out, out=out)
 
 
 def _bump_d2(z):
@@ -161,6 +189,16 @@ def activation(kind: str) -> Activation:
         return Activation("smooth-bump", _bump, _bump_d1, _bump_d2,
                           *ACTIVATION_SUPS["smooth-bump"])
     raise ConfigError(f"unknown activation kind {kind!r}")
+
+
+def activation_deriv(act: Activation, z: np.ndarray, v: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """sigma'(z) given v = sigma(z): the algebraic shortcut from v when the
+    activation has one, else a fresh evaluation at z.  ``out`` may be ``v``;
+    without a shortcut it must not be ``z``."""
+    if act.deriv_from_value is not None:
+        return act.deriv_from_value(v, out=out)
+    return act.deriv(z, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (Activation, RandomStreams, RejectedInputError,
-                   TestFunction, activation)
+                   TestFunction, activation, activation_deriv)
 from .data import DataModel, InitLaw, sample_data
 from .measure import EmpiricalMeasure, fmt_float, pair, resample, wasserstein
 from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec,
@@ -168,7 +168,13 @@ class MartingaleTrace:
 
 
 class _DecompositionObserver:
-    """train() observer accumulating the four components step by step."""
+    """train() observer accumulating the four components step by step.
+
+    The conditional expectations run on one (N, K) work buffer made at the
+    first call and reused: z = w x_q^T, then sigma(z) in place, then
+    sigma'(z) in place from sigma.  Activations without that shortcut keep z
+    in a second buffer instead.
+    """
 
     def __init__(self, f: TestFunction, quad: Quadrature, alpha: float,
                  act: Activation, n_steps: int, n: int):
@@ -181,8 +187,12 @@ class _DecompositionObserver:
         self.i2 = np.empty(n_steps)
         self.e1 = np.empty(n_steps)
         self.e2 = np.empty(n_steps)
+        self._buf = None             # (N, K) work buffer, made at first call
 
     def __call__(self, k: int, ens: Ensemble, x: np.ndarray, y: float):
+        if ens.n != self.n:
+            raise RejectedInputError(
+                f"observer built for N={self.n} got an ensemble of {ens.n}")
         f, act, n = self.f, self.act, self.n
         c, w = ens.c, ens.w
         fc = f.grad_c(c, w)
@@ -193,15 +203,22 @@ class _DecompositionObserver:
         g = float(s @ c) / n
         coef = self.alpha / n * (y - g)
         self.i1[k] = coef * float(np.mean(fc * s))
-        self.i2[k] = coef * float(np.mean(c * act.deriv(z) * (fw @ x)))
+        self.i2[k] = coef * float(np.mean(c * activation_deriv(act, z, s)
+                                          * (fw @ x)))
         # conditional expectations of the same quantities under pi
-        xq, yq = self.quad.x, self.quad.y
-        sq = w @ xq.T                          # (N, K)
-        vq = act.value(sq)
-        gq = (c @ vq) / n                      # (K,)
-        h1 = (fc @ vq) / n
-        h2 = np.einsum("i,ik,ik->k", c, act.deriv(sq), fw @ xq.T) / n
-        rq = self.alpha / n * (yq - gq)
+        if self._buf is None:
+            self._xqt = np.ascontiguousarray(self.quad.x.T)     # (d, K)
+            self._buf = np.empty((n, self.quad.n))
+            self._zq = (self._buf if act.deriv_from_value is not None
+                        else np.empty_like(self._buf))
+        buf, zq, xqt = self._buf, self._zq, self._xqt
+        np.matmul(w, xqt, out=zq)
+        act.value(zq, out=buf)
+        gq = (c @ buf) / n                      # (K,)
+        h1 = (fc @ buf) / n
+        activation_deriv(act, zq, buf, out=buf)
+        h2 = np.einsum("jk,jk->k", (c[:, None] * fw).T @ buf, xqt) / n
+        rq = self.alpha / n * (self.quad.y - gq)
         self.e1[k] = float(np.mean(rq * h1))
         self.e2[k] = float(np.mean(rq * h2))
 

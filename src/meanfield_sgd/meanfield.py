@@ -32,7 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (Activation, ConfigError, DivergedError, ParticleState,
-                   RandomStreams, RejectedInputError, activation)
+                   RandomStreams, RejectedInputError, activation,
+                   activation_deriv)
 from .data import DataModel, InitLaw, conditional_mean, sample_data, sample_init
 from .measure import EmpiricalMeasure, pair, wasserstein
 
@@ -146,12 +147,6 @@ def _as_quadrature(quad, model, rng) -> Quadrature:
     return freeze_quadrature(quad or QuadratureSpec(), model, rng)
 
 
-def _sigma_deriv(act: Activation, z32: np.ndarray, v32: np.ndarray) -> np.ndarray:
-    if act.deriv_from_value is not None:
-        return act.deriv_from_value(v32)
-    return act.deriv(z32)
-
-
 def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
             dt: float, n_steps: int, snap_steps: Sequence[int],
             quad: Quadrature,
@@ -185,7 +180,7 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
             q = q_rows[row_of_step[k]]
         r = alphaf * (yn - q)           # (K,)
         g1 = (v @ r) / np.float32(quad.n)
-        dv = _sigma_deriv(act, z, v)
+        dv = activation_deriv(act, z, v)
         dv *= r[None, :]
         g2 = (dv @ xn) / np.float32(quad.n)
         g2 *= c[:, None]
@@ -422,7 +417,7 @@ def weak_residual(sol: MeanFieldSolution, f, quad: Quadrature | None = None,
         fc = f.grad_c(c64, w64).astype(np.float32)    # (M,)
         fw = f.grad_w(c64, w64).astype(np.float32)    # (M, d)
         h1 = (fc @ v).astype(np.float64) / m          # (K,)
-        dv = _sigma_deriv(sol.act, z, v)
+        dv = activation_deriv(sol.act, z, v)
         b = fw @ xt                                   # (M, K)
         h2 = np.einsum("i,ik,ik->k", c32, dv, b).astype(np.float64) / m
         a_vals[out_i] = float(np.mean(r * (h1 + h2)))

@@ -130,9 +130,12 @@ def _check_pair(a: EmpiricalMeasure, b: EmpiricalMeasure, p: int):
 
 
 def sliced_debias_factor(p: int, dim: int) -> float:
-    """E|<u, theta>|^p = factor * ||u||_2^p for theta uniform on the sphere."""
-    return (math.gamma((p + 1) / 2) * math.gamma(dim / 2)
-            / (math.sqrt(math.pi) * math.gamma((dim + p) / 2)))
+    """E|<u, theta>|^p = factor * ||u||_2^p for theta uniform on the sphere.
+
+    The gamma ratio goes through log-gamma: gamma(dim / 2) alone overflows a
+    float from dim = 343 on."""
+    return math.exp(math.lgamma((p + 1) / 2) + math.lgamma(dim / 2)
+                    - math.lgamma((dim + p) / 2)) / math.sqrt(math.pi)
 
 
 def _slice_directions(dim: int, n_slices: int) -> np.ndarray:

@@ -13,6 +13,7 @@ and the snapshot at scaled time t is the state after exactly floor(N*t) steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -128,10 +129,18 @@ class TrainSchedule:
         object.__setattr__(self, "snapshot_times", times)
 
     def n_steps(self, n_particles: int) -> int:
-        return int(np.floor(n_particles * self.T))
+        return _floor_steps(n_particles, self.T)
 
     def snapshot_steps(self, n_particles: int) -> list[int]:
-        return [int(np.floor(n_particles * t)) for t in self.snapshot_times]
+        return [_floor_steps(n_particles, t) for t in self.snapshot_times]
+
+
+def _floor_steps(n_particles: int, t: float) -> int:
+    """floor(N*t), tolerant of the rounding in the float product: 100 * 0.29
+    is 28.999999999999996, yet scaled time 0.29 at N=100 is step 29."""
+    x = n_particles * t
+    k = round(x)
+    return int(k) if abs(x - k) <= 1e-9 * max(1.0, x) else math.floor(x)
 
 
 @dataclass

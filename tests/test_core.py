@@ -12,6 +12,7 @@ from meanfield_sgd import (ACTIVATION_SUPS, ConfigError, ParticleState,
                            default_test_functions, eval_network,
                            gaussian_bump, loss, network_batch_output,
                            network_output, smoothed_coordinate)
+from meanfield_sgd.core import activation_deriv
 from meanfield_sgd.data import Batch
 from meanfield_sgd.sgd import Ensemble
 
@@ -128,6 +129,19 @@ def test_deriv_from_value_shortcut():
         assert np.allclose(act.deriv_from_value(act.value(z)), act.deriv(z),
                            atol=1e-14)
     assert activation("smooth-bump").deriv_from_value is None
+
+
+@pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])
+def test_in_place_forms_are_bit_identical(kind):
+    """out= writes the same bits as the allocating call, also in place over
+    sigma and across more than one scratch block (300 x 400 elements)."""
+    act = activation(kind)
+    z = np.random.default_rng(3).normal(scale=3.0, size=(300, 400))
+    v = act.value(z)
+    buf = np.empty_like(z)
+    assert np.array_equal(act.value(z, out=buf), v)
+    assert np.array_equal(activation_deriv(act, z, buf, out=buf),
+                          act.deriv(z))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Statistical verification layer: replica studies, variance/fluctuation
 decay, the decomposition reconciliation, limit distance, and chaos."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from meanfield_sgd import (QuadratureSpec, RandomStreams, RejectedInputError,
-                           activation, chaos_test, default_init,
-                           default_model, default_test_functions,
+from meanfield_sgd import (Ensemble, QuadratureSpec, RandomStreams,
+                           RejectedInputError, TrainSchedule, activation,
+                           chaos_test, default_init, default_model,
+                           default_test_functions, freeze_quadrature,
                            limit_distance, lln_decay, martingale_decay,
                            moment_bound, reconcile_decomposition, run_study,
-                           solve_selfconsistent)
-from meanfield_sgd.diagnostics import default_martingale_quadrature
+                           solve_selfconsistent, train)
+from meanfield_sgd.diagnostics import (_DecompositionObserver,
+                                       default_martingale_quadrature)
 
 TANH = activation("tanh")
 FS = default_test_functions(2)
@@ -103,6 +107,82 @@ def test_taylor_remainder_shrinks_like_inverse_n_squared(model, init):
             for n in (100, 1000)}
     ratio = reps[100].taylor_remainder / reps[1000].taylor_remainder
     assert 100 / 3 <= ratio <= 100 * 3
+
+
+def _reference_components(f, quad, alpha, act, ens, x, y):
+    """The observer's four components written out with plain temporaries,
+    plus the magnitude of the summands behind e1 and e2."""
+    n, c, w = ens.n, ens.c, ens.w
+    fc, fw = f.grad_c(c, w), f.grad_w(c, w)
+    z = w @ x
+    s = act.value(z)
+    coef = alpha / n * (y - float(s @ c) / n)
+    i1 = coef * float(np.mean(fc * s))
+    i2 = coef * float(np.mean(c * act.deriv(z) * (fw @ x)))
+    sq = w @ quad.x.T
+    vq = act.value(sq)
+    h1 = (fc @ vq) / n
+    h2 = np.einsum("i,ik,ik->k", c, act.deriv(sq), fw @ quad.x.T) / n
+    rq = alpha / n * (quad.y - (c @ vq) / n)
+    return (i1, i2, float(np.mean(rq * h1)), float(np.mean(rq * h2)),
+            float(np.mean(np.abs(rq * h1))), float(np.mean(np.abs(rq * h2))))
+
+
+@pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])
+def test_observer_matches_reference_formula(kind, model, init):
+    """i1, i2 to 1e-12 relative; e1, e2 to 1e-12 relative or, where the mean
+    over nodes cancels, to 1e-12 of its summands' magnitude (the h2 GEMM
+    reassociates sums, and a cancelling mean magnifies the last-bit change:
+    1.2e-12 relative on smooth-bump at 6600x cancellation, with old and new
+    both within 7e-13 of a long-double evaluation)."""
+    act = activation(kind)
+    quad = freeze_quadrature(default_martingale_quadrature(model), model)
+    n, steps = 96, 24
+    for f in FS:
+        ens = Ensemble.from_init(init, act, 1.0,
+                                 RandomStreams(17).stream(0, purpose="init"), n)
+        obs = _DecompositionObserver(f, quad, 1.0, act, steps, n)
+        refs = []
+
+        def both(k, e, x, y):
+            refs.append(_reference_components(f, quad, 1.0, act, e, x, y))
+            obs(k, e, x, y)
+
+        train(ens, model, TrainSchedule(steps / n),
+              RandomStreams(17).stream(0, purpose="data"), observer=both)
+        assert len(refs) == steps
+        for k, (i1, i2, e1, e2, s1, s2) in enumerate(refs):
+            assert obs.i1[k] == pytest.approx(i1, rel=1e-12, abs=0)
+            assert obs.i2[k] == pytest.approx(i2, rel=1e-12, abs=0)
+            assert obs.e1[k] == pytest.approx(e1, rel=1e-12, abs=1e-12 * s1)
+            assert obs.e2[k] == pytest.approx(e2, rel=1e-12, abs=1e-12 * s2)
+
+
+def test_observer_step_allocates_no_n_by_k_array(model, init):
+    n = 800
+    quad = freeze_quadrature(default_martingale_quadrature(model), model)
+    assert quad.n == 1024
+    ens = Ensemble.from_init(init, TANH, 1.0,
+                             RandomStreams(5).stream(0, purpose="init"), n)
+    obs = _DecompositionObserver(FS[1], quad, 1.0, TANH, 2, n)
+    x, y = np.array([0.3, -0.4]), 0.2
+    obs(0, ens, x, y)                  # first call allocates the work buffer
+    tracemalloc.start()
+    try:
+        obs(1, ens, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * quad.n * 8
+
+
+def test_observer_rejects_ensemble_of_other_size(model, init):
+    quad = freeze_quadrature(default_martingale_quadrature(model), model)
+    obs = _DecompositionObserver(FS[1], quad, 1.0, TANH, 4, 32)
+    ens = Ensemble.from_init(init, TANH, 1.0,
+                             RandomStreams(5).stream(0, purpose="init"), 16)
+    with pytest.raises(RejectedInputError):
+        obs(0, ens, np.array([0.1, 0.2]), 0.0)
 
 
 def test_martingale_zero_when_alpha_zero(model, init):

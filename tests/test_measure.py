@@ -1,6 +1,8 @@
 """Empirical measures, pairing, Wasserstein estimators (with the brute-force
 oracle), histograms, and CSV round trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,26 @@ def test_sliced_debias_factor_closed_forms():
     assert sliced_debias_factor(2, 10) == pytest.approx(0.1, rel=1e-12)
     assert sliced_debias_factor(4, 3) == pytest.approx(3.0 / (3.0 * 5.0), rel=1e-12)
     assert sliced_debias_factor(1, 3) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_sliced_debias_factor_matches_gamma_ratio_and_stays_finite():
+    for p in (1, 2, 4):
+        for dim in range(1, 51):
+            direct = (math.gamma((p + 1) / 2) * math.gamma(dim / 2)
+                      / (math.sqrt(math.pi) * math.gamma((dim + p) / 2)))
+            assert sliced_debias_factor(p, dim) == pytest.approx(direct,
+                                                                 rel=1e-12)
+        big = sliced_debias_factor(p, 785)     # gamma(785 / 2) overflows
+        assert math.isfinite(big) and big > 0
+    assert sliced_debias_factor(2, 785) == pytest.approx(1 / 785, rel=1e-12)
+
+
+def test_sliced_wasserstein_at_image_dimension():
+    rng = np.random.default_rng(31)
+    a, b = cloud(rng, 300, 784), cloud(rng, 300, 784, shift=0.1)
+    value, info = wasserstein(a, b, p=1, return_info=True)
+    assert info["method"] == "sliced"
+    assert np.isfinite(value) and 0 < value <= 1.0
 
 
 def test_cost_truncation_allows_chain_transport():

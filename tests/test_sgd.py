@@ -125,6 +125,18 @@ def test_schedule_steps_and_snapshots():
         TrainSchedule(1.0, (2.0,))
 
 
+def test_schedule_steps_survive_product_rounding():
+    """floor(N*T) for decimal T = i/100 matches integer arithmetic; the float
+    product 100 * 0.29 is 28.999999999999996 and must still give 29."""
+    assert TrainSchedule(0.29).n_steps(100) == 29
+    ns = range(1, 10_001)
+    for i in range(1, 100):
+        sched = TrainSchedule(i / 100)
+        want = [n * i // 100 for n in ns]
+        assert [sched.n_steps(n) for n in ns] == want, f"T={i / 100}"
+        assert [sched.snapshot_steps(n)[0] for n in ns] == want
+
+
 def test_train_records_requested_snapshots(streams, model, init):
     ens = Ensemble.from_init(init, TANH, 1.0, streams.stream(0, purpose="init"),
                              40)
