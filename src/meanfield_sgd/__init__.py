@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .core import (ACTIVATION_SUPS, Activation, ConfigError, DivergedError,
                    ParticleState, RandomStreams, RejectedInputError,
                    TestFunction, activation, clamped_polynomial, constant_one,
-                   default_test_functions, eval_network, gaussian_bump, loss,
+                   default_test_functions, eval_network, gaussian_bump,
                    network_batch_output, network_output, smoothed_coordinate)
 from .data import (Batch, DataModel, IdxFormatError, InitLaw, default_init,
                    default_model, from_network, load_mnist_idx,
@@ -18,8 +18,9 @@ from .sgd import (Ensemble, TrainResult, TrainSchedule, moment_guard,
                   run_default, sgd_step, train)
 from .meanfield import (MeanFieldSolution, PicardResult, Quadrature,
                         QuadratureSpec, drift, freeze_quadrature, frozen_start,
-                        picard_iterate, q_on_nodes, seed_resampled_floor,
-                        solve_selfconsistent, weak_residual)
+                        node_arrays, picard_iterate, q_on_nodes,
+                        seed_resampled_floor, solve_selfconsistent,
+                        weak_residual, weak_residuals, work_buffers)
 from .diagnostics import (ChaosTable, LimitTable, LlnTable, MartingaleTable,
                           MomentTable, ReplicaStudy, chaos_test,
                           limit_distance, lln_decay, martingale_decay,

@@ -32,7 +32,7 @@ from .measure import (EmpiricalMeasure, fmt_float, histogram, histogram_w1,
 from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec,
                         freeze_quadrature, frozen_start, picard_iterate,
                         seed_resampled_floor, solve_selfconsistent,
-                        weak_residual)
+                        weak_residuals)
 from .sgd import Ensemble, TrainSchedule, train
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,6 @@ def save_solution(sol: MeanFieldSolution, out: Path, cfg_hash: str):
         "activation": sol.act.kind,
         "quad_mode": sol.quad.spec.mode,
         "quad_nodes": str(sol.quad.spec.n_nodes),
-        "quad_refresh": sol.quad.spec.refresh,
         "max_rate": fmt_float(sol.max_rate),
     }
     text = "\n".join(f"{k}={v}" for k, v in sorted(meta.items())) + "\n"
@@ -264,8 +263,7 @@ def load_solution(out: Path) -> MeanFieldSolution:
                  if ln and not ln.startswith("#")]
     qdata = np.array([[float(tok) for tok in ln.split(",")]
                       for ln in quad_rows[1:]])
-    spec = QuadratureSpec(meta["quad_mode"], int(meta["quad_nodes"]),
-                          meta["quad_refresh"])
+    spec = QuadratureSpec(meta["quad_mode"], int(meta["quad_nodes"]))
     quad = Quadrature(qdata[:, :-1], qdata[:, -1], spec)
     return MeanFieldSolution(
         times,
@@ -352,8 +350,7 @@ def cmd_meanfield(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     save_solution(sol, out, chash)
     fs = default_test_functions(model.d)
     res_rows = []
-    for f in fs:
-        resid, norm = weak_residual(sol, f)
+    for f, (resid, norm) in zip(fs, weak_residuals(sol, fs)):
         rel = resid / norm if norm > 0 else 0.0
         res_rows.append(f"{f.label},{fmt_float(resid)},{fmt_float(norm)},"
                         f"{fmt_float(rel)}")
@@ -438,8 +435,7 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
 
     res_rows = []
     worst = 0.0
-    for f in fs:
-        resid, norm = weak_residual(sol, f)
+    for f, (resid, norm) in zip(fs, weak_residuals(sol, fs)):
         rel = resid / norm if norm > 0 else 0.0
         worst = max(worst, rel)
         res_rows.append(f"{f.label},{fmt_float(resid)},{fmt_float(norm)},"

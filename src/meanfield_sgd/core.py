@@ -242,28 +242,6 @@ def eval_network(ensemble, x) -> float | np.ndarray:
     return network_batch_output(c, w, ensemble.activation, x)
 
 
-def loss(ensemble, batch) -> float:
-    """Half mean squared residual of the network over a batch of (x, y)."""
-    xs, ys = _batch_arrays(batch, d=np.asarray(ensemble.w).shape[1])
-    if xs.shape[0] == 0:
-        raise RejectedInputError("loss needs a non-empty batch")
-    g = eval_network(ensemble, xs)
-    r = ys - g
-    return 0.5 * float(np.mean(r * r))
-
-
-def _batch_arrays(batch, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Accept either an array-backed batch (``.x``/``.y``) or pairs."""
-    if hasattr(batch, "x") and hasattr(batch, "y"):
-        return np.asarray(batch.x, dtype=np.float64), np.asarray(batch.y, dtype=np.float64)
-    pairs = list(batch)
-    if not pairs:
-        return np.empty((0, d)), np.empty((0,))
-    xs = np.asarray([np.asarray(x, dtype=np.float64) for x, _ in pairs])
-    ys = np.asarray([float(y) for _, y in pairs])
-    return xs, ys
-
-
 # ---------------------------------------------------------------------------
 # test functions
 #

@@ -249,14 +249,6 @@ def sample_init(law: InitLaw, rng: np.random.Generator, n: int) -> EmpiricalMeas
     return EmpiricalMeasure(c, w)
 
 
-def fourth_moments(model: DataModel, rng: np.random.Generator,
-                   n: int = 100_000) -> tuple[float, float]:
-    """Monte Carlo (E||x||^4, E|y|^4); both must be finite and seed-stable."""
-    batch = sample_data(model, rng, n)
-    nx = np.sum(batch.x * batch.x, axis=1)
-    return float(np.mean(nx * nx)), float(np.mean(batch.y ** 4))
-
-
 # ---------------------------------------------------------------------------
 # MNIST IDX ingestion
 

@@ -3,6 +3,12 @@ variance decay of pairings, decay of the fluctuation (martingale) terms in
 the step decomposition, distance between the finite-N cloud and the solved
 limit, and asymptotic pairwise independence of particles.
 
+The drift/fluctuation observer takes its conditional terms from the same
+velocity-field kernel as the mean-field solver (``meanfield.drift``, run here
+in float64) and its realized terms from the increments the SGD step applies
+(``sgd.step_increments``), so the formula for the field lives in those two
+places only.
+
 Every study is replicated over seeds keyed by (replica, purpose) only, so
 runs at different network sizes share their sample streams (common random
 numbers); trend statements across an N-grid are then far less noisy, while
@@ -18,12 +24,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (Activation, RandomStreams, RejectedInputError,
-                   TestFunction, activation, activation_deriv)
+                   TestFunction, activation)
 from .data import DataModel, InitLaw, sample_data
 from .measure import EmpiricalMeasure, fmt_float, pair, resample, wasserstein
-from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec,
-                        freeze_quadrature)
-from .sgd import Ensemble, TrainSchedule, moment_guard, sgd_step, train
+from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec, drift,
+                        freeze_quadrature, node_arrays, work_buffers)
+from .sgd import (Ensemble, TrainSchedule, moment_guard, sgd_step,
+                  step_increments, train)
 
 SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
@@ -170,10 +177,11 @@ class MartingaleTrace:
 class _DecompositionObserver:
     """train() observer accumulating the four components step by step.
 
-    The conditional expectations run on one (N, K) work buffer made at the
-    first call and reused: z = w x_q^T, then sigma(z) in place, then
-    sigma'(z) in place from sigma.  Activations without that shortcut keep z
-    in a second buffer instead.
+    The realized terms contract the step's own increments (dc, dw) with the
+    test function's gradient.  The conditional terms are the same contraction
+    with the velocity field (g1, g2) over the frozen quadrature: E[dc_i] =
+    g1_i / N and E[dw_i] = g2_i / N.  The field comes from ``drift`` on one
+    (N, K) float64 work block made at the first call and reused.
     """
 
     def __init__(self, f: TestFunction, quad: Quadrature, alpha: float,
@@ -187,40 +195,26 @@ class _DecompositionObserver:
         self.i2 = np.empty(n_steps)
         self.e1 = np.empty(n_steps)
         self.e2 = np.empty(n_steps)
-        self._buf = None             # (N, K) work buffer, made at first call
+        self._work = None            # drift's work blocks, made at first call
 
     def __call__(self, k: int, ens: Ensemble, x: np.ndarray, y: float):
         if ens.n != self.n:
             raise RejectedInputError(
                 f"observer built for N={self.n} got an ensemble of {ens.n}")
-        f, act, n = self.f, self.act, self.n
-        c, w = ens.c, ens.w
-        fc = f.grad_c(c, w)
-        fw = f.grad_w(c, w)
+        c, w, n = ens.c, ens.w, self.n
+        fc = self.f.grad_c(c, w)
+        fw = self.f.grad_w(c, w)
         # realized first-order increments at the actual sample
-        z = w @ x
-        s = act.value(z)
-        g = float(s @ c) / n
-        coef = self.alpha / n * (y - g)
-        self.i1[k] = coef * float(np.mean(fc * s))
-        self.i2[k] = coef * float(np.mean(c * activation_deriv(act, z, s)
-                                          * (fw @ x)))
+        dc, u = step_increments(ens, x, y)
+        self.i1[k] = float(np.mean(fc * dc))
+        self.i2[k] = float(np.mean(u * (fw @ x)))
         # conditional expectations of the same quantities under pi
-        if self._buf is None:
-            self._xqt = np.ascontiguousarray(self.quad.x.T)     # (d, K)
-            self._buf = np.empty((n, self.quad.n))
-            self._zq = (self._buf if act.deriv_from_value is not None
-                        else np.empty_like(self._buf))
-        buf, zq, xqt = self._buf, self._zq, self._xqt
-        np.matmul(w, xqt, out=zq)
-        act.value(zq, out=buf)
-        gq = (c @ buf) / n                      # (K,)
-        h1 = (fc @ buf) / n
-        activation_deriv(act, zq, buf, out=buf)
-        h2 = np.einsum("jk,jk->k", (c[:, None] * fw).T @ buf, xqt) / n
-        rq = self.alpha / n * (self.quad.y - gq)
-        self.e1[k] = float(np.mean(rq * h1))
-        self.e2[k] = float(np.mean(rq * h2))
+        if self._work is None:
+            self._nodes = node_arrays(self.quad, np.float64)
+            self._work = work_buffers(n, self.quad.n, self.act, np.float64)
+        _, g1, g2 = drift(c, w, self._nodes, self.act, self.alpha, self._work)
+        self.e1[k] = float(np.mean(fc * g1)) / n
+        self.e2[k] = float(np.mean(np.sum(fw * g2, axis=1))) / n
 
     def trace(self, n_particles: int) -> MartingaleTrace:
         m1 = self.i1 - self.e1

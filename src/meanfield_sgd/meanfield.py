@@ -15,25 +15,27 @@ loop differently:
   the previous solution's snapshot slices (piecewise constant in time), which
   turns the fixed-point structure into a measurable contraction.
 
-pi-integrals are approximated by a quadrature that is frozen up front by
-default, so the whole evolution is a deterministic function of the initial
-cloud and the node set.  The inner kernel runs in float32 (a factor ~3 on the
-(M x nodes) sweeps that dominate); snapshots are stored in float64.  Float32
-round-off (~1e-6 relative) is far below the O(dt) + O(1/sqrt(M)) +
-O(1/sqrt(nodes)) error budget of everything computed from these solutions.
+pi-integrals are approximated by a quadrature that is frozen up front, so the
+whole evolution is a deterministic function of the initial cloud and the node
+set.  One kernel, ``drift``, evaluates the velocity field of a whole cloud at
+once on a caller-owned (M x nodes) work block; the Euler step, the weak-form
+residual, ``q_on_nodes`` and the drift/fluctuation observer all call it.  The
+solvers run it in float32 (a factor ~3 on the (M x nodes) sweeps that
+dominate); snapshots are stored in float64.  Float32 round-off (~1e-6
+relative) is far below the O(dt) + O(1/sqrt(M)) + O(1/sqrt(nodes)) error
+budget of everything computed from these solutions.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import (Activation, ConfigError, DivergedError, ParticleState,
-                   RandomStreams, RejectedInputError, activation,
-                   activation_deriv)
+from .core import (Activation, ConfigError, DivergedError, RandomStreams,
+                   RejectedInputError, activation, activation_deriv)
 from .data import DataModel, InitLaw, conditional_mean, sample_data, sample_init
 from .measure import EmpiricalMeasure, pair, wasserstein
 
@@ -47,17 +49,12 @@ class QuadratureSpec:
 
     mode: str = "monte-carlo"      # or "fixed-grid"
     n_nodes: int = 4096
-    refresh: str = "frozen"        # or "per-step"
 
     def __post_init__(self):
         if self.mode not in ("monte-carlo", "fixed-grid"):
             raise ConfigError(f"unknown quadrature mode {self.mode!r}")
-        if self.refresh not in ("frozen", "per-step"):
-            raise ConfigError(f"unknown refresh policy {self.refresh!r}")
         if self.n_nodes < 1:
             raise ConfigError("need at least one quadrature node")
-        if self.mode == "fixed-grid" and self.refresh != "frozen":
-            raise ConfigError("a fixed grid cannot be refreshed per step")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +77,8 @@ def freeze_quadrature(spec: QuadratureSpec, model: DataModel,
     The fixed grid places midpoints of a uniform cell partition of the input
     cube and pairs each with E[y | x].  Every integrand used by this package
     is affine in y, so the conditional mean makes the grid exact in the y
-    direction; only the O(h^2) x-discretization remains.
+    direction; only the O(h^2) x-discretization remains.  It has the largest
+    p^d <= n_nodes nodes, p per axis.
     """
     if spec.mode == "monte-carlo":
         if rng is None:
@@ -90,7 +88,11 @@ def freeze_quadrature(spec: QuadratureSpec, model: DataModel,
     if model.kind == "mnist-binary" or model.x_law != "uniform-cube":
         raise ConfigError("fixed-grid quadrature requires a synthetic model "
                           "with inputs uniform on the cube")
-    per_axis = max(1, int(np.floor(spec.n_nodes ** (1.0 / model.d))))
+    # the float root of a perfect power can land just below it (1000 ** (1/3)
+    # is 9.999999999999998), so round and step down to the exact integer root
+    per_axis = max(1, round(spec.n_nodes ** (1.0 / model.d)))
+    while per_axis ** model.d > spec.n_nodes:
+        per_axis -= 1
     centers = -1.0 + (2.0 * np.arange(per_axis) + 1.0) / per_axis
     grids = np.meshgrid(*([centers] * model.d), indexing="ij")
     x = np.stack([g.ravel() for g in grids], axis=1)
@@ -147,43 +149,89 @@ def _as_quadrature(quad, model, rng) -> Quadrature:
     return freeze_quadrature(quad or QuadratureSpec(), model, rng)
 
 
+# ---------------------------------------------------------------------------
+# the velocity field of a cloud
+
+
+def node_arrays(quad: Quadrature,
+                dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quadrature as ``drift`` reads it: x (K, d), its contiguous
+    transpose (d, K), and y (K,), all in ``dtype``."""
+    return (np.ascontiguousarray(quad.x, dtype=dtype),
+            np.ascontiguousarray(quad.x.T, dtype=dtype),
+            quad.y.astype(dtype))
+
+
+def work_buffers(m: int, k: int, act: Activation,
+                 dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``drift``'s (sigma, z) work blocks for m particles and k nodes: one
+    shared (m, k) array, or two when the activation has no sigma'-from-sigma
+    shortcut and z must outlive sigma."""
+    buf = np.empty((m, k), dtype=dtype)
+    return buf, (buf if act.deriv_from_value is not None else np.empty_like(buf))
+
+
+def _values(c, w, xt, act: Activation, work, q=None):
+    """The kernel's sigma/Q stage: z = w x^T into the z block, sigma(z) into
+    the sigma block, and Q = c . sigma / M unless a frozen Q is given."""
+    buf, z = work
+    np.matmul(w, xt, out=z)
+    act.value(z, out=buf)
+    if q is None:
+        q = (c @ buf) / buf.dtype.type(c.shape[0])
+    return q
+
+
+def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
+          work, q: np.ndarray | None = None):
+    """The velocity field (dc/dt, dw/dt) of every particle of a cloud.
+
+    With r_k = alpha (y_k - Q(x_k)) over the K nodes of ``nodes`` (from
+    ``node_arrays``), returns (Q, g1, g2):
+
+        g1_i = (1/K) sum_k r_k sigma(w_i . x_k)                    (M,)
+        g2_i = (1/K) sum_k r_k c_i sigma'(w_i . x_k) x_k           (M, d)
+
+    Q is the cloud's own output c . sigma / M at the nodes, or the frozen
+    ``q`` when given.  Everything happens in place on ``work`` (from
+    ``work_buffers``), so a call allocates nothing of size M x K; the
+    arithmetic runs in the dtype that the inputs and ``work`` share, and
+    sigma' comes from sigma where the activation allows it.
+    """
+    x, xt, y = nodes
+    buf, z = work
+    ftype = buf.dtype.type
+    q = _values(c, w, xt, act, work, q)
+    r = ftype(alpha) * (y - q)
+    g1 = (buf @ r) / ftype(y.shape[0])
+    activation_deriv(act, z, buf, out=buf)
+    buf *= r
+    g2 = (buf @ x) / ftype(y.shape[0])
+    g2 *= c[:, None]
+    return q, g1, g2
+
+
 def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
             dt: float, n_steps: int, snap_steps: Sequence[int],
             quad: Quadrature,
             q_rows: np.ndarray | None = None,
-            row_of_step: np.ndarray | None = None,
-            resampler: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None):
+            row_of_step: np.ndarray | None = None):
     """Euler-advance M paths; Q per step is either self-consistent (None) or
     looked up in ``q_rows[row_of_step[k]]``.  Returns snapshot arrays and the
     max observed drift magnitude."""
     c = cloud0.c.astype(np.float32)
     w = cloud0.w.astype(np.float32)
-    m = c.shape[0]
-    xt = np.ascontiguousarray(quad.x.T, dtype=np.float32)
-    xn = np.ascontiguousarray(quad.x, dtype=np.float32)
-    yn = quad.y.astype(np.float32)
+    nodes = node_arrays(quad, np.float32)
+    work = work_buffers(c.shape[0], quad.n, act, np.float32)
     want = {int(s) for s in snap_steps}
     snaps_c, snaps_w = {}, {}
     if 0 in want:
         snaps_c[0], snaps_w[0] = c.astype(np.float64), w.astype(np.float64)
     dtf = np.float32(dt)
-    alphaf = np.float32(alpha)
     max_rate = 0.0
     for k in range(n_steps):
-        if resampler is not None:
-            xt, xn, yn = resampler(k)
-        z = w @ xt                      # (M, K)
-        v = act.value(z)
-        if q_rows is None:
-            q = (c @ v) / np.float32(m)
-        else:
-            q = q_rows[row_of_step[k]]
-        r = alphaf * (yn - q)           # (K,)
-        g1 = (v @ r) / np.float32(quad.n)
-        dv = activation_deriv(act, z, v)
-        dv *= r[None, :]
-        g2 = (dv @ xn) / np.float32(quad.n)
-        g2 *= c[:, None]
+        q = None if q_rows is None else q_rows[row_of_step[k]]
+        _, g1, g2 = drift(c, w, nodes, act, alpha, work, q)
         w += dtf * g2
         c += dtf * g1
         step_rate = max(float(np.max(np.abs(g1))), float(np.max(np.abs(g2))))
@@ -230,21 +278,8 @@ def solve_selfconsistent(init, model: DataModel, M: int | None, dt: float,
     cloud0 = _as_cloud(init, rng, M)
     quad = _as_quadrature(quad, model, rng)
     n_steps, dt_eff, snap_steps = _snapshot_plan(dt, T, snapshot_times)
-
-    resampler = None
-    if quad.spec.refresh == "per-step":
-        if rng is None:
-            raise ConfigError("per-step refresh needs a generator")
-        spec = quad.spec
-
-        def resampler(_k):
-            batch = sample_data(model, rng, spec.n_nodes)
-            return (np.ascontiguousarray(batch.x.T, dtype=np.float32),
-                    batch.x.astype(np.float32), batch.y.astype(np.float32))
-
     snaps_c, snaps_w, max_rate = _evolve(
-        cloud0, act, alpha, dt_eff, n_steps, snap_steps, quad,
-        resampler=resampler)
+        cloud0, act, alpha, dt_eff, n_steps, snap_steps, quad)
     times = snap_steps * dt_eff
     return MeanFieldSolution(times,
                              np.stack([snaps_c[s] for s in snap_steps]),
@@ -255,12 +290,12 @@ def solve_selfconsistent(init, model: DataModel, M: int | None, dt: float,
 def q_on_nodes(sol: MeanFieldSolution, quad: Quadrature | None = None) -> np.ndarray:
     """(S, K) network outputs of each snapshot slice at the quadrature nodes."""
     quad = quad or sol.quad
-    xt = np.ascontiguousarray(quad.x.T, dtype=np.float32)
+    _, xt, _ = node_arrays(quad, np.float32)
+    work = work_buffers(sol.n_paths, quad.n, sol.act, np.float32)
     rows = np.empty((sol.times.shape[0], quad.n), dtype=np.float32)
-    m = np.float32(sol.n_paths)
     for i in range(sol.times.shape[0]):
-        v = sol.act.value(sol.w[i].astype(np.float32) @ xt)
-        rows[i] = (sol.c[i].astype(np.float32) @ v) / m
+        rows[i] = _values(sol.c[i].astype(np.float32),
+                          sol.w[i].astype(np.float32), xt, sol.act, work)
     return rows
 
 
@@ -357,42 +392,24 @@ def seed_resampled_floor(init: InitLaw, model: DataModel, M: int, dt: float,
 
 
 # ---------------------------------------------------------------------------
-# pointwise drift and the weak-form residual
+# the weak-form residual
 
 
-def drift(z, Q: Callable, quad: Quadrature, alpha: float = 1.0,
-          act: Activation | None = None) -> tuple[float, np.ndarray]:
-    """The field ((dc/dt), (dw/dt)) at one particle given a predictor Q.
-
-    ``z`` is a ParticleState or a (c, w) pair; ``Q`` maps a (K, d) node block
-    to (K,) predicted outputs.
-    """
-    act = act or activation("tanh")
-    if isinstance(z, ParticleState):
-        c, w = z.c, z.w
-    else:
-        c, w = float(z[0]), np.asarray(z[1], dtype=np.float64)
-    r = alpha * (quad.y - np.asarray(Q(quad.x), dtype=np.float64))
-    zz = quad.x @ w
-    s = act.value(zz)
-    dc = float(np.mean(r * s))
-    dw = (r * c * act.deriv(zz)) @ quad.x / quad.n
-    return dc, dw
-
-
-def weak_residual(sol: MeanFieldSolution, f, quad: Quadrature | None = None,
-                  time_nodes: int | None = None) -> tuple[float, float]:
-    """Defect of the solution in the weak form of the limit dynamics.
+def weak_residuals(sol: MeanFieldSolution, fs: Sequence,
+                   quad: Quadrature | None = None,
+                   time_nodes: int | None = None) -> list[tuple[float, float]]:
+    """Defect of the solution in the weak form of the limit dynamics, one
+    (residual, normalizer) pair per test function in ``fs``.
 
     Computes |<f, mu_T> - <f, mu_0> - integral_0^T a(s) ds| where
 
-        a(s) = E_pi[(y - Q_s(x)) * < alpha (sigma(w.x) df/dc
-                                   + c sigma'(w.x) x . grad_w f), mu_s >]
+        a(s) = < df/dc g1 + grad_w f . g2, mu_s >
 
-    with the time integral taken by the trapezoid rule over the stored
-    slices (optionally thinned to ``time_nodes`` of them).  Returns the
-    residual and the normalizer integral_0^T |a(s)| ds used for relative
-    error.
+    and (g1, g2) is the velocity field of the slice (see ``drift``), with the
+    time integral taken by the trapezoid rule over the stored slices
+    (optionally thinned to ``time_nodes`` of them).  Every test function
+    shares one kernel pass per slice.  The normalizer integral_0^T |a(s)| ds
+    is the scale for relative error.
     """
     if sol.times.shape[0] < 2:
         raise RejectedInputError("need at least two slices")
@@ -403,33 +420,28 @@ def weak_residual(sol: MeanFieldSolution, f, quad: Quadrature | None = None,
             raise RejectedInputError("need at least two time nodes")
         idx = np.unique(np.round(
             np.linspace(0, idx[-1], time_nodes)).astype(int))
-    xt = np.ascontiguousarray(quad.x.T, dtype=np.float32)
-    yn = quad.y.astype(np.float64)
-    m = sol.n_paths
-    a_vals = np.empty(idx.shape[0])
+    nodes = node_arrays(quad, np.float32)
+    work = work_buffers(sol.n_paths, quad.n, sol.act, np.float32)
+    a_vals = np.empty((len(fs), idx.shape[0]))
     for out_i, i in enumerate(idx):
-        c64, w64 = sol.c[i], sol.w[i]
-        c32, w32 = c64.astype(np.float32), w64.astype(np.float32)
-        z = w32 @ xt
-        v = sol.act.value(z)
-        q = (c32 @ v).astype(np.float64) / m
-        r = sol.alpha * (yn - q)                      # (K,)
-        fc = f.grad_c(c64, w64).astype(np.float32)    # (M,)
-        fw = f.grad_w(c64, w64).astype(np.float32)    # (M, d)
-        h1 = (fc @ v).astype(np.float64) / m          # (K,)
-        dv = activation_deriv(sol.act, z, v)
-        b = fw @ xt                                   # (M, K)
-        h2 = np.einsum("i,ik,ik->k", c32, dv, b).astype(np.float64) / m
-        a_vals[out_i] = float(np.mean(r * (h1 + h2)))
+        c, w = sol.c[i], sol.w[i]
+        _, g1, g2 = drift(c.astype(np.float32), w.astype(np.float32), nodes,
+                          sol.act, sol.alpha, work)
+        g1, g2 = g1.astype(np.float64), g2.astype(np.float64)
+        for j, f in enumerate(fs):
+            a_vals[j, out_i] = np.mean(f.grad_c(c, w) * g1
+                                       + np.sum(f.grad_w(c, w) * g2, axis=1))
     times = sol.times[idx]
-    lhs = pair(f, sol.slice(int(idx[-1]))) - pair(f, sol.slice(int(idx[0])))
-    integral = float(_trapz(a_vals, times))
-    normalizer = float(_trapz(np.abs(a_vals), times))
-    return abs(lhs - integral), normalizer
+    first, last = sol.slice(int(idx[0])), sol.slice(int(idx[-1]))
+    out = []
+    for f, a in zip(fs, a_vals):
+        lhs = pair(f, last) - pair(f, first)
+        out.append((abs(lhs - float(_trapz(a, times))),
+                    float(_trapz(np.abs(a), times))))
+    return out
 
 
-def fourth_moment_trace(sol: MeanFieldSolution) -> np.ndarray:
-    """mean(c^4) + mean(||w||^4) per slice; boundedness check material."""
-    c4 = np.mean(sol.c ** 4, axis=1)
-    wn = np.linalg.norm(sol.w, axis=2)
-    return c4 + np.mean(wn ** 4, axis=1)
+def weak_residual(sol: MeanFieldSolution, f, quad: Quadrature | None = None,
+                  time_nodes: int | None = None) -> tuple[float, float]:
+    """``weak_residuals`` for the single test function ``f``."""
+    return weak_residuals(sol, [f], quad, time_nodes)[0]

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (Activation, DivergedError, RejectedInputError,
-                   RandomStreams, activation)
+                   RandomStreams, activation, activation_deriv)
 from .data import DataModel, InitLaw, sample_data, sample_init
 from .measure import EmpiricalMeasure
 
@@ -80,17 +80,29 @@ def sgd_step(ens: Ensemble, x: np.ndarray, y: float) -> Ensemble:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (ens.d,):
         raise RejectedInputError(f"sample has shape {x.shape}, expected ({ens.d},)")
-    z = ens.w @ x
-    s = ens.activation.value(z)
-    g = float(s @ ens.c) / ens.n
-    coef = ens.alpha / ens.n * (y - g)
-    dc = coef * s
-    dw = (coef * ens.c * ens.activation.deriv(z))[:, None] * x[None, :]
+    dc, u = step_increments(ens, x, y)
     ens.c += dc
-    ens.w += dw
+    ens.w += u[:, None] * x[None, :]
     ens.step += 1
     _guard(ens)
     return ens
+
+
+def step_increments(ens: Ensemble, x: np.ndarray,
+                    y: float) -> tuple[np.ndarray, np.ndarray]:
+    """The increments of one step at sample (x, y) from the pre-step state:
+    dc (N,) and the factor u (N,) of the rank-one dw = u x^T.
+
+    g = (1/N) sum_i c_i sigma(w_i . x) takes the same floats as
+    ``core.network_output``, so a network trained on its own outputs gets
+    y - g = 0 exactly and never moves.
+    """
+    act = ens.activation
+    z = ens.w @ x
+    s = act.value(z)
+    g = float(s @ ens.c) / ens.n
+    coef = ens.alpha / ens.n * (y - g)
+    return coef * s, coef * ens.c * activation_deriv(act, z, s)
 
 
 def _guard(ens: Ensemble):

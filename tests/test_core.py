@@ -10,10 +10,9 @@ from meanfield_sgd import (ACTIVATION_SUPS, ConfigError, ParticleState,
                            RandomStreams, RejectedInputError, activation,
                            clamped_polynomial, constant_one,
                            default_test_functions, eval_network,
-                           gaussian_bump, loss, network_batch_output,
-                           network_output, smoothed_coordinate)
+                           gaussian_bump, network_output,
+                           smoothed_coordinate)
 from meanfield_sgd.core import activation_deriv
-from meanfield_sgd.data import Batch
 from meanfield_sgd.sgd import Ensemble
 
 TANH = activation("tanh")
@@ -57,23 +56,6 @@ def test_eval_network_rejects_bad_shapes():
         eval_network(net, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(RejectedInputError):
         eval_network(FakeNet(np.empty(0), np.empty((0, 2))), np.array([1.0, 2.0]))
-
-
-def test_loss_zero_output_weights():
-    """With c = 0 the network is identically 0 and the loss is y^2/2."""
-    net = FakeNet(np.zeros(4), np.ones((4, 2)))
-    batch = Batch(np.zeros((1, 2)), np.array([3.0]))
-    assert loss(net, batch) == 4.5
-    pairs = [(np.zeros(2), 3.0), (np.zeros(2), 1.0)]
-    assert loss(net, pairs) == pytest.approx(0.5 * (9.0 + 1.0) / 2)
-
-
-def test_loss_is_zero_at_interpolation():
-    rng = np.random.default_rng(0)
-    net = FakeNet(rng.standard_normal(5), rng.standard_normal((5, 2)))
-    xs = rng.standard_normal((6, 2))
-    ys = network_batch_output(net.c, net.w, TANH, xs)
-    assert loss(net, Batch(xs, ys)) == 0.0
 
 
 def test_particle_state_validation():

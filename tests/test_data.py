@@ -10,7 +10,7 @@ from meanfield_sgd import (Batch, ConfigError, DataModel, IdxFormatError,
                            eval_network, from_network, load_mnist_idx,
                            noisy_polynomial, sample_data, sample_init,
                            teacher_network)
-from meanfield_sgd.data import (conditional_mean, fourth_moments,
+from meanfield_sgd.data import (conditional_mean,
                                 read_idx_images, read_idx_labels,
                                 write_idx_images, write_idx_labels)
 from meanfield_sgd.sgd import Ensemble
@@ -101,15 +101,6 @@ def test_model_validation_errors():
                                    images=np.zeros((2, 4)),
                                    labels=np.array([-1.0, 1.0])),
                          np.zeros(4))
-
-
-def test_fourth_moments_finite_and_stable():
-    model = default_model()
-    s = RandomStreams(3)
-    m1 = fourth_moments(model, s.stream(0, purpose="moments"), n=20_000)
-    m2 = fourth_moments(model, s.stream(0, purpose="moments"), n=20_000)
-    assert m1 == m2
-    assert 0 < m1[0] < 10 and 0 < m1[1] < 100
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The limit dynamics solver: quadrature construction, Euler kernel oracles,
 invariances, Picard iteration, and the weak-form residual."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,13 @@ from meanfield_sgd import (ConfigError, DivergedError, EmpiricalMeasure,
                            activation, constant_one, default_init,
                            default_model, default_test_functions, drift,
                            freeze_quadrature, from_network, frozen_start,
-                           picard_iterate, q_on_nodes, seed_resampled_floor,
+                           node_arrays, noisy_polynomial, pair, picard_iterate,
+                           q_on_nodes, seed_resampled_floor,
                            solve_selfconsistent, teacher_network, wasserstein,
-                           weak_residual)
-from meanfield_sgd.core import ParticleState
+                           weak_residual, weak_residuals, work_buffers)
+from meanfield_sgd.core import activation_deriv
 from meanfield_sgd.data import conditional_mean
-from meanfield_sgd.meanfield import Quadrature, fourth_moment_trace
+from meanfield_sgd.meanfield import Quadrature, _trapz
 from meanfield_sgd.sgd import Ensemble
 
 TANH = activation("tanh")
@@ -39,6 +42,17 @@ def test_fixed_grid_nodes_and_conditional_mean(model):
     assert np.array_equal(quad.y, conditional_mean(model, quad.x))
 
 
+def test_fixed_grid_uses_exact_integer_root():
+    """p per axis is the largest p with p^d <= n: the float root of a perfect
+    cube (1000 ** (1/3) == 9.999999999999998) must not lose an axis point."""
+    for d, n, want in ((3, 27, 27), (3, 64, 64), (3, 1000, 1000),
+                       (3, 4096, 4096), (3, 999, 729), (2, 49, 49),
+                       (2, 1024, 1024)):
+        quad = freeze_quadrature(QuadratureSpec("fixed-grid", n),
+                                 noisy_polynomial(d))
+        assert quad.n == want, (d, n)
+
+
 def test_monte_carlo_quadrature_frozen_and_seeded(model, streams):
     spec = QuadratureSpec("monte-carlo", 64)
     a = freeze_quadrature(spec, model, streams.stream(purpose="quadrature"))
@@ -51,8 +65,6 @@ def test_monte_carlo_quadrature_frozen_and_seeded(model, streams):
 def test_quadrature_spec_validation(model):
     with pytest.raises(ConfigError):
         QuadratureSpec("simpson")
-    with pytest.raises(ConfigError):
-        QuadratureSpec("fixed-grid", refresh="per-step")
     with pytest.raises(ConfigError):
         QuadratureSpec(n_nodes=0)
     with pytest.raises(ConfigError):
@@ -172,39 +184,30 @@ def test_solver_divergence_guard(streams, model, init):
         small_solution(streams, model, init, alpha=1e30, m=8, nodes=8)
 
 
-def test_per_step_refresh_changes_nodes_but_stays_seeded(streams, model, init):
-    spec = QuadratureSpec("monte-carlo", 32, refresh="per-step")
-    a = small_solution(RandomStreams(5), model, init, m=16, quad=spec)
-    b = small_solution(RandomStreams(5), model, init, m=16, quad=spec)
-    assert np.array_equal(a.c, b.c)
-    frozen = small_solution(RandomStreams(5), model, init, m=16)
-    assert not np.array_equal(a.c, frozen.c)
-
-
-def test_fourth_moment_trace_bounded(streams, model, init):
-    sol = small_solution(streams, model, init, m=256)
-    trace = fourth_moment_trace(sol)
-    assert trace.shape == sol.times.shape
-    assert np.all(np.isfinite(trace))
-    assert trace.max() / trace[0] < 3.0
-
-
 # ---------------------------------------------------------------------------
-# pointwise drift
+# the velocity-field kernel
 
 
-def test_drift_hand_values(model):
+def test_drift_hand_values():
+    """M = K = 1, c = 1, w = (0.5, 0), x = (1, 0), y = 2: with Q frozen at 0,
+    g1 = 2 tanh(0.5) and g2 = (2 (1 - tanh(0.5)^2), 0); the cloud's own Q is
+    tanh(0.5); a frozen Q equal to y leaves no field at all."""
+    c, w = np.array([1.0]), np.array([[0.5, 0.0]])
     quad = Quadrature(np.array([[1.0, 0.0]]), np.array([2.0]),
                       QuadratureSpec("monte-carlo", 1))
-    dc, dw = drift(ParticleState(1.0, np.array([0.5, 0.0])),
-                   lambda x: np.zeros(x.shape[0]), quad, alpha=1.0, act=TANH)
+    nodes = node_arrays(quad, np.float64)
+    work = work_buffers(1, 1, TANH, np.float64)
     s = np.tanh(0.5)
-    assert dc == pytest.approx(2 * s, abs=1e-15)
-    assert dw[0] == pytest.approx(2 * (1 - s * s), abs=1e-15)
-    assert dw[1] == 0.0
-    dc0, dw0 = drift((1.0, np.array([0.5, 0.0])),
-                     lambda x: np.full(x.shape[0], 2.0), quad, act=TANH)
-    assert dc0 == 0.0 and not dw0.any()
+    q, g1, g2 = drift(c, w, nodes, TANH, 1.0, work, q=np.zeros(1))
+    assert g1[0] == pytest.approx(2 * s, abs=1e-15)
+    assert g2[0, 0] == pytest.approx(2 * (1 - s * s), abs=1e-15)
+    assert g2[0, 1] == 0.0
+    q, g1, g2 = drift(c, w, nodes, TANH, 0.5, work)
+    assert q[0] == pytest.approx(s, abs=1e-15)
+    assert g1[0] == pytest.approx(0.5 * (2 - s) * s, abs=1e-15)
+    assert g2[0, 0] == pytest.approx(0.5 * (2 - s) * (1 - s * s), abs=1e-15)
+    q, g1, g2 = drift(c, w, nodes, TANH, 1.0, work, q=np.full(1, 2.0))
+    assert g1[0] == 0.0 and not g2.any()
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +247,94 @@ def test_weak_residual_grows_with_alien_dynamics(streams, model, init):
     f = default_test_functions(2)[1]
     resid, norm = weak_residual(still, f)
     assert resid > 0.5 * norm
+
+
+def _reference_weak_residual(sol, f):
+    """The per-test-function residual with its own (M x K) blocks: z, sigma,
+    sigma' and grad_w f . x, contracted over particles first."""
+    quad = sol.quad
+    xt = np.ascontiguousarray(quad.x.T, dtype=np.float32)
+    yn = quad.y.astype(np.float64)
+    m = sol.n_paths
+    a_vals = np.empty(sol.times.shape[0])
+    for i in range(sol.times.shape[0]):
+        c64, w64 = sol.c[i], sol.w[i]
+        c32, w32 = c64.astype(np.float32), w64.astype(np.float32)
+        z = w32 @ xt
+        v = sol.act.value(z)
+        q = (c32 @ v).astype(np.float64) / m
+        r = sol.alpha * (yn - q)
+        fc = f.grad_c(c64, w64).astype(np.float32)
+        fw = f.grad_w(c64, w64).astype(np.float32)
+        h1 = (fc @ v).astype(np.float64) / m
+        dv = activation_deriv(sol.act, z, v)
+        h2 = np.einsum("i,ik,ik->k", c32, dv, fw @ xt).astype(np.float64) / m
+        a_vals[i] = float(np.mean(r * (h1 + h2)))
+    lhs = pair(f, sol.slice(-1)) - pair(f, sol.slice(0))
+    return (abs(lhs - float(_trapz(a_vals, sol.times))),
+            float(_trapz(np.abs(a_vals), sol.times)))
+
+
+@pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])
+def test_weak_residual_matches_reference(kind, streams, model, init):
+    """Contracting the field per particle reorders the float32 sums of the
+    per-node reference; residual and normalizer agree to 1e-6 of the
+    normalizer."""
+    sol = small_solution(streams, model, init, m=256, dt=0.01, T=0.2,
+                         nodes=256, act=activation(kind))
+    fs = default_test_functions(2)
+    for f, (resid, norm) in zip(fs, weak_residuals(sol, fs)):
+        ref_resid, ref_norm = _reference_weak_residual(sol, f)
+        assert ref_norm > 0
+        assert abs(resid - ref_resid) <= 1e-6 * ref_norm
+        assert abs(norm - ref_norm) <= 1e-6 * ref_norm
+
+
+def test_weak_residuals_equal_single_function_form_bitwise(streams, model, init):
+    sol = small_solution(streams, model, init, m=64, nodes=64)
+    fs = default_test_functions(2) + [constant_one()]
+    together = weak_residuals(sol, fs, time_nodes=5)
+    for f, pair_ in zip(fs, together):
+        assert weak_residual(sol, f, time_nodes=5) == pair_
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def wide_solution():
+    """M = 2000 paths on K = 1024 nodes: one float32 (M x K) block is 8 MB."""
+    model = default_model()
+    streams = RandomStreams(7)
+    quad = freeze_quadrature(QuadratureSpec("monte-carlo", 1024), model,
+                             streams.stream(purpose="quadrature"))
+    return quad, solve_selfconsistent(default_init(2), model, 2000, 0.01,
+                                      0.02, quad=quad,
+                                      rng=streams.stream(purpose="paths"),
+                                      act=TANH)
+
+
+def test_solve_memory_stays_below_two_blocks(wide_solution):
+    quad, sol = wide_solution
+    assert sol.times.shape[0] == 3        # two Euler steps
+    block = sol.n_paths * quad.n * 4
+    peak = _traced_peak(lambda: solve_selfconsistent(
+        sol.slice(0), default_model(), None, 0.01, 0.02, quad=quad, act=TANH))
+    assert peak < 2 * block
+
+
+def test_weak_residuals_memory_stays_below_two_blocks(wide_solution):
+    quad, sol = wide_solution
+    block = sol.n_paths * quad.n * 4
+    fs = default_test_functions(2)
+    peak = _traced_peak(lambda: weak_residuals(sol, fs))
+    assert peak < 2 * block
 
 
 # ---------------------------------------------------------------------------
