@@ -4,11 +4,10 @@ limit, and the statistical machinery that checks the two against each other.
 
 __version__ = "0.1.0"
 
-from .core import (ACTIVATION_SUPS, Activation, ConfigError, DivergedError,
-                   ParticleState, RandomStreams, RejectedInputError,
-                   TestFunction, activation, clamped_polynomial, constant_one,
-                   default_test_functions, eval_network, gaussian_bump,
-                   network_batch_output, network_output, smoothed_coordinate)
+from .core import (Activation, ConfigError, DivergedError, RandomStreams,
+                   RejectedInputError, TestFunction, activation,
+                   clamped_polynomial, constant_one, default_test_functions,
+                   gaussian_bump, network_output, smoothed_coordinate)
 from .data import (Batch, DataModel, IdxFormatError, InitLaw, default_init,
                    default_model, from_network, load_mnist_idx,
                    noisy_polynomial, sample_data, sample_init, teacher_network)

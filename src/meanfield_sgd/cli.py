@@ -22,11 +22,10 @@ import numpy as np
 from . import __version__
 from .core import (ConfigError, DivergedError, RandomStreams,
                    RejectedInputError, activation, default_test_functions)
-from .data import (IdxFormatError, InitLaw, default_model, load_mnist_idx,
+from .data import (IdxFormatError, InitLaw, load_mnist_idx,
                    noisy_polynomial, sample_init, teacher_network)
 from .diagnostics import (chaos_test, limit_distance, lln_decay,
-                          martingale_decay, moment_bound, reconcile_decomposition,
-                          run_study)
+                          martingale_decay, moment_bound, run_study)
 from .measure import (EmpiricalMeasure, fmt_float, histogram, histogram_w1,
                       pair, write_histogram_csv)
 from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec,
@@ -127,6 +126,18 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _load_mnist(cfg: dict):
+    """The digit-pair stream named by the images=, labels= and digit_pair=
+    keys."""
+    if not cfg["images"] or not cfg["labels"]:
+        raise ConfigError("mnist data needs images= and labels= paths in the "
+                          "config")
+    digits = _int_list(cfg["digit_pair"])
+    if len(digits) != 2:
+        raise ConfigError("digit_pair must hold two digits")
+    return load_mnist_idx(cfg["images"], cfg["labels"], tuple(digits))
+
+
 def _build_model(cfg: dict):
     act = activation(cfg["activation"])
     kind = cfg["model"]
@@ -138,12 +149,7 @@ def _build_model(cfg: dict):
         model = noisy_polynomial(d, lin=np.ones(d),
                                  noise_scale=cfg["noise_scale"])
     elif kind == "mnist":
-        if not cfg["images"] or not cfg["labels"]:
-            raise ConfigError("model=mnist needs images= and labels= paths")
-        digits = _int_list(cfg["digit_pair"])
-        if len(digits) != 2:
-            raise ConfigError("digit_pair must hold two digits")
-        model = load_mnist_idx(cfg["images"], cfg["labels"], tuple(digits))
+        model = _load_mnist(cfg)
     else:
         raise ConfigError(f"unknown model {kind!r}")
     lo, hi = _float_list(cfg["init_c"]) or [-1.0, 1.0]
@@ -210,6 +216,20 @@ def _write_csv(path: Path, header: str, rows, cfg_hash: str):
     lines = [f"# config_hash={cfg_hash}", header]
     lines.extend(rows)
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_weak_residuals(path: Path, sol: MeanFieldSolution, fs,
+                          cfg_hash: str) -> float:
+    """One row per test function of ``fs``: the weak-form residual of
+    ``sol``, its normalizer and their ratio.  Returns the largest ratio."""
+    rows, worst = [], 0.0
+    for f, (resid, norm) in zip(fs, weak_residuals(sol, fs)):
+        rel = resid / norm if norm > 0 else 0.0
+        worst = max(worst, rel)
+        rows.append(f"{f.label},{fmt_float(resid)},{fmt_float(norm)},"
+                    f"{fmt_float(rel)}")
+    _write_csv(path, "f,residual,normalizer,relative", rows, cfg_hash)
+    return worst
 
 
 def write_cloud_csv(path: Path, cloud: EmpiricalMeasure, cfg_hash: str):
@@ -348,14 +368,8 @@ def cmd_meanfield(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     else:
         raise ConfigError(f"unknown meanfield mode {cfg['mode']!r}")
     save_solution(sol, out, chash)
-    fs = default_test_functions(model.d)
-    res_rows = []
-    for f, (resid, norm) in zip(fs, weak_residuals(sol, fs)):
-        rel = resid / norm if norm > 0 else 0.0
-        res_rows.append(f"{f.label},{fmt_float(resid)},{fmt_float(norm)},"
-                        f"{fmt_float(rel)}")
-    _write_csv(out / "weak_residual.csv", "f,residual,normalizer,relative",
-               res_rows, chash)
+    _write_weak_residuals(out / "weak_residual.csv", sol,
+                          default_test_functions(model.d), chash)
     write_manifest(out, chash, seed, {"status": status})
     if not quiet:
         print(f"meanfield[{cfg['mode']}]: {sol.times.shape[0]} slices -> {out} "
@@ -433,15 +447,7 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
             rng=streams.stream(purpose="meanfield"), alpha=alpha, act=act,
             snapshot_times=np.linspace(0.0, T, cfg["mf_snapshots"]))
 
-    res_rows = []
-    worst = 0.0
-    for f, (resid, norm) in zip(fs, weak_residuals(sol, fs)):
-        rel = resid / norm if norm > 0 else 0.0
-        worst = max(worst, rel)
-        res_rows.append(f"{f.label},{fmt_float(resid)},{fmt_float(norm)},"
-                        f"{fmt_float(rel)}")
-    _write_csv(out / "weak_residual.csv", "f,residual,normalizer,relative",
-               res_rows, chash)
+    worst = _write_weak_residuals(out / "weak_residual.csv", sol, fs, chash)
     _check(checks, "weak-residual", worst <= 0.05, f"max relative {worst:.4f}")
 
     lim = limit_distance(study, sol, fs)
@@ -481,12 +487,7 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
 
 def cmd_mnist_hist(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     streams = RandomStreams(seed)
-    if not cfg["images"] or not cfg["labels"]:
-        raise ConfigError("mnist-hist needs images= and labels= in the config")
-    digits = _int_list(cfg["digit_pair"])
-    if len(digits) != 2:
-        raise ConfigError("digit_pair must hold two digits")
-    model = load_mnist_idx(cfg["images"], cfg["labels"], tuple(digits))
+    model = _load_mnist(cfg)
     act = activation(cfg["activation"])
     init = InitLaw(d=model.d, w_scale=cfg["init_w_scale"])
     chash = config_hash(cfg)

@@ -1,10 +1,10 @@
-"""Domain types shared by every module: particles, activations, bounded test
-functions, and the deterministic randomness contract.
+"""Domain types shared by every module: activations, bounded test functions,
+the divergence guard, and the deterministic randomness contract.
 
 Conventions used across the package:
 
 * a "cloud" of ``n`` particles is a pair of arrays ``c`` of shape ``(n,)`` and
-  ``w`` of shape ``(n, d)``; single particles are :class:`ParticleState`;
+  ``w`` of shape ``(n, d)``;
 * evaluators are pure, vectorized over particles, and safe to share;
 * everything that consumes randomness takes a ``numpy.random.Generator``
   obtained from :class:`RandomStreams`, never global state.
@@ -12,9 +12,8 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,49 +36,30 @@ class DivergedError(RuntimeError):
         self.step = step
 
 
-# ---------------------------------------------------------------------------
-# particles
+#: largest |parameter| a run may reach before it counts as diverged
+DIVERGENCE_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class ParticleState:
-    """One unit of the network: output weight ``c`` and input weights ``w``."""
-
-    c: float
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise RejectedInputError("w must be a vector with d >= 1")
-        if not (np.isfinite(self.c) and np.all(np.isfinite(w))):
-            raise RejectedInputError("particle parameters must be finite")
-        object.__setattr__(self, "w", w)
-
-    @property
-    def d(self) -> int:
-        return self.w.shape[0]
+def guard_divergence(c: np.ndarray, w: np.ndarray, step: int):
+    """Raise ``DivergedError`` at ``step`` when any entry of ``c`` or ``w`` is
+    not finite or exceeds ``DIVERGENCE_LIMIT`` in magnitude."""
+    big = float(np.maximum(np.max(np.abs(c)), np.max(np.abs(w))))
+    if not np.isfinite(big) or big > DIVERGENCE_LIMIT:
+        raise DivergedError(
+            f"parameters exceeded {DIVERGENCE_LIMIT:g} at step {step}",
+            step=step)
 
 
 # ---------------------------------------------------------------------------
 # activations
-
-#: documented suprema of |sigma|, |sigma'|, |sigma''| per kind
-ACTIVATION_SUPS = {
-    "tanh": (1.0, 1.0, 4.0 / (3.0 * math.sqrt(3.0))),
-    "logistic": (1.0, 0.25, 1.0 / (6.0 * math.sqrt(3.0))),
-    "smooth-bump": (1.0, math.exp(-0.5), 1.0),
-}
 
 
 @dataclass(frozen=True)
 class Activation:
     """A twice continuously differentiable, bounded activation.
 
-    ``value``, ``deriv`` and ``deriv2`` are vectorized callables; the ``sup_*``
-    fields are the analytically known suprema of their absolute values, kept on
-    the object so bound checks never have to rediscover them.  ``value`` and
-    ``deriv_from_value`` take an optional ``out=`` array in the ufunc
+    ``value`` and ``deriv`` evaluate sigma and sigma' elementwise.  ``value``
+    and ``deriv_from_value`` take an optional ``out=`` array in the ufunc
     convention and then make no temporary of the argument's size, and
     ``deriv_from_value`` may write over its own argument (``out=v``); where
     there is no ``deriv_from_value``, ``deriv`` takes ``out=`` the same way.
@@ -88,10 +68,6 @@ class Activation:
     kind: str
     value: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
-    deriv2: Callable[[np.ndarray], np.ndarray]
-    sup_value: float
-    sup_deriv: float
-    sup_deriv2: float
     #: optional algebraic shortcut sigma'(z) as a function of sigma(z); lets
     #: large kernels skip a second transcendental pass when one exists
     deriv_from_value: Callable[[np.ndarray], np.ndarray] | None = None
@@ -125,19 +101,9 @@ def _tanh_d1(z):
     return 1.0 - t * t
 
 
-def _tanh_d2(z):
-    t = np.tanh(z)
-    return -2.0 * t * (1.0 - t * t)
-
-
 def _logistic_d1(z):
     s = expit(z)
     return s * (1.0 - s)
-
-
-def _logistic_d2(z):
-    s = expit(z)
-    return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
 def _bump(z, out=None):
@@ -159,11 +125,6 @@ def _bump_d1(z, out=None):
     return np.negative(out, out=out)
 
 
-def _bump_d2(z):
-    z = np.asarray(z)
-    return (z * z - 1.0) * np.exp(-0.5 * z * z)
-
-
 def activation(kind: str) -> Activation:
     """Build one of the whitelisted smooth bounded activations.
 
@@ -179,15 +140,11 @@ def activation(kind: str) -> Activation:
             "smooth-bump"
         )
     if kind == "tanh":
-        return Activation("tanh", np.tanh, _tanh_d1, _tanh_d2,
-                          *ACTIVATION_SUPS["tanh"], deriv_from_value=_tanh_dfv)
+        return Activation("tanh", np.tanh, _tanh_d1, _tanh_dfv)
     if kind == "logistic":
-        return Activation("logistic", expit, _logistic_d1, _logistic_d2,
-                          *ACTIVATION_SUPS["logistic"],
-                          deriv_from_value=_logistic_dfv)
+        return Activation("logistic", expit, _logistic_d1, _logistic_dfv)
     if kind == "smooth-bump":
-        return Activation("smooth-bump", _bump, _bump_d1, _bump_d2,
-                          *ACTIVATION_SUPS["smooth-bump"])
+        return Activation("smooth-bump", _bump, _bump_d1)
     raise ConfigError(f"unknown activation kind {kind!r}")
 
 
@@ -203,10 +160,6 @@ def activation_deriv(act: Activation, z: np.ndarray, v: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # network evaluation
-#
-# ``eval_network`` accepts anything exposing ``.c`` (n,), ``.w`` (n, d) and
-# ``.activation`` -- the sgd Ensemble does, and so does any slice of a
-# mean-field solution when paired with an activation.
 
 
 def network_output(c: np.ndarray, w: np.ndarray, act: Activation,
@@ -218,28 +171,6 @@ def network_output(c: np.ndarray, w: np.ndarray, act: Activation,
             f"input has shape {x.shape}, expected ({w.shape[1]},)")
     s = act.value(w @ x)
     return float(s @ c) / c.shape[0]
-
-
-def network_batch_output(c: np.ndarray, w: np.ndarray, act: Activation,
-                         x: np.ndarray) -> np.ndarray:
-    """Vectorized ``network_output`` over rows of ``x`` with shape (k, d)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise RejectedInputError(
-            f"batch has shape {x.shape}, expected (k, {w.shape[1]})")
-    return act.value(x @ w.T) @ c / c.shape[0]
-
-
-def eval_network(ensemble, x) -> float | np.ndarray:
-    """Network output at ``x``; a 2-D ``x`` is treated as a batch of rows."""
-    c = np.asarray(ensemble.c, dtype=np.float64)
-    w = np.asarray(ensemble.w, dtype=np.float64)
-    if c.size == 0:
-        raise RejectedInputError("ensemble is empty")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return network_output(c, w, ensemble.activation, x)
-    return network_batch_output(c, w, ensemble.activation, x)
 
 
 # ---------------------------------------------------------------------------
@@ -270,29 +201,19 @@ def _clamp_d1(u, a, b):
     return np.where(inside, 1.0, _tanh_d1(z))
 
 
-def _clamp_d2(u, a, b):
-    u = np.asarray(u, dtype=np.float64)
-    inside = np.abs(u) <= a
-    z = (np.abs(u) - a) / b
-    return np.where(inside, 0.0, np.sign(u) * _tanh_d2(z) / b)
-
-
 @dataclass(frozen=True)
 class TestFunction:
-    """A bounded C^2 function of one particle, with gradient and Hessian diagonal.
+    """A bounded C^2 function of one particle, with its gradient.
 
     Evaluators take ``c`` of shape (n,) and ``w`` of shape (n, d) and return
-    (n,) arrays (``grad_w``/``hess_w`` return (n, d)).  ``d`` is the pinned
-    input dimension, or ``None`` when the function applies to any d.
+    (n,) arrays (``grad_w`` returns (n, d)).  ``d`` is the pinned input
+    dimension, or ``None`` when the function applies to any d.
     """
 
-    kind: str
     label: str
     value: Callable
     grad_c: Callable
     grad_w: Callable
-    hess_c: Callable
-    hess_w: Callable
     d: int | None = None
 
 
@@ -332,31 +253,13 @@ def smoothed_coordinate(coord: int | str = "c", a: float = 4.0,
             g[:, j] = _clamp_d1(u, a, b)
         return g
 
-    def hess_c(c, w):
-        c, w, u = pick(c, w)
-        return _clamp_d2(u, a, b) if use_c else np.zeros_like(c)
-
-    def hess_w(c, w):
-        c, w, u = pick(c, w)
-        h = np.zeros_like(w)
-        if not use_c:
-            h[:, j] = _clamp_d2(u, a, b)
-        return h
-
-    return TestFunction("coordinate-moment-smoothed", label,
-                        value, grad_c, grad_w, hess_c, hess_w)
+    return TestFunction(label, value, grad_c, grad_w)
 
 
 def _mono_d1(v, e):
     if e == 0:
         return np.zeros_like(v)
     return e * v ** (e - 1)
-
-
-def _mono_d2(v, e):
-    if e < 2:
-        return np.zeros_like(v)
-    return e * (e - 1) * v ** (e - 2)
 
 
 def clamped_polynomial(c_exp: int, w_exps: Sequence[int], a: float = 4.0,
@@ -396,24 +299,7 @@ def clamped_polynomial(c_exp: int, w_exps: Sequence[int], a: float = 4.0,
             g[:, j] = d1 * cf * _mono_d1(w[:, j], e) * _wprod_except(wf, j)
         return g
 
-    def hess_c(c, w):
-        c, w, cf, wf, p = parts(c, w)
-        wp = np.prod(wf, axis=1)
-        dp = _mono_d1(c, c_exp) * wp
-        return _clamp_d2(p, a, b) * dp * dp + _clamp_d1(p, a, b) * _mono_d2(c, c_exp) * wp
-
-    def hess_w(c, w):
-        c, w, cf, wf, p = parts(c, w)
-        d1, d2 = _clamp_d1(p, a, b), _clamp_d2(p, a, b)
-        h = np.empty_like(w)
-        for j, e in enumerate(w_exps):
-            rest = cf * _wprod_except(wf, j)
-            dp = rest * _mono_d1(w[:, j], e)
-            h[:, j] = d2 * dp * dp + d1 * rest * _mono_d2(w[:, j], e)
-        return h
-
-    return TestFunction("polynomial-clamped", label,
-                        value, grad_c, grad_w, hess_c, hess_w, d=d)
+    return TestFunction(label, value, grad_c, grad_w, d=d)
 
 
 def gaussian_bump(center_c: float, center_w: Sequence[float],
@@ -443,16 +329,7 @@ def gaussian_bump(center_c: float, center_w: Sequence[float],
         dc, dw, f = offsets(c, w)
         return -dw / s2 * f[:, None]
 
-    def hess_c(c, w):
-        dc, dw, f = offsets(c, w)
-        return (dc * dc / s2 - 1.0) / s2 * f
-
-    def hess_w(c, w):
-        dc, dw, f = offsets(c, w)
-        return (dw * dw / s2 - 1.0) / s2 * f[:, None]
-
-    return TestFunction("gaussian-bump", label,
-                        value, grad_c, grad_w, hess_c, hess_w, d=d)
+    return TestFunction(label, value, grad_c, grad_w, d=d)
 
 
 def constant_one() -> TestFunction:
@@ -470,8 +347,7 @@ def constant_one() -> TestFunction:
         c, w = _as_cloud(c, w)
         return np.zeros_like(w)
 
-    return TestFunction("polynomial-clamped", "1", value, zero_c, zero_w,
-                        zero_c, zero_w)
+    return TestFunction("1", value, zero_c, zero_w)
 
 
 def default_test_functions(d: int) -> list[TestFunction]:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .core import (Activation, ConfigError, RejectedInputError, activation,
-                   network_batch_output, network_output)
+                   network_output)
 from .measure import EmpiricalMeasure
 
 X_LAWS = ("uniform-cube", "truncated-gaussian")
@@ -35,7 +35,7 @@ class IdxFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Batch:
-    """Array-backed list of (x, y) samples."""
+    """n samples: inputs ``x`` of shape (n, d) and targets ``y`` of shape (n,)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -44,15 +44,6 @@ class Batch:
         if self.x.ndim != 2 or self.y.ndim != 1 or len(self.x) != len(self.y):
             raise RejectedInputError("batch needs x (n, d) and y (n,)")
 
-    def __len__(self) -> int:
-        return self.y.shape[0]
-
-    def __iter__(self):
-        return ((self.x[i], float(self.y[i])) for i in range(len(self)))
-
-    def __getitem__(self, i):
-        return self.x[i], float(self.y[i])
-
 
 @dataclass(frozen=True, eq=False)
 class DataModel:
@@ -60,8 +51,9 @@ class DataModel:
 
     kind "teacher-network": y = teacher(x) + noise, teacher a small fixed
     network; with ``teacher_mean=True`` the teacher averages its units through
-    the exact same code path as ``eval_network`` (so a cloud that equals the
-    teacher reproduces y bit for bit -- the interpolation fixed point).
+    ``core.network_output``, which takes the same floats as the SGD step's
+    network output (so a cloud that equals the teacher reproduces y bit for
+    bit -- the interpolation fixed point).
     kind "noisy-polynomial": y = a0 + a1.x + a2.x^2 + noise.
     kind "mnist-binary": x is a stored image in [0,1]^d, y in {-1, +1}.
     """
@@ -219,7 +211,7 @@ def default_init(d: int) -> InitLaw:
 
 
 def sample_init(law: InitLaw, rng: np.random.Generator, n: int) -> EmpiricalMeasure:
-    """n i.i.d. particles as an array-backed cloud (reads as a particle list).
+    """n i.i.d. particles as a cloud: c of shape (n,) and w of shape (n, d).
 
     All coordinates come from one uniform block, one row per particle, pushed
     through inverse CDFs.  Because each particle consumes a fixed number of

@@ -5,9 +5,9 @@ limit, and asymptotic pairwise independence of particles.
 
 The drift/fluctuation observer takes its conditional terms from the same
 velocity-field kernel as the mean-field solver (``meanfield.drift``, run here
-in float64) and its realized terms from the increments the SGD step applies
-(``sgd.step_increments``), so the formula for the field lives in those two
-places only.
+in float64) and its realized terms from the increments that ``sgd.train``
+computes once per step, hands to the observer and then applies, so the
+formula for the field lives in those two places only.
 
 Every study is replicated over seeds keyed by (replica, purpose) only, so
 runs at different network sizes share their sample streams (common random
@@ -19,18 +19,17 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import (Activation, RandomStreams, RejectedInputError,
                    TestFunction, activation)
-from .data import DataModel, InitLaw, sample_data
+from .data import DataModel, InitLaw
 from .measure import EmpiricalMeasure, fmt_float, pair, resample, wasserstein
 from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec, drift,
                         freeze_quadrature, node_arrays, work_buffers)
-from .sgd import (Ensemble, TrainSchedule, moment_guard, sgd_step,
-                  step_increments, train)
+from .sgd import Ensemble, TrainSchedule, train
 
 SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
@@ -177,8 +176,8 @@ class MartingaleTrace:
 class _DecompositionObserver:
     """train() observer accumulating the four components step by step.
 
-    The realized terms contract the step's own increments (dc, dw) with the
-    test function's gradient.  The conditional terms are the same contraction
+    The realized terms contract the step's own increments (dc, dw = u x^T),
+    as ``train`` passes them, with the test function's gradient.  The conditional terms are the same contraction
     with the velocity field (g1, g2) over the frozen quadrature: E[dc_i] =
     g1_i / N and E[dw_i] = g2_i / N.  The field comes from ``drift`` on one
     (N, K) float64 work block made at the first call and reused.
@@ -197,7 +196,8 @@ class _DecompositionObserver:
         self.e2 = np.empty(n_steps)
         self._work = None            # drift's work blocks, made at first call
 
-    def __call__(self, k: int, ens: Ensemble, x: np.ndarray, y: float):
+    def __call__(self, k: int, ens: Ensemble, x: np.ndarray, y: float,
+                 dc: np.ndarray, u: np.ndarray):
         if ens.n != self.n:
             raise RejectedInputError(
                 f"observer built for N={self.n} got an ensemble of {ens.n}")
@@ -205,7 +205,6 @@ class _DecompositionObserver:
         fc = self.f.grad_c(c, w)
         fw = self.f.grad_w(c, w)
         # realized first-order increments at the actual sample
-        dc, u = step_increments(ens, x, y)
         self.i1[k] = float(np.mean(fc * dc))
         self.i2[k] = float(np.mean(u * (fw @ x)))
         # conditional expectations of the same quantities under pi
@@ -312,12 +311,14 @@ def reconcile_decomposition(model: DataModel, init: InitLaw, f: TestFunction,
                             n: int, T: float, streams: RandomStreams,
                             quad=None, alpha: float = 1.0,
                             act: Activation | None = None) -> ReconcileReport:
-    """Replay a run comparing the decomposition against ground truth.
+    """Train one replica comparing the decomposition against ground truth.
 
     A_k is rebuilt from the actually applied parameter deltas, so the check
     is independent of the formulas inside the observer; the defect must sit
     at float rounding (<= 1e-10), while the Taylor remainder is genuine and
-    shrinks like 1/N^2 per step.
+    shrinks like 1/N^2 per step.  Step k is closed at the next observer call,
+    which sees its post-step state, and the last step after ``train``
+    returns.
     """
     act = act or activation("tanh")
     if quad is None:
@@ -330,29 +331,32 @@ def reconcile_decomposition(model: DataModel, init: InitLaw, f: TestFunction,
     schedule = TrainSchedule(float(T))
     n_steps = schedule.n_steps(n)
     obs = _DecompositionObserver(f, quad, alpha, act, n_steps, n)
-    rng = streams.stream(0, purpose="data")
-    identity = 0.0
-    remainder = 0.0
-    done = 0
-    while done < n_steps:
-        batch = sample_data(model, rng, min(4096, n_steps - done))
-        for i in range(len(batch)):
-            x, y = batch.x[i], float(batch.y[i])
-            c0, w0 = ens.c.copy(), ens.w.copy()
-            before = float(np.mean(f.value(c0, w0)))
-            obs(done, ens, x, y)
-            sgd_step(ens, x, y)
-            after = float(np.mean(f.value(ens.c, ens.w)))
-            fc = f.grad_c(c0, w0)
-            fw = f.grad_w(c0, w0)
-            a_actual = float(np.mean(fc * (ens.c - c0))
-                             + np.mean(np.sum(fw * (ens.w - w0), axis=1)))
-            four = obs.i1[done] + obs.i2[done]  # (D1+M1) + (D2+M2)
-            identity = max(identity, abs(four - a_actual))
-            remainder = max(remainder, abs((after - before) - a_actual))
-            done += 1
-            if done >= n_steps:
-                break
+    identity = remainder = 0.0
+    pending = []         # (k, c, w) of the step whose post-step state is due
+
+    def close(post: Ensemble):
+        nonlocal identity, remainder
+        if not pending:
+            return
+        k, c0, w0 = pending.pop()
+        before = float(np.mean(f.value(c0, w0)))
+        after = float(np.mean(f.value(post.c, post.w)))
+        fc = f.grad_c(c0, w0)
+        fw = f.grad_w(c0, w0)
+        a_actual = float(np.mean(fc * (post.c - c0))
+                         + np.mean(np.sum(fw * (post.w - w0), axis=1)))
+        four = obs.i1[k] + obs.i2[k]  # (D1+M1) + (D2+M2)
+        identity = max(identity, abs(four - a_actual))
+        remainder = max(remainder, abs((after - before) - a_actual))
+
+    def observer(k, e, x, y, dc, u):
+        close(e)
+        obs(k, e, x, y, dc, u)
+        pending.append((k, e.c.copy(), e.w.copy()))
+
+    train(ens, model, schedule, streams.stream(0, purpose="data"),
+          observer=observer)
+    close(ens)
     return ReconcileReport(identity, remainder, n, n_steps)
 
 

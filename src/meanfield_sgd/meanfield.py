@@ -34,13 +34,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (Activation, ConfigError, DivergedError, RandomStreams,
-                   RejectedInputError, activation, activation_deriv)
+from .core import (Activation, ConfigError, RandomStreams, RejectedInputError,
+                   activation, activation_deriv, guard_divergence)
 from .data import DataModel, InitLaw, conditional_mean, sample_data, sample_init
 from .measure import EmpiricalMeasure, pair, wasserstein
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
-DIVERGENCE_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -234,18 +233,19 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
         _, g1, g2 = drift(c, w, nodes, act, alpha, work, q)
         w += dtf * g2
         c += dtf * g1
-        step_rate = max(float(np.max(np.abs(g1))), float(np.max(np.abs(g2))))
-        if not np.isfinite(step_rate) or max(float(np.max(np.abs(c))),
-                                             float(np.max(np.abs(w)))) > DIVERGENCE_LIMIT:
-            raise DivergedError(f"mean-field paths diverged at step {k + 1}",
-                                step=k + 1)
-        max_rate = max(max_rate, step_rate)
+        # a non-finite rate leaves a non-finite c or w, which the guard sees
+        guard_divergence(c, w, k + 1)
+        max_rate = max(max_rate,
+                       float(np.max(np.abs(g1))), float(np.max(np.abs(g2))))
         if (k + 1) in want:
             snaps_c[k + 1], snaps_w[k + 1] = c.astype(np.float64), w.astype(np.float64)
     return snaps_c, snaps_w, max_rate
 
 
 def _snapshot_plan(dt: float, T: float, snapshot_times):
+    """(n_steps, dt_eff, snapshot steps) for horizon T.  A given grid must
+    end at T: ``picard_iterate`` takes its horizon from the last snapshot, so
+    a grid that stopped early would shorten the solve."""
     n_steps = max(1, int(round(T / dt)))
     dt_eff = T / n_steps
     if snapshot_times is None:
@@ -255,6 +255,8 @@ def _snapshot_plan(dt: float, T: float, snapshot_times):
         snap_steps = np.unique([int(round(t / dt_eff)) for t in snapshot_times])
         if np.any(snap_steps < 0) or np.any(snap_steps > n_steps):
             raise RejectedInputError("snapshot times must lie in [0, T]")
+        if snap_steps.size == 0 or snap_steps[-1] != n_steps:
+            raise RejectedInputError(f"snapshot times must end at T={T:g}")
     return n_steps, dt_eff, snap_steps
 
 

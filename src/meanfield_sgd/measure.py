@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import ParticleState, RejectedInputError, TestFunction
+from .core import RejectedInputError, TestFunction
 
 EXACT_LIMIT = 256
 SLICES = 64
@@ -62,29 +61,9 @@ class EmpiricalMeasure:
     def d(self) -> int:
         return self.w.shape[1]
 
-    @classmethod
-    def from_particles(cls, particles: Iterable[ParticleState]) -> "EmpiricalMeasure":
-        ps = list(particles)
-        return cls(np.array([p.c for p in ps]), np.array([p.w for p in ps]))
-
-    def atoms(self) -> list[ParticleState]:
-        return [ParticleState(float(ci), wi.copy())
-                for ci, wi in zip(self.c, self.w)]
-
     def joint(self) -> np.ndarray:
         """Atoms as rows of a (n, 1+d) array on the joint (c, w) space."""
         return np.concatenate([self.c[:, None], self.w], axis=1)
-
-    def permuted(self, perm: Sequence[int]) -> "EmpiricalMeasure":
-        idx = np.asarray(perm)
-        return EmpiricalMeasure(self.c[idx], self.w[idx])
-
-    # len/iter so a measure also reads as a list of particles
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return iter(self.atoms())
 
 
 def pair(f: TestFunction, mu: EmpiricalMeasure) -> float:

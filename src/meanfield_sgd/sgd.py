@@ -14,17 +14,16 @@ and the snapshot at scaled time t is the state after exactly floor(N*t) steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import (Activation, DivergedError, RejectedInputError,
-                   RandomStreams, activation, activation_deriv)
+from .core import (Activation, RejectedInputError, RandomStreams,
+                   activation_deriv, guard_divergence)
 from .data import DataModel, InitLaw, sample_data, sample_init
 from .measure import EmpiricalMeasure
 
-DIVERGENCE_LIMIT = 1e12
 _STREAM_CHUNK = 4096  # samples drawn per refill; fixed, part of determinism
 
 
@@ -80,11 +79,7 @@ def sgd_step(ens: Ensemble, x: np.ndarray, y: float) -> Ensemble:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (ens.d,):
         raise RejectedInputError(f"sample has shape {x.shape}, expected ({ens.d},)")
-    dc, u = step_increments(ens, x, y)
-    ens.c += dc
-    ens.w += u[:, None] * x[None, :]
-    ens.step += 1
-    _guard(ens)
+    _apply_increments(ens, x, *step_increments(ens, x, y))
     return ens
 
 
@@ -105,14 +100,14 @@ def step_increments(ens: Ensemble, x: np.ndarray,
     return coef * s, coef * ens.c * activation_deriv(act, z, s)
 
 
-def _guard(ens: Ensemble):
-    cmax = np.max(np.abs(ens.c))
-    wmax = np.max(np.abs(ens.w))
-    big = max(cmax, wmax)
-    if not np.isfinite(big) or big > DIVERGENCE_LIMIT:
-        raise DivergedError(
-            f"parameters exceeded {DIVERGENCE_LIMIT:g} at step {ens.step}",
-            step=ens.step)
+def _apply_increments(ens: Ensemble, x: np.ndarray, dc: np.ndarray,
+                      u: np.ndarray):
+    """Add one step's increments (from ``step_increments``) and check the
+    post-step state against the divergence guard."""
+    ens.c += dc
+    ens.w += u[:, None] * x[None, :]
+    ens.step += 1
+    guard_divergence(ens.c, ens.w, ens.step)
 
 
 def moment_guard(ens) -> float:
@@ -157,7 +152,8 @@ def _floor_steps(n_particles: int, t: float) -> int:
 
 @dataclass
 class TrainResult:
-    """Snapshots (t, measure) in schedule order; behaves as that list."""
+    """Snapshots (t, measure) in schedule order, and the per-step trace of
+    ``moment_guard`` (steps 0..n) when it was recorded."""
 
     snapshots: list
     moment_trace: np.ndarray | None = None
@@ -168,15 +164,6 @@ class TrainResult:
             return None
         return float(np.max(self.moment_trace))
 
-    def __iter__(self):
-        return iter(self.snapshots)
-
-    def __len__(self):
-        return len(self.snapshots)
-
-    def __getitem__(self, i):
-        return self.snapshots[i]
-
 
 def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule,
           rng: np.random.Generator,
@@ -184,10 +171,12 @@ def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule,
           record_moments: bool = False) -> TrainResult:
     """Run floor(N*T) steps on a fresh i.i.d. stream; collect snapshots.
 
-    ``observer(k, ens, x, y)``, if given, is called before each step with the
-    pre-step state and the sample about to be applied (used by the drift and
-    fluctuation diagnostics). Samples are drawn in fixed-size chunks, so the
-    stream consumed is a deterministic function of the generator alone.
+    ``observer(k, ens, x, y, dc, u)``, if given, is called before each step
+    with the pre-step state, the sample about to be applied and that step's
+    increments from ``step_increments`` (used by the drift and fluctuation
+    diagnostics); the step then applies exactly those increments. Samples
+    are drawn in fixed-size chunks, so the stream consumed is a deterministic
+    function of the generator alone.
     """
     if model.d != ens.d:
         raise RejectedInputError("model dimension differs from ensemble")
@@ -207,12 +196,13 @@ def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule,
     done = 0
     while done < n_steps:
         batch = sample_data(model, rng, _STREAM_CHUNK)
-        take = min(n_steps - done, len(batch))
+        take = min(n_steps - done, batch.y.shape[0])
         for i in range(take):
             x, y = batch.x[i], float(batch.y[i])
+            dc, u = step_increments(ens, x, y)
             if observer is not None:
-                observer(done, ens, x, y)
-            sgd_step(ens, x, y)
+                observer(done, ens, x, y, dc, u)
+            _apply_increments(ens, x, dc, u)
             done += 1
             if record_moments:
                 trace[done] = moment_guard(ens)

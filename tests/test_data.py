@@ -7,7 +7,7 @@ import pytest
 from meanfield_sgd import (Batch, ConfigError, DataModel, IdxFormatError,
                            InitLaw, RandomStreams, RejectedInputError,
                            activation, default_init, default_model,
-                           eval_network, from_network, load_mnist_idx,
+                           from_network, load_mnist_idx, network_output,
                            noisy_polynomial, sample_data, sample_init,
                            teacher_network)
 from meanfield_sgd.data import (conditional_mean,
@@ -67,14 +67,11 @@ def test_noisy_polynomial_values():
         noisy_polynomial(2, lin=(1.0,))
 
 
-def test_batch_behaves_as_pair_list():
-    b = Batch(np.arange(6.0).reshape(3, 2), np.array([1.0, 2.0, 3.0]))
-    assert len(b) == 3
-    x, y = b[1]
-    assert y == 2.0 and np.array_equal(x, [2.0, 3.0])
-    assert [y for _, y in b] == [1.0, 2.0, 3.0]
+def test_batch_rejects_mismatched_shapes():
     with pytest.raises(RejectedInputError):
         Batch(np.zeros((3, 2)), np.zeros(2))
+    with pytest.raises(RejectedInputError):
+        Batch(np.zeros(3), np.zeros(3))
 
 
 def test_from_network_reproduces_outputs_bit_for_bit():
@@ -85,8 +82,8 @@ def test_from_network_reproduces_outputs_bit_for_bit():
                    activation("tanh"), alpha=1.0)
     model = from_network(ens.measure(), ens.activation, noise_scale=0.0)
     batch = sample_data(model, rng, 64)
-    for x, y in batch:
-        assert eval_network(ens, x) == y
+    for x, y in zip(batch.x, batch.y):
+        assert network_output(ens.c, ens.w, ens.activation, x) == y
 
 
 def test_model_validation_errors():

@@ -15,6 +15,7 @@ from meanfield_sgd import (Ensemble, QuadratureSpec, RandomStreams,
                            solve_selfconsistent, train)
 from meanfield_sgd.diagnostics import (_DecompositionObserver,
                                        default_martingale_quadrature)
+from meanfield_sgd.sgd import step_increments
 
 TANH = activation("tanh")
 FS = default_test_functions(2)
@@ -144,9 +145,9 @@ def test_observer_matches_reference_formula(kind, model, init):
         obs = _DecompositionObserver(f, quad, 1.0, act, steps, n)
         refs = []
 
-        def both(k, e, x, y):
+        def both(k, e, x, y, dc, u):
             refs.append(_reference_components(f, quad, 1.0, act, e, x, y))
-            obs(k, e, x, y)
+            obs(k, e, x, y, dc, u)
 
         train(ens, model, TrainSchedule(steps / n),
               RandomStreams(17).stream(0, purpose="data"), observer=both)
@@ -166,10 +167,11 @@ def test_observer_step_allocates_no_n_by_k_array(model, init):
                              RandomStreams(5).stream(0, purpose="init"), n)
     obs = _DecompositionObserver(FS[1], quad, 1.0, TANH, 2, n)
     x, y = np.array([0.3, -0.4]), 0.2
-    obs(0, ens, x, y)                  # first call allocates the work buffer
+    dc, u = step_increments(ens, x, y)
+    obs(0, ens, x, y, dc, u)           # first call allocates the work buffer
     tracemalloc.start()
     try:
-        obs(1, ens, x, y)
+        obs(1, ens, x, y, dc, u)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -181,8 +183,9 @@ def test_observer_rejects_ensemble_of_other_size(model, init):
     obs = _DecompositionObserver(FS[1], quad, 1.0, TANH, 4, 32)
     ens = Ensemble.from_init(init, TANH, 1.0,
                              RandomStreams(5).stream(0, purpose="init"), 16)
+    x = np.array([0.1, 0.2])
     with pytest.raises(RejectedInputError):
-        obs(0, ens, np.array([0.1, 0.2]), 0.0)
+        obs(0, ens, x, 0.0, *step_increments(ens, x, 0.0))
 
 
 def test_martingale_zero_when_alpha_zero(model, init):

@@ -184,6 +184,35 @@ def test_solver_divergence_guard(streams, model, init):
         small_solution(streams, model, init, alpha=1e30, m=8, nodes=8)
 
 
+@pytest.mark.parametrize("alpha,step", [(1e30, 1), (3e38, 1), (1e8, 3)])
+def test_solver_divergence_step_is_pinned(alpha, step, streams, model, init):
+    """The guard fires at the first Euler step whose state is out of bounds:
+    alpha=1e30 overshoots at once, 3e38 overflows the float32 field to a
+    non-finite one, and 1e8 takes three steps to pass the limit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergedError) as err:
+            small_solution(streams, model, init, alpha=alpha, m=8, nodes=8)
+    assert err.value.step == step
+
+
+def test_snapshot_grid_must_end_at_horizon(streams, model, init):
+    """picard_iterate reads its horizon off the last snapshot, so a grid that
+    stops before T is rejected rather than silently shortening the solve."""
+    rng = streams.stream(purpose="cloud")
+    cloud = EmpiricalMeasure(rng.standard_normal(8),
+                             rng.standard_normal((8, 2)))
+    quad = freeze_quadrature(QuadratureSpec("fixed-grid", 16), model)
+    with pytest.raises(RejectedInputError):
+        frozen_start(cloud, 0.3, 0.01, quad, TANH, alpha=1.0,
+                     snapshot_times=(0.0, 0.15))
+    with pytest.raises(RejectedInputError):
+        small_solution(streams, model, init, m=8, nodes=8,
+                       snapshot_times=(0.0, 0.15))
+    full = frozen_start(cloud, 0.3, 0.01, quad, TANH, alpha=1.0,
+                        snapshot_times=(0.0, 0.15, 0.3))
+    assert full.times[-1] == pytest.approx(0.3)
+
+
 # ---------------------------------------------------------------------------
 # the velocity-field kernel
 

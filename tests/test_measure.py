@@ -52,15 +52,6 @@ def test_pairing_dimension_guard():
         pair(f, mu)
 
 
-def test_measure_is_a_particle_list():
-    mu = cloud(np.random.default_rng(1), 4, 2)
-    assert len(mu) == 4
-    atoms = list(mu)
-    assert len(atoms) == 4
-    assert atoms[2].c == mu.c[2]
-    assert np.array_equal(atoms[2].w, mu.w[2])
-
-
 def test_resample_draws_existing_atoms():
     rng = np.random.default_rng(3)
     mu = cloud(rng, 20, 2)

@@ -142,20 +142,20 @@ def test_train_records_requested_snapshots(streams, model, init):
                              40)
     result = train(ens, model, TrainSchedule(1.0, (0.0, 0.5, 1.0)),
                    streams.stream(0, purpose="data"), record_moments=True)
-    assert [t for t, _ in result] == [0.0, 0.5, 1.0]
-    assert result[0][1].n == 40
+    assert [t for t, _ in result.snapshots] == [0.0, 0.5, 1.0]
+    assert result.snapshots[0][1].n == 40
     assert result.moment_trace.shape == (41,)
     assert result.max_moment >= result.moment_trace[0]
     # the t=0 snapshot is the untouched init
     again = Ensemble.from_init(init, TANH, 1.0,
                                streams.stream(0, purpose="init"), 40)
-    assert np.array_equal(result[0][1].c, again.c)
+    assert np.array_equal(result.snapshots[0][1].c, again.c)
 
 
 def test_train_bit_determinism(streams, model, init):
     runs = [run_default(model, init, TANH, 1.0, 64, TrainSchedule(0.5),
                         RandomStreams(1234), replica=3) for _ in range(2)]
-    a, b = runs[0][-1][1], runs[1][-1][1]
+    a, b = runs[0].snapshots[-1][1], runs[1].snapshots[-1][1]
     assert np.array_equal(a.c, b.c)
     assert np.array_equal(a.w, b.w)
 
@@ -166,7 +166,7 @@ def test_observer_sees_pre_step_state(streams, model, init):
     c0 = ens.c.copy()
     seen = []
 
-    def observer(k, e, x, y):
+    def observer(k, e, x, y, dc, u):
         if k == 0:
             seen.append(e.c.copy())
         seen.append(k)
@@ -175,6 +175,28 @@ def test_observer_sees_pre_step_state(streams, model, init):
           observer=observer)
     assert np.array_equal(seen[0], c0)
     assert seen[1:] == list(range(16))
+
+
+def test_observer_increments_are_the_applied_step(streams, model, init):
+    """The (dc, u) handed to the observer are exactly what the step adds:
+    c += dc and w += u x^T, bit for bit."""
+    ens = Ensemble.from_init(init, TANH, 1.0, streams.stream(0, purpose="init"),
+                             24)
+    pending = []
+
+    def check(post):
+        c0, w0, x0, dc0, u0 = pending.pop()
+        assert np.array_equal(post.c, c0 + dc0)
+        assert np.array_equal(post.w, w0 + u0[:, None] * x0[None, :])
+
+    def observer(k, e, x, y, dc, u):
+        if pending:
+            check(e)
+        pending.append((e.c.copy(), e.w.copy(), x.copy(), dc.copy(), u.copy()))
+
+    train(ens, model, TrainSchedule(1.0), streams.stream(0, purpose="data"),
+          observer=observer)
+    check(ens)
 
 
 def test_train_dimension_mismatch(model):
@@ -193,7 +215,7 @@ def test_data_stream_prefix_shared_across_sizes(model, init):
         xs = []
         train(ens, model, TrainSchedule(0.5),
               RandomStreams(7).stream(0, purpose="data"),
-              observer=lambda k, e, x, y: xs.append((x.copy(), y)))
+              observer=lambda k, e, x, y, dc, u: xs.append((x.copy(), y)))
         seen[n] = xs
     for (xa, ya), (xb, yb) in zip(seen[32], seen[128]):
         assert np.array_equal(xa, xb) and ya == yb
