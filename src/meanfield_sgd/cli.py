@@ -32,7 +32,7 @@ from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec,
                         freeze_quadrature, frozen_start, picard_iterate,
                         seed_resampled_floor, solve_selfconsistent,
                         weak_residuals)
-from .sgd import Ensemble, TrainSchedule, train
+from .sgd import TrainSchedule, run_default
 
 # ---------------------------------------------------------------------------
 # config handling
@@ -138,6 +138,12 @@ def _load_mnist(cfg: dict):
     return load_mnist_idx(cfg["images"], cfg["labels"], tuple(digits))
 
 
+def _init_law(cfg: dict, d: int) -> InitLaw:
+    """The initial law named by the init_c= and init_w_scale= keys."""
+    lo, hi = _float_list(cfg["init_c"]) or [-1.0, 1.0]
+    return InitLaw(d=d, c_params=(lo, hi), w_scale=cfg["init_w_scale"])
+
+
 def _build_model(cfg: dict):
     act = activation(cfg["activation"])
     kind = cfg["model"]
@@ -152,9 +158,7 @@ def _build_model(cfg: dict):
         model = _load_mnist(cfg)
     else:
         raise ConfigError(f"unknown model {kind!r}")
-    lo, hi = _float_list(cfg["init_c"]) or [-1.0, 1.0]
-    init = InitLaw(d=model.d, c_params=(lo, hi), w_scale=cfg["init_w_scale"])
-    return model, init, act
+    return model, _init_law(cfg, model.d), act
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +308,9 @@ def cmd_train(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     out.mkdir(parents=True, exist_ok=True)
     times = tuple(_float_list(cfg["snapshot_times"])) or (cfg["t_horizon"],)
     schedule = TrainSchedule(cfg["t_horizon"], (0.0,) + times)
-    ens = Ensemble.from_init(init, act, cfg["alpha"],
-                             streams.stream(0, purpose="init"), cfg["n"])
     try:
-        result = train(ens, model, schedule, streams.stream(0, purpose="data"),
-                       record_moments=True)
+        result = run_default(model, init, act, cfg["alpha"], cfg["n"], schedule,
+                             streams, record_moments=True)
     except DivergedError as exc:
         (out / "DIVERGED").write_text(f"step={exc.step}\n")
         write_manifest(out, chash, seed, {"status": "diverged"})
@@ -333,14 +335,14 @@ def cmd_meanfield(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     model, init, act = _build_model(cfg)
     chash = config_hash(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    spec = QuadratureSpec(cfg["quad_mode"], cfg["quad_nodes"])
-    quad = freeze_quadrature(spec, model, streams.stream(purpose="quadrature"))
+    quad = freeze_quadrature(QuadratureSpec(cfg["quad_mode"], cfg["quad_nodes"]),
+                             model, streams.stream(purpose="quadrature"))
     t_grid = np.linspace(0.0, cfg["t_horizon"], cfg["mf_snapshots"])
     status = "ok"
     exit_code = 0
     if cfg["mode"] == "selfconsistent":
         sol = solve_selfconsistent(init, model, cfg["m"], cfg["dt"],
-                                   cfg["t_horizon"], quad=quad or spec,
+                                   cfg["t_horizon"], quad=quad,
                                    rng=streams.stream(purpose="paths"),
                                    alpha=cfg["alpha"], act=act,
                                    snapshot_times=t_grid)
@@ -489,17 +491,14 @@ def cmd_mnist_hist(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     streams = RandomStreams(seed)
     model = _load_mnist(cfg)
     act = activation(cfg["activation"])
-    init = InitLaw(d=model.d, w_scale=cfg["init_w_scale"])
+    init = _init_law(cfg, model.d)
     chash = config_hash(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    n_grid = _int_list(cfg["mnist_n_grid"])
+    schedule = TrainSchedule(cfg["t_horizon"])
     hists = []
-    for n in n_grid:
-        ens = Ensemble.from_init(init, act, cfg["alpha"],
-                                 streams.stream(0, purpose="init"), n)
-        result = train(ens, model, TrainSchedule(cfg["t_horizon"]),
-                       streams.stream(0, purpose="data"))
-        cloud = result.snapshots[-1][1]
+    for n in _int_list(cfg["mnist_n_grid"]):
+        cloud = run_default(model, init, act, cfg["alpha"], n, schedule,
+                            streams).snapshots[-1][1]
         h = histogram(cloud, "c", cfg["bins"])
         write_histogram_csv(h, out / f"hist_c_n{n}.csv", chash)
         hists.append((n, h))

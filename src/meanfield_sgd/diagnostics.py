@@ -9,10 +9,12 @@ in float64) and its realized terms from the increments that ``sgd.train``
 computes once per step, hands to the observer and then applies, so the
 formula for the field lives in those two places only.
 
-Every study is replicated over seeds keyed by (replica, purpose) only, so
-runs at different network sizes share their sample streams (common random
-numbers); trend statements across an N-grid are then far less noisy, while
-each single-N statistic keeps its marginal law.
+Every trained replica goes through ``sgd.run_default``, which keys its
+streams by (replica, purpose) only, so runs at different network sizes share
+their initial particles and their sample streams (common random numbers);
+trend statements across an N-grid are then far less noisy, while each
+single-N statistic keeps its marginal law.  Every statistic here reads the
+state at the horizon T.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import numpy as np
 from .core import (Activation, RandomStreams, RejectedInputError,
                    TestFunction, activation)
 from .data import DataModel, InitLaw
-from .measure import EmpiricalMeasure, fmt_float, pair, resample, wasserstein
-from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec, drift,
-                        freeze_quadrature, node_arrays, work_buffers)
-from .sgd import Ensemble, TrainSchedule, train
+from .measure import fmt_float, pair, resample, wasserstein
+from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec,
+                        _as_quadrature, drift, node_arrays, work_buffers)
+from .sgd import Ensemble, TrainSchedule, run_default
 
 SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
@@ -40,66 +42,48 @@ SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
 @dataclass
 class ReplicaStudy:
-    """R independent training runs at every size in an N-grid.
+    """R independent training runs to horizon T at every size in an N-grid.
 
-    ``clouds[(n, r)]`` is the list of (t, cloud) snapshots of replica r at
-    size n; ``max_moments[(n, r)]`` is the max of the parameter-moment guard
-    over that whole run.
+    ``clouds[(n, r)]`` is the final cloud of replica r at size n, and
+    ``max_moments[(n, r)]`` the max of the parameter-moment guard over that
+    whole run.
     """
 
-    model: DataModel
-    init: InitLaw
-    act: Activation
-    alpha: float
     T: float
     n_grid: tuple
     R: int
     streams: RandomStreams
-    snapshot_times: tuple
     clouds: dict = field(default_factory=dict)
     max_moments: dict = field(default_factory=dict)
 
-    def cloud(self, n: int, r: int, t: float | None = None) -> EmpiricalMeasure:
-        snaps = self.clouds[(n, r)]
-        if t is None:
-            return snaps[-1][1]
-        for ti, cl in snaps:
-            if abs(ti - t) <= 1e-9:
-                return cl
-        raise RejectedInputError(f"no snapshot at t={t}")
-
-    def pairings(self, f: TestFunction, n: int, t: float | None = None) -> np.ndarray:
-        return np.array([pair(f, self.cloud(n, r, t)) for r in range(self.R)])
+    def pairings(self, f: TestFunction, n: int) -> np.ndarray:
+        return np.array([pair(f, self.clouds[(n, r)]) for r in range(self.R)])
 
 
 def _study_task(args):
-    model, init, act, alpha, T, snapshot_times, n, r, streams = args
-    ens = Ensemble.from_init(init, act, alpha,
-                             streams.stream(r, purpose="init"), n)
-    result = train(ens, model, TrainSchedule(T, snapshot_times),
-                   streams.stream(r, purpose="data"), record_moments=True)
-    return (n, r), result.snapshots, result.max_moment
+    model, init, act, alpha, T, n, r, streams = args
+    result = run_default(model, init, act, alpha, n, TrainSchedule(T), streams,
+                         replica=r, record_moments=True)
+    return (n, r), result.snapshots[-1][1], result.max_moment
 
 
 def run_study(model: DataModel, init: InitLaw, act: Activation, alpha: float,
               T: float, n_grid: Sequence[int], R: int, streams: RandomStreams,
-              snapshot_times: Sequence[float] | None = None,
               workers: int = 1) -> ReplicaStudy:
-    """Train R replicas at every N; deterministic regardless of scheduling."""
+    """Train replicas 0..R-1 at every N through ``sgd.run_default`` and keep
+    each final cloud; deterministic regardless of ``workers``."""
     if R < 2:
         raise RejectedInputError("a replica study needs R >= 2")
-    times = tuple(snapshot_times) if snapshot_times else (float(T),)
-    study = ReplicaStudy(model, init, act, alpha, T, tuple(int(n) for n in n_grid),
-                         R, streams, times)
-    tasks = [(model, init, act, alpha, T, times, n, r, streams)
+    study = ReplicaStudy(float(T), tuple(int(n) for n in n_grid), R, streams)
+    tasks = [(model, init, act, alpha, T, n, r, streams)
              for n in study.n_grid for r in range(R)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_study_task, tasks))
     else:
         outcomes = [_study_task(t) for t in tasks]
-    for key, snaps, max_m in outcomes:
-        study.clouds[key] = snaps
+    for key, cloud, max_m in outcomes:
+        study.clouds[key] = cloud
         study.max_moments[key] = max_m
     return study
 
@@ -126,16 +110,15 @@ class LlnTable:
         return header, rows
 
 
-def lln_decay(study: ReplicaStudy, f: TestFunction,
-              t: float | None = None) -> LlnTable:
-    """Across-replica mean/std of <f, mu^N_t> per N and the log-log slope."""
+def lln_decay(study: ReplicaStudy, f: TestFunction) -> LlnTable:
+    """Across-replica mean/std of <f, mu^N_T> per N and the log-log slope."""
     if study.R < 20:
         raise RejectedInputError("slope estimates need R >= 20")
     if len(study.n_grid) < 3:
         raise RejectedInputError("need at least 3 sizes in the N-grid")
     means, stds = [], []
     for n in study.n_grid:
-        vals = study.pairings(f, n, t)
+        vals = study.pairings(f, n)
         means.append(float(np.mean(vals)))
         stds.append(float(np.std(vals, ddof=1)))
     means, stds = np.array(means), np.array(stds)
@@ -158,19 +141,6 @@ def lln_decay(study: ReplicaStudy, f: TestFunction,
 # conditional expectations of the two first-order terms given the current
 # state (computed against a frozen quadrature), M1/M2 the leftover
 # innovations: zero-mean, uncorrelated across steps.
-
-
-@dataclass
-class MartingaleTrace:
-    """Cumulative D and M components over one training run."""
-
-    times: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-    qv1: float      # sum of squared M1 increments
-    qv2: float
 
 
 class _DecompositionObserver:
@@ -215,13 +185,14 @@ class _DecompositionObserver:
         self.e1[k] = float(np.mean(fc * g1)) / n
         self.e2[k] = float(np.mean(np.sum(fw * g2, axis=1))) / n
 
-    def trace(self, n_particles: int) -> MartingaleTrace:
+    def totals(self) -> tuple[float, float, float, float]:
+        """M1(T), M2(T), sum_k M1_k^2 and sum_k M2_k^2 over the run.  M(T)
+        sums the steps left to right, as a running total would."""
         m1 = self.i1 - self.e1
         m2 = self.i2 - self.e2
-        times = np.arange(1, self.i1.shape[0] + 1) / n_particles
-        return MartingaleTrace(times, np.cumsum(self.e1), np.cumsum(self.e2),
-                               np.cumsum(m1), np.cumsum(m2),
-                               float(np.sum(m1 * m1)), float(np.sum(m2 * m2)))
+        end1 = float(np.cumsum(m1)[-1]) if m1.size else 0.0
+        end2 = float(np.cumsum(m2)[-1]) if m2.size else 0.0
+        return end1, end2, float(np.sum(m1 * m1)), float(np.sum(m2 * m2))
 
 
 def default_martingale_quadrature(model: DataModel) -> QuadratureSpec:
@@ -267,27 +238,21 @@ def martingale_decay(model: DataModel, init: InitLaw, f: TestFunction,
     averages floor(N*T) terms per run and is far tighter at small R.
     """
     act = act or activation("tanh")
-    if quad is None:
-        quad = default_martingale_quadrature(model)
-    if not isinstance(quad, Quadrature):
-        quad = freeze_quadrature(quad, model,
-                                 streams.stream(purpose="quadrature"))
+    quad = _as_quadrature(quad or default_martingale_quadrature(model), model,
+                          streams.stream(purpose="quadrature"))
+    schedule = TrainSchedule(float(T))
     rows = {n: ([], [], [], []) for n in n_grid}
     for n in n_grid:
-        schedule = TrainSchedule(float(T))
         for r in range(R):
-            ens = Ensemble.from_init(init, act, alpha,
-                                     streams.stream(r, purpose="init"), n)
             obs = _DecompositionObserver(f, quad, alpha, act,
                                          schedule.n_steps(n), n)
-            train(ens, model, schedule, streams.stream(r, purpose="data"),
-                  observer=obs)
-            tr = obs.trace(n)
-            qv1, qv2 = tr.qv1, tr.qv2
+            run_default(model, init, act, alpha, n, schedule, streams,
+                        replica=r, observer=obs)
+            m1, m2, qv1, qv2 = obs.totals()
             rows[n][0].append(qv1)
             rows[n][1].append(qv2)
-            rows[n][2].append(tr.m1[-1] ** 2 if tr.m1.size else 0.0)
-            rows[n][3].append(tr.m2[-1] ** 2 if tr.m2.size else 0.0)
+            rows[n][2].append(m1 ** 2)
+            rows[n][3].append(m2 ** 2)
     n_values = np.array([int(n) for n in n_grid])
     return MartingaleTable(
         f.label, n_values,
@@ -317,24 +282,19 @@ def reconcile_decomposition(model: DataModel, init: InitLaw, f: TestFunction,
     is independent of the formulas inside the observer; the defect must sit
     at float rounding (<= 1e-10), while the Taylor remainder is genuine and
     shrinks like 1/N^2 per step.  Step k is closed at the next observer call,
-    which sees its post-step state, and the last step after ``train``
-    returns.
+    which sees its post-step state, and the last step against the final
+    cloud.
     """
     act = act or activation("tanh")
-    if quad is None:
-        quad = default_martingale_quadrature(model)
-    if not isinstance(quad, Quadrature):
-        quad = freeze_quadrature(quad, model,
-                                 streams.stream(purpose="quadrature"))
-    ens = Ensemble.from_init(init, act, alpha,
-                             streams.stream(0, purpose="init"), n)
+    quad = _as_quadrature(quad or default_martingale_quadrature(model), model,
+                          streams.stream(purpose="quadrature"))
     schedule = TrainSchedule(float(T))
     n_steps = schedule.n_steps(n)
     obs = _DecompositionObserver(f, quad, alpha, act, n_steps, n)
     identity = remainder = 0.0
     pending = []         # (k, c, w) of the step whose post-step state is due
 
-    def close(post: Ensemble):
+    def close(post):
         nonlocal identity, remainder
         if not pending:
             return
@@ -354,9 +314,9 @@ def reconcile_decomposition(model: DataModel, init: InitLaw, f: TestFunction,
         obs(k, e, x, y, dc, u)
         pending.append((k, e.c.copy(), e.w.copy()))
 
-    train(ens, model, schedule, streams.stream(0, purpose="data"),
-          observer=observer)
-    close(ens)
+    result = run_default(model, init, act, alpha, n, schedule, streams,
+                         observer=observer)
+    close(result.snapshots[-1][1])
     return ReconcileReport(identity, remainder, n, n_steps)
 
 
@@ -393,7 +353,8 @@ class LimitTable:
 
 def limit_distance(study: ReplicaStudy, sol: MeanFieldSolution,
                    fs: Sequence[TestFunction], n_boot: int = 1000) -> LimitTable:
-    """Per (N, t): Wasserstein-1 to the solved limit cloud and pairing gaps.
+    """Per N, at t = T: Wasserstein-1 to the solved limit cloud and pairing
+    gaps.
 
     The noise floor per test function is E|gap| under the hypothesis that
     only sampling noise separates the two sides: replica scatter s_N plus
@@ -403,30 +364,29 @@ def limit_distance(study: ReplicaStudy, sol: MeanFieldSolution,
     """
     rows = []
     boot_rng = study.streams.stream(purpose="limit-boot")
+    sol_cloud = sol.measure_at(study.T)
     for n in study.n_grid:
-        for t in study.snapshot_times:
-            sol_cloud = sol.measure_at(t)
-            w1s = []
-            for r in range(study.R):
-                mu = study.cloud(n, r, t)
-                ref = (sol_cloud if sol_cloud.n == mu.n else
-                       resample(sol_cloud, mu.n,
-                                study.streams.stream(r, purpose="limit-resample")))
-                w1s.append(wasserstein(mu, ref, p=1))
-            gaps = {}
-            for f in fs:
-                vals = study.pairings(f, n, t)
-                target = pair(f, sol_cloud)
-                g = vals - target
-                gap = float(np.mean(np.abs(g)))
-                s_n = float(np.std(vals, ddof=1))
-                fv = f.value(sol_cloud.c, sol_cloud.w)
-                s_mf = float(np.std(fv, ddof=1) / np.sqrt(sol_cloud.n))
-                floor = SQRT_2_OVER_PI * float(np.hypot(s_n, s_mf))
-                idx = boot_rng.integers(0, study.R, size=(n_boot, study.R))
-                boots = np.mean(np.abs(g[idx]), axis=1)
-                gaps[f.label] = (gap, floor, float(np.std(boots, ddof=1)))
-            rows.append(LimitRow(int(n), float(t), float(np.mean(w1s)), gaps))
+        w1s = []
+        for r in range(study.R):
+            mu = study.clouds[(n, r)]
+            ref = (sol_cloud if sol_cloud.n == mu.n else
+                   resample(sol_cloud, mu.n,
+                            study.streams.stream(r, purpose="limit-resample")))
+            w1s.append(wasserstein(mu, ref, p=1))
+        gaps = {}
+        for f in fs:
+            vals = study.pairings(f, n)
+            target = pair(f, sol_cloud)
+            g = vals - target
+            gap = float(np.mean(np.abs(g)))
+            s_n = float(np.std(vals, ddof=1))
+            fv = f.value(sol_cloud.c, sol_cloud.w)
+            s_mf = float(np.std(fv, ddof=1) / np.sqrt(sol_cloud.n))
+            floor = SQRT_2_OVER_PI * float(np.hypot(s_n, s_mf))
+            idx = boot_rng.integers(0, study.R, size=(n_boot, study.R))
+            boots = np.mean(np.abs(g[idx]), axis=1)
+            gaps[f.label] = (gap, floor, float(np.std(boots, ddof=1)))
+        rows.append(LimitRow(int(n), study.T, float(np.mean(w1s)), gaps))
     return LimitTable(rows)
 
 
@@ -471,6 +431,7 @@ def chaos_test(model: DataModel, init: InitLaw, f1: TestFunction,
         raise RejectedInputError(f"unknown mode {mode!r}")
     act = act or activation("tanh")
     i1, i2 = pair_indices
+    schedule = TrainSchedule(float(T))
     out_n, out_cov, out_lo, out_hi = [], [], [], []
     boot_rng = streams.stream(purpose="chaos-boot")
     for n in n_grid:
@@ -478,12 +439,10 @@ def chaos_test(model: DataModel, init: InitLaw, f1: TestFunction,
         a1 = np.empty(R)
         a2 = np.empty(R)
         for r in range(R):
-            ens = Ensemble.from_init(init, act, alpha,
-                                     streams.stream(r, purpose="init"), n)
-            train(ens, model, TrainSchedule(float(T)),
-                  streams.stream(r, purpose="data"))
-            v1 = f1.value(ens.c, ens.w)
-            v2 = f2.value(ens.c, ens.w)
+            cloud = run_default(model, init, act, alpha, n, schedule, streams,
+                                replica=r).snapshots[-1][1]
+            v1 = f1.value(cloud.c, cloud.w)
+            v2 = f2.value(cloud.c, cloud.w)
             if mode == "single-pair":
                 cross[r] = v1[i1] * v2[i2]
                 a1[r], a2[r] = v1[i1], v2[i2]

@@ -341,7 +341,10 @@ def picard_iterate(m0: MeanFieldSolution, model: DataModel, quad=None,
     """
     if tol is None or tol <= 0:
         raise ConfigError("picard_iterate needs an explicit tol > 0")
-    quad = quad if isinstance(quad, Quadrature) else m0.quad
+    quad = m0.quad if quad is None else quad
+    if not isinstance(quad, Quadrature):
+        raise RejectedInputError("picard_iterate needs a frozen Quadrature or "
+                                 f"None (m0's nodes), got {type(quad).__name__}")
     times = m0.times
     n_steps = int(round(times[-1] / m0.dt))
     snap_steps = np.round(times / m0.dt).astype(int)

@@ -61,11 +61,6 @@ class Ensemble:
         cloud = sample_init(law, rng, n)
         return cls(cloud.c, cloud.w, act, alpha)
 
-    @classmethod
-    def from_cloud(cls, cloud: EmpiricalMeasure, act: Activation,
-                   alpha: float) -> "Ensemble":
-        return cls(cloud.c, cloud.w, act, alpha)
-
     def measure(self) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.c.copy(), self.w.copy())
 
@@ -212,14 +207,17 @@ def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule,
 
 def run_default(model: DataModel, init: InitLaw, act: Activation, alpha: float,
                 n: int, schedule: TrainSchedule, streams: RandomStreams,
-                replica: int = 0, record_moments: bool = False) -> TrainResult:
-    """Train one fresh ensemble with the package's standard stream keying.
+                replica: int = 0, record_moments: bool = False,
+                observer: Callable | None = None) -> TrainResult:
+    """Train replica ``replica`` of a fresh ensemble of n particles.
 
-    Streams are keyed by (replica, purpose) only, so runs at different N
-    share initial-particle prefixes and the data sequence (common random
-    numbers across an N-grid), which stabilizes trend comparisons.
+    The one place that keys a replica's streams, for every command and
+    diagnostic: (replica, "init") and (replica, "data") whatever n is, so
+    runs across an N-grid share initial-particle prefixes and the data
+    sequence (common random numbers), which quiets trend comparisons.
+    ``observer`` and ``record_moments`` are passed on to ``train``.
     """
     ens = Ensemble.from_init(init, act, alpha,
                              streams.stream(replica, purpose="init"), n)
     return train(ens, model, schedule, streams.stream(replica, purpose="data"),
-                 record_moments=record_moments)
+                 observer=observer, record_moments=record_moments)

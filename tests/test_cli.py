@@ -8,7 +8,7 @@ from meanfield_sgd.cli import (_slug, check_manifest, config_hash,
                                load_solution, main, parse_config,
                                read_cloud_csv, read_manifest, write_cloud_csv)
 from meanfield_sgd.core import ConfigError
-from meanfield_sgd.measure import EmpiricalMeasure
+from meanfield_sgd.measure import EmpiricalMeasure, read_histogram_csv
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -315,6 +315,21 @@ def test_mnist_hist_artifacts(idx_files, tmp_path):
     assert w1[1] == "n_small,n_large,w1" and len(w1) == 3
     assert w1[2].startswith("20,40,")
     check_manifest(out)
+
+
+def test_mnist_hist_honours_init_c(idx_files, tmp_path):
+    """init_c=0.5,0.5 starts every c at 0.5; after a short run the c
+    histogram must stay far narrower than the default law's [-1, 1]."""
+    images, labels = idx_files
+    cfg = _write_cfg(
+        tmp_path,
+        f"images={images}\nlabels={labels}\nmnist_n_grid=20\nt_horizon=0.1\n"
+        "bins=10\ninit_w_scale=0.05\ninit_c=0.5,0.5\n")
+    out = tmp_path / "mnist"
+    assert main(["mnist-hist", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    hist = read_histogram_csv(out / "hist_c_n20.csv")
+    assert hist.edges[-1] - hist.edges[0] < 0.5
 
 
 def test_mnist_hist_missing_paths_exit_2(tmp_path, capsys):

@@ -11,8 +11,8 @@ from meanfield_sgd import (Ensemble, QuadratureSpec, RandomStreams,
                            chaos_test, default_init, default_model,
                            default_test_functions, freeze_quadrature,
                            limit_distance, lln_decay, martingale_decay,
-                           moment_bound, reconcile_decomposition, run_study,
-                           solve_selfconsistent, train)
+                           moment_bound, reconcile_decomposition,
+                           run_default, run_study, solve_selfconsistent, train)
 from meanfield_sgd.diagnostics import (_DecompositionObserver,
                                        default_martingale_quadrature)
 from meanfield_sgd.sgd import step_increments
@@ -35,10 +35,23 @@ def test_run_study_is_deterministic_and_parallel_invariant(model, init):
     serial = run_study(**kw, workers=1)
     pooled = run_study(**kw, workers=2)
     for key in serial.clouds:
-        for (ta, ca), (tb, cb) in zip(serial.clouds[key], pooled.clouds[key]):
-            assert ta == tb
-            assert np.array_equal(ca.c, cb.c) and np.array_equal(ca.w, cb.w)
+        ca, cb = serial.clouds[key], pooled.clouds[key]
+        assert np.array_equal(ca.c, cb.c) and np.array_equal(ca.w, cb.w)
     assert serial.max_moments == pooled.max_moments
+
+
+def test_study_clouds_are_run_default_replicas(model, init):
+    """Replica r of a study at every N is run_default's replica r, bit for
+    bit: the study keys its streams through the one runner."""
+    streams = RandomStreams(8)
+    study = run_study(model, init, TANH, 1.0, 0.25, [16, 48], 2, streams)
+    for n in (16, 48):
+        for r in (0, 1):
+            ref = run_default(model, init, TANH, 1.0, n, TrainSchedule(0.25),
+                              streams, replica=r).snapshots[-1][1]
+            cloud = study.clouds[(n, r)]
+            assert np.array_equal(cloud.c, ref.c)
+            assert np.array_equal(cloud.w, ref.w)
 
 
 def test_run_study_guards(model, init):

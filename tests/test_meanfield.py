@@ -402,6 +402,24 @@ def test_picard_requires_tolerance_and_flags_non_convergence(streams, model):
     assert res.n_iterations == 2
 
 
+def test_picard_rejects_unfrozen_quadrature(streams, model):
+    """None means m0's own nodes; a QuadratureSpec or any other value is an
+    error, not a silent fallback to m0's nodes."""
+    rng = streams.stream(purpose="cloud")
+    cloud = EmpiricalMeasure(rng.standard_normal(32),
+                             rng.standard_normal((32, 2)))
+    quad = freeze_quadrature(QuadratureSpec("monte-carlo", 32),
+                             model, streams.stream(purpose="quadrature"))
+    m0 = frozen_start(cloud, 0.2, 0.01, quad, TANH, alpha=1.0)
+    for bad in (QuadratureSpec("monte-carlo", 32), "monte-carlo"):
+        with pytest.raises(RejectedInputError, match="Quadrature"):
+            picard_iterate(m0, model, bad, tol=1e-3, max_iters=1)
+    own = picard_iterate(m0, model, None, tol=1e-12, max_iters=1)
+    given = picard_iterate(m0, model, quad, tol=1e-12, max_iters=1)
+    assert own.solution.quad is quad
+    assert own.distances == given.distances
+
+
 def test_seed_resampled_floor(streams, model, init):
     quad = freeze_quadrature(QuadratureSpec("monte-carlo", 64),
                              model, streams.stream(purpose="quadrature"))
