@@ -40,14 +40,25 @@ class DivergedError(RuntimeError):
 DIVERGENCE_LIMIT = 1e12
 
 
-def guard_divergence(c: np.ndarray, w: np.ndarray, step: int):
-    """Raise ``DivergedError`` at ``step`` when any entry of ``c`` or ``w`` is
-    not finite or exceeds ``DIVERGENCE_LIMIT`` in magnitude."""
-    big = float(np.maximum(np.max(np.abs(c)), np.max(np.abs(w))))
-    if not np.isfinite(big) or big > DIVERGENCE_LIMIT:
-        raise DivergedError(
-            f"parameters exceeded {DIVERGENCE_LIMIT:g} at step {step}",
-            step=step)
+def max_abs(a: np.ndarray) -> float:
+    """max |a| as max(a.max(), -a.min()), which makes no |a| temporary; NaN
+    when ``a`` holds a NaN, since max and min both propagate it."""
+    return float(max(a.max(), -a.min()))
+
+
+def guard_divergence(step: int, *arrays: np.ndarray) -> float:
+    """Raise ``DivergedError`` at ``step`` when any entry of ``arrays`` is
+    not finite or exceeds ``DIVERGENCE_LIMIT`` in magnitude; otherwise
+    return the largest magnitude, the run's headroom to the limit."""
+    big = 0.0
+    for a in arrays:
+        m = max_abs(a)
+        if not m <= DIVERGENCE_LIMIT:
+            raise DivergedError(
+                f"parameters exceeded {DIVERGENCE_LIMIT:g} at step {step}",
+                step=step)
+        big = max(big, m)
+    return big
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,7 @@ def sample_data(model: DataModel, rng: np.random.Generator, n: int) -> Batch:
 
 C_LAWS = ("uniform-interval", "truncated-exponential-tail")
 W_LAWS = ("standard-gaussian", "uniform-cube")
+_INIT_BLOCK = 1 << 16  # uniforms per row block drawn by sample_init
 
 
 @dataclass(frozen=True)
@@ -219,26 +220,43 @@ def sample_init(law: InitLaw, rng: np.random.Generator, n: int) -> EmpiricalMeas
     n-particle sample from the same generator state: nested sizes are coupled
     by common random numbers, which is what keeps across-N trend comparisons
     quiet.
+
+    The uniforms are drawn in row blocks, the same stream as one (n, width)
+    draw, and mapped in place into c and w, so no temporary of w's size is
+    made.
     """
     if n < 1:
         raise RejectedInputError("need n >= 1 particles")
     width = (1 if law.c_law == "uniform-interval" else 2) + law.d
-    u = rng.random((n, width))
+    c = np.empty(n)
+    w = np.empty((n, law.d))
+    rows = max(1, _INIT_BLOCK // width)
+    for lo in range(0, n, rows):
+        u = rng.random((min(rows, n - lo), width))
+        _map_init(law, u, c[lo:lo + rows], w[lo:lo + rows])
+    return EmpiricalMeasure(c, w)
+
+
+def _map_init(law: InitLaw, u: np.ndarray, c: np.ndarray, w: np.ndarray):
+    """Push one block of uniforms through the inverse CDFs into c and w."""
     if law.c_law == "uniform-interval":
         lo, hi = law.c_params
-        c = lo + (hi - lo) * u[:, 0]
+        np.multiply(hi - lo, u[:, 0], out=c)
+        c += lo
         uw = u[:, 1:]
     else:
         scale, cap = law.c_params
         mag = np.minimum(-scale * np.log1p(-u[:, 0]), cap)
-        c = mag * np.where(u[:, 1] < 0.5, -1.0, 1.0)
+        np.multiply(mag, np.where(u[:, 1] < 0.5, -1.0, 1.0), out=c)
         uw = u[:, 2:]
     if law.w_law == "standard-gaussian":
         tiny = np.finfo(np.float64).tiny
-        w = law.w_scale * ndtri(np.clip(uw, tiny, 1.0 - 1e-16))
+        np.clip(uw, tiny, 1.0 - 1e-16, out=w)
+        ndtri(w, out=w)
     else:
-        w = law.w_scale * (2.0 * uw - 1.0)
-    return EmpiricalMeasure(c, w)
+        np.multiply(2.0, uw, out=w)
+        w -= 1.0
+    w *= law.w_scale
 
 
 # ---------------------------------------------------------------------------

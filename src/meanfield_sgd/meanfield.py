@@ -12,8 +12,8 @@ loop differently:
 * ``solve_selfconsistent`` replaces the expectation defining Q by the running
   M-sample mean and advances everything together (explicit Euler);
 * ``picard_iterate`` repeatedly re-solves the paths while Q is held frozen at
-  the previous solution's snapshot slices (piecewise constant in time), which
-  turns the fixed-point structure into a measurable contraction.
+  the previous solution's snapshot slices (linear in time between them),
+  which turns the fixed-point structure into a measurable contraction.
 
 pi-integrals are approximated by a quadrature that is frozen up front, so the
 whole evolution is a deterministic function of the initial cloud and the node
@@ -35,7 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (Activation, ConfigError, RandomStreams, RejectedInputError,
-                   activation, activation_deriv, guard_divergence)
+                   activation, activation_deriv, guard_divergence,
+                   max_abs)
 from .data import DataModel, InitLaw, conditional_mean, sample_data, sample_init
 from .measure import EmpiricalMeasure, pair, wasserstein
 
@@ -212,12 +213,11 @@ def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
 
 def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
             dt: float, n_steps: int, snap_steps: Sequence[int],
-            quad: Quadrature,
-            q_rows: np.ndarray | None = None,
-            row_of_step: np.ndarray | None = None):
+            quad: Quadrature, q_rows: np.ndarray | None = None):
     """Euler-advance M paths; Q per step is either self-consistent (None) or
-    looked up in ``q_rows[row_of_step[k]]``.  Returns snapshot arrays and the
-    max observed drift magnitude."""
+    frozen: ``q_rows[i]`` is Q at step ``snap_steps[i]``, and a step between
+    two snapshots takes Q linearly interpolated between their rows.  Returns
+    snapshot arrays and the max observed drift magnitude."""
     c = cloud0.c.astype(np.float32)
     w = cloud0.w.astype(np.float32)
     nodes = node_arrays(quad, np.float32)
@@ -227,16 +227,23 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
     if 0 in want:
         snaps_c[0], snaps_w[0] = c.astype(np.float64), w.astype(np.float64)
     dtf = np.float32(dt)
+    if q_rows is not None:
+        steps = np.arange(n_steps)
+        row = np.searchsorted(snap_steps, steps, side="right") - 1
+        theta = ((steps - snap_steps[row])
+                 / np.diff(snap_steps)[row]).astype(np.float32)
     max_rate = 0.0
+    q = None
     for k in range(n_steps):
-        q = None if q_rows is None else q_rows[row_of_step[k]]
+        if q_rows is not None:
+            r = row[k]
+            q = q_rows[r] + theta[k] * (q_rows[r + 1] - q_rows[r])
         _, g1, g2 = drift(c, w, nodes, act, alpha, work, q)
         w += dtf * g2
         c += dtf * g1
         # a non-finite rate leaves a non-finite c or w, which the guard sees
-        guard_divergence(c, w, k + 1)
-        max_rate = max(max_rate,
-                       float(np.max(np.abs(g1))), float(np.max(np.abs(g2))))
+        guard_divergence(k + 1, c, w)
+        max_rate = max(max_rate, max_abs(g1), max_abs(g2))
         if (k + 1) in want:
             snaps_c[k + 1], snaps_w[k + 1] = c.astype(np.float64), w.astype(np.float64)
     return snaps_c, snaps_w, max_rate
@@ -327,20 +334,30 @@ class PicardResult:
 
 def picard_iterate(m0: MeanFieldSolution, model: DataModel, quad=None,
                    tol: float = None, max_iters: int = 25,
-                   p: int = 4) -> PicardResult:
+                   p: int = 4, floor: float = None) -> PicardResult:
     """Iterate the solution map: evolve fresh paths from m0's initial cloud
-    while Q is held at the previous iterate's slices (piecewise constant in
-    time between snapshots).
+    while Q is held at the previous iterate's slices, linear in time between
+    snapshots (so the fixed point's weak residual is of second order in the
+    snapshot spacing, where a Q held constant over each interval leaves one
+    of first order).
 
     With a frozen node set each iterate is a deterministic function of the
-    previous one, so successive max-over-snapshots distances measure the
-    map's contraction directly.  Stops when that distance drops below
-    ``tol``; a natural tol is twice the Monte Carlo noise floor of the
-    solver (see ``seed_resampled_floor``), since iterating below the noise
-    of the representation itself has no meaning.
+    previous one, so successive max-over-snapshots distances d_k measure the
+    map's contraction directly.  Stops when d_k drops below ``tol``.
+
+    Given ``floor`` in place of ``tol``, it stops on an a-posteriori bound
+    instead.  With the contraction rho estimated as the larger of the last
+    two ratios d_k / d_{k-1}, the last iterate lies within d_k rho / (1 - rho)
+    of the fixed point, and iteration stops once that bound falls below
+    ``floor``.  A natural floor is the solver's Monte Carlo noise
+    (``seed_resampled_floor``), since iterating below the noise of the
+    representation itself has no meaning.  A ratio of 1 or more means the
+    map does not contract, and iteration stops unconverged.
     """
-    if tol is None or tol <= 0:
-        raise ConfigError("picard_iterate needs an explicit tol > 0")
+    given = floor if tol is None else tol
+    if (tol is None) == (floor is None) or not given > 0:
+        raise ConfigError("picard_iterate needs exactly one of tol > 0 and "
+                          "floor > 0")
     quad = m0.quad if quad is None else quad
     if not isinstance(quad, Quadrature):
         raise RejectedInputError("picard_iterate needs a frozen Quadrature or "
@@ -348,9 +365,6 @@ def picard_iterate(m0: MeanFieldSolution, model: DataModel, quad=None,
     times = m0.times
     n_steps = int(round(times[-1] / m0.dt))
     snap_steps = np.round(times / m0.dt).astype(int)
-    # map each Euler step to the snapshot row whose time floor-covers it
-    step_times = np.arange(n_steps) * m0.dt
-    row_of_step = np.searchsorted(times, step_times, side="right") - 1
     cloud0 = m0.slice(0)
 
     prev = m0
@@ -359,7 +373,7 @@ def picard_iterate(m0: MeanFieldSolution, model: DataModel, quad=None,
         rows = q_on_nodes(prev, quad)
         snaps_c, snaps_w, max_rate = _evolve(
             cloud0, m0.act, m0.alpha, m0.dt, n_steps, snap_steps, quad,
-            q_rows=rows, row_of_step=row_of_step)
+            q_rows=rows)
         cur = MeanFieldSolution(times,
                                 np.stack([snaps_c[s] for s in snap_steps]),
                                 np.stack([snaps_w[s] for s in snap_steps]),
@@ -368,9 +382,28 @@ def picard_iterate(m0: MeanFieldSolution, model: DataModel, quad=None,
                    for i in range(times.shape[0]))
         distances.append(float(dist))
         prev = cur
-        if dist < tol:
-            return PicardResult(cur, distances, True, tol)
-    return PicardResult(prev, distances, False, tol)
+        verdict = _picard_verdict(distances, tol, floor)
+        if verdict is not None:
+            return PicardResult(cur, distances, verdict, given)
+    return PicardResult(prev, distances, False, given)
+
+
+def _picard_verdict(distances: list, tol: float | None,
+                    floor: float | None) -> bool | None:
+    """After the latest Picard distance: True when converged (see
+    ``picard_iterate``), False when the map does not contract, None to go
+    on."""
+    if tol is not None:
+        return True if distances[-1] < tol else None
+    ratios = [b / a if a > 0 else 0.0
+              for a, b in zip(distances, distances[1:])][-2:]
+    if ratios and ratios[-1] >= 1.0:
+        return False
+    if len(ratios) == 2:
+        rho = max(ratios)
+        if distances[-1] * rho / (1.0 - rho) < floor:
+            return True
+    return None
 
 
 def seed_resampled_floor(init: InitLaw, model: DataModel, M: int, dt: float,

@@ -9,6 +9,10 @@ pre-step state:
 
 Scaled time runs one unit per N steps, so a horizon T means floor(N*T) steps
 and the snapshot at scaled time t is the state after exactly floor(N*t) steps.
+
+Each step moves w by the rank-one matrix u x^T.  At a wide input ``train``
+defers it: w is kept as W0 + U^T X with up to B pending steps in U and X,
+folded into W0 by GEMM at least every B steps (see ``_DeferredW``).
 """
 
 from __future__ import annotations
@@ -19,12 +23,21 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (Activation, RejectedInputError, RandomStreams,
-                   activation_deriv, guard_divergence)
+from .core import (DIVERGENCE_LIMIT, Activation, DivergedError,
+                   RejectedInputError, RandomStreams, activation_deriv,
+                   guard_divergence, max_abs)
 from .data import DataModel, InitLaw, sample_data, sample_init
 from .measure import EmpiricalMeasure
 
 _STREAM_CHUNK = 4096  # samples drawn per refill; fixed, part of determinism
+#: pending steps per fold at input width d >= _DEFER_MIN_D; narrower inputs
+#: apply each step at once (a block of one), where the dense update is cheap
+_DEFER_BLOCK = 64
+_DEFER_MIN_D = 16
+#: a deferred block is folded early once its bound on max|w| passes this;
+#: the slack sits far above the round-off of a 64-term sum, so no step within
+#: the bound can hold a w past DIVERGENCE_LIMIT
+_BOUND_LIMIT = DIVERGENCE_LIMIT * (1.0 - 1e-9)
 
 
 @dataclass
@@ -74,35 +87,90 @@ def sgd_step(ens: Ensemble, x: np.ndarray, y: float) -> Ensemble:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (ens.d,):
         raise RejectedInputError(f"sample has shape {x.shape}, expected ({ens.d},)")
-    _apply_increments(ens, x, *step_increments(ens, x, y))
+    _DeferredW(ens, 1).push(x, *step_increments(ens, x, y))
     return ens
 
 
-def step_increments(ens: Ensemble, x: np.ndarray,
-                    y: float) -> tuple[np.ndarray, np.ndarray]:
+def step_increments(ens: Ensemble, x: np.ndarray, y: float,
+                    z: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The increments of one step at sample (x, y) from the pre-step state:
     dc (N,) and the factor u (N,) of the rank-one dw = u x^T.
 
     g = (1/N) sum_i c_i sigma(w_i . x) takes the same floats as
     ``core.network_output``, so a network trained on its own outputs gets
-    y - g = 0 exactly and never moves.
+    y - g = 0 exactly and never moves.  ``z`` is w x when the caller holds
+    w in another form (``_DeferredW.preactivations``).
     """
     act = ens.activation
-    z = ens.w @ x
+    if z is None:
+        z = ens.w @ x
     s = act.value(z)
     g = float(s @ ens.c) / ens.n
     coef = ens.alpha / ens.n * (y - g)
     return coef * s, coef * ens.c * activation_deriv(act, z, s)
 
 
-def _apply_increments(ens: Ensemble, x: np.ndarray, dc: np.ndarray,
-                      u: np.ndarray):
-    """Add one step's increments (from ``step_increments``) and check the
-    post-step state against the divergence guard."""
-    ens.c += dc
-    ens.w += u[:, None] * x[None, :]
-    ens.step += 1
-    guard_divergence(ens.c, ens.w, ens.step)
+class _DeferredW:
+    """``ens.w`` held as W0 + U^T X, with up to ``block`` pending steps.
+
+    Row k of U (block x N) and of X (block x d) hold pending step k's u and
+    x, and W0 is ``ens.w`` itself.  w x is W0 x + U^T (X x), which costs
+    O(N (d + k)) where applying a step costs O(N d), and a fold adds the
+    pending steps to W0 by GEMM.  c is updated at once.
+
+    The divergence guard stays exact.  c is scanned every step, and w at
+    every fold.  Between folds ``bound`` holds max|W0| from the last scan
+    plus sum_k max|u_k| max|x_k|, which is at least max|w|, and it is checked
+    every step: the first step at which it passes the limit (or stops being
+    finite) folds at once, and since every earlier step was within the
+    bound, the scan names the first step past the limit, as when every step
+    is applied at once.  A block of one folds each step as it comes and
+    adds u x^T as the plain update does, bit for bit.
+    """
+
+    def __init__(self, ens: Ensemble, block: int):
+        self.ens = ens
+        self.block = block
+        self.u = np.empty((block, ens.n))
+        self.x = np.empty((block, ens.d))
+        self.pending = 0
+        self.bound = max_abs(ens.w) if block > 1 else 0.0
+
+    def preactivations(self, x: np.ndarray) -> np.ndarray:
+        """w x, with the pending steps added as U^T (X x)."""
+        z = self.ens.w @ x
+        if self.pending:
+            z += self.u[:self.pending].T @ (self.x[:self.pending] @ x)
+        return z
+
+    def push(self, x: np.ndarray, dc: np.ndarray, u: np.ndarray,
+             fold: bool = False):
+        """Take one step's increments (from ``step_increments``): add dc to
+        c and hold u x^T pending; fold when the block is full, when the
+        bound passes the limit, or when ``fold`` asks for a materialised w."""
+        ens = self.ens
+        ens.c += dc
+        ens.step += 1
+        self.u[self.pending] = u
+        self.x[self.pending] = x
+        self.pending += 1
+        if self.block > 1:
+            self.bound += max_abs(u) * max_abs(x)
+        if fold or self.pending == self.block or not self.bound <= _BOUND_LIMIT:
+            self.fold()
+        try:
+            guard_divergence(ens.step, ens.c)
+        except DivergedError:
+            self.fold()  # w too stands at the step the error names
+            raise
+
+    def fold(self):
+        """Add the pending steps to W0 by GEMM and scan it."""
+        j = self.pending
+        if j:
+            self.ens.w += self.u[:j].T @ self.x[:j]
+            self.pending = 0
+            self.bound = guard_divergence(self.ens.step, self.ens.w)
 
 
 def moment_guard(ens) -> float:
@@ -172,6 +240,11 @@ def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule,
     diagnostics); the step then applies exactly those increments. Samples
     are drawn in fixed-size chunks, so the stream consumed is a deterministic
     function of the generator alone.
+
+    Steps are deferred in blocks of ``_DEFER_BLOCK`` at input width d >=
+    ``_DEFER_MIN_D``, and w is folded before every snapshot.  An observer or
+    ``record_moments`` reads w every step, so either applies each step at
+    once.
     """
     if model.d != ens.d:
         raise RejectedInputError("model dimension differs from ensemble")
@@ -181,6 +254,9 @@ def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule,
     trace = np.empty(n_steps + 1) if record_moments else None
     if record_moments:
         trace[0] = moment_guard(ens)
+    wide = ens.d >= _DEFER_MIN_D and observer is None and not record_moments
+    pending = _DeferredW(ens, _DEFER_BLOCK if wide else 1)
+    fold_at = set(snap_steps) | {n_steps}
 
     def record(step_idx: int):
         for slot, want in enumerate(snap_steps):
@@ -194,11 +270,11 @@ def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule,
         take = min(n_steps - done, batch.y.shape[0])
         for i in range(take):
             x, y = batch.x[i], float(batch.y[i])
-            dc, u = step_increments(ens, x, y)
+            dc, u = step_increments(ens, x, y, pending.preactivations(x))
             if observer is not None:
                 observer(done, ens, x, y, dc, u)
-            _apply_increments(ens, x, dc, u)
             done += 1
+            pending.push(x, dc, u, fold=done in fold_at)
             if record_moments:
                 trace[done] = moment_guard(ens)
             record(done)

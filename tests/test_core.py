@@ -8,7 +8,8 @@ from meanfield_sgd import (ConfigError, RandomStreams, RejectedInputError,
                            activation, clamped_polynomial, constant_one,
                            default_test_functions, gaussian_bump,
                            network_output, smoothed_coordinate)
-from meanfield_sgd.core import activation_deriv
+from meanfield_sgd.core import (DIVERGENCE_LIMIT, DivergedError,
+                                activation_deriv, guard_divergence)
 
 TANH = activation("tanh")
 
@@ -205,3 +206,28 @@ def test_streams_seed_range():
         RandomStreams(-1)
     with pytest.raises(ConfigError):
         RandomStreams(2 ** 64)
+
+
+# ---------------------------------------------------------------------------
+# divergence guard
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e13])
+def test_guard_raises_with_step_on_bad_entry(bad):
+    """NaN, +inf and a large negative entry in w each trip the guard at the
+    step it is given; max and min both propagate NaN."""
+    c = np.array([0.5, -0.25])
+    w = np.array([[1.0, -2.0], [3.0, 0.0]])
+    w[1, 1] = bad
+    with pytest.raises(DivergedError) as err:
+        guard_divergence(17, c, w)
+    assert err.value.step == 17
+
+
+def test_guard_returns_exact_max():
+    c = np.array([0.5, -7.25, 1.0])
+    w = np.array([[1.0, -2.0], [3.0, 0.0], [-6.5, 6.0]])
+    assert guard_divergence(1, c, w) == 7.25
+    assert guard_divergence(1, w) == 6.5
+    assert guard_divergence(1, w.astype(np.float32)) == 6.5
+    assert guard_divergence(1, np.array([-DIVERGENCE_LIMIT])) == DIVERGENCE_LIMIT

@@ -1,8 +1,11 @@
 """Data laws (teacher, polynomial, MNIST-derived), initialization laws with
 their nested-prefix coupling, and the IDX file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from meanfield_sgd import (Batch, ConfigError, DataModel, IdxFormatError,
                            InitLaw, RandomStreams, RejectedInputError,
@@ -148,6 +151,47 @@ def test_init_nested_prefix_coupling():
         big = sample_init(law, s.stream(9, purpose="init"), 256)
         assert np.array_equal(small.c, big.c[:64])
         assert np.array_equal(small.w, big.w[:64])
+
+
+def _reference_init(law, rng, n):
+    """The out-of-place form of sample_init: each map makes a new block."""
+    u = rng.random((n, law.d + (1 if law.c_law == "uniform-interval" else 2)))
+    if law.c_law == "uniform-interval":
+        lo, hi = law.c_params
+        c, uw = lo + (hi - lo) * u[:, 0], u[:, 1:]
+    else:
+        scale, cap = law.c_params
+        mag = np.minimum(-scale * np.log1p(-u[:, 0]), cap)
+        c, uw = mag * np.where(u[:, 1] < 0.5, -1.0, 1.0), u[:, 2:]
+    if law.w_law == "standard-gaussian":
+        tiny = np.finfo(np.float64).tiny
+        return c, law.w_scale * ndtri(np.clip(uw, tiny, 1.0 - 1e-16))
+    return c, law.w_scale * (2.0 * uw - 1.0)
+
+
+@pytest.mark.parametrize("law", [
+    InitLaw(d=784, w_scale=0.5),
+    InitLaw(d=784, w_law="uniform-cube", w_scale=1.5),
+    InitLaw(d=784, c_law="truncated-exponential-tail", c_params=(1.0, 3.0)),
+])
+def test_from_init_peak_memory_and_bits(law):
+    """An ensemble of N=2000 at d=784 is built holding at most 2.2 blocks of
+    N x (d+1) float64 at once (the uniforms are mapped in place, and the
+    ensemble copies the cloud once), with c and w bit-equal to the
+    out-of-place maps."""
+    n = 2000
+    block = n * (law.d + 1) * 8
+    tracemalloc.start()
+    try:
+        ens = Ensemble.from_init(law, activation("tanh"), 1.0,
+                                 np.random.default_rng(8), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * block, f"peak {peak / block:.2f} blocks"
+    c, w = _reference_init(law, np.random.default_rng(8), n)
+    assert np.array_equal(ens.c, c)
+    assert np.array_equal(ens.w, w)
 
 
 def test_init_law_validation():

@@ -395,8 +395,10 @@ def test_picard_requires_tolerance_and_flags_non_convergence(streams, model):
     quad = freeze_quadrature(QuadratureSpec("monte-carlo", 32),
                              model, streams.stream(purpose="quadrature"))
     m0 = frozen_start(cloud, 0.2, 0.01, quad, TANH, alpha=1.0)
-    with pytest.raises(ConfigError):
-        picard_iterate(m0, model, quad, tol=None)
+    for bad in ({"tol": None}, {"tol": 0.0}, {"floor": 0.0},
+                {"tol": 1e-3, "floor": 1e-3}):
+        with pytest.raises(ConfigError):
+            picard_iterate(m0, model, quad, **bad)
     res = picard_iterate(m0, model, quad, tol=1e-12, max_iters=2)
     assert not res.converged
     assert res.n_iterations == 2

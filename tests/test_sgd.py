@@ -4,10 +4,13 @@ simultaneity, divergence guard, scheduling, and bit-determinism."""
 import numpy as np
 import pytest
 
-from meanfield_sgd import (DivergedError, Ensemble, RandomStreams,
+from meanfield_sgd import (DivergedError, Ensemble, InitLaw, RandomStreams,
                            RejectedInputError, TrainSchedule, activation,
                            default_init, default_model, from_network,
-                           moment_guard, run_default, sgd_step, train)
+                           moment_guard, run_default, sample_data, sgd_step,
+                           teacher_network, train)
+from meanfield_sgd import sgd
+from meanfield_sgd.core import DIVERGENCE_LIMIT, max_abs
 
 TANH = activation("tanh")
 
@@ -219,3 +222,110 @@ def test_data_stream_prefix_shared_across_sizes(model, init):
         seen[n] = xs
     for (xa, ya), (xb, yb) in zip(seen[32], seen[128]):
         assert np.array_equal(xa, xb) and ya == yb
+
+
+# ---------------------------------------------------------------------------
+# deferred rank-B updates at a wide input
+
+WIDE_D = 100
+
+
+def wide_model(d=WIDE_D):
+    rng = np.random.default_rng(50)
+    units = (np.array([1.0, -0.6, 0.4]),
+             rng.standard_normal((3, d)) / np.sqrt(d))
+    return teacher_network(d=d, act=TANH, units=units, noise_scale=0.1)
+
+
+def wide_ensemble(n, alpha=1.0, d=WIDE_D, seed=51):
+    return Ensemble.from_init(InitLaw(d=d, w_scale=0.3), TANH, alpha,
+                              np.random.default_rng(seed), n)
+
+
+def plain_run(ens, model, rng, n_steps):
+    """sgd_step over the first n_steps samples of train's first chunk."""
+    batch = sample_data(model, rng, sgd._STREAM_CHUNK)
+    for x, y in zip(batch.x[:n_steps], batch.y[:n_steps]):
+        sgd_step(ens, x, float(y))
+    return ens
+
+
+def close(a, b):
+    return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_deferred_train_matches_plain_steps():
+    """200 steps in blocks of B (three full folds and a final partial one)
+    agree with 200 sgd_step calls to 1e-12 relative."""
+    assert WIDE_D >= sgd._DEFER_MIN_D and 200 % sgd._DEFER_BLOCK
+    model = wide_model()
+    ens = wide_ensemble(200)
+    train(ens, model, TrainSchedule(1.0), np.random.default_rng(52))
+    plain = plain_run(wide_ensemble(200), model, np.random.default_rng(52), 200)
+    assert ens.step == plain.step == 200
+    assert close(ens.c, plain.c) and close(ens.w, plain.w)
+    assert not np.array_equal(ens.w, wide_ensemble(200).w)
+
+
+def test_deferred_snapshot_inside_a_block_is_folded():
+    """A snapshot at step 70, inside the second block, sees w with all 70
+    steps applied: it matches the plain state after 70 steps."""
+    assert 70 % sgd._DEFER_BLOCK
+    model = wide_model()
+    result = train(wide_ensemble(200), model, TrainSchedule(1.0, (0.35, 1.0)),
+                   np.random.default_rng(52))
+    at70 = plain_run(wide_ensemble(200), model, np.random.default_rng(52), 70)
+    snap = result.snapshots[0][1]
+    assert close(snap.c, at70.c) and close(snap.w, at70.w)
+
+
+def test_deferred_interpolation_fixed_point_is_exact():
+    """At d=784 a network trained on its own outputs still never moves
+    across folds: y - g is exactly 0.0 with w held as W0 + U^T X."""
+    rng = np.random.default_rng(53)
+    ens = Ensemble(rng.standard_normal(30), rng.standard_normal((30, 784)),
+                   TANH, alpha=1.0)
+    model = from_network(ens.measure(), TANH, noise_scale=0.0)
+    c0, w0 = ens.c.copy(), ens.w.copy()
+    train(ens, model, TrainSchedule(5.0), np.random.default_rng(54))
+    assert ens.step == 150
+    assert np.array_equal(ens.c, c0)
+    assert np.array_equal(ens.w, w0)
+
+
+def test_deferred_divergence_step_matches_plain():
+    """A blow-up in the middle of a block folds it at that step, so train
+    reports the step a plain sgd_step loop stops at.  At alpha=25 it is w
+    that passes the limit, at step 115 (the second block's 51st step)."""
+    model = wide_model()
+    deferred = wide_ensemble(8, alpha=25.0)
+    with pytest.raises(DivergedError) as err_deferred:
+        train(deferred, model, TrainSchedule(50.0), np.random.default_rng(55))
+    plain = wide_ensemble(8, alpha=25.0)
+    with pytest.raises(DivergedError) as err_plain:
+        plain_run(plain, model, np.random.default_rng(55), 400)
+    step = err_deferred.value.step
+    assert step == err_plain.value.step == 115
+    assert step > sgd._DEFER_BLOCK and step % sgd._DEFER_BLOCK
+    for ens in (deferred, plain):
+        assert max_abs(ens.c) <= DIVERGENCE_LIMIT < max_abs(ens.w)
+
+
+def test_deferred_c_divergence_leaves_w_folded():
+    """When c passes the limit inside a block, the pending steps are folded
+    before DivergedError is raised, so w stands at the step it names."""
+    rng = np.random.default_rng(56)
+    ens = wide_ensemble(8)
+    w = ens.w.copy()
+    pending = sgd._DeferredW(ens, sgd._DEFER_BLOCK)
+    for k in range(5):
+        x, u = rng.standard_normal(WIDE_D), rng.standard_normal(8)
+        w += np.outer(u, x)
+        dc = np.full(8, 2 * DIVERGENCE_LIMIT if k == 4 else 0.0)
+        if k < 4:
+            pending.push(x, dc, u)
+            continue
+        with pytest.raises(DivergedError) as err:
+            pending.push(x, dc, u)
+    assert err.value.step == ens.step == 5 and pending.pending == 0
+    assert close(ens.w, w)
