@@ -27,7 +27,7 @@ from .data import (IdxFormatError, InitLaw, load_mnist_idx,
 from .diagnostics import (chaos_test, limit_distance, lln_decay,
                           martingale_decay, moment_bound, run_study)
 from .measure import (EmpiricalMeasure, fmt_float, histogram, histogram_w1,
-                      pair, write_histogram_csv)
+                      write_histogram_csv)
 from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec,
                         freeze_quadrature, frozen_start, picard_iterate,
                         seed_resampled_floor, solve_selfconsistent,
@@ -358,7 +358,7 @@ def cmd_meanfield(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
                 act=act, snapshot_times=t_grid)
         m0 = frozen_start(cloud0, cfg["t_horizon"], cfg["dt"], quad, act,
                           cfg["alpha"], snapshot_times=t_grid)
-        res = picard_iterate(m0, model, quad, tol=tol, floor=floor,
+        res = picard_iterate(m0, quad, tol=tol, floor=floor,
                              max_iters=cfg["picard_max_iters"])
         dist_rows = [f"{i},{fmt_float(d)}" for i, d in enumerate(res.distances)]
         _write_csv(out / "picard_distances.csv", "iteration,distance",

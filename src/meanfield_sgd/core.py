@@ -228,14 +228,6 @@ class TestFunction:
     d: int | None = None
 
 
-def _as_cloud(c, w):
-    c = np.atleast_1d(np.asarray(c, dtype=np.float64))
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim == 1:
-        w = w.reshape(c.shape[0], -1) if c.shape[0] > 1 else w.reshape(1, -1)
-    return c, w
-
-
 def smoothed_coordinate(coord: int | str = "c", a: float = 4.0,
                         b: float = 2.0) -> TestFunction:
     """psi applied to a single coordinate: the clamped first moment of c or w_j."""
@@ -244,21 +236,19 @@ def smoothed_coordinate(coord: int | str = "c", a: float = 4.0,
     label = "psi(c)" if use_c else f"psi(w{j + 1})"
 
     def pick(c, w):
-        c, w = _as_cloud(c, w)
         if not use_c and j >= w.shape[1]:
             raise RejectedInputError(f"coordinate w_{j + 1} needs d > {j}")
-        return c, w, (c if use_c else w[:, j])
+        return c if use_c else w[:, j]
 
     def value(c, w):
-        c, w, u = pick(c, w)
-        return _clamp_value(u, a, b)
+        return _clamp_value(pick(c, w), a, b)
 
     def grad_c(c, w):
-        c, w, u = pick(c, w)
+        u = pick(c, w)
         return _clamp_d1(u, a, b) if use_c else np.zeros_like(c)
 
     def grad_w(c, w):
-        c, w, u = pick(c, w)
+        u = pick(c, w)
         g = np.zeros_like(w)
         if not use_c:
             g[:, j] = _clamp_d1(u, a, b)
@@ -283,19 +273,17 @@ def clamped_polynomial(c_exp: int, w_exps: Sequence[int], a: float = 4.0,
     label = "psi(" + ("*".join(pieces) or "1") + ")"
 
     def parts(c, w):
-        c, w = _as_cloud(c, w)
         if w.shape[1] != d:
             raise RejectedInputError(f"test function pinned to d={d}")
         cf = c ** c_exp
         wf = np.stack([w[:, j] ** e for j, e in enumerate(w_exps)], axis=1)
-        return c, w, cf, wf, cf * np.prod(wf, axis=1)
+        return cf, wf, cf * np.prod(wf, axis=1)
 
     def value(c, w):
-        *_, p = parts(c, w)
-        return _clamp_value(p, a, b)
+        return _clamp_value(parts(c, w)[2], a, b)
 
     def grad_c(c, w):
-        c, w, cf, wf, p = parts(c, w)
+        cf, wf, p = parts(c, w)
         return _clamp_d1(p, a, b) * _mono_d1(c, c_exp) * np.prod(wf, axis=1)
 
     def _wprod_except(wf, j):
@@ -303,7 +291,7 @@ def clamped_polynomial(c_exp: int, w_exps: Sequence[int], a: float = 4.0,
         return np.prod(np.stack(others, axis=1), axis=1) if others else np.ones(wf.shape[0])
 
     def grad_w(c, w):
-        c, w, cf, wf, p = parts(c, w)
+        cf, wf, p = parts(c, w)
         d1 = _clamp_d1(p, a, b)
         g = np.empty_like(w)
         for j, e in enumerate(w_exps):
@@ -322,7 +310,6 @@ def gaussian_bump(center_c: float, center_w: Sequence[float],
     label = f"bump(s={scale:g})"
 
     def offsets(c, w):
-        c, w = _as_cloud(c, w)
         if w.shape[1] != d:
             raise RejectedInputError(f"test function pinned to d={d}")
         dc = c - center_c
@@ -347,15 +334,12 @@ def constant_one() -> TestFunction:
     """f = 1: pairing against any probability measure is exactly 1."""
 
     def value(c, w):
-        c, w = _as_cloud(c, w)
         return np.ones_like(c)
 
     def zero_c(c, w):
-        c, w = _as_cloud(c, w)
         return np.zeros_like(c)
 
     def zero_w(c, w):
-        c, w = _as_cloud(c, w)
         return np.zeros_like(w)
 
     return TestFunction("1", value, zero_c, zero_w)

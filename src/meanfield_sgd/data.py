@@ -3,9 +3,9 @@ initialization, plus an IDX-format MNIST ingester reduced to binary digit-pair
 regression.
 
 Synthetic models keep every moment assumption checkable by construction:
-inputs live on a cube or a truncated gaussian, targets are bounded teacher
-outputs plus bounded uniform noise, and initial output weights come from laws
-with finite exponential moments (compact support or truncated tails).
+inputs are uniform on the cube [-1, 1]^d, targets are bounded teacher outputs
+plus bounded uniform noise, and initial output weights are uniform on an
+interval (compact support, so every exponential moment is finite).
 """
 
 from __future__ import annotations
@@ -15,15 +15,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .core import (Activation, ConfigError, RejectedInputError, activation,
                    network_output)
 from .measure import EmpiricalMeasure
-
-X_LAWS = ("uniform-cube", "truncated-gaussian")
-_GAUSS_CUT = 3.0
-_NDTR_CUT = ndtr(_GAUSS_CUT)
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -56,11 +52,11 @@ class DataModel:
     bit -- the interpolation fixed point).
     kind "noisy-polynomial": y = a0 + a1.x + a2.x^2 + noise.
     kind "mnist-binary": x is a stored image in [0,1]^d, y in {-1, +1}.
+    Synthetic inputs are uniform on the cube [-1, 1]^d.
     """
 
     kind: str
     d: int
-    x_law: str = "uniform-cube"
     noise_scale: float = 0.0
     activation: Activation | None = None
     teacher_c: np.ndarray | None = None
@@ -73,11 +69,8 @@ class DataModel:
     def __post_init__(self):
         if self.kind not in ("teacher-network", "noisy-polynomial", "mnist-binary"):
             raise ConfigError(f"unknown data model kind {self.kind!r}")
-        if self.kind != "mnist-binary":
-            if self.x_law not in X_LAWS:
-                raise ConfigError(f"unknown x law {self.x_law!r}")
-            if self.noise_scale < 0:
-                raise ConfigError("noise scale must be >= 0")
+        if self.kind != "mnist-binary" and self.noise_scale < 0:
+            raise ConfigError("noise scale must be >= 0")
         if self.kind == "teacher-network":
             if self.teacher_c is None or self.teacher_w is None or self.activation is None:
                 raise ConfigError("teacher-network needs units and an activation")
@@ -89,8 +82,7 @@ class DataModel:
 
 def teacher_network(d: int = 2, act: Activation | None = None,
                     units: tuple[np.ndarray, np.ndarray] | None = None,
-                    noise_scale: float = 0.0,
-                    x_law: str = "uniform-cube") -> DataModel:
+                    noise_scale: float = 0.0) -> DataModel:
     """Teacher model y = sum_j a_j sigma(b_j . x) + noise*U[-1, 1]."""
     act = act or activation("tanh")
     if units is None:
@@ -100,7 +92,7 @@ def teacher_network(d: int = 2, act: Activation | None = None,
         units = (np.array([1.2, -0.8, 0.5]),
                  np.array([[0.7, -0.4], [-0.3, 0.9], [1.1, 0.6]]))
     a, B = np.asarray(units[0], dtype=np.float64), np.asarray(units[1], dtype=np.float64)
-    return DataModel("teacher-network", d, x_law, noise_scale, act, a, B)
+    return DataModel("teacher-network", d, noise_scale, act, a, B)
 
 
 def default_model(noise_scale: float = 0.25) -> DataModel:
@@ -108,25 +100,24 @@ def default_model(noise_scale: float = 0.25) -> DataModel:
     return teacher_network(noise_scale=noise_scale)
 
 
-def from_network(cloud, act: Activation, x_law: str = "uniform-cube",
+def from_network(cloud, act: Activation,
                  noise_scale: float = 0.0) -> DataModel:
     """Teacher that IS the given network (mean over atoms, same code path)."""
     c = np.asarray(cloud.c, dtype=np.float64).copy()
     w = np.asarray(cloud.w, dtype=np.float64).copy()
-    return DataModel("teacher-network", w.shape[1], x_law, noise_scale,
-                     act, c, w, teacher_mean=True)
+    return DataModel("teacher-network", w.shape[1], noise_scale, act, c, w,
+                     teacher_mean=True)
 
 
 def noisy_polynomial(d: int, const: float = 0.0,
                      lin: Sequence[float] | None = None,
                      quad: Sequence[float] | None = None,
-                     noise_scale: float = 0.1,
-                     x_law: str = "uniform-cube") -> DataModel:
+                     noise_scale: float = 0.1) -> DataModel:
     lin = np.zeros(d) if lin is None else np.asarray(lin, dtype=np.float64)
     quad = np.zeros(d) if quad is None else np.asarray(quad, dtype=np.float64)
     if lin.shape != (d,) or quad.shape != (d,):
         raise ConfigError("polynomial coefficients must have length d")
-    return DataModel("noisy-polynomial", d, x_law, noise_scale,
+    return DataModel("noisy-polynomial", d, noise_scale,
                      poly=(float(const), lin, quad))
 
 
@@ -145,13 +136,6 @@ def conditional_mean(model: DataModel, x: np.ndarray) -> np.ndarray:
     raise ConfigError("conditional mean is undefined for mnist-binary")
 
 
-def _sample_x(model: DataModel, rng: np.random.Generator, n: int) -> np.ndarray:
-    if model.x_law == "uniform-cube":
-        return rng.uniform(-1.0, 1.0, size=(n, model.d))
-    u = rng.uniform(1.0 - _NDTR_CUT, _NDTR_CUT, size=(n, model.d))
-    return ndtri(u)
-
-
 def sample_data(model: DataModel, rng: np.random.Generator, n: int) -> Batch:
     """n i.i.d. draws from pi; deterministic given the generator state."""
     if n < 1:
@@ -159,7 +143,7 @@ def sample_data(model: DataModel, rng: np.random.Generator, n: int) -> Batch:
     if model.kind == "mnist-binary":
         idx = rng.integers(0, model.images.shape[0], size=n)
         return Batch(model.images[idx], model.labels[idx])
-    x = _sample_x(model, rng, n)
+    x = rng.uniform(-1.0, 1.0, size=(n, model.d))
     y = conditional_mean(model, x)
     if model.noise_scale > 0:
         y = y + model.noise_scale * rng.uniform(-1.0, 1.0, size=n)
@@ -169,40 +153,26 @@ def sample_data(model: DataModel, rng: np.random.Generator, n: int) -> Batch:
 # ---------------------------------------------------------------------------
 # initialization laws
 
-C_LAWS = ("uniform-interval", "truncated-exponential-tail")
-W_LAWS = ("standard-gaussian", "uniform-cube")
 _INIT_BLOCK = 1 << 16  # uniforms per row block drawn by sample_init
 
 
 @dataclass(frozen=True)
 class InitLaw:
-    """Law of one initial particle (c_0, w_0).
-
-    c has compact support (interval) or a truncated exponential tail, so it
-    always carries a finite exponential moment; w has finite fourth moment.
+    """Law of one initial particle (c_0, w_0): c uniform on the interval
+    ``c_params`` = (lo, hi), so it has compact support and every exponential
+    moment; w gaussian with standard deviation ``w_scale`` per coordinate.
     """
 
     d: int
-    c_law: str = "uniform-interval"
     c_params: tuple = (-1.0, 1.0)
-    w_law: str = "standard-gaussian"
     w_scale: float = 1.0
 
     def __post_init__(self):
         if self.d < 1:
             raise ConfigError("d must be >= 1")
-        if self.c_law not in C_LAWS:
-            raise ConfigError(f"unknown c law {self.c_law!r}")
-        if self.w_law not in W_LAWS:
-            raise ConfigError(f"unknown w law {self.w_law!r}")
-        if self.c_law == "uniform-interval":
-            lo, hi = self.c_params
-            if not lo <= hi:
-                raise ConfigError("uniform interval needs lo <= hi")
-        else:
-            scale, cap = self.c_params
-            if scale <= 0 or cap <= 0:
-                raise ConfigError("exponential tail needs scale > 0 and cap > 0")
+        lo, hi = self.c_params
+        if not lo <= hi:
+            raise ConfigError("uniform interval needs lo <= hi")
         if self.w_scale <= 0:
             raise ConfigError("w scale must be > 0")
 
@@ -227,7 +197,7 @@ def sample_init(law: InitLaw, rng: np.random.Generator, n: int) -> EmpiricalMeas
     """
     if n < 1:
         raise RejectedInputError("need n >= 1 particles")
-    width = (1 if law.c_law == "uniform-interval" else 2) + law.d
+    width = 1 + law.d
     c = np.empty(n)
     w = np.empty((n, law.d))
     rows = max(1, _INIT_BLOCK // width)
@@ -239,23 +209,11 @@ def sample_init(law: InitLaw, rng: np.random.Generator, n: int) -> EmpiricalMeas
 
 def _map_init(law: InitLaw, u: np.ndarray, c: np.ndarray, w: np.ndarray):
     """Push one block of uniforms through the inverse CDFs into c and w."""
-    if law.c_law == "uniform-interval":
-        lo, hi = law.c_params
-        np.multiply(hi - lo, u[:, 0], out=c)
-        c += lo
-        uw = u[:, 1:]
-    else:
-        scale, cap = law.c_params
-        mag = np.minimum(-scale * np.log1p(-u[:, 0]), cap)
-        np.multiply(mag, np.where(u[:, 1] < 0.5, -1.0, 1.0), out=c)
-        uw = u[:, 2:]
-    if law.w_law == "standard-gaussian":
-        tiny = np.finfo(np.float64).tiny
-        np.clip(uw, tiny, 1.0 - 1e-16, out=w)
-        ndtri(w, out=w)
-    else:
-        np.multiply(2.0, uw, out=w)
-        w -= 1.0
+    lo, hi = law.c_params
+    np.multiply(hi - lo, u[:, 0], out=c)
+    c += lo
+    np.clip(u[:, 1:], np.finfo(np.float64).tiny, 1.0 - 1e-16, out=w)
+    ndtri(w, out=w)
     w *= law.w_scale
 
 

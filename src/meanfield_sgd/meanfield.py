@@ -41,6 +41,10 @@ from .data import DataModel, InitLaw, conditional_mean, sample_data, sample_init
 from .measure import EmpiricalMeasure, pair, wasserstein
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
+#: order of the Wasserstein distance that measures Picard steps and the floor
+PICARD_P = 4
+#: how far a requested time may sit from a stored snapshot time
+TIME_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ def freeze_quadrature(spec: QuadratureSpec, model: DataModel,
             raise ConfigError("monte-carlo quadrature needs a generator")
         batch = sample_data(model, rng, spec.n_nodes)
         return Quadrature(batch.x.copy(), batch.y.copy(), spec)
-    if model.kind == "mnist-binary" or model.x_law != "uniform-cube":
+    if model.kind == "mnist-binary":
         raise ConfigError("fixed-grid quadrature requires a synthetic model "
                           "with inputs uniform on the cube")
     # the float root of a perfect power can land just below it (1000 ** (1/3)
@@ -123,8 +127,8 @@ class MeanFieldSolution:
     def slice(self, i: int) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.c[i], self.w[i])
 
-    def index_of(self, t: float, atol: float = 1e-9) -> int:
-        hits = np.nonzero(np.abs(self.times - t) <= atol)[0]
+    def index_of(self, t: float) -> int:
+        hits = np.nonzero(np.abs(self.times - t) <= TIME_ATOL)[0]
         if hits.size == 0:
             raise RejectedInputError(f"no snapshot at t={t}")
         return int(hits[0])
@@ -332,9 +336,8 @@ class PicardResult:
         return len(self.distances)
 
 
-def picard_iterate(m0: MeanFieldSolution, model: DataModel, quad=None,
-                   tol: float = None, max_iters: int = 25,
-                   p: int = 4, floor: float = None) -> PicardResult:
+def picard_iterate(m0: MeanFieldSolution, quad=None, tol: float = None,
+                   max_iters: int = 25, floor: float = None) -> PicardResult:
     """Iterate the solution map: evolve fresh paths from m0's initial cloud
     while Q is held at the previous iterate's slices, linear in time between
     snapshots (so the fixed point's weak residual is of second order in the
@@ -342,8 +345,9 @@ def picard_iterate(m0: MeanFieldSolution, model: DataModel, quad=None,
     of first order).
 
     With a frozen node set each iterate is a deterministic function of the
-    previous one, so successive max-over-snapshots distances d_k measure the
-    map's contraction directly.  Stops when d_k drops below ``tol``.
+    previous one, so successive max-over-snapshots distances d_k (Wasserstein
+    of order ``PICARD_P``) measure the map's contraction directly.  Stops
+    when d_k drops below ``tol``.
 
     Given ``floor`` in place of ``tol``, it stops on an a-posteriori bound
     instead.  With the contraction rho estimated as the larger of the last
@@ -378,7 +382,7 @@ def picard_iterate(m0: MeanFieldSolution, model: DataModel, quad=None,
                                 np.stack([snaps_c[s] for s in snap_steps]),
                                 np.stack([snaps_w[s] for s in snap_steps]),
                                 quad, m0.act, m0.alpha, m0.dt, max_rate)
-        dist = max(wasserstein(cur.slice(i), prev.slice(i), p)
+        dist = max(wasserstein(cur.slice(i), prev.slice(i), PICARD_P)
                    for i in range(times.shape[0]))
         distances.append(float(dist))
         prev = cur
@@ -408,12 +412,13 @@ def _picard_verdict(distances: list, tol: float | None,
 
 def seed_resampled_floor(init: InitLaw, model: DataModel, M: int, dt: float,
                          T: float, quad, streams: RandomStreams,
-                         n_runs: int = 3, p: int = 4, alpha: float = 1.0,
+                         n_runs: int = 3, alpha: float = 1.0,
                          act: Activation | None = None,
                          snapshot_times=None) -> float:
     """Monte Carlo noise floor of the particle representation: mean pairwise
-    max-over-snapshots distance between solver runs that differ only in the
-    seed of the initial cloud (same frozen nodes)."""
+    max-over-snapshots distance (order ``PICARD_P``, as in ``picard_iterate``)
+    between solver runs that differ only in the seed of the initial cloud
+    (same frozen nodes)."""
     if n_runs < 2:
         raise RejectedInputError("the floor needs at least 2 runs to compare")
     sols = []
@@ -424,7 +429,7 @@ def seed_resampled_floor(init: InitLaw, model: DataModel, M: int, dt: float,
                                          snapshot_times=snapshot_times))
     dists = []
     for a, b in itertools.combinations(sols, 2):
-        dists.append(max(wasserstein(a.slice(i), b.slice(i), p)
+        dists.append(max(wasserstein(a.slice(i), b.slice(i), PICARD_P)
                          for i in range(a.times.shape[0])))
     return float(np.mean(dists))
 
@@ -433,9 +438,8 @@ def seed_resampled_floor(init: InitLaw, model: DataModel, M: int, dt: float,
 # the weak-form residual
 
 
-def weak_residuals(sol: MeanFieldSolution, fs: Sequence,
-                   quad: Quadrature | None = None,
-                   time_nodes: int | None = None) -> list[tuple[float, float]]:
+def weak_residuals(sol: MeanFieldSolution,
+                   fs: Sequence) -> list[tuple[float, float]]:
     """Defect of the solution in the weak form of the limit dynamics, one
     (residual, normalizer) pair per test function in ``fs``.
 
@@ -443,43 +447,34 @@ def weak_residuals(sol: MeanFieldSolution, fs: Sequence,
 
         a(s) = < df/dc g1 + grad_w f . g2, mu_s >
 
-    and (g1, g2) is the velocity field of the slice (see ``drift``), with the
-    time integral taken by the trapezoid rule over the stored slices
-    (optionally thinned to ``time_nodes`` of them).  Every test function
-    shares one kernel pass per slice.  The normalizer integral_0^T |a(s)| ds
-    is the scale for relative error.
+    and (g1, g2) is the velocity field of the slice against ``sol.quad`` (see
+    ``drift``), with the time integral taken by the trapezoid rule over every
+    stored slice.  Every test function shares one kernel pass per slice.
+    The normalizer integral_0^T |a(s)| ds is the scale for relative error.
     """
-    if sol.times.shape[0] < 2:
+    n_snaps = sol.times.shape[0]
+    if n_snaps < 2:
         raise RejectedInputError("need at least two slices")
-    quad = quad or sol.quad
-    idx = np.arange(sol.times.shape[0])
-    if time_nodes is not None:
-        if time_nodes < 2:
-            raise RejectedInputError("need at least two time nodes")
-        idx = np.unique(np.round(
-            np.linspace(0, idx[-1], time_nodes)).astype(int))
-    nodes = node_arrays(quad, np.float32)
-    work = work_buffers(sol.n_paths, quad.n, sol.act, np.float32)
-    a_vals = np.empty((len(fs), idx.shape[0]))
-    for out_i, i in enumerate(idx):
+    nodes = node_arrays(sol.quad, np.float32)
+    work = work_buffers(sol.n_paths, sol.quad.n, sol.act, np.float32)
+    a_vals = np.empty((len(fs), n_snaps))
+    for i in range(n_snaps):
         c, w = sol.c[i], sol.w[i]
         _, g1, g2 = drift(c.astype(np.float32), w.astype(np.float32), nodes,
                           sol.act, sol.alpha, work)
         g1, g2 = g1.astype(np.float64), g2.astype(np.float64)
         for j, f in enumerate(fs):
-            a_vals[j, out_i] = np.mean(f.grad_c(c, w) * g1
-                                       + np.sum(f.grad_w(c, w) * g2, axis=1))
-    times = sol.times[idx]
-    first, last = sol.slice(int(idx[0])), sol.slice(int(idx[-1]))
+            a_vals[j, i] = np.mean(f.grad_c(c, w) * g1
+                                   + np.sum(f.grad_w(c, w) * g2, axis=1))
+    first, last = sol.slice(0), sol.slice(n_snaps - 1)
     out = []
     for f, a in zip(fs, a_vals):
         lhs = pair(f, last) - pair(f, first)
-        out.append((abs(lhs - float(_trapz(a, times))),
-                    float(_trapz(np.abs(a), times))))
+        out.append((abs(lhs - float(_trapz(a, sol.times))),
+                    float(_trapz(np.abs(a), sol.times))))
     return out
 
 
-def weak_residual(sol: MeanFieldSolution, f, quad: Quadrature | None = None,
-                  time_nodes: int | None = None) -> tuple[float, float]:
+def weak_residual(sol: MeanFieldSolution, f) -> tuple[float, float]:
     """``weak_residuals`` for the single test function ``f``."""
-    return weak_residuals(sol, [f], quad, time_nodes)[0]
+    return weak_residuals(sol, [f])[0]

@@ -117,19 +117,20 @@ def sliced_debias_factor(p: int, dim: int) -> float:
                     - math.lgamma((dim + p) / 2)) / math.sqrt(math.pi)
 
 
-def _slice_directions(dim: int, n_slices: int) -> np.ndarray:
-    ss = np.random.SeedSequence(entropy=_SLICE_ENTROPY, spawn_key=(dim, n_slices))
+def _slice_directions(dim: int) -> np.ndarray:
+    ss = np.random.SeedSequence(entropy=_SLICE_ENTROPY, spawn_key=(dim, SLICES))
     g = np.random.Generator(np.random.Philox(ss))
-    th = g.standard_normal((n_slices, dim))
+    th = g.standard_normal((SLICES, dim))
     return th / np.linalg.norm(th, axis=1, keepdims=True)
 
 
 def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure, p: int = 2,
-                n_slices: int = SLICES, return_info: bool = False):
+                return_info: bool = False):
     """p-Wasserstein distance under cost min(||.||_p^p, 1).
 
     Exact optimal assignment up to ``EXACT_LIMIT`` atoms, sliced estimate
-    beyond.  Returns a float, or ``(float, info)`` with ``return_info=True``.
+    over ``SLICES`` fixed directions beyond.  Returns a float, or
+    ``(float, info)`` with ``return_info=True``.
     """
     _check_pair(a, b, p)
     za, zb = a.joint(), b.joint()
@@ -139,14 +140,14 @@ def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure, p: int = 2,
         value = float(np.mean(cost[rows, cols])) ** (1.0 / p)
         info = {"method": "exact-assignment", "p": p, "n": a.n}
     else:
-        th = _slice_directions(za.shape[1], n_slices)
+        th = _slice_directions(za.shape[1])
         pa = np.sort(za @ th.T, axis=0)
         pb = np.sort(zb @ th.T, axis=0)
         diff = np.abs(pa - pb)
         mean_p = float(np.mean(diff ** p))
         debiased = mean_p / sliced_debias_factor(p, za.shape[1])
         value = min(debiased, 1.0) ** (1.0 / p)
-        info = {"method": "sliced", "p": p, "n": a.n, "n_slices": n_slices}
+        info = {"method": "sliced", "p": p, "n": a.n, "n_slices": SLICES}
     return (value, info) if return_info else value
 
 
@@ -195,10 +196,7 @@ class Histogram1D:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
-def _select(mu: EmpiricalMeasure, selector) -> tuple[np.ndarray, str]:
-    if callable(selector):
-        vals = np.asarray(selector(mu), dtype=np.float64)
-        return vals, getattr(selector, "__name__", "functional")
+def _select(mu: EmpiricalMeasure, selector: str) -> tuple[np.ndarray, str]:
     if selector == "c":
         return mu.c, "c"
     if isinstance(selector, str) and selector.startswith("w"):
@@ -209,8 +207,10 @@ def _select(mu: EmpiricalMeasure, selector) -> tuple[np.ndarray, str]:
     raise RejectedInputError(f"unknown selector {selector!r}")
 
 
-def histogram(mu: EmpiricalMeasure, selector="c", bins: int = 10) -> Histogram1D:
-    """Equal-width histogram of a scalar readout.
+def histogram(mu: EmpiricalMeasure, selector: str = "c",
+              bins: int = 10) -> Histogram1D:
+    """Equal-width histogram of c (``selector`` "c") or of one coordinate
+    w_j of w ("w1", "w2", ...).
 
     All-equal data cannot span a range; it degenerates to a single bin padded
     by 0.5 on each side of the common value.

@@ -175,10 +175,11 @@ class _DeferredW:
 
 def moment_guard(ens) -> float:
     """(1/N) sum_i (|c_i| + ||w_i||): the quantity whose boundedness uniform
-    in N certifies that training stays in a compact parameter region."""
+    in N certifies that training stays in a compact parameter region.
+    ||w_i|| is sqrt(w_i . w_i) by einsum, which makes no (N, d) temporary."""
     c = np.asarray(ens.c, dtype=np.float64)
     w = np.asarray(ens.w, dtype=np.float64)
-    return float(np.mean(np.abs(c) + np.linalg.norm(w, axis=1)))
+    return float(np.mean(np.abs(c) + np.sqrt(np.einsum("ij,ij->i", w, w))))
 
 
 @dataclass(frozen=True)

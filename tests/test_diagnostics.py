@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meanfield_sgd import (Ensemble, QuadratureSpec, RandomStreams,
+from meanfield_sgd import (DataModel, Ensemble, QuadratureSpec, RandomStreams,
                            RejectedInputError, TrainSchedule, activation,
                            chaos_test, default_init, default_model,
                            default_test_functions, freeze_quadrature,
@@ -221,9 +221,9 @@ def test_martingale_second_moment_scales_inversely_with_n(model, init):
 
 def test_default_martingale_quadrature_modes():
     assert default_martingale_quadrature(default_model()).mode == "fixed-grid"
-    from meanfield_sgd import teacher_network
-    gauss = teacher_network(x_law="truncated-gaussian")
-    assert default_martingale_quadrature(gauss).mode == "monte-carlo"
+    images = DataModel("mnist-binary", 4, images=np.zeros((2, 4)),
+                       labels=np.array([-1.0, 1.0]))
+    assert default_martingale_quadrature(images).mode == "monte-carlo"
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def limit_solution():
 
 
 def test_limit_distance_gaps_shrink_to_floor(study, limit_solution):
-    table = limit_distance(study, limit_solution, FS, n_boot=200)
+    table = limit_distance(study, limit_solution, FS)
     assert len(table.rows) == 3
     for f in FS:
         series = table.gap_series(f.label, 0.25)
@@ -262,7 +262,7 @@ def test_limit_distance_alpha_zero_is_pure_sampling_noise(model, init):
                                 quad=QuadratureSpec("monte-carlo", 64),
                                 rng=RandomStreams(7).stream(purpose="mf"),
                                 alpha=0.0)
-    table = limit_distance(study0, sol0, FS, n_boot=200)
+    table = limit_distance(study0, sol0, FS)
     for row in table.rows:
         for label, (gap, floor, se) in row.gaps.items():
             assert gap <= floor + 4 * se, (row.n, label)
@@ -287,7 +287,7 @@ def test_chaos_alpha_zero_ci_contains_zero(model, init):
     """Independent particles by construction: the covariance estimate must
     be statistically indistinguishable from 0."""
     table = chaos_test(model, init, FS[0], FS[1], [32, 64], 0.3, 50,
-                       RandomStreams(17), alpha=0.0, n_boot=300)
+                       RandomStreams(17), alpha=0.0)
     for i in range(2):
         assert table.ci_lo[i] <= 0.0 <= table.ci_hi[i]
     header, rows = table.to_csv_rows()
@@ -298,7 +298,7 @@ def test_chaos_single_pair_mode_and_exchangeability(model, init):
     """Estimates from different particle pairs agree within their joint
     noise: the law of the particle system is exchangeable."""
     kw = dict(model=model, init=init, f1=FS[0], f2=FS[1], n_grid=[48],
-              T=0.3, R=60, streams=RandomStreams(23), n_boot=300)
+              T=0.3, R=60, streams=RandomStreams(23))
     a = chaos_test(mode="single-pair", pair_indices=(0, 1), **kw)
     b = chaos_test(mode="single-pair", pair_indices=(17, 31), **kw)
     width = (a.ci_hi[0] - a.ci_lo[0]) + (b.ci_hi[0] - b.ci_lo[0])
@@ -308,7 +308,7 @@ def test_chaos_single_pair_mode_and_exchangeability(model, init):
 
 def test_chaos_pair_averaged_tracks_single_pair(model, init):
     kw = dict(model=model, init=init, f1=FS[0], f2=FS[0], n_grid=[32],
-              T=0.3, R=60, streams=RandomStreams(31), n_boot=300)
+              T=0.3, R=60, streams=RandomStreams(31))
     avg = chaos_test(mode="pair-averaged", **kw)
     single = chaos_test(mode="single-pair", **kw)
     width = (single.ci_hi[0] - single.ci_lo[0])

@@ -219,8 +219,11 @@ def test_histogram_w_selector_and_callable():
     mu = cloud(rng, 50, 3)
     h = histogram(mu, "w2", bins=5)
     assert h.n == 50
-    h2 = histogram(mu, lambda m: m.c + 1.0, bins=5)
-    assert h2.edges[0] == pytest.approx(mu.c.min() + 1.0)
+    assert np.array_equal(h.edges, np.linspace(mu.w[:, 1].min(),
+                                               mu.w[:, 1].max(), 6))
+    # a callable readout is not a selector: only "c" and "w<j>" name one
+    with pytest.raises(RejectedInputError, match="unknown selector"):
+        histogram(mu, lambda m: m.c + 1.0, bins=5)
 
 
 def test_histogram_w1_hand_values():

@@ -6,9 +6,9 @@ import pytest
 
 from meanfield_sgd import (DivergedError, Ensemble, InitLaw, RandomStreams,
                            RejectedInputError, TrainSchedule, activation,
-                           default_init, default_model, from_network,
-                           moment_guard, run_default, sample_data, sgd_step,
-                           teacher_network, train)
+                           default_model, from_network, moment_guard,
+                           run_default, sample_data, sgd_step, teacher_network,
+                           train)
 from meanfield_sgd import sgd
 from meanfield_sgd.core import DIVERGENCE_LIMIT, max_abs
 
@@ -113,6 +113,23 @@ def test_moment_guard_formula():
     ens = Ensemble(np.array([1.0, -2.0]), np.array([[3.0, 4.0], [0.0, 0.0]]),
                    TANH, 1.0)
     assert moment_guard(ens) == pytest.approx((1 + 5 + 2 + 0) / 2)
+
+
+def test_moment_guard_row_norms_match_linalg_norm():
+    """The guard's einsum row norms equal np.linalg.norm's bit for bit at
+    d=2, the width of every run that records the guard, so moment traces
+    keep their bits; at d=784 the two sum in different orders and agree to
+    a few ulps."""
+    for d, n, ulps in ((2, 1600, 0), (784, 2000, 8)):
+        ens = Ensemble.from_init(InitLaw(d=d), TANH, 1.0,
+                                 np.random.default_rng(d), n)
+        c, w = ens.c, ens.w
+        norms = np.sqrt(np.einsum("ij,ij->i", w, w))
+        ref = np.linalg.norm(w, axis=1)
+        assert np.all(np.abs(norms - ref) <= ulps * np.spacing(ref))
+        want = float(np.mean(np.abs(c) + ref))
+        assert moment_guard(ens) == pytest.approx(want, rel=ulps * 2.3e-16,
+                                                  abs=0)
 
 
 def test_schedule_steps_and_snapshots():
