@@ -103,8 +103,10 @@ def parse_config(path: str | None) -> dict:
     return cfg
 
 
-# operational keys: they steer where work happens, never what comes out,
-# so artifacts stay shareable across machines and worker counts
+# operational keys: they steer where work happens, never what comes out, so
+# artifacts stay shareable across machines and worker counts.  meanfield_dir=
+# is a cache: verify takes a limit from it only when that run has this config
+# hash, this seed and status=ok, which is the limit it would solve itself
 _UNHASHED = {"meanfield_dir", "workers"}
 
 
@@ -113,17 +115,26 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _list(entries: dict, key: str, parse) -> list:
+    """The comma-separated values of ``entries[key]``, each read by
+    ``parse``; a malformed one is a ConfigError naming the key."""
+    try:
+        return [parse(tok) for tok in entries[key].split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{key}={entries[key]!r}: {exc}") from exc
+
+
+def _increasing(cfg: dict, key: str) -> list[int]:
+    """Two or more widths, strictly increasing: verify's verdicts assume it."""
+    grid = _list(cfg, key, int)
+    if len(grid) < 2 or any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"{key}={cfg[key]!r}: need 2+ strictly increasing N")
+    return grid
 
 
 def _slug(label: str) -> str:
     safe = "".join(ch if ch.isalnum() or ch == "." else "-" for ch in label)
     return "-".join(piece for piece in safe.split("-") if piece)
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _load_mnist(cfg: dict):
@@ -132,7 +143,7 @@ def _load_mnist(cfg: dict):
     if not cfg["images"] or not cfg["labels"]:
         raise ConfigError("mnist data needs images= and labels= paths in the "
                           "config")
-    digits = _int_list(cfg["digit_pair"])
+    digits = _list(cfg, "digit_pair", int)
     if len(digits) != 2:
         raise ConfigError("digit_pair must hold two digits")
     return load_mnist_idx(cfg["images"], cfg["labels"], tuple(digits))
@@ -140,8 +151,10 @@ def _load_mnist(cfg: dict):
 
 def _init_law(cfg: dict, d: int) -> InitLaw:
     """The initial law named by the init_c= and init_w_scale= keys."""
-    lo, hi = _float_list(cfg["init_c"]) or [-1.0, 1.0]
-    return InitLaw(d=d, c_params=(lo, hi), w_scale=cfg["init_w_scale"])
+    c_params = tuple(_list(cfg, "init_c", float))
+    if len(c_params) != 2:
+        raise ConfigError(f"init_c={cfg['init_c']!r} needs two numbers, lo,hi")
+    return InitLaw(d=d, c_params=c_params, w_scale=cfg["init_w_scale"])
 
 
 def _build_model(cfg: dict):
@@ -280,7 +293,7 @@ def load_solution(out: Path) -> MeanFieldSolution:
             f"--config <same config> --out {out}` first")
     meta = dict(line.split("=", 1) for line in meta_path.read_text().splitlines()
                 if "=" in line)
-    times = np.array(_float_list(meta["times"]))
+    times = np.array(_list(meta, "times", float))
     slices = [read_cloud_csv(out / f"solution_{i:03d}.csv")
               for i in range(times.shape[0])]
     quad_rows = [ln for ln in (out / "quadrature.csv").read_text().splitlines()
@@ -306,7 +319,7 @@ def cmd_train(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     model, init, act = _build_model(cfg)
     chash = config_hash(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    times = tuple(_float_list(cfg["snapshot_times"])) or (cfg["t_horizon"],)
+    times = tuple(_list(cfg, "snapshot_times", float)) or (cfg["t_horizon"],)
     schedule = TrainSchedule(cfg["t_horizon"], (0.0,) + times)
     try:
         result = run_default(model, init, act, cfg["alpha"], cfg["n"], schedule,
@@ -330,45 +343,47 @@ def cmd_train(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     return 0
 
 
+def _solve_limit(cfg: dict, model, init, act, streams: RandomStreams):
+    """The mean-field limit that (config, seed) names, for ``meanfield`` to
+    write and ``verify`` to check against.  Returns (solution, Picard
+    distances or None, status)."""
+    quad = freeze_quadrature(QuadratureSpec(cfg["quad_mode"], cfg["quad_nodes"]),
+                             model, streams.stream(purpose="quadrature"))
+    t_grid = np.linspace(0.0, cfg["t_horizon"], cfg["mf_snapshots"])
+    if cfg["mode"] == "selfconsistent":
+        return solve_selfconsistent(
+            init, model, cfg["m"], cfg["dt"], cfg["t_horizon"], quad=quad,
+            rng=streams.stream(purpose="paths"), alpha=cfg["alpha"], act=act,
+            snapshot_times=t_grid), None, "ok"
+    if cfg["mode"] != "picard":
+        raise ConfigError(f"unknown meanfield mode {cfg['mode']!r}")
+    cloud0 = sample_init(init, streams.stream(purpose="paths"), cfg["m"])
+    # picard_tol=0: stop once the a-posteriori distance to the fixed point
+    # is below the solver's own Monte Carlo noise
+    tol, floor = cfg["picard_tol"], None
+    if tol <= 0:
+        tol, floor = None, seed_resampled_floor(
+            init, model, cfg["m"], cfg["dt"], cfg["t_horizon"], quad, streams,
+            n_runs=cfg["floor_runs"], alpha=cfg["alpha"], act=act,
+            snapshot_times=t_grid)
+    m0 = frozen_start(cloud0, cfg["t_horizon"], cfg["dt"], quad, act,
+                      cfg["alpha"], snapshot_times=t_grid)
+    res = picard_iterate(m0, tol=tol, floor=floor,
+                         max_iters=cfg["picard_max_iters"])
+    return (res.solution, res.distances,
+            "ok" if res.converged else "picard-not-converged")
+
+
 def cmd_meanfield(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     streams = RandomStreams(seed)
     model, init, act = _build_model(cfg)
     chash = config_hash(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    quad = freeze_quadrature(QuadratureSpec(cfg["quad_mode"], cfg["quad_nodes"]),
-                             model, streams.stream(purpose="quadrature"))
-    t_grid = np.linspace(0.0, cfg["t_horizon"], cfg["mf_snapshots"])
-    status = "ok"
-    exit_code = 0
-    if cfg["mode"] == "selfconsistent":
-        sol = solve_selfconsistent(init, model, cfg["m"], cfg["dt"],
-                                   cfg["t_horizon"], quad=quad,
-                                   rng=streams.stream(purpose="paths"),
-                                   alpha=cfg["alpha"], act=act,
-                                   snapshot_times=t_grid)
-    elif cfg["mode"] == "picard":
-        cloud0 = sample_init(init, streams.stream(purpose="paths"), cfg["m"])
-        # picard_tol=0: stop once the a-posteriori distance to the fixed
-        # point is below the solver's own Monte Carlo noise
-        tol, floor = cfg["picard_tol"], None
-        if tol <= 0:
-            tol, floor = None, seed_resampled_floor(
-                init, model, cfg["m"], cfg["dt"], cfg["t_horizon"], quad,
-                streams, n_runs=max(2, cfg["floor_runs"]), alpha=cfg["alpha"],
-                act=act, snapshot_times=t_grid)
-        m0 = frozen_start(cloud0, cfg["t_horizon"], cfg["dt"], quad, act,
-                          cfg["alpha"], snapshot_times=t_grid)
-        res = picard_iterate(m0, quad, tol=tol, floor=floor,
-                             max_iters=cfg["picard_max_iters"])
-        dist_rows = [f"{i},{fmt_float(d)}" for i, d in enumerate(res.distances)]
+    sol, distances, status = _solve_limit(cfg, model, init, act, streams)
+    if distances is not None:
+        dist_rows = [f"{i},{fmt_float(d)}" for i, d in enumerate(distances)]
         _write_csv(out / "picard_distances.csv", "iteration,distance",
                    dist_rows, chash)
-        sol = res.solution
-        if not res.converged:
-            status = "picard-not-converged"
-            exit_code = 3
-    else:
-        raise ConfigError(f"unknown meanfield mode {cfg['mode']!r}")
     save_solution(sol, out, chash)
     _write_weak_residuals(out / "weak_residual.csv", sol,
                           default_test_functions(model.d), chash)
@@ -376,7 +391,7 @@ def cmd_meanfield(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     if not quiet:
         print(f"meanfield[{cfg['mode']}]: {sol.times.shape[0]} slices -> {out} "
               f"({status})")
-    return exit_code
+    return 0 if status == "ok" else 3
 
 
 def _check(checks: list, name: str, passed: bool, detail: str):
@@ -387,9 +402,24 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     streams = RandomStreams(seed)
     model, init, act = _build_model(cfg)
     chash = config_hash(cfg)
+    n_grid, mart_grid = _increasing(cfg, "n_grid"), _increasing(cfg, "mart_n_grid")
+    # the limit comes first, so a refused one costs no training
+    if cfg["meanfield_dir"]:
+        mf_dir = Path(cfg["meanfield_dir"])
+        entries = check_manifest(mf_dir)
+        for key, want in (("config_hash", chash), ("seed", str(seed))):
+            if entries.get(key) != want:
+                raise ConfigError(f"{mf_dir}: artifacts were produced with "
+                                  f"{key}={entries.get(key)}, this run has {want}")
+        sol, status = load_solution(mf_dir), entries.get("status")
+    else:
+        sol, _, status = _solve_limit(cfg, model, init, act, streams)
+    if status != "ok":
+        print(f"error: the mean-field limit has status={status}",
+              file=sys.stderr)
+        return 3
     out.mkdir(parents=True, exist_ok=True)
     alpha, T = cfg["alpha"], cfg["t_horizon"]
-    n_grid = _int_list(cfg["n_grid"])
     fs = default_test_functions(model.d)
     checks: list = []
 
@@ -417,7 +447,6 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
 
     # fluctuation decay; fs[1] depends on both c and w, so neither
     # fluctuation term is structurally zero
-    mart_grid = _int_list(cfg["mart_n_grid"])
     mart = martingale_decay(model, init, fs[1], mart_grid, T,
                             cfg["mart_replicas"], streams, alpha=alpha, act=act)
     header, rows = mart.to_csv_rows()
@@ -432,22 +461,6 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
         _check(checks, "martingale-ratio",
                lo <= r1 <= hi and lo <= r2 <= hi,
                f"M1 {r1:.2f}, M2 {r2:.2f}, window [{lo:.2f},{hi:.2f}]")
-
-    # limit solution: reuse artifacts when pointed at them, else solve here
-    if cfg["meanfield_dir"]:
-        mf_dir = Path(cfg["meanfield_dir"])
-        entries = check_manifest(mf_dir)
-        if entries.get("config_hash") != chash:
-            raise ConfigError(
-                f"{mf_dir}: artifacts were produced with config_hash="
-                f"{entries.get('config_hash')}, this config is {chash}")
-        sol = load_solution(mf_dir)
-    else:
-        spec = QuadratureSpec(cfg["quad_mode"], cfg["quad_nodes"])
-        sol = solve_selfconsistent(
-            init, model, cfg["m"], cfg["dt"], T, quad=spec,
-            rng=streams.stream(purpose="meanfield"), alpha=alpha, act=act,
-            snapshot_times=np.linspace(0.0, T, cfg["mf_snapshots"]))
 
     worst = _write_weak_residuals(out / "weak_residual.csv", sol, fs, chash)
     _check(checks, "weak-residual", worst <= 0.05, f"max relative {worst:.4f}")
@@ -496,7 +509,7 @@ def cmd_mnist_hist(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     out.mkdir(parents=True, exist_ok=True)
     schedule = TrainSchedule(cfg["t_horizon"])
     hists = []
-    for n in _int_list(cfg["mnist_n_grid"]):
+    for n in _list(cfg, "mnist_n_grid", int):
         cloud = run_default(model, init, act, cfg["alpha"], n, schedule,
                             streams).snapshots[-1][1]
         h = histogram(cloud, "c", cfg["bins"])

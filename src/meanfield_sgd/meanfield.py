@@ -216,20 +216,22 @@ def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
 
 
 def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
-            dt: float, n_steps: int, snap_steps: Sequence[int],
-            quad: Quadrature, q_rows: np.ndarray | None = None):
-    """Euler-advance M paths; Q per step is either self-consistent (None) or
-    frozen: ``q_rows[i]`` is Q at step ``snap_steps[i]``, and a step between
-    two snapshots takes Q linearly interpolated between their rows.  Returns
-    snapshot arrays and the max observed drift magnitude."""
+            dt: float, n_steps: int, snap_steps: np.ndarray,
+            quad: Quadrature, q_rows: np.ndarray | None = None
+            ) -> MeanFieldSolution:
+    """Euler-advance M paths and keep them at the (sorted) ``snap_steps``.
+    Q per step is either self-consistent (None) or frozen: ``q_rows[i]`` is Q
+    at step ``snap_steps[i]``, and a step between two snapshots takes Q
+    linearly interpolated between their rows."""
     c = cloud0.c.astype(np.float32)
     w = cloud0.w.astype(np.float32)
     nodes = node_arrays(quad, np.float32)
     work = work_buffers(c.shape[0], quad.n, act, np.float32)
-    want = {int(s) for s in snap_steps}
-    snaps_c, snaps_w = {}, {}
-    if 0 in want:
-        snaps_c[0], snaps_w[0] = c.astype(np.float64), w.astype(np.float64)
+    slot = {int(s): i for i, s in enumerate(snap_steps)}
+    snaps_c = np.empty((len(slot), c.shape[0]))
+    snaps_w = np.empty((len(slot),) + w.shape)
+    if 0 in slot:
+        snaps_c[slot[0]], snaps_w[slot[0]] = c, w
     dtf = np.float32(dt)
     if q_rows is not None:
         steps = np.arange(n_steps)
@@ -248,9 +250,10 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
         # a non-finite rate leaves a non-finite c or w, which the guard sees
         guard_divergence(k + 1, c, w)
         max_rate = max(max_rate, max_abs(g1), max_abs(g2))
-        if (k + 1) in want:
-            snaps_c[k + 1], snaps_w[k + 1] = c.astype(np.float64), w.astype(np.float64)
-    return snaps_c, snaps_w, max_rate
+        if k + 1 in slot:
+            snaps_c[slot[k + 1]], snaps_w[slot[k + 1]] = c, w
+    return MeanFieldSolution(snap_steps * dt, snaps_c, snaps_w, quad, act,
+                             alpha, dt, max_rate)
 
 
 def _snapshot_plan(dt: float, T: float, snapshot_times):
@@ -291,21 +294,15 @@ def solve_selfconsistent(init, model: DataModel, M: int | None, dt: float,
     cloud0 = _as_cloud(init, rng, M)
     quad = _as_quadrature(quad, model, rng)
     n_steps, dt_eff, snap_steps = _snapshot_plan(dt, T, snapshot_times)
-    snaps_c, snaps_w, max_rate = _evolve(
-        cloud0, act, alpha, dt_eff, n_steps, snap_steps, quad)
-    times = snap_steps * dt_eff
-    return MeanFieldSolution(times,
-                             np.stack([snaps_c[s] for s in snap_steps]),
-                             np.stack([snaps_w[s] for s in snap_steps]),
-                             quad, act, alpha, dt_eff, max_rate)
+    return _evolve(cloud0, act, alpha, dt_eff, n_steps, snap_steps, quad)
 
 
-def q_on_nodes(sol: MeanFieldSolution, quad: Quadrature | None = None) -> np.ndarray:
-    """(S, K) network outputs of each snapshot slice at the quadrature nodes."""
-    quad = quad or sol.quad
-    _, xt, _ = node_arrays(quad, np.float32)
-    work = work_buffers(sol.n_paths, quad.n, sol.act, np.float32)
-    rows = np.empty((sol.times.shape[0], quad.n), dtype=np.float32)
+def q_on_nodes(sol: MeanFieldSolution) -> np.ndarray:
+    """(S, K) network outputs of each snapshot slice at its own quadrature
+    nodes."""
+    _, xt, _ = node_arrays(sol.quad, np.float32)
+    work = work_buffers(sol.n_paths, sol.quad.n, sol.act, np.float32)
+    rows = np.empty((sol.times.shape[0], sol.quad.n), dtype=np.float32)
     for i in range(sol.times.shape[0]):
         rows[i] = _values(sol.c[i].astype(np.float32),
                           sol.w[i].astype(np.float32), xt, sol.act, work)
@@ -329,25 +326,23 @@ class PicardResult:
     solution: MeanFieldSolution
     distances: list
     converged: bool
-    tol: float
 
     @property
     def n_iterations(self) -> int:
         return len(self.distances)
 
 
-def picard_iterate(m0: MeanFieldSolution, quad=None, tol: float = None,
+def picard_iterate(m0: MeanFieldSolution, tol: float = None,
                    max_iters: int = 25, floor: float = None) -> PicardResult:
-    """Iterate the solution map: evolve fresh paths from m0's initial cloud
-    while Q is held at the previous iterate's slices, linear in time between
-    snapshots (so the fixed point's weak residual is of second order in the
-    snapshot spacing, where a Q held constant over each interval leaves one
-    of first order).
+    """Iterate the solution map on m0's own frozen nodes: evolve fresh paths
+    from m0's initial cloud while Q is held at the previous iterate's slices,
+    linear in time between snapshots (so the fixed point's weak residual is
+    of second order in the snapshot spacing, where a Q held constant over
+    each interval leaves one of first order).
 
-    With a frozen node set each iterate is a deterministic function of the
-    previous one, so successive max-over-snapshots distances d_k (Wasserstein
-    of order ``PICARD_P``) measure the map's contraction directly.  Stops
-    when d_k drops below ``tol``.
+    Each iterate is a deterministic function of the previous one, so
+    successive distances d_k (``_max_slice_distance``) measure the map's
+    contraction directly.  Stops when d_k drops below ``tol``.
 
     Given ``floor`` in place of ``tol``, it stops on an a-posteriori bound
     instead.  With the contraction rho estimated as the larger of the last
@@ -362,34 +357,29 @@ def picard_iterate(m0: MeanFieldSolution, quad=None, tol: float = None,
     if (tol is None) == (floor is None) or not given > 0:
         raise ConfigError("picard_iterate needs exactly one of tol > 0 and "
                           "floor > 0")
-    quad = m0.quad if quad is None else quad
-    if not isinstance(quad, Quadrature):
-        raise RejectedInputError("picard_iterate needs a frozen Quadrature or "
-                                 f"None (m0's nodes), got {type(quad).__name__}")
-    times = m0.times
-    n_steps = int(round(times[-1] / m0.dt))
-    snap_steps = np.round(times / m0.dt).astype(int)
+    n_steps = int(round(m0.times[-1] / m0.dt))
+    snap_steps = np.round(m0.times / m0.dt).astype(int)
     cloud0 = m0.slice(0)
 
     prev = m0
     distances: list[float] = []
     for _ in range(max_iters):
-        rows = q_on_nodes(prev, quad)
-        snaps_c, snaps_w, max_rate = _evolve(
-            cloud0, m0.act, m0.alpha, m0.dt, n_steps, snap_steps, quad,
-            q_rows=rows)
-        cur = MeanFieldSolution(times,
-                                np.stack([snaps_c[s] for s in snap_steps]),
-                                np.stack([snaps_w[s] for s in snap_steps]),
-                                quad, m0.act, m0.alpha, m0.dt, max_rate)
-        dist = max(wasserstein(cur.slice(i), prev.slice(i), PICARD_P)
-                   for i in range(times.shape[0]))
-        distances.append(float(dist))
+        cur = _evolve(cloud0, m0.act, m0.alpha, m0.dt, n_steps, snap_steps,
+                      m0.quad, q_rows=q_on_nodes(prev))
+        distances.append(_max_slice_distance(cur, prev))
         prev = cur
         verdict = _picard_verdict(distances, tol, floor)
         if verdict is not None:
-            return PicardResult(cur, distances, verdict, given)
-    return PicardResult(prev, distances, False, given)
+            return PicardResult(cur, distances, verdict)
+    return PicardResult(prev, distances, False)
+
+
+def _max_slice_distance(a: MeanFieldSolution, b: MeanFieldSolution) -> float:
+    """Largest Wasserstein distance of order ``PICARD_P`` between matching
+    snapshot slices of two solutions: the step size of ``picard_iterate``
+    and the unit of ``seed_resampled_floor``."""
+    return float(max(wasserstein(a.slice(i), b.slice(i), PICARD_P)
+                     for i in range(a.times.shape[0])))
 
 
 def _picard_verdict(distances: list, tol: float | None,
@@ -416,9 +406,8 @@ def seed_resampled_floor(init: InitLaw, model: DataModel, M: int, dt: float,
                          act: Activation | None = None,
                          snapshot_times=None) -> float:
     """Monte Carlo noise floor of the particle representation: mean pairwise
-    max-over-snapshots distance (order ``PICARD_P``, as in ``picard_iterate``)
-    between solver runs that differ only in the seed of the initial cloud
-    (same frozen nodes)."""
+    ``_max_slice_distance`` between solver runs that differ only in the seed
+    of the initial cloud (same frozen nodes)."""
     if n_runs < 2:
         raise RejectedInputError("the floor needs at least 2 runs to compare")
     sols = []
@@ -427,11 +416,8 @@ def seed_resampled_floor(init: InitLaw, model: DataModel, M: int, dt: float,
         sols.append(solve_selfconsistent(init, model, M, dt, T, quad=quad,
                                          rng=rng, alpha=alpha, act=act,
                                          snapshot_times=snapshot_times))
-    dists = []
-    for a, b in itertools.combinations(sols, 2):
-        dists.append(max(wasserstein(a.slice(i), b.slice(i), PICARD_P)
-                         for i in range(a.times.shape[0])))
-    return float(np.mean(dists))
+    return float(np.mean([_max_slice_distance(a, b)
+                          for a, b in itertools.combinations(sols, 2)]))
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def test_criterion_08_solver_cross_validation():
                               snapshot_times=snaps)
     cloud0 = sample_init(init, streams.stream(purpose="paths-b"), m)
     m0 = frozen_start(cloud0, T, dt, quad, TANH, 1.0, snapshot_times=snaps)
-    res = picard_iterate(m0, quad, tol=1e-10, max_iters=14)
+    res = picard_iterate(m0, tol=1e-10, max_iters=14)
 
     gaps = np.array([wasserstein(res.solution.slice(i), sc.slice(i), p=4)
                      for i in range(snaps.shape[0])])

@@ -66,6 +66,26 @@ def test_config_errors_exit_code_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,line,key", [
+    ("train", "init_c=-1,x", "init_c"),
+    ("train", "init_c=-1,0,1", "init_c"),
+    ("train", "snapshot_times=0.1,abc", "snapshot_times"),
+    ("verify", "n_grid=100,x", "n_grid"),
+    ("verify", "mart_n_grid=200,x", "mart_n_grid"),
+    ("mnist-hist", "mnist_n_grid=20,x", "mnist_n_grid"),
+    ("mnist-hist", "digit_pair=3,x", "digit_pair"),
+])
+def test_malformed_list_keys_exit_2(idx_files, tmp_path, capsys, command,
+                                    line, key):
+    images, labels = idx_files
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"images={images}\nlabels={labels}\n{line}\n")
+    out = tmp_path / "x"
+    assert main([command, "--config", str(p), "--out", str(out),
+                 "--quiet"]) == 2
+    assert f"{key}=" in capsys.readouterr().err
+
+
 def test_config_hash_ignores_line_order(tmp_path):
     a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
     a.write_text("n=64\nalpha=0.5\n")
@@ -239,6 +259,13 @@ def test_meanfield_picard_nonconvergence_exit_3(tmp_path):
     assert (out / "solution_meta.txt").exists()   # partial result still saved
 
 
+def test_picard_floor_needs_two_runs(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, MF_CFG + "mode=picard\nfloor_runs=1\n")
+    rc = main(["meanfield", "--config", cfg, "--out", str(tmp_path / "x"),
+               "--quiet"])
+    assert rc == 2 and "at least 2 runs" in capsys.readouterr().err
+
+
 def test_meanfield_unknown_mode_exit_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "mode=magic\n")
     rc = main(["meanfield", "--config", cfg, "--out", str(tmp_path / "x"),
@@ -255,8 +282,8 @@ def verify_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("verify")
     cfg = _write_cfg(base, MF_CFG)
     mf_out = base / "mf"
-    assert main(["meanfield", "--config", cfg, "--out", str(mf_out),
-                 "--quiet"]) == 0
+    assert main(["meanfield", "--config", cfg, "--seed", "11",
+                 "--out", str(mf_out), "--quiet"]) == 0
     out = base / "ver"
     rc = main(["verify", "--config", cfg, "--seed", "11", "--out", str(out),
                "--quiet"])
@@ -300,6 +327,78 @@ def test_verify_rejects_artifacts_from_other_config(verify_run, tmp_path,
                "--quiet"])
     assert rc == 2
     assert "config_hash" in capsys.readouterr().err
+
+
+def test_verify_rejects_artifacts_from_other_seed(verify_run, tmp_path,
+                                                  capsys):
+    base, cfg, mf_out, _, _ = verify_run
+    reuse_cfg = _write_cfg(tmp_path, MF_CFG + f"meanfield_dir={mf_out}\n")
+    out = tmp_path / "v12"
+    rc = main(["verify", "--config", reuse_cfg, "--seed", "12",
+               "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert "seed=11" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_refuses_unconverged_limit(tmp_path, capsys):
+    """An unconverged Picard limit exits 3 before any training, whether
+    verify solves it or finds it in meanfield_dir=."""
+    keys = MF_CFG + "mode=picard\npicard_tol=1e-15\npicard_max_iters=1\n"
+    cfg = _write_cfg(tmp_path, keys)
+    stuck = tmp_path / "stuck"
+    assert main(["meanfield", "--config", cfg, "--seed", "5",
+                 "--out", str(stuck), "--quiet"]) == 3
+    reuse = _write_cfg(tmp_path, keys + f"meanfield_dir={stuck}\n", "reuse.cfg")
+    for name, path in (("solved", cfg), ("cached", reuse)):
+        out = tmp_path / name
+        assert main(["verify", "--config", path, "--seed", "5",
+                     "--out", str(out), "--quiet"]) == 3
+        assert "picard-not-converged" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("grids", [("n_grid=16,32,64", "n_grid=64,32,16"),
+                                   ("n_grid=16,32,64", "n_grid=16,16,64"),
+                                   ("mart_n_grid=16,64", "mart_n_grid=64,16"),
+                                   ("mart_n_grid=16,64", "mart_n_grid=64"),
+                                   ("mart_n_grid=16,64", "mart_n_grid=")])
+def test_verify_rejects_grid_out_of_order(tmp_path, capsys, grids):
+    """The limit-gap, chaos and martingale verdicts read the widths in
+    order, so a grid that is not strictly increasing exits 2 up front; so
+    does a one-width martingale grid, whose ratio of a width to itself is 1
+    and would pass its window [0.625, 1.5]."""
+    cfg = _write_cfg(tmp_path, MF_CFG.replace(*grids))
+    out = tmp_path / "x"
+    rc = main(["verify", "--config", cfg, "--out", str(out), "--quiet"])
+    assert rc == 2 and "strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["selfconsistent", "picard"])
+def test_verify_solves_the_meanfield_limit(tmp_path, mode):
+    """meanfield_dir= is a cache: verify without it solves the same limit as
+    ``mfsgd meanfield`` for the config and seed, so both runs write the
+    same bytes, report and manifest included."""
+    keys = MF_CFG + f"mode={mode}\npicard_max_iters=8\n"
+    cfg = _write_cfg(tmp_path, keys)
+    mf = tmp_path / "mf"
+    assert main(["meanfield", "--config", cfg, "--seed", "5",
+                 "--out", str(mf), "--quiet"]) == 0
+    reuse = _write_cfg(tmp_path, keys + f"meanfield_dir={mf}\n", "reuse.cfg")
+    runs = []
+    for name, path in (("solved", cfg), ("cached", reuse)):
+        out = tmp_path / name
+        rc = main(["verify", "--config", path, "--seed", "5",
+                   "--out", str(out), "--quiet"])
+        runs.append((rc, {f.name: f.read_bytes() for f in out.iterdir()}))
+    (rc_solved, solved), (rc_cached, cached) = runs
+    assert rc_solved == rc_cached and rc_solved in (0, 4)
+    assert {"report.txt", "manifest.txt", "weak_residual.csv",
+            "limit_distance.csv"} <= set(solved)
+    assert sorted(solved) == sorted(cached)
+    for name in solved:
+        assert solved[name] == cached[name], name
 
 
 def test_verify_detects_artifact_corruption(verify_run, tmp_path, capsys):

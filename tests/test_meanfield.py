@@ -376,7 +376,7 @@ def test_picard_converges_and_matches_selfconsistent(streams, model, init):
     cloud = EmpiricalMeasure(rng.standard_normal(200) * 0.5,
                              rng.standard_normal((200, 2)))
     m0 = frozen_start(cloud, 0.3, 0.003, quad, TANH, alpha=1.0)
-    res = picard_iterate(m0, quad, tol=2e-4, max_iters=20)
+    res = picard_iterate(m0, tol=2e-4, max_iters=20)
     assert res.converged
     assert res.distances[-1] < 2e-4
     assert res.distances[0] > res.distances[-1]
@@ -397,28 +397,10 @@ def test_picard_requires_tolerance_and_flags_non_convergence(streams, model):
     for bad in ({"tol": None}, {"tol": 0.0}, {"floor": 0.0},
                 {"tol": 1e-3, "floor": 1e-3}):
         with pytest.raises(ConfigError):
-            picard_iterate(m0, quad, **bad)
-    res = picard_iterate(m0, quad, tol=1e-12, max_iters=2)
+            picard_iterate(m0, **bad)
+    res = picard_iterate(m0, tol=1e-12, max_iters=2)
     assert not res.converged
     assert res.n_iterations == 2
-
-
-def test_picard_rejects_unfrozen_quadrature(streams, model):
-    """None means m0's own nodes; a QuadratureSpec or any other value is an
-    error, not a silent fallback to m0's nodes."""
-    rng = streams.stream(purpose="cloud")
-    cloud = EmpiricalMeasure(rng.standard_normal(32),
-                             rng.standard_normal((32, 2)))
-    quad = freeze_quadrature(QuadratureSpec("monte-carlo", 32),
-                             model, streams.stream(purpose="quadrature"))
-    m0 = frozen_start(cloud, 0.2, 0.01, quad, TANH, alpha=1.0)
-    for bad in (QuadratureSpec("monte-carlo", 32), "monte-carlo"):
-        with pytest.raises(RejectedInputError, match="Quadrature"):
-            picard_iterate(m0, bad, tol=1e-3, max_iters=1)
-    own = picard_iterate(m0, None, tol=1e-12, max_iters=1)
-    given = picard_iterate(m0, quad, tol=1e-12, max_iters=1)
-    assert own.solution.quad is quad
-    assert own.distances == given.distances
 
 
 def test_seed_resampled_floor(streams, model, init):
