@@ -24,8 +24,9 @@ from .core import (ConfigError, DivergedError, RandomStreams,
                    RejectedInputError, activation, default_test_functions)
 from .data import (IdxFormatError, InitLaw, load_mnist_idx,
                    noisy_polynomial, sample_init, teacher_network)
-from .diagnostics import (chaos_test, limit_distance, lln_decay,
-                          martingale_decay, moment_bound, run_study)
+from .diagnostics import (CHAOS_MIN_REPLICAS, LLN_MIN_REPLICAS,
+                          LLN_MIN_WIDTHS, chaos_test, limit_distance,
+                          lln_decay, martingale_decay, moment_bound, run_study)
 from .measure import (EmpiricalMeasure, fmt_float, histogram, histogram_w1,
                       write_histogram_csv)
 from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec,
@@ -403,6 +404,12 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     model, init, act = _build_model(cfg)
     chash = config_hash(cfg)
     n_grid, mart_grid = _increasing(cfg, "n_grid"), _increasing(cfg, "mart_n_grid")
+    for key, have, least in (("replicas", cfg["replicas"], LLN_MIN_REPLICAS),
+                             ("chaos_replicas", cfg["chaos_replicas"],
+                              CHAOS_MIN_REPLICAS),
+                             ("n_grid widths", len(n_grid), LLN_MIN_WIDTHS)):
+        if have < least:
+            raise ConfigError(f"{key}={have}: verify needs at least {least}")
     # the limit comes first, so a refused one costs no training
     if cfg["meanfield_dir"]:
         mf_dir = Path(cfg["meanfield_dir"])
@@ -479,7 +486,8 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
                f"floor={floor:.4f} se={se:.4f}")
 
     chaos = chaos_test(model, init, fs[0], fs[1], n_grid, T,
-                       cfg["chaos_replicas"], streams, alpha=alpha, act=act)
+                       cfg["chaos_replicas"], streams, alpha=alpha, act=act,
+                       study=study)
     header, rows = chaos.to_csv_rows()
     _write_csv(out / "chaos.csv", header, rows, chash)
     dec = bool(np.all(np.diff(np.abs(chaos.cov)) < 0))

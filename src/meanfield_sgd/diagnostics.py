@@ -3,11 +3,12 @@ variance decay of pairings, decay of the fluctuation (martingale) terms in
 the step decomposition, distance between the finite-N cloud and the solved
 limit, and asymptotic pairwise independence of particles.
 
-The drift/fluctuation observer takes its conditional terms from the same
-velocity-field kernel as the mean-field solver (``meanfield.drift``, run here
-in float64) and its realized terms from the increments that ``sgd.train``
-computes once per step, hands to the observer and then applies, so the
-formula for the field lives in those two places only.
+The drift/fluctuation observer takes its conditional terms from the pairing
+form of the mean-field solver's velocity field (``meanfield.drift_pairing``,
+run here in float64) and its realized terms from the increments that
+``sgd.train`` computes once per step, hands to the observer and then
+applies, so the formula for the field lives in ``meanfield`` and ``sgd``
+only.
 
 Every trained replica goes through ``sgd.run_default``, which keys its
 streams by (replica, purpose) only, so runs at different network sizes share
@@ -30,13 +31,19 @@ from .core import (Activation, RandomStreams, RejectedInputError,
 from .data import DataModel, InitLaw
 from .measure import fmt_float, pair, resample, wasserstein
 from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec,
-                        _as_quadrature, drift, node_arrays, work_buffers)
+                        _as_quadrature, drift_pairing, node_arrays,
+                        pairing_rows, work_buffers)
 from .sgd import Ensemble, TrainSchedule, run_default
 
 SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 #: bootstrap resamples behind every SE and CI here; R <= 60 replicas make
 #: 1000 rows cost microseconds
 N_BOOT = 1000
+#: the least replicas and N-grid widths behind a decay slope (``lln_decay``)
+#: and the least replicas behind a chaos covariance (``chaos_test``)
+LLN_MIN_REPLICAS = 20
+LLN_MIN_WIDTHS = 3
+CHAOS_MIN_REPLICAS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +122,12 @@ class LlnTable:
 
 def lln_decay(study: ReplicaStudy, f: TestFunction) -> LlnTable:
     """Across-replica mean/std of <f, mu^N_T> per N and the log-log slope."""
-    if study.R < 20:
-        raise RejectedInputError("slope estimates need R >= 20")
-    if len(study.n_grid) < 3:
-        raise RejectedInputError("need at least 3 sizes in the N-grid")
+    if study.R < LLN_MIN_REPLICAS:
+        raise RejectedInputError(
+            f"slope estimates need R >= {LLN_MIN_REPLICAS}")
+    if len(study.n_grid) < LLN_MIN_WIDTHS:
+        raise RejectedInputError(
+            f"need at least {LLN_MIN_WIDTHS} sizes in the N-grid")
     means, stds = [], []
     for n in study.n_grid:
         vals = study.pairings(f, n)
@@ -153,14 +162,13 @@ class _DecompositionObserver:
     as ``train`` passes them, with the test function's gradient.  The
     conditional terms are the same contraction with the velocity field
     (g1, g2) over the frozen quadrature: E[dc_i] = g1_i / N and E[dw_i] =
-    g2_i / N.  The field comes from ``drift`` on one (N, K) float64 work
-    block made at the first call and reused.
+    g2_i / N.  ``drift_pairing`` takes that contraction over particle row
+    blocks of one (rows, K) float64 work block, made here and reused.
     """
 
     def __init__(self, f: TestFunction, quad: Quadrature, alpha: float,
                  act: Activation, n_steps: int, n: int):
         self.f = f
-        self.quad = quad
         self.alpha = alpha
         self.act = act
         self.n = n
@@ -168,7 +176,9 @@ class _DecompositionObserver:
         self.i2 = np.empty(n_steps)
         self.e1 = np.empty(n_steps)
         self.e2 = np.empty(n_steps)
-        self._work = None            # drift's work blocks, made at first call
+        self._nodes = node_arrays(quad, np.float64)
+        self._work = work_buffers(min(n, pairing_rows(quad.n)), quad.n, act,
+                                  np.float64)
 
     def __call__(self, k: int, ens: Ensemble, x: np.ndarray, y: float,
                  dc: np.ndarray, u: np.ndarray):
@@ -182,12 +192,10 @@ class _DecompositionObserver:
         self.i1[k] = float(np.mean(fc * dc))
         self.i2[k] = float(np.mean(u * (fw @ x)))
         # conditional expectations of the same quantities under pi
-        if self._work is None:
-            self._nodes = node_arrays(self.quad, np.float64)
-            self._work = work_buffers(n, self.quad.n, self.act, np.float64)
-        _, g1, g2 = drift(c, w, self._nodes, self.act, self.alpha, self._work)
-        self.e1[k] = float(np.mean(fc * g1)) / n
-        self.e2[k] = float(np.mean(np.sum(fw * g2, axis=1))) / n
+        p1, p2 = drift_pairing(c, w, fc, fw, self._nodes, self.act,
+                               self.alpha, self._work)
+        self.e1[k] = p1 / n / n
+        self.e2[k] = p2 / n / n
 
     def totals(self) -> tuple[float, float, float, float]:
         """M1(T), M2(T), sum_k M1_k^2 and sum_k M2_k^2 over the run.  M(T)
@@ -417,7 +425,8 @@ def chaos_test(model: DataModel, init: InitLaw, f1: TestFunction,
                f2: TestFunction, n_grid: Sequence[int], T: float, R: int,
                streams: RandomStreams, alpha: float = 1.0,
                act: Activation | None = None, mode: str = "pair-averaged",
-               pair_indices: tuple[int, int] = (0, 1)) -> ChaosTable:
+               pair_indices: tuple[int, int] = (0, 1),
+               study: ReplicaStudy | None = None) -> ChaosTable:
     """Estimated Cov(f1 of one particle, f2 of another) after training.
 
     mode "single-pair" uses exactly the particles named by ``pair_indices``;
@@ -425,9 +434,19 @@ def chaos_test(model: DataModel, init: InitLaw, f1: TestFunction,
     pairs i != j, which estimates the same covariance (particles are
     exchangeable) at a fraction of the replica noise.  The 95% CI comes from
     a seeded bootstrap over replicas.
+
+    Replica r at size n is ``run_default``'s replica r.  A ``study`` from
+    ``run_study`` on the same model, law, activation and alpha already holds
+    it when it has this T, these streams and (n, r); such replicas are read
+    from it, not retrained.  Below the input width at which ``sgd.train``
+    defers steps (d < 16) they are bit for bit the clouds a retrain gives;
+    at wider inputs the study applied every step at once (it records
+    moments) where a retrain defers them, so the two differ in the last
+    bits.
     """
-    if R < 50:
-        raise RejectedInputError("chaos estimates need R >= 50")
+    if R < CHAOS_MIN_REPLICAS:
+        raise RejectedInputError(
+            f"chaos estimates need R >= {CHAOS_MIN_REPLICAS}")
     if min(n_grid) < 2:
         raise RejectedInputError("chaos needs at least 2 particles")
     if mode not in ("pair-averaged", "single-pair"):
@@ -437,13 +456,17 @@ def chaos_test(model: DataModel, init: InitLaw, f1: TestFunction,
     schedule = TrainSchedule(float(T))
     out_n, out_cov, out_lo, out_hi = [], [], [], []
     boot_rng = streams.stream(purpose="chaos-boot")
+    held = (study.clouds if study is not None and study.T == schedule.T
+            and study.streams == streams else {})
     for n in n_grid:
         cross = np.empty(R)
         a1 = np.empty(R)
         a2 = np.empty(R)
         for r in range(R):
-            cloud = run_default(model, init, act, alpha, n, schedule, streams,
-                                replica=r).snapshots[-1][1]
+            cloud = held.get((n, r))
+            if cloud is None:
+                cloud = run_default(model, init, act, alpha, n, schedule,
+                                    streams, replica=r).snapshots[-1][1]
             v1 = f1.value(cloud.c, cloud.w)
             v2 = f2.value(cloud.c, cloud.w)
             if mode == "single-pair":

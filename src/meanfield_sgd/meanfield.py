@@ -19,8 +19,10 @@ pi-integrals are approximated by a quadrature that is frozen up front, so the
 whole evolution is a deterministic function of the initial cloud and the node
 set.  One kernel, ``drift``, evaluates the velocity field of a whole cloud at
 once on a caller-owned (M x nodes) work block; the Euler step, the weak-form
-residual, ``q_on_nodes`` and the drift/fluctuation observer all call it.  The
-solvers run it in float32 (a factor ~3 on the (M x nodes) sweeps that
+residual and ``q_on_nodes`` call it.  The drift/fluctuation observer needs
+only the field's pairings with a test function's gradient, which
+``drift_pairing`` takes over small particle row blocks.  The solvers run
+``drift`` in float32 (a factor ~3 on the (M x nodes) sweeps that
 dominate); snapshots are stored in float64.  Float32 round-off (~1e-6
 relative) is far below the O(dt) + O(1/sqrt(M)) + O(1/sqrt(nodes)) error
 budget of everything computed from these solutions.
@@ -168,9 +170,9 @@ def node_arrays(quad: Quadrature,
 
 def work_buffers(m: int, k: int, act: Activation,
                  dtype) -> tuple[np.ndarray, np.ndarray]:
-    """``drift``'s (sigma, z) work blocks for m particles and k nodes: one
-    shared (m, k) array, or two when the activation has no sigma'-from-sigma
-    shortcut and z must outlive sigma."""
+    """The (sigma, z) work blocks of ``drift`` and ``drift_pairing`` for m
+    particle rows and k nodes: one shared (m, k) array, or two when the
+    activation has no sigma'-from-sigma shortcut and z must outlive sigma."""
     buf = np.empty((m, k), dtype=dtype)
     return buf, (buf if act.deriv_from_value is not None else np.empty_like(buf))
 
@@ -213,6 +215,48 @@ def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
     g2 = (buf @ x) / ftype(y.shape[0])
     g2 *= c[:, None]
     return q, g1, g2
+
+
+def pairing_rows(k: int) -> int:
+    """Particle rows per block of ``drift_pairing`` at k nodes: about 1 MB
+    of float64, so a block stays in L2 cache through its whole pass."""
+    return max(1, 2 ** 17 // k)
+
+
+def drift_pairing(c: np.ndarray, w: np.ndarray, fc: np.ndarray,
+                  fw: np.ndarray, nodes, act: Activation, alpha: float,
+                  work) -> tuple[float, float]:
+    """sum_i fc_i g1_i and sum_i fw_i . g2_i for the field (g1, g2) that
+    ``drift`` gives, without forming the field.
+
+    Both sums are linear in r = alpha (y - Q), so the particle sums come
+    first, over row blocks of ``work`` (``work_buffers`` with
+    ``pairing_rows`` rows):
+
+        S = [c; fc] sigma      (2, K)   Q = S_0 / M, first sum r . S_1 / K
+        H = (c fw)^T sigma'    (d, K)   second sum sum_k r_k (x_k . H_k) / K
+
+    Each block makes one pass, z -> sigma -> S -> sigma' in place -> H, so
+    the work memory is one block whatever M is.
+    """
+    _, xt, y = nodes
+    buf, zbuf = work
+    m, (rows, k) = c.shape[0], buf.shape
+    lhs = np.stack([c, fc])
+    cfw = c[:, None] * fw
+    s, h = np.zeros((2, k)), np.zeros((xt.shape[0], k))
+    s_part, h_part = np.empty_like(s), np.empty_like(h)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        sig, z = buf[:hi - lo], zbuf[:hi - lo]
+        np.matmul(w[lo:hi], xt, out=z)
+        act.value(z, out=sig)
+        s += np.matmul(lhs[:, lo:hi], sig, out=s_part)
+        activation_deriv(act, z, sig, out=sig)
+        h += np.matmul(cfw[lo:hi].T, sig, out=h_part)
+    r = alpha * (y - s[0] / m)
+    return (float(r @ s[1]) / k,
+            float(r @ np.einsum("jk,jk->k", xt, h)) / k)
 
 
 def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,

@@ -4,6 +4,7 @@ layout, byte-level reproducibility, manifest integrity, and exit codes."""
 import numpy as np
 import pytest
 
+from meanfield_sgd import cli
 from meanfield_sgd.cli import (_slug, check_manifest, config_hash,
                                load_solution, main, parse_config,
                                read_cloud_csv, read_manifest, write_cloud_csv)
@@ -372,6 +373,26 @@ def test_verify_rejects_grid_out_of_order(tmp_path, capsys, grids):
     out = tmp_path / "x"
     rc = main(["verify", "--config", cfg, "--out", str(out), "--quiet"])
     assert rc == 2 and "strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("keys", [("replicas=20", "replicas=19"),
+                                  ("chaos_replicas=50", "chaos_replicas=49"),
+                                  ("n_grid=16,32,64", "n_grid=16,64")])
+def test_verify_rejects_too_few_replicas_or_widths_up_front(
+        tmp_path, capsys, monkeypatch, keys):
+    """The slope and chaos statistics' minimums are checked before the limit
+    is solved or a replica trained, so such a config exits 2 at once and
+    writes no output directory."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    monkeypatch.setattr(cli, "_solve_limit", no_work)
+    monkeypatch.setattr(cli, "run_study", no_work)
+    cfg = _write_cfg(tmp_path, MF_CFG.replace(*keys))
+    out = tmp_path / "x"
+    rc = main(["verify", "--config", cfg, "--out", str(out), "--quiet"])
+    assert rc == 2 and "verify needs at least" in capsys.readouterr().err
     assert not out.exists()
 
 

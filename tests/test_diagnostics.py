@@ -13,8 +13,11 @@ from meanfield_sgd import (DataModel, Ensemble, QuadratureSpec, RandomStreams,
                            limit_distance, lln_decay, martingale_decay,
                            moment_bound, reconcile_decomposition,
                            run_default, run_study, solve_selfconsistent, train)
+from meanfield_sgd import diagnostics
 from meanfield_sgd.diagnostics import (_DecompositionObserver,
                                        default_martingale_quadrature)
+from meanfield_sgd.meanfield import (drift_pairing, node_arrays, pairing_rows,
+                                     work_buffers)
 from meanfield_sgd.sgd import step_increments
 
 TANH = activation("tanh")
@@ -191,6 +194,52 @@ def test_observer_step_allocates_no_n_by_k_array(model, init):
     assert peak < n * quad.n * 8
 
 
+@pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])
+@pytest.mark.parametrize("n", [96, 256, 300])
+def test_drift_pairing_matches_reference_formula(kind, n, model, init):
+    """The blocked pairing against plain temporaries, with the tolerances of
+    ``test_observer_matches_reference_formula``, for N below one row block,
+    a multiple of it and with a ragged last block; alpha = 0 pairs to 0."""
+    act = activation(kind)
+    quad = freeze_quadrature(default_martingale_quadrature(model), model)
+    assert pairing_rows(quad.n) == 128
+    nodes = node_arrays(quad, np.float64)
+    work = work_buffers(min(n, pairing_rows(quad.n)), quad.n, act, np.float64)
+    ens = Ensemble.from_init(init, act, 1.0,
+                             RandomStreams(19).stream(0, purpose="init"), n)
+    x, y = np.array([0.3, -0.4]), 0.2
+    for f in FS:
+        fc, fw = f.grad_c(ens.c, ens.w), f.grad_w(ens.c, ens.w)
+        for alpha in (1.0, 0.7):
+            *_, e1, e2, s1, s2 = _reference_components(f, quad, alpha, act,
+                                                       ens, x, y)
+            p1, p2 = drift_pairing(ens.c, ens.w, fc, fw, nodes, act, alpha,
+                                   work)
+            assert p1 / n / n == pytest.approx(e1, rel=1e-12, abs=1e-12 * s1)
+            assert p2 / n / n == pytest.approx(e2, rel=1e-12, abs=1e-12 * s2)
+        assert drift_pairing(ens.c, ens.w, fc, fw, nodes, act, 0.0,
+                             work) == (0.0, 0.0)
+
+
+def test_observer_memory_stays_below_two_row_blocks(model, init):
+    """Building the observer and one step at N=800, K=1024 hold less than
+    two of the pairing's row blocks: the work no longer grows with N."""
+    n = 800
+    quad = freeze_quadrature(default_martingale_quadrature(model), model)
+    ens = Ensemble.from_init(init, TANH, 1.0,
+                             RandomStreams(5).stream(0, purpose="init"), n)
+    x, y = np.array([0.3, -0.4]), 0.2
+    dc, u = step_increments(ens, x, y)
+    tracemalloc.start()
+    try:
+        obs = _DecompositionObserver(FS[1], quad, 1.0, TANH, 1, n)
+        obs(0, ens, x, y, dc, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * pairing_rows(quad.n) * quad.n * 8
+
+
 def test_observer_rejects_ensemble_of_other_size(model, init):
     quad = freeze_quadrature(default_martingale_quadrature(model), model)
     obs = _DecompositionObserver(FS[1], quad, 1.0, TANH, 4, 32)
@@ -313,3 +362,32 @@ def test_chaos_pair_averaged_tracks_single_pair(model, init):
     single = chaos_test(mode="single-pair", **kw)
     width = (single.ci_hi[0] - single.ci_lo[0])
     assert abs(avg.cov[0] - single.cov[0]) <= 1.5 * width
+
+
+def test_chaos_reads_study_replicas(model, init, monkeypatch):
+    """Replicas the study holds at this T and these streams are read, not
+    retrained, and the table is bit for bit the same; a study at another T
+    is not used."""
+    streams = RandomStreams(37)
+    kw = dict(model=model, init=init, f1=FS[0], f2=FS[1], n_grid=[16, 32],
+              T=0.25, R=50, streams=streams)
+    held = run_study(model, init, TANH, 1.0, 0.25, [16, 32], 3, streams)
+    other_t = run_study(model, init, TANH, 1.0, 0.5, [16, 32], 3, streams)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("replica"))
+        return run_default(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "run_default", counting)
+    plain = chaos_test(**kw)
+    assert len(calls) == 50 * 2
+    calls.clear()
+    reused = chaos_test(study=held, **kw)
+    assert len(calls) == (50 - 3) * 2 and min(calls) == 3
+    calls.clear()
+    chaos_test(study=other_t, **kw)
+    assert len(calls) == 50 * 2
+    for name in ("n_values", "cov", "ci_lo", "ci_hi"):
+        assert np.array_equal(getattr(reused, name), getattr(plain, name))
+    assert reused.to_csv_rows() == plain.to_csv_rows()
