@@ -76,7 +76,8 @@ _SCHEMA = {
 
 
 def parse_config(path: str | None) -> dict:
-    """Flat key=value lines; unknown keys are hard errors."""
+    """Flat key=value lines; unknown keys and non-finite floats are hard
+    errors."""
     raw: dict[str, str] = {}
     if path:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -97,6 +98,8 @@ def parse_config(path: str | None) -> dict:
         if key in raw:
             try:
                 cfg[key] = parse(raw[key])
+                if parse is float and not np.isfinite(cfg[key]):
+                    raise ValueError(f"{raw[key]!r} is not a finite number")
             except ValueError as exc:
                 raise ConfigError(f"config key {key}: {exc}") from exc
         else:
@@ -358,6 +361,9 @@ def _solve_limit(cfg: dict, model, init, act, streams: RandomStreams):
             snapshot_times=t_grid), None, "ok"
     if cfg["mode"] != "picard":
         raise ConfigError(f"unknown meanfield mode {cfg['mode']!r}")
+    if cfg["picard_max_iters"] < 1 or cfg["picard_tol"] < 0:
+        raise ConfigError("mode=picard needs picard_max_iters >= 1 and "
+                          "picard_tol >= 0 (0 stops at the noise floor)")
     cloud0 = sample_init(init, streams.stream(purpose="paths"), cfg["m"])
     # picard_tol=0: stop once the a-posteriori distance to the fixed point
     # is below the solver's own Monte Carlo noise

@@ -5,10 +5,10 @@ limit, and asymptotic pairwise independence of particles.
 
 The drift/fluctuation observer takes its conditional terms from the pairing
 form of the mean-field solver's velocity field (``meanfield.drift_pairing``,
-run here in float64) and its realized terms from the increments that
-``sgd.train`` computes once per step, hands to the observer and then
-applies, so the formula for the field lives in ``meanfield`` and ``sgd``
-only.
+which also gives the weak-form residual; run here in float64) and its
+realized terms from the increments that ``sgd.train`` computes once per
+step, hands to the observer and then applies, so the formula for the field
+lives in ``meanfield`` and ``sgd`` only.
 
 Every trained replica goes through ``sgd.run_default``, which keys its
 streams by (replica, purpose) only, so runs at different network sizes share
@@ -192,8 +192,8 @@ class _DecompositionObserver:
         self.i1[k] = float(np.mean(fc * dc))
         self.i2[k] = float(np.mean(u * (fw @ x)))
         # conditional expectations of the same quantities under pi
-        p1, p2 = drift_pairing(c, w, fc, fw, self._nodes, self.act,
-                               self.alpha, self._work)
+        _, ((p1, p2),) = drift_pairing(c, w, [(fc, fw)], self._nodes,
+                                       self.act, self.alpha, self._work)
         self.e1[k] = p1 / n / n
         self.e2[k] = p2 / n / n
 

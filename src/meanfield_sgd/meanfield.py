@@ -18,12 +18,12 @@ loop differently:
 pi-integrals are approximated by a quadrature that is frozen up front, so the
 whole evolution is a deterministic function of the initial cloud and the node
 set.  One kernel, ``drift``, evaluates the velocity field of a whole cloud at
-once on a caller-owned (M x nodes) work block; the Euler step, the weak-form
-residual and ``q_on_nodes`` call it.  The drift/fluctuation observer needs
-only the field's pairings with a test function's gradient, which
-``drift_pairing`` takes over small particle row blocks.  The solvers run
-``drift`` in float32 (a factor ~3 on the (M x nodes) sweeps that
-dominate); snapshots are stored in float64.  Float32 round-off (~1e-6
+once on a caller-owned (M x nodes) work block, for the Euler step.  The
+weak-form residual, ``q_on_nodes`` and the drift/fluctuation observer need
+only Q and the field's pairings with test-function gradients, which
+``drift_pairing`` takes over small particle row blocks.  The solvers run in
+float32 (a factor ~3 on the (M x nodes) sweeps that dominate); snapshots
+are stored in float64.  Float32 round-off (~1e-6
 relative) is far below the O(dt) + O(1/sqrt(M)) + O(1/sqrt(nodes)) error
 budget of everything computed from these solutions.
 """
@@ -177,23 +177,12 @@ def work_buffers(m: int, k: int, act: Activation,
     return buf, (buf if act.deriv_from_value is not None else np.empty_like(buf))
 
 
-def _values(c, w, xt, act: Activation, work, q=None):
-    """The kernel's sigma/Q stage: z = w x^T into the z block, sigma(z) into
-    the sigma block, and Q = c . sigma / M unless a frozen Q is given."""
-    buf, z = work
-    np.matmul(w, xt, out=z)
-    act.value(z, out=buf)
-    if q is None:
-        q = (c @ buf) / buf.dtype.type(c.shape[0])
-    return q
-
-
 def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
           work, q: np.ndarray | None = None):
     """The velocity field (dc/dt, dw/dt) of every particle of a cloud.
 
     With r_k = alpha (y_k - Q(x_k)) over the K nodes of ``nodes`` (from
-    ``node_arrays``), returns (Q, g1, g2):
+    ``node_arrays``), returns (g1, g2):
 
         g1_i = (1/K) sum_k r_k sigma(w_i . x_k)                    (M,)
         g2_i = (1/K) sum_k r_k c_i sigma'(w_i . x_k) x_k           (M, d)
@@ -207,14 +196,17 @@ def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
     x, xt, y = nodes
     buf, z = work
     ftype = buf.dtype.type
-    q = _values(c, w, xt, act, work, q)
+    np.matmul(w, xt, out=z)
+    act.value(z, out=buf)
+    if q is None:
+        q = (c @ buf) / ftype(c.shape[0])
     r = ftype(alpha) * (y - q)
     g1 = (buf @ r) / ftype(y.shape[0])
     activation_deriv(act, z, buf, out=buf)
     buf *= r
     g2 = (buf @ x) / ftype(y.shape[0])
     g2 *= c[:, None]
-    return q, g1, g2
+    return g1, g2
 
 
 def pairing_rows(k: int) -> int:
@@ -223,40 +215,44 @@ def pairing_rows(k: int) -> int:
     return max(1, 2 ** 17 // k)
 
 
-def drift_pairing(c: np.ndarray, w: np.ndarray, fc: np.ndarray,
-                  fw: np.ndarray, nodes, act: Activation, alpha: float,
-                  work) -> tuple[float, float]:
-    """sum_i fc_i g1_i and sum_i fw_i . g2_i for the field (g1, g2) that
-    ``drift`` gives, without forming the field.
+def drift_pairing(c: np.ndarray, w: np.ndarray, grads: Sequence, nodes,
+                  act: Activation, alpha: float, work
+                  ) -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """Q, the cloud's output at the nodes, and for each test-function
+    gradient (fc, fw) in ``grads`` the pairings sum_i fc_i g1_i and
+    sum_i fw_i . g2_i with ``drift``'s field (g1, g2), without forming it.
 
     Both sums are linear in r = alpha (y - Q), so the particle sums come
     first, over row blocks of ``work`` (``work_buffers`` with
-    ``pairing_rows`` rows):
+    ``pairing_rows`` rows), and r last:
 
-        S = [c; fc] sigma      (2, K)   Q = S_0 / M, first sum r . S_1 / K
-        H = (c fw)^T sigma'    (d, K)   second sum sum_k r_k (x_k . H_k) / K
+        S = [c; fc_1; ...] sigma   (1+J, K)   Q = S_0 / M, r . S_j / K
+        H_j = (c fw_j)^T sigma'    (d, K)     sum_k r_k (x_k . H_jk) / K
 
-    Each block makes one pass, z -> sigma -> S -> sigma' in place -> H, so
-    the work memory is one block whatever M is.
+    Each block makes one pass, z -> sigma -> S -> sigma' in place -> H (no
+    sigma' when ``grads`` is empty), so the work memory is one block
+    whatever M is.  Products run in the inputs' dtype, block sums in float64.
     """
     _, xt, y = nodes
     buf, zbuf = work
-    m, (rows, k) = c.shape[0], buf.shape
-    lhs = np.stack([c, fc])
-    cfw = c[:, None] * fw
-    s, h = np.zeros((2, k)), np.zeros((xt.shape[0], k))
-    s_part, h_part = np.empty_like(s), np.empty_like(h)
+    m, (rows, k), d = c.shape[0], buf.shape, xt.shape[0]
+    lhs = np.stack([c] + [fc for fc, _ in grads])
+    cfw = np.hstack([c[:, None] * fw for _, fw in grads]) if grads else None
+    s, h = np.zeros((1 + len(grads), k)), np.zeros((d * len(grads), k))
+    s_part, h_part = np.empty_like(s, buf.dtype), np.empty_like(h, buf.dtype)
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         sig, z = buf[:hi - lo], zbuf[:hi - lo]
         np.matmul(w[lo:hi], xt, out=z)
         act.value(z, out=sig)
         s += np.matmul(lhs[:, lo:hi], sig, out=s_part)
-        activation_deriv(act, z, sig, out=sig)
-        h += np.matmul(cfw[lo:hi].T, sig, out=h_part)
+        if grads:
+            activation_deriv(act, z, sig, out=sig)
+            h += np.matmul(cfw[lo:hi].T, sig, out=h_part)
     r = alpha * (y - s[0] / m)
-    return (float(r @ s[1]) / k,
-            float(r @ np.einsum("jk,jk->k", xt, h)) / k)
+    return s[0] / m, [(float(r @ s_j) / k,
+                       float(r @ np.einsum("jk,jk->k", xt, h_j)) / k)
+                      for s_j, h_j in zip(s[1:], h.reshape(-1, d, k))]
 
 
 def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
@@ -288,7 +284,7 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
         if q_rows is not None:
             r = row[k]
             q = q_rows[r] + theta[k] * (q_rows[r + 1] - q_rows[r])
-        _, g1, g2 = drift(c, w, nodes, act, alpha, work, q)
+        g1, g2 = drift(c, w, nodes, act, alpha, work, q)
         w += dtf * g2
         c += dtf * g1
         # a non-finite rate leaves a non-finite c or w, which the guard sees
@@ -344,13 +340,20 @@ def solve_selfconsistent(init, model: DataModel, M: int | None, dt: float,
 def q_on_nodes(sol: MeanFieldSolution) -> np.ndarray:
     """(S, K) network outputs of each snapshot slice at its own quadrature
     nodes."""
-    _, xt, _ = node_arrays(sol.quad, np.float32)
-    work = work_buffers(sol.n_paths, sol.quad.n, sol.act, np.float32)
-    rows = np.empty((sol.times.shape[0], sol.quad.n), dtype=np.float32)
-    for i in range(sol.times.shape[0]):
-        rows[i] = _values(sol.c[i].astype(np.float32),
-                          sol.w[i].astype(np.float32), xt, sol.act, work)
-    return rows
+    return np.array([q for q, _ in _slice_pairings(sol, [])], np.float32)
+
+
+def _slice_pairings(sol: MeanFieldSolution, fs: Sequence):
+    """``drift_pairing`` of each slice of ``sol`` in float32, for the
+    gradients of the test functions ``fs``: one (Q, pairs) per slice."""
+    nodes = node_arrays(sol.quad, np.float32)
+    work = work_buffers(min(sol.n_paths, pairing_rows(sol.quad.n)),
+                        sol.quad.n, sol.act, np.float32)
+    for c, w in zip(sol.c, sol.w):
+        grads = [(f.grad_c(c, w).astype(np.float32),
+                  f.grad_w(c, w).astype(np.float32)) for f in fs]
+        yield drift_pairing(c.astype(np.float32), w.astype(np.float32), grads,
+                            nodes, sol.act, sol.alpha, work)
 
 
 def frozen_start(cloud: EmpiricalMeasure, T: float, dt: float,
@@ -479,23 +482,14 @@ def weak_residuals(sol: MeanFieldSolution,
 
     and (g1, g2) is the velocity field of the slice against ``sol.quad`` (see
     ``drift``), with the time integral taken by the trapezoid rule over every
-    stored slice.  Every test function shares one kernel pass per slice.
+    stored slice, and one ``drift_pairing`` pass per slice for all of ``fs``.
     The normalizer integral_0^T |a(s)| ds is the scale for relative error.
     """
     n_snaps = sol.times.shape[0]
     if n_snaps < 2:
         raise RejectedInputError("need at least two slices")
-    nodes = node_arrays(sol.quad, np.float32)
-    work = work_buffers(sol.n_paths, sol.quad.n, sol.act, np.float32)
-    a_vals = np.empty((len(fs), n_snaps))
-    for i in range(n_snaps):
-        c, w = sol.c[i], sol.w[i]
-        _, g1, g2 = drift(c.astype(np.float32), w.astype(np.float32), nodes,
-                          sol.act, sol.alpha, work)
-        g1, g2 = g1.astype(np.float64), g2.astype(np.float64)
-        for j, f in enumerate(fs):
-            a_vals[j, i] = np.mean(f.grad_c(c, w) * g1
-                                   + np.sum(f.grad_w(c, w) * g2, axis=1))
+    a_vals = np.array([[(p1 + p2) / sol.n_paths for p1, p2 in pairs]
+                       for _, pairs in _slice_pairings(sol, fs)]).T
     first, last = sol.slice(0), sol.slice(n_snaps - 1)
     out = []
     for f, a in zip(fs, a_vals):

@@ -3,6 +3,8 @@ layout, byte-level reproducibility, manifest integrity, and exit codes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanfield_sgd import cli
 from meanfield_sgd.cli import (_slug, check_manifest, config_hash,
@@ -65,6 +67,45 @@ def test_config_errors_exit_code_2(tmp_path, capsys):
     rc = main(["train", "--config", str(p), "--quiet"])
     assert rc == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,line", [
+    ("train", "t_horizon=nan"), ("train", "t_horizon=inf"),
+    ("train", "noise_scale=nan"), ("train", "alpha=nan"),
+    ("train", "init_w_scale=-inf"), ("meanfield", "dt=nan"),
+    ("meanfield", "dt=inf"), ("meanfield", "picard_tol=nan"),
+])
+def test_non_finite_float_keys_exit_2(tmp_path, capsys, command, line):
+    """NaN or an infinity in a float key would train on noiseless labels,
+    take one Euler step or end in a traceback; it is a config error."""
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"m=64\nquad_nodes=64\n{line}\n")
+    out = tmp_path / "x"
+    assert main([command, "--config", str(p), "--out", str(out),
+                 "--quiet"]) == 2
+    assert "not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+FLOAT_KEYS = [key for key, (parse, _) in cli._SCHEMA.items() if parse is float]
+
+
+@pytest.fixture(scope="module")
+def drawn_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(key=st.sampled_from(FLOAT_KEYS),
+       value=st.one_of(st.floats().map(repr), st.text()))
+def test_float_keys_parse_finite_or_raise_config_error(drawn_dir, key, value):
+    p = drawn_dir / "drawn.cfg"
+    p.write_text(f"{key}={value}\n", encoding="utf-8")
+    try:
+        cfg = parse_config(str(p))
+    except ConfigError:
+        return
+    assert all(np.isfinite(cfg[k]) for k in FLOAT_KEYS), (key, value)
 
 
 @pytest.mark.parametrize("command,line,key", [
@@ -265,6 +306,23 @@ def test_picard_floor_needs_two_runs(tmp_path, capsys):
     rc = main(["meanfield", "--config", cfg, "--out", str(tmp_path / "x"),
                "--quiet"])
     assert rc == 2 and "at least 2 runs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["picard_max_iters=0", "picard_tol=-0.001"])
+def test_out_of_range_picard_keys_exit_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, line):
+    """No iteration at all would write the frozen start as the limit, and a
+    negative tolerance would quietly select the noise-floor stop."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("a solve started before the keys were checked")
+
+    for name in ("solve_selfconsistent", "seed_resampled_floor",
+                 "picard_iterate"):
+        monkeypatch.setattr(cli, name, no_work)
+    cfg = _write_cfg(tmp_path, MF_CFG + f"mode=picard\n{line}\n")
+    rc = main(["meanfield", "--config", cfg, "--out", str(tmp_path / "x"),
+               "--quiet"])
+    assert rc == 2 and "mode=picard needs" in capsys.readouterr().err
 
 
 def test_meanfield_unknown_mode_exit_2(tmp_path, capsys):

@@ -199,7 +199,9 @@ def test_observer_step_allocates_no_n_by_k_array(model, init):
 def test_drift_pairing_matches_reference_formula(kind, n, model, init):
     """The blocked pairing against plain temporaries, with the tolerances of
     ``test_observer_matches_reference_formula``, for N below one row block,
-    a multiple of it and with a ragged last block; alpha = 0 pairs to 0."""
+    a multiple of it and with a ragged last block; alpha = 0 pairs to 0.
+    All test functions in one call give, bit for bit, the Q and the pairs of
+    one call per function."""
     act = activation(kind)
     quad = freeze_quadrature(default_martingale_quadrature(model), model)
     assert pairing_rows(quad.n) == 128
@@ -208,17 +210,22 @@ def test_drift_pairing_matches_reference_formula(kind, n, model, init):
     ens = Ensemble.from_init(init, act, 1.0,
                              RandomStreams(19).stream(0, purpose="init"), n)
     x, y = np.array([0.3, -0.4]), 0.2
-    for f in FS:
-        fc, fw = f.grad_c(ens.c, ens.w), f.grad_w(ens.c, ens.w)
-        for alpha in (1.0, 0.7):
+    grads = [(f.grad_c(ens.c, ens.w), f.grad_w(ens.c, ens.w)) for f in FS]
+    assert len(grads) == 3
+    for alpha in (1.0, 0.7):
+        q, together = drift_pairing(ens.c, ens.w, grads, nodes, act, alpha,
+                                    work)
+        for f, grad, pair_ in zip(FS, grads, together):
+            q_one, (one,) = drift_pairing(ens.c, ens.w, [grad], nodes, act,
+                                          alpha, work)
+            assert one == pair_ and np.array_equal(q_one, q)
             *_, e1, e2, s1, s2 = _reference_components(f, quad, alpha, act,
                                                        ens, x, y)
-            p1, p2 = drift_pairing(ens.c, ens.w, fc, fw, nodes, act, alpha,
-                                   work)
+            p1, p2 = one
             assert p1 / n / n == pytest.approx(e1, rel=1e-12, abs=1e-12 * s1)
             assert p2 / n / n == pytest.approx(e2, rel=1e-12, abs=1e-12 * s2)
-        assert drift_pairing(ens.c, ens.w, fc, fw, nodes, act, 0.0,
-                             work) == (0.0, 0.0)
+    _, zero = drift_pairing(ens.c, ens.w, grads, nodes, act, 0.0, work)
+    assert zero == [(0.0, 0.0)] * len(grads)
 
 
 def test_observer_memory_stays_below_two_row_blocks(model, init):

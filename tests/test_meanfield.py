@@ -10,8 +10,9 @@ from meanfield_sgd import (ConfigError, DataModel, DivergedError,
                            EmpiricalMeasure, QuadratureSpec, RandomStreams,
                            RejectedInputError, activation, constant_one,
                            default_init, default_model, default_test_functions,
-                           drift, freeze_quadrature, from_network, frozen_start,
-                           node_arrays, noisy_polynomial, pair, picard_iterate,
+                           drift, drift_pairing, freeze_quadrature,
+                           from_network, frozen_start, node_arrays,
+                           noisy_polynomial, pair, pairing_rows, picard_iterate,
                            q_on_nodes, seed_resampled_floor,
                            solve_selfconsistent, wasserstein, weak_residual,
                            weak_residuals, work_buffers)
@@ -219,23 +220,29 @@ def test_snapshot_grid_must_end_at_horizon(streams, model, init):
 
 def test_drift_hand_values():
     """M = K = 1, c = 1, w = (0.5, 0), x = (1, 0), y = 2: with Q frozen at 0,
-    g1 = 2 tanh(0.5) and g2 = (2 (1 - tanh(0.5)^2), 0); the cloud's own Q is
-    tanh(0.5); a frozen Q equal to y leaves no field at all."""
+    g1 = 2 tanh(0.5) and g2 = (2 (1 - tanh(0.5)^2), 0); the cloud's own Q,
+    read through ``drift_pairing``, is tanh(0.5), and pairing the field with
+    fc = 1, fw = (1, 0) gives g1 and the first entry of g2; a frozen Q equal
+    to y leaves no field at all."""
     c, w = np.array([1.0]), np.array([[0.5, 0.0]])
     quad = Quadrature(np.array([[1.0, 0.0]]), np.array([2.0]),
                       QuadratureSpec("monte-carlo", 1))
     nodes = node_arrays(quad, np.float64)
     work = work_buffers(1, 1, TANH, np.float64)
     s = np.tanh(0.5)
-    q, g1, g2 = drift(c, w, nodes, TANH, 1.0, work, q=np.zeros(1))
+    g1, g2 = drift(c, w, nodes, TANH, 1.0, work, q=np.zeros(1))
     assert g1[0] == pytest.approx(2 * s, abs=1e-15)
     assert g2[0, 0] == pytest.approx(2 * (1 - s * s), abs=1e-15)
     assert g2[0, 1] == 0.0
-    q, g1, g2 = drift(c, w, nodes, TANH, 0.5, work)
-    assert q[0] == pytest.approx(s, abs=1e-15)
+    g1, g2 = drift(c, w, nodes, TANH, 0.5, work)
     assert g1[0] == pytest.approx(0.5 * (2 - s) * s, abs=1e-15)
     assert g2[0, 0] == pytest.approx(0.5 * (2 - s) * (1 - s * s), abs=1e-15)
-    q, g1, g2 = drift(c, w, nodes, TANH, 1.0, work, q=np.full(1, 2.0))
+    grad = (np.ones(1), np.array([[1.0, 0.0]]))
+    q, ((p1, p2),) = drift_pairing(c, w, [grad], nodes, TANH, 0.5, work)
+    assert q[0] == pytest.approx(s, abs=1e-15)
+    assert p1 == pytest.approx(g1[0], abs=1e-15)
+    assert p2 == pytest.approx(g2[0, 0], abs=1e-15)
+    g1, g2 = drift(c, w, nodes, TANH, 1.0, work, q=np.full(1, 2.0))
     assert g1[0] == 0.0 and not g2.any()
 
 
@@ -357,12 +364,21 @@ def test_solve_memory_stays_below_two_blocks(wide_solution):
     assert peak < 2 * block
 
 
-def test_weak_residuals_memory_stays_below_two_blocks(wide_solution):
+def _pairing_peak_in_row_blocks(fn, wide_solution) -> float:
+    """Traced peak of ``fn(sol)`` in float32 row blocks of ``drift_pairing``
+    (0.5 MB at K = 1024; the Euler step's (M x K) block is 8 MB)."""
     quad, sol = wide_solution
-    block = sol.n_paths * quad.n * 4
+    return _traced_peak(lambda: fn(sol)) / (pairing_rows(quad.n) * quad.n * 4)
+
+
+def test_weak_residuals_memory_stays_below_three_row_blocks(wide_solution):
     fs = default_test_functions(2)
-    peak = _traced_peak(lambda: weak_residuals(sol, fs))
-    assert peak < 2 * block
+    assert _pairing_peak_in_row_blocks(lambda sol: weak_residuals(sol, fs),
+                                       wide_solution) < 3
+
+
+def test_q_on_nodes_memory_stays_below_three_row_blocks(wide_solution):
+    assert _pairing_peak_in_row_blocks(q_on_nodes, wide_solution) < 3
 
 
 # ---------------------------------------------------------------------------
