@@ -385,8 +385,8 @@ def cmd_meanfield(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     streams = RandomStreams(seed)
     model, init, act = _build_model(cfg)
     chash = config_hash(cfg)
-    out.mkdir(parents=True, exist_ok=True)
     sol, distances, status = _solve_limit(cfg, model, init, act, streams)
+    out.mkdir(parents=True, exist_ok=True)
     if distances is not None:
         dist_rows = [f"{i},{fmt_float(d)}" for i, d in enumerate(distances)]
         _write_csv(out / "picard_distances.csv", "iteration,distance",

@@ -32,7 +32,7 @@ from .data import DataModel, InitLaw
 from .measure import fmt_float, pair, resample, wasserstein
 from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec,
                         _as_quadrature, drift_pairing, node_arrays,
-                        pairing_rows, work_buffers)
+                        work_buffers)
 from .sgd import Ensemble, TrainSchedule, run_default
 
 SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
@@ -177,8 +177,7 @@ class _DecompositionObserver:
         self.e1 = np.empty(n_steps)
         self.e2 = np.empty(n_steps)
         self._nodes = node_arrays(quad, np.float64)
-        self._work = work_buffers(min(n, pairing_rows(quad.n)), quad.n, act,
-                                  np.float64)
+        self._work = work_buffers(n, quad.n, act, np.float64)
 
     def __call__(self, k: int, ens: Ensemble, x: np.ndarray, y: float,
                  dc: np.ndarray, u: np.ndarray):

@@ -17,15 +17,14 @@ loop differently:
 
 pi-integrals are approximated by a quadrature that is frozen up front, so the
 whole evolution is a deterministic function of the initial cloud and the node
-set.  One kernel, ``drift``, evaluates the velocity field of a whole cloud at
-once on a caller-owned (M x nodes) work block, for the Euler step.  The
-weak-form residual, ``q_on_nodes`` and the drift/fluctuation observer need
-only Q and the field's pairings with test-function gradients, which
-``drift_pairing`` takes over small particle row blocks.  The solvers run in
-float32 (a factor ~3 on the (M x nodes) sweeps that dominate); snapshots
-are stored in float64.  Float32 round-off (~1e-6
-relative) is far below the O(dt) + O(1/sqrt(M)) + O(1/sqrt(nodes)) error
-budget of everything computed from these solutions.
+set.  The velocity field is taken over small particle row blocks of a
+caller-owned work block, so no (M x nodes) array is formed: ``drift_pairing``
+sums Q, the cloud's output at the nodes, and the field's pairings with
+test-function gradients; ``drift`` gives each particle's field from a given
+Q, for the Euler step.  The solvers run in float32 (a factor ~3 on the
+(M x nodes) sweeps that dominate); snapshots are stored in float64.  Float32
+round-off (~1e-6 relative) is far below the O(dt) + O(1/sqrt(M)) +
+O(1/sqrt(nodes)) error budget of everything computed from these solutions.
 """
 
 from __future__ import annotations
@@ -171,48 +170,56 @@ def node_arrays(quad: Quadrature,
 def work_buffers(m: int, k: int, act: Activation,
                  dtype) -> tuple[np.ndarray, np.ndarray]:
     """The (sigma, z) work blocks of ``drift`` and ``drift_pairing`` for m
-    particle rows and k nodes: one shared (m, k) array, or two when the
-    activation has no sigma'-from-sigma shortcut and z must outlive sigma."""
-    buf = np.empty((m, k), dtype=dtype)
+    particles at k nodes: min(m, ``pairing_rows(k)``) rows in one shared
+    array, or two when sigma' cannot come from sigma and z must outlive it."""
+    buf = np.empty((min(m, pairing_rows(k)), k), dtype=dtype)
     return buf, (buf if act.deriv_from_value is not None else np.empty_like(buf))
 
 
+def pairing_rows(k: int) -> int:
+    """Particle rows per work block at k nodes: about 1 MB of float64, so a
+    block stays in L2 cache through its whole pass."""
+    return max(1, 2 ** 17 // k)
+
+
+def _sigma_blocks(w: np.ndarray, xt: np.ndarray, act: Activation, work):
+    """(lo, hi, sigma, z) per row block of ``work``: z = w[lo:hi] x^T."""
+    buf, zbuf = work
+    for lo in range(0, w.shape[0], buf.shape[0]):
+        hi = min(lo + buf.shape[0], w.shape[0])
+        sig, z = buf[:hi - lo], zbuf[:hi - lo]
+        np.matmul(w[lo:hi], xt, out=z)
+        act.value(z, out=sig)
+        yield lo, hi, sig, z
+
+
 def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
-          work, q: np.ndarray | None = None):
+          work, q: np.ndarray):
     """The velocity field (dc/dt, dw/dt) of every particle of a cloud.
 
-    With r_k = alpha (y_k - Q(x_k)) over the K nodes of ``nodes`` (from
+    With r_k = alpha (y_k - q_k) over the K nodes of ``nodes`` (from
     ``node_arrays``), returns (g1, g2):
 
         g1_i = (1/K) sum_k r_k sigma(w_i . x_k)                    (M,)
         g2_i = (1/K) sum_k r_k c_i sigma'(w_i . x_k) x_k           (M, d)
 
-    Q is the cloud's own output c . sigma / M at the nodes, or the frozen
-    ``q`` when given.  Everything happens in place on ``work`` (from
-    ``work_buffers``), so a call allocates nothing of size M x K; the
-    arithmetic runs in the dtype that the inputs and ``work`` share, and
-    sigma' comes from sigma where the activation allows it.
+    ``q`` is Q at the nodes, the cloud's own from ``drift_pairing`` or a
+    frozen one.  Each row block of ``work`` (``work_buffers``) makes one pass
+    z -> sigma -> g1 -> sigma' in place -> g2, in the dtype that the inputs
+    and ``work`` share, so the work memory is one block whatever M is.
     """
     x, xt, y = nodes
-    buf, z = work
-    ftype = buf.dtype.type
-    np.matmul(w, xt, out=z)
-    act.value(z, out=buf)
-    if q is None:
-        q = (c @ buf) / ftype(c.shape[0])
-    r = ftype(alpha) * (y - q)
-    g1 = (buf @ r) / ftype(y.shape[0])
-    activation_deriv(act, z, buf, out=buf)
-    buf *= r
-    g2 = (buf @ x) / ftype(y.shape[0])
+    r = alpha * (y - q.astype(y.dtype, copy=False))
+    g1, g2 = np.empty_like(c), np.empty_like(w)
+    for lo, hi, sig, z in _sigma_blocks(w, xt, act, work):
+        np.matmul(sig, r, out=g1[lo:hi])
+        activation_deriv(act, z, sig, out=sig)
+        sig *= r
+        np.matmul(sig, x, out=g2[lo:hi])
+    g1 /= y.shape[0]
+    g2 /= y.shape[0]
     g2 *= c[:, None]
     return g1, g2
-
-
-def pairing_rows(k: int) -> int:
-    """Particle rows per block of ``drift_pairing`` at k nodes: about 1 MB
-    of float64, so a block stays in L2 cache through its whole pass."""
-    return max(1, 2 ** 17 // k)
 
 
 def drift_pairing(c: np.ndarray, w: np.ndarray, grads: Sequence, nodes,
@@ -223,8 +230,7 @@ def drift_pairing(c: np.ndarray, w: np.ndarray, grads: Sequence, nodes,
     sum_i fw_i . g2_i with ``drift``'s field (g1, g2), without forming it.
 
     Both sums are linear in r = alpha (y - Q), so the particle sums come
-    first, over row blocks of ``work`` (``work_buffers`` with
-    ``pairing_rows`` rows), and r last:
+    first, over the row blocks of ``work`` (``work_buffers``), and r last:
 
         S = [c; fc_1; ...] sigma   (1+J, K)   Q = S_0 / M, r . S_j / K
         H_j = (c fw_j)^T sigma'    (d, K)     sum_k r_k (x_k . H_jk) / K
@@ -234,17 +240,12 @@ def drift_pairing(c: np.ndarray, w: np.ndarray, grads: Sequence, nodes,
     whatever M is.  Products run in the inputs' dtype, block sums in float64.
     """
     _, xt, y = nodes
-    buf, zbuf = work
-    m, (rows, k), d = c.shape[0], buf.shape, xt.shape[0]
+    m, (d, k) = c.shape[0], xt.shape
     lhs = np.stack([c] + [fc for fc, _ in grads])
     cfw = np.hstack([c[:, None] * fw for _, fw in grads]) if grads else None
     s, h = np.zeros((1 + len(grads), k)), np.zeros((d * len(grads), k))
-    s_part, h_part = np.empty_like(s, buf.dtype), np.empty_like(h, buf.dtype)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        sig, z = buf[:hi - lo], zbuf[:hi - lo]
-        np.matmul(w[lo:hi], xt, out=z)
-        act.value(z, out=sig)
+    s_part, h_part = np.empty_like(s, xt.dtype), np.empty_like(h, xt.dtype)
+    for lo, hi, sig, z in _sigma_blocks(w, xt, act, work):
         s += np.matmul(lhs[:, lo:hi], sig, out=s_part)
         if grads:
             activation_deriv(act, z, sig, out=sig)
@@ -279,9 +280,10 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
         theta = ((steps - snap_steps[row])
                  / np.diff(snap_steps)[row]).astype(np.float32)
     max_rate = 0.0
-    q = None
     for k in range(n_steps):
-        if q_rows is not None:
+        if q_rows is None:
+            q = drift_pairing(c, w, [], nodes, act, alpha, work)[0]
+        else:
             r = row[k]
             q = q_rows[r] + theta[k] * (q_rows[r + 1] - q_rows[r])
         g1, g2 = drift(c, w, nodes, act, alpha, work, q)
@@ -327,7 +329,7 @@ def solve_selfconsistent(init, model: DataModel, M: int | None, dt: float,
     initial cloud) or a ready Quadrature.  dt is coerced so the horizon is an
     exact number of steps.
     """
-    if dt <= 0 or T <= 0:
+    if not dt > 0 or not T > 0:
         raise RejectedInputError("need dt > 0 and T > 0")
     act = act or (model.activation if model.activation is not None
                   else activation("tanh"))
@@ -347,8 +349,7 @@ def _slice_pairings(sol: MeanFieldSolution, fs: Sequence):
     """``drift_pairing`` of each slice of ``sol`` in float32, for the
     gradients of the test functions ``fs``: one (Q, pairs) per slice."""
     nodes = node_arrays(sol.quad, np.float32)
-    work = work_buffers(min(sol.n_paths, pairing_rows(sol.quad.n)),
-                        sol.quad.n, sol.act, np.float32)
+    work = work_buffers(sol.n_paths, sol.quad.n, sol.act, np.float32)
     for c, w in zip(sol.c, sol.w):
         grads = [(f.grad_c(c, w).astype(np.float32),
                   f.grad_w(c, w).astype(np.float32)) for f in fs]

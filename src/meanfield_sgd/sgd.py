@@ -57,7 +57,7 @@ class Ensemble:
             raise RejectedInputError("need c (N,) and w (N, d)")
         if self.n < 1:
             raise RejectedInputError("ensemble needs at least one particle")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise RejectedInputError("alpha must be >= 0")
 
     @property
@@ -190,7 +190,7 @@ class TrainSchedule:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if self.T <= 0:
+        if not self.T > 0:
             raise RejectedInputError("T must be > 0")
         times = tuple(float(t) for t in self.snapshot_times) or (self.T,)
         if any(t < 0 or t > self.T for t in times):

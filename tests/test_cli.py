@@ -306,13 +306,15 @@ def test_picard_floor_needs_two_runs(tmp_path, capsys):
     rc = main(["meanfield", "--config", cfg, "--out", str(tmp_path / "x"),
                "--quiet"])
     assert rc == 2 and "at least 2 runs" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("line", ["picard_max_iters=0", "picard_tol=-0.001"])
 def test_out_of_range_picard_keys_exit_2_before_any_solve(
         tmp_path, capsys, monkeypatch, line):
     """No iteration at all would write the frozen start as the limit, and a
-    negative tolerance would quietly select the noise-floor stop."""
+    negative tolerance would quietly select the noise-floor stop.  A refused
+    config leaves no output directory behind."""
     def no_work(*args, **kwargs):
         raise AssertionError("a solve started before the keys were checked")
 
@@ -323,6 +325,7 @@ def test_out_of_range_picard_keys_exit_2_before_any_solve(
     rc = main(["meanfield", "--config", cfg, "--out", str(tmp_path / "x"),
                "--quiet"])
     assert rc == 2 and "mode=picard needs" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_meanfield_unknown_mode_exit_2(tmp_path, capsys):
@@ -330,6 +333,7 @@ def test_meanfield_unknown_mode_exit_2(tmp_path, capsys):
     rc = main(["meanfield", "--config", cfg, "--out", str(tmp_path / "x"),
                "--quiet"])
     assert rc == 2 and "unknown meanfield mode" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from meanfield_sgd import (DataModel, Ensemble, QuadratureSpec, RandomStreams,
 from meanfield_sgd import diagnostics
 from meanfield_sgd.diagnostics import (_DecompositionObserver,
                                        default_martingale_quadrature)
-from meanfield_sgd.meanfield import (drift_pairing, node_arrays, pairing_rows,
-                                     work_buffers)
+from meanfield_sgd.meanfield import (drift, drift_pairing, node_arrays,
+                                     pairing_rows, work_buffers)
 from meanfield_sgd.sgd import step_increments
 
 TANH = activation("tanh")
@@ -145,6 +145,19 @@ def _reference_components(f, quad, alpha, act, ens, x, y):
             float(np.mean(np.abs(rq * h1))), float(np.mean(np.abs(rq * h2))))
 
 
+def _reference_field(quad, alpha, act, ens, q=None):
+    """``drift``'s per-particle field (g1, g2) with plain (N x K)
+    temporaries, at the cloud's own Q or a frozen ``q``, plus the magnitude
+    of the summands behind each entry."""
+    c, k = ens.c, quad.n
+    sq = ens.w @ quad.x.T
+    vq, dq = act.value(sq), act.deriv(sq)
+    rq = alpha * (quad.y - ((c @ vq) / ens.n if q is None else q))
+    return (vq @ rq / k, c[:, None] * ((dq * rq) @ quad.x) / k,
+            np.abs(vq) @ np.abs(rq) / k,
+            np.abs(c)[:, None] * (np.abs(dq * rq) @ np.abs(quad.x)) / k)
+
+
 @pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])
 def test_observer_matches_reference_formula(kind, model, init):
     """i1, i2 to 1e-12 relative; e1, e2 to 1e-12 relative or, where the mean
@@ -201,12 +214,15 @@ def test_drift_pairing_matches_reference_formula(kind, n, model, init):
     ``test_observer_matches_reference_formula``, for N below one row block,
     a multiple of it and with a ragged last block; alpha = 0 pairs to 0.
     All test functions in one call give, bit for bit, the Q and the pairs of
-    one call per function."""
+    one call per function.  The blocked per-particle field ``drift``, at the
+    pairing's Q and at a frozen one, matches its reference to 1e-12 of the
+    magnitude of its summands."""
     act = activation(kind)
     quad = freeze_quadrature(default_martingale_quadrature(model), model)
     assert pairing_rows(quad.n) == 128
     nodes = node_arrays(quad, np.float64)
-    work = work_buffers(min(n, pairing_rows(quad.n)), quad.n, act, np.float64)
+    work = work_buffers(n, quad.n, act, np.float64)
+    assert work[0].shape == (min(n, 128), quad.n)
     ens = Ensemble.from_init(init, act, 1.0,
                              RandomStreams(19).stream(0, purpose="init"), n)
     x, y = np.array([0.3, -0.4]), 0.2
@@ -224,6 +240,13 @@ def test_drift_pairing_matches_reference_formula(kind, n, model, init):
             p1, p2 = one
             assert p1 / n / n == pytest.approx(e1, rel=1e-12, abs=1e-12 * s1)
             assert p2 / n / n == pytest.approx(e2, rel=1e-12, abs=1e-12 * s2)
+        for frozen in (None, 0.5 * quad.y):
+            g1, g2 = drift(ens.c, ens.w, nodes, act, alpha, work,
+                           q if frozen is None else frozen)
+            r1, r2, s1, s2 = _reference_field(quad, alpha, act, ens, frozen)
+            assert g1.shape == (n,) and g2.shape == (n, 2)
+            assert np.all(np.abs(g1 - r1) <= 1e-12 * s1)
+            assert np.all(np.abs(g2 - r2) <= 1e-12 * s2)
     _, zero = drift_pairing(ens.c, ens.w, grads, nodes, act, 0.0, work)
     assert zero == [(0.0, 0.0)] * len(grads)
 

@@ -166,10 +166,12 @@ def test_snapshot_plan_and_time_lookup(streams, model, init):
 
 
 def test_solver_input_validation(streams, model, init):
-    with pytest.raises(RejectedInputError):
-        solve_selfconsistent(init, model, 16, -0.01, 0.3,
-                             quad=QuadratureSpec("monte-carlo", 8),
-                             rng=streams.stream(purpose="x"))
+    nan = float("nan")
+    for dt, T in ((-0.01, 0.3), (nan, 0.3), (0.01, nan)):
+        with pytest.raises(RejectedInputError):
+            solve_selfconsistent(init, model, 16, dt, T,
+                                 quad=QuadratureSpec("monte-carlo", 8),
+                                 rng=streams.stream(purpose="x"))
     cloud = EmpiricalMeasure(np.zeros(4), np.zeros((4, 2)))
     with pytest.raises(RejectedInputError):
         solve_selfconsistent(cloud, model, 8, 0.01, 0.1,
@@ -234,12 +236,12 @@ def test_drift_hand_values():
     assert g1[0] == pytest.approx(2 * s, abs=1e-15)
     assert g2[0, 0] == pytest.approx(2 * (1 - s * s), abs=1e-15)
     assert g2[0, 1] == 0.0
-    g1, g2 = drift(c, w, nodes, TANH, 0.5, work)
-    assert g1[0] == pytest.approx(0.5 * (2 - s) * s, abs=1e-15)
-    assert g2[0, 0] == pytest.approx(0.5 * (2 - s) * (1 - s * s), abs=1e-15)
     grad = (np.ones(1), np.array([[1.0, 0.0]]))
     q, ((p1, p2),) = drift_pairing(c, w, [grad], nodes, TANH, 0.5, work)
     assert q[0] == pytest.approx(s, abs=1e-15)
+    g1, g2 = drift(c, w, nodes, TANH, 0.5, work, q)
+    assert g1[0] == pytest.approx(0.5 * (2 - s) * s, abs=1e-15)
+    assert g2[0, 0] == pytest.approx(0.5 * (2 - s) * (1 - s * s), abs=1e-15)
     assert p1 == pytest.approx(g1[0], abs=1e-15)
     assert p2 == pytest.approx(g2[0, 0], abs=1e-15)
     g1, g2 = drift(c, w, nodes, TANH, 1.0, work, q=np.full(1, 2.0))
@@ -355,20 +357,21 @@ def wide_solution():
                                       act=TANH)
 
 
-def test_solve_memory_stays_below_two_blocks(wide_solution):
-    quad, sol = wide_solution
-    assert sol.times.shape[0] == 3        # two Euler steps
-    block = sol.n_paths * quad.n * 4
-    peak = _traced_peak(lambda: solve_selfconsistent(
-        sol.slice(0), default_model(), None, 0.01, 0.02, quad=quad, act=TANH))
-    assert peak < 2 * block
-
-
 def _pairing_peak_in_row_blocks(fn, wide_solution) -> float:
     """Traced peak of ``fn(sol)`` in float32 row blocks of ``drift_pairing``
-    (0.5 MB at K = 1024; the Euler step's (M x K) block is 8 MB)."""
+    and ``drift`` (0.5 MB at K = 1024; an (M x K) block would be 8 MB)."""
     quad, sol = wide_solution
     return _traced_peak(lambda: fn(sol)) / (pairing_rows(quad.n) * quad.n * 4)
+
+
+@pytest.mark.parametrize("kind", ["tanh", "smooth-bump"])
+def test_solve_memory_stays_below_three_row_blocks(kind, wide_solution):
+    """Two Euler steps from the wide cloud; smooth-bump keeps a second (z)
+    row block."""
+    assert wide_solution[1].times.shape[0] == 3
+    assert _pairing_peak_in_row_blocks(lambda sol: solve_selfconsistent(
+        sol.slice(0), default_model(), None, 0.01, 0.02, quad=sol.quad,
+        act=activation(kind)), wide_solution) < 3
 
 
 def test_weak_residuals_memory_stays_below_three_row_blocks(wide_solution):

@@ -132,13 +132,20 @@ def test_moment_guard_row_norms_match_linalg_norm():
                                                   abs=0)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, float("nan")])
+def test_ensemble_rejects_alpha_below_zero_or_nan(alpha):
+    with pytest.raises(RejectedInputError):
+        Ensemble(np.ones(2), np.ones((2, 1)), TANH, alpha)
+
+
 def test_schedule_steps_and_snapshots():
     sched = TrainSchedule(0.5, (0.0, 0.25, 0.5))
     assert sched.n_steps(100) == 50
     assert sched.snapshot_steps(100) == [0, 25, 50]
     assert TrainSchedule(0.3).snapshot_times == (0.3,)
-    with pytest.raises(RejectedInputError):
-        TrainSchedule(-1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(RejectedInputError):
+            TrainSchedule(bad)
     with pytest.raises(RejectedInputError):
         TrainSchedule(1.0, (0.5, 0.25))
     with pytest.raises(RejectedInputError):
