@@ -29,11 +29,13 @@ class ConfigError(ValueError):
 
 
 class DivergedError(RuntimeError):
-    """A run produced non-finite or absurdly large parameters."""
+    """A run produced non-finite or absurdly large parameters: at ``step``,
+    and in ``replica`` where a batch of replicas sets it."""
 
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
         self.step = step
+        self.replica: int | None = None
 
 
 #: largest |parameter| a run may reach before it counts as diverged

@@ -14,8 +14,10 @@ Every trained replica goes through ``sgd.run_default``, which keys its
 streams by (replica, purpose) only, so runs at different network sizes share
 their initial particles and their sample streams (common random numbers);
 trend statements across an N-grid are then far less noisy, while each
-single-N statistic keeps its marginal law.  Every statistic here reads the
-state at the horizon T.
+single-N statistic keeps its marginal law.  The replica study and the chaos
+retrains train each N's replicas in lockstep, as one (R, N) batch; the
+drift/fluctuation observer runs one replica at a time.  Every statistic here
+reads the state at the horizon T.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ CHAOS_MIN_REPLICAS = 50
 
 @dataclass
 class ReplicaStudy:
-    """R independent training runs to horizon T at every size in an N-grid.
+    """R independent training runs to horizon T at every size in an N-grid,
+    with the model, initial law, activation, alpha and streams they were
+    trained with.
 
     ``clouds[(n, r)]`` is the final cloud of replica r at size n, and
     ``max_moments[(n, r)]`` the max of the parameter-moment guard over that
@@ -63,36 +67,54 @@ class ReplicaStudy:
     n_grid: tuple
     R: int
     streams: RandomStreams
+    model: DataModel
+    init: InitLaw
+    act: Activation
+    alpha: float
     clouds: dict = field(default_factory=dict)
     max_moments: dict = field(default_factory=dict)
 
     def pairings(self, f: TestFunction, n: int) -> np.ndarray:
         return np.array([pair(f, self.clouds[(n, r)]) for r in range(self.R)])
 
+    def trained_as(self, model: DataModel, init: InitLaw, act: Activation,
+                   alpha: float, T: float, streams: RandomStreams) -> bool:
+        """Whether replica r at size n here is ``run_default``'s replica r
+        for these inputs (the model compares by identity)."""
+        return (self.model is model and self.init == init and self.act == act
+                and self.alpha == alpha and self.T == T
+                and self.streams == streams)
+
 
 def _study_task(args):
-    model, init, act, alpha, T, n, r, streams = args
-    result = run_default(model, init, act, alpha, n, TrainSchedule(T), streams,
-                         replica=r, record_moments=True)
-    return (n, r), result.snapshots[-1][1], result.max_moment
+    model, init, act, alpha, T, n, replicas, streams = args
+    results = run_default(model, init, act, alpha, n, TrainSchedule(T),
+                          streams, replica=replicas, record_moments=True)
+    return [((n, r), res.snapshots[-1][1], res.max_moment)
+            for r, res in zip(replicas, results)]
 
 
 def run_study(model: DataModel, init: InitLaw, act: Activation, alpha: float,
               T: float, n_grid: Sequence[int], R: int, streams: RandomStreams,
               workers: int = 1) -> ReplicaStudy:
-    """Train replicas 0..R-1 at every N through ``sgd.run_default`` and keep
-    each final cloud; deterministic regardless of ``workers``."""
+    """Train replicas 0..R-1 at every N through ``sgd.run_default``, one
+    lockstep batch per N (``workers`` > 1 splits each N's replicas into
+    that many chunks, one per task), and keep each final cloud;
+    deterministic regardless of ``workers``."""
     if R < 2:
         raise RejectedInputError("a replica study needs R >= 2")
-    study = ReplicaStudy(float(T), tuple(int(n) for n in n_grid), R, streams)
-    tasks = [(model, init, act, alpha, T, n, r, streams)
-             for n in study.n_grid for r in range(R)]
+    study = ReplicaStudy(float(T), tuple(int(n) for n in n_grid), R, streams,
+                         model, init, act, float(alpha))
+    chunks = [c.tolist() for c in np.array_split(np.arange(R), max(1, workers))
+              if c.size]
+    tasks = [(model, init, act, alpha, T, n, chunk, streams)
+             for n in study.n_grid for chunk in chunks]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_study_task, tasks))
     else:
         outcomes = [_study_task(t) for t in tasks]
-    for key, cloud, max_m in outcomes:
+    for key, cloud, max_m in (row for rows in outcomes for row in rows):
         study.clouds[key] = cloud
         study.max_moments[key] = max_m
     return study
@@ -435,13 +457,14 @@ def chaos_test(model: DataModel, init: InitLaw, f1: TestFunction,
     a seeded bootstrap over replicas.
 
     Replica r at size n is ``run_default``'s replica r.  A ``study`` from
-    ``run_study`` on the same model, law, activation and alpha already holds
-    it when it has this T, these streams and (n, r); such replicas are read
-    from it, not retrained.  Below the input width at which ``sgd.train``
-    defers steps (d < 16) they are bit for bit the clouds a retrain gives;
-    at wider inputs the study applied every step at once (it records
-    moments) where a retrain defers them, so the two differ in the last
-    bits.
+    ``run_study`` already holds it when it was trained with this model (the
+    same object), initial law, activation, alpha, T and streams and has
+    (n, r); such replicas are read from it, not retrained, and the rest of
+    each N's replicas are trained as one batch.  Below the input width at
+    which ``sgd.train`` defers steps (d < 16) they are bit for bit the
+    clouds a retrain gives; at wider inputs the study applied every step at
+    once (it records moments) where a retrain defers them, so the two
+    differ in the last bits.
     """
     if R < CHAOS_MIN_REPLICAS:
         raise RejectedInputError(
@@ -455,17 +478,20 @@ def chaos_test(model: DataModel, init: InitLaw, f1: TestFunction,
     schedule = TrainSchedule(float(T))
     out_n, out_cov, out_lo, out_hi = [], [], [], []
     boot_rng = streams.stream(purpose="chaos-boot")
-    held = (study.clouds if study is not None and study.T == schedule.T
-            and study.streams == streams else {})
+    held = (study.clouds if study is not None and study.trained_as(
+        model, init, act, alpha, schedule.T, streams) else {})
     for n in n_grid:
         cross = np.empty(R)
         a1 = np.empty(R)
         a2 = np.empty(R)
+        clouds = {r: held[(n, r)] for r in range(R) if (n, r) in held}
+        missing = [r for r in range(R) if r not in clouds]
+        for r, res in zip(missing, run_default(model, init, act, alpha, n,
+                                               schedule, streams,
+                                               replica=missing)):
+            clouds[r] = res.snapshots[-1][1]
         for r in range(R):
-            cloud = held.get((n, r))
-            if cloud is None:
-                cloud = run_default(model, init, act, alpha, n, schedule,
-                                    streams, replica=r).snapshots[-1][1]
+            cloud = clouds[r]
             v1 = f1.value(cloud.c, cloud.w)
             v2 = f2.value(cloud.c, cloud.w)
             if mode == "single-pair":

@@ -10,9 +10,14 @@ pre-step state:
 Scaled time runs one unit per N steps, so a horizon T means floor(N*T) steps
 and the snapshot at scaled time t is the state after exactly floor(N*t) steps.
 
-Each step moves w by the rank-one matrix u x^T.  At a wide input ``train``
-defers it: w is kept as W0 + U^T X with up to B pending steps in U and X,
-folded into W0 by GEMM at least every B steps (see ``_DeferredW``).
+``train`` advances R replicas of one N in lockstep (``_Lockstep``): c as an
+(R, N) array and w as (R, N, d), each replica on its own sample stream, and
+one run is the batch of one.  Every operation of a step is elementwise or
+acts on one replica's block with the same call a lone replica makes, so a
+replica's bits do not depend on the batch it is trained in.  Each step moves
+w by the rank-one matrix u x^T.  At a wide input ``train`` defers it: w is
+kept as W0 + U^T X with up to B pending steps in U and X, folded into W0 by
+GEMM at least every B steps.
 """
 
 from __future__ import annotations
@@ -34,10 +39,14 @@ _STREAM_CHUNK = 4096  # samples drawn per refill; fixed, part of determinism
 #: apply each step at once (a block of one), where the dense update is cheap
 _DEFER_BLOCK = 64
 _DEFER_MIN_D = 16
-#: a deferred block is folded early once its bound on max|w| passes this;
-#: the slack sits far above the round-off of a 64-term sum, so no step within
-#: the bound can hold a w past DIVERGENCE_LIMIT
+#: w is scanned with its pending steps once their bound on max|w| passes
+#: this; the slack sits far above the round-off of a 64-term sum, so no step
+#: within the bound can hold a w past DIVERGENCE_LIMIT
 _BOUND_LIMIT = DIVERGENCE_LIMIT * (1.0 - 1e-9)
+#: ``run_default`` trains at most as many replicas at once as keep their
+#: clouds and sample chunks near this many floats: one batch per N at d=2,
+#: one replica at a time at d=784
+_LOCKSTEP_FLOATS = 1 << 22
 
 
 @dataclass
@@ -87,99 +96,176 @@ def sgd_step(ens: Ensemble, x: np.ndarray, y: float) -> Ensemble:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (ens.d,):
         raise RejectedInputError(f"sample has shape {x.shape}, expected ({ens.d},)")
-    _DeferredW(ens, 1).push(x, *step_increments(ens, x, y))
+    dc, u = step_increments(ens, x, y)
+    state = _Lockstep([ens], 1)
+    try:
+        state.push(x[None], dc[None], u[None])
+    finally:
+        state.sync()
     return ens
 
 
-def step_increments(ens: Ensemble, x: np.ndarray, y: float,
-                    z: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def step_increments(ens, x: np.ndarray, y, z: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """The increments of one step at sample (x, y) from the pre-step state:
     dc (N,) and the factor u (N,) of the rank-one dw = u x^T.
 
-    g = (1/N) sum_i c_i sigma(w_i . x) takes the same floats as
-    ``core.network_output``, so a network trained on its own outputs gets
-    y - g = 0 exactly and never moves.  ``z`` is w x when the caller holds
-    w in another form (``_DeferredW.preactivations``).
+    ``ens`` is an ``Ensemble`` or a ``_Lockstep`` batch, whose c, y, z and
+    increments carry a leading replica axis (R, N).  g = (1/N) sum_i c_i
+    sigma(w_i . x) takes the same floats as ``core.network_output``, so a
+    network trained on its own outputs gets y - g = 0 exactly and never
+    moves.  ``z`` is w x when the caller holds w in another form
+    (``_Lockstep.preactivations``).
     """
     act = ens.activation
     if z is None:
         z = ens.w @ x
     s = act.value(z)
-    g = float(s @ ens.c) / ens.n
-    coef = ens.alpha / ens.n * (y - g)
-    return coef * s, coef * ens.c * activation_deriv(act, z, s)
+    # c . s per replica by one BLAS dot each, the floats of s @ c
+    g = np.matmul(s[..., None, :], ens.c[..., :, None])[..., 0, 0] / ens.n
+    coef = np.asarray(ens.alpha / ens.n * (y - g))[..., None]
+    dc = coef * s
+    u = coef * ens.c
+    u *= activation_deriv(act, z, s, out=s)  # s is spent: sigma' goes there
+    return dc, u
 
 
-class _DeferredW:
-    """``ens.w`` held as W0 + U^T X, with up to ``block`` pending steps.
+class _Lockstep:
+    """R ensembles of one N, d, activation and alpha, stepped together.
 
-    Row k of U (block x N) and of X (block x d) hold pending step k's u and
-    x, and W0 is ``ens.w`` itself.  w x is W0 x + U^T (X x), which costs
-    O(N (d + k)) where applying a step costs O(N d), and a fold adds the
-    pending steps to W0 by GEMM.  c is updated at once.
+    c is (R, N) and w is (R, N, d); a batch of one holds views of its
+    ensemble's own arrays, so no copy of w is made.  Replica r's z is one
+    matrix-vector product on its (N, d) block, the call a lone replica
+    makes, and the rest of a step is elementwise or per row, so a
+    replica's bits do not depend on R.
+
+    At ``block`` > 1, w is held as W0 + U^T X per replica, with up to
+    ``block`` pending steps in U (R, block, N) and X (R, block, d).  w x
+    is then W0 x + U^T (X x), which costs O(N (d + k)) where applying a
+    step costs O(N d), and a fold adds the pending steps to W0 by GEMM.
 
     The divergence guard stays exact.  c is scanned every step, and w at
     every fold.  Between folds ``bound`` holds max|W0| from the last scan
-    plus sum_k max|u_k| max|x_k|, which is at least max|w|, and it is checked
-    every step: the first step at which it passes the limit (or stops being
-    finite) folds at once, and since every earlier step was within the
-    bound, the scan names the first step past the limit, as when every step
-    is applied at once.  A block of one folds each step as it comes and
-    adds u x^T as the plain update does, bit for bit.
+    plus sum_k max|u_k| max|x_k| over the batch, at least max|w|, and once
+    it passes the limit (or stops being finite) w is scanned with its
+    pending steps added, without folding, so the folds, and with them the
+    bits, come at the same steps whatever the batch.  A step past the
+    limit is seen at the step it happens; the error names the lowest
+    replica past it, and every replica's w is folded to that step.
     """
 
-    def __init__(self, ens: Ensemble, block: int):
-        self.ens = ens
+    def __init__(self, ensembles: list, block: int):
+        first = ensembles[0]
+        if len({(e.n, e.d, e.activation, e.alpha, e.step)
+                for e in ensembles}) > 1:
+            raise RejectedInputError(
+                "a batch needs one N, d, activation, alpha and step")
+        self.ensembles = ensembles
+        self.activation, self.alpha, self.n = first.activation, first.alpha, first.n
+        self.step = first.step
+        if len(ensembles) == 1:
+            self.c, self.w = first.c[None], first.w[None]
+        else:
+            self.c = np.stack([e.c for e in ensembles])
+            self.w = np.stack([e.w for e in ensembles])
+        r, n, d = self.w.shape
         self.block = block
-        self.u = np.empty((block, ens.n))
-        self.x = np.empty((block, ens.d))
+        self.u = np.empty((r, block, n)) if block > 1 else None
+        self.x = np.empty((r, block, d)) if block > 1 else None
         self.pending = 0
-        self.bound = max_abs(ens.w) if block > 1 else 0.0
+        self.bound = max_abs(self.w) if block > 1 else 0.0
 
     def preactivations(self, x: np.ndarray) -> np.ndarray:
-        """w x, with the pending steps added as U^T (X x)."""
-        z = self.ens.w @ x
+        """w x per replica for samples x (R, d), with the pending steps
+        added as U^T (X x)."""
+        z = np.matmul(self.w, x[:, :, None])[..., 0]
         if self.pending:
-            z += self.u[:self.pending].T @ (self.x[:self.pending] @ x)
+            xx = np.matmul(self.x[:, :self.pending], x[:, :, None])
+            z += np.matmul(self.u[:, :self.pending].transpose(0, 2, 1), xx)[..., 0]
         return z
 
     def push(self, x: np.ndarray, dc: np.ndarray, u: np.ndarray,
              fold: bool = False):
         """Take one step's increments (from ``step_increments``): add dc to
-        c and hold u x^T pending; fold when the block is full, when the
-        bound passes the limit, or when ``fold`` asks for a materialised w."""
-        ens = self.ens
-        ens.c += dc
-        ens.step += 1
-        self.u[self.pending] = u
-        self.x[self.pending] = x
+        c and u x^T to w, at once in a block of one, else held pending and
+        folded when the block is full or when ``fold`` asks for a
+        materialised w."""
+        self.c += dc
+        self.step += 1
+        if self.block == 1:
+            _add_outer(self.w, u, x)
+            self._guard(self.w)
+            return
+        self.u[:, self.pending] = u
+        self.x[:, self.pending] = x
         self.pending += 1
-        if self.block > 1:
-            self.bound += max_abs(u) * max_abs(x)
-        if fold or self.pending == self.block or not self.bound <= _BOUND_LIMIT:
+        self.bound += max_abs(u) * max_abs(x)
+        if fold or self.pending == self.block:
             self.fold()
-        try:
-            guard_divergence(ens.step, ens.c)
-        except DivergedError:
-            self.fold()  # w too stands at the step the error names
-            raise
+        elif not self.bound <= _BOUND_LIMIT:
+            self.bound = self._guard(self.w + self._pending_steps())
+        else:
+            self._guard(None)
+
+    def _pending_steps(self) -> np.ndarray:
+        j = self.pending
+        return np.matmul(self.u[:, :j].transpose(0, 2, 1), self.x[:, :j])
 
     def fold(self):
         """Add the pending steps to W0 by GEMM and scan it."""
-        j = self.pending
-        if j:
-            self.ens.w += self.u[:j].T @ self.x[:j]
+        if self.pending:
+            self.w += self._pending_steps()
             self.pending = 0
-            self.bound = guard_divergence(self.ens.step, self.ens.w)
+            self.bound = self._guard(self.w)
+
+    def _guard(self, w: np.ndarray | None) -> float | None:
+        """Check c, and ``w`` (the weights with any pending steps) when
+        given; return max|w|.  Past the limit, fold and raise
+        ``DivergedError`` with the lowest replica past it."""
+        try:
+            guard_divergence(self.step, self.c)
+            return None if w is None else guard_divergence(self.step, w)
+        except DivergedError as exc:
+            if self.pending:  # w too stands at the step the error names
+                self.w += self._pending_steps()
+                self.pending = 0
+            exc.replica = next(
+                r for r in range(self.c.shape[0])
+                if not max(max_abs(self.c[r]), max_abs(self.w[r])) <= DIVERGENCE_LIMIT)
+            raise
+
+    def sync(self):
+        """Leave each ensemble at the batch's state and step count."""
+        for r, e in enumerate(self.ensembles):
+            if len(self.ensembles) > 1:
+                e.c[...] = self.c[r]
+                e.w[...] = self.w[r]
+            e.step = self.step
 
 
-def moment_guard(ens) -> float:
+def _add_outer(w: np.ndarray, u: np.ndarray, x: np.ndarray):
+    """w += u x^T per replica, with the floats of GEMM with one inner term.
+    Below ``_DEFER_MIN_D`` it goes plane by plane, with no (R, N, d)
+    temporary."""
+    if w.shape[2] >= _DEFER_MIN_D:
+        w += u[:, :, None] * x[:, None, :]
+        return
+    plane = np.empty_like(u)
+    for j in range(w.shape[2]):
+        w[..., j] += np.multiply(u, x[:, j, None], out=plane)
+
+
+def moment_guard(ens) -> float | np.ndarray:
     """(1/N) sum_i (|c_i| + ||w_i||): the quantity whose boundedness uniform
     in N certifies that training stays in a compact parameter region.
-    ||w_i|| is sqrt(w_i . w_i) by einsum, which makes no (N, d) temporary."""
+    ||w_i|| is sqrt(w_i . w_i) by einsum, which makes no (N, d) temporary.
+    Over a leading replica axis (a ``_Lockstep`` batch) it gives one value
+    per replica."""
     c = np.asarray(ens.c, dtype=np.float64)
     w = np.asarray(ens.w, dtype=np.float64)
-    return float(np.mean(np.abs(c) + np.sqrt(np.einsum("ij,ij->i", w, w))))
+    m = np.mean(np.abs(c) + np.sqrt(np.einsum("...ij,...ij->...i", w, w)),
+                axis=-1)
+    return float(m) if m.ndim == 0 else m
 
 
 @dataclass(frozen=True)
@@ -229,72 +315,125 @@ class TrainResult:
         return float(np.max(self.moment_trace))
 
 
-def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule,
-          rng: np.random.Generator,
-          observer: Callable | None = None,
-          record_moments: bool = False) -> TrainResult:
-    """Run floor(N*T) steps on a fresh i.i.d. stream; collect snapshots.
+def _per_step(arrays: list) -> np.ndarray:
+    """Chunks (steps, ...) of R replicas as (steps, R, ...); one replica's
+    chunk is viewed, not copied."""
+    if len(arrays) == 1:
+        return arrays[0][:, None]
+    return np.stack(arrays, axis=1)
 
-    ``observer(k, ens, x, y, dc, u)``, if given, is called before each step
-    with the pre-step state, the sample about to be applied and that step's
-    increments from ``step_increments`` (used by the drift and fluctuation
-    diagnostics); the step then applies exactly those increments. Samples
-    are drawn in fixed-size chunks, so the stream consumed is a deterministic
-    function of the generator alone.
+
+def train(ens, model: DataModel, schedule: TrainSchedule, rng,
+          observer: Callable | None = None,
+          record_moments: bool = False):
+    """Run floor(N*T) steps on fresh i.i.d. streams; collect snapshots.
+
+    ``ens`` is one ``Ensemble`` with one generator ``rng``, giving one
+    ``TrainResult``, or a list of R ensembles of one N, d, activation and
+    alpha with R generators, trained in lockstep and giving R results.
+    Each replica draws its samples from its own generator in fixed-size
+    chunks, so the stream it consumes is a function of that generator
+    alone.  The first step at which any replica passes the divergence
+    limit raises ``DivergedError`` with that step and the lowest such
+    replica, and leaves every ensemble at that step.
+
+    ``observer(k, ens, x, y, dc, u)``, if given, needs a batch of one.  It
+    is called before each step with the pre-step state, the sample about to
+    be applied and that step's increments from ``step_increments`` (used by
+    the drift and fluctuation diagnostics); the step then applies exactly
+    those increments.
 
     Steps are deferred in blocks of ``_DEFER_BLOCK`` at input width d >=
     ``_DEFER_MIN_D``, and w is folded before every snapshot.  An observer or
     ``record_moments`` reads w every step, so either applies each step at
     once.
     """
-    if model.d != ens.d:
+    single = isinstance(ens, Ensemble)
+    ensembles = [ens] if single else list(ens)
+    rngs = [rng] if single else list(rng)
+    if not ensembles or len(rngs) != len(ensembles):
+        raise RejectedInputError("need one generator per ensemble")
+    if observer is not None and len(ensembles) > 1:
+        raise RejectedInputError("an observer needs a batch of one")
+    first = ensembles[0]
+    if model.d != first.d:
         raise RejectedInputError("model dimension differs from ensemble")
-    n_steps = schedule.n_steps(ens.n)
-    snap_steps = schedule.snapshot_steps(ens.n)
+    n_steps = schedule.n_steps(first.n)
+    snap_steps = schedule.snapshot_steps(first.n)
     snapshots: list = [None] * len(snap_steps)
-    trace = np.empty(n_steps + 1) if record_moments else None
+    wide = first.d >= _DEFER_MIN_D and observer is None and not record_moments
+    state = _Lockstep(ensembles, _DEFER_BLOCK if wide else 1)
+    trace = np.empty((len(ensembles), n_steps + 1)) if record_moments else None
     if record_moments:
-        trace[0] = moment_guard(ens)
-    wide = ens.d >= _DEFER_MIN_D and observer is None and not record_moments
-    pending = _DeferredW(ens, _DEFER_BLOCK if wide else 1)
+        trace[:, 0] = moment_guard(state)
     fold_at = set(snap_steps) | {n_steps}
 
     def record(step_idx: int):
         for slot, want in enumerate(snap_steps):
             if want == step_idx and snapshots[slot] is None:
-                snapshots[slot] = (schedule.snapshot_times[slot], ens.measure())
+                snapshots[slot] = [EmpiricalMeasure(c.copy(), w.copy())
+                                   for c, w in zip(state.c, state.w)]
 
     record(0)
     done = 0
-    while done < n_steps:
-        batch = sample_data(model, rng, _STREAM_CHUNK)
-        take = min(n_steps - done, batch.y.shape[0])
-        for i in range(take):
-            x, y = batch.x[i], float(batch.y[i])
-            dc, u = step_increments(ens, x, y, pending.preactivations(x))
-            if observer is not None:
-                observer(done, ens, x, y, dc, u)
-            done += 1
-            pending.push(x, dc, u, fold=done in fold_at)
-            if record_moments:
-                trace[done] = moment_guard(ens)
-            record(done)
-    return TrainResult(snapshots, trace)
+    try:
+        while done < n_steps:
+            batches = [sample_data(model, g, _STREAM_CHUNK) for g in rngs]
+            take = min(n_steps - done, _STREAM_CHUNK)
+            xs = _per_step([b.x for b in batches])
+            ys = _per_step([b.y for b in batches])
+            for i in range(take):
+                x, y = xs[i], ys[i]
+                dc, u = step_increments(state, x, y, state.preactivations(x))
+                if observer is not None:
+                    observer(done, first, x[0], float(y[0]), dc[0], u[0])
+                done += 1
+                state.push(x, dc, u, fold=done in fold_at)
+                if record_moments:
+                    trace[:, done] = moment_guard(state)
+                record(done)
+    finally:
+        state.sync()
+    results = [TrainResult([(t, clouds[r]) for t, clouds
+                            in zip(schedule.snapshot_times, snapshots)],
+                           None if trace is None else trace[r])
+               for r in range(len(ensembles))]
+    return results[0] if single else results
 
 
 def run_default(model: DataModel, init: InitLaw, act: Activation, alpha: float,
                 n: int, schedule: TrainSchedule, streams: RandomStreams,
-                replica: int = 0, record_moments: bool = False,
-                observer: Callable | None = None) -> TrainResult:
-    """Train replica ``replica`` of a fresh ensemble of n particles.
+                replica=0, record_moments: bool = False,
+                observer: Callable | None = None):
+    """Train replica ``replica`` of a fresh ensemble of n particles, or,
+    given a sequence of replicas, train them in lockstep and return one
+    result per replica, in order.
 
     The one place that keys a replica's streams, for every command and
     diagnostic: (replica, "init") and (replica, "data") whatever n is, so
     runs across an N-grid share initial-particle prefixes and the data
     sequence (common random numbers), which quiets trend comparisons.
-    ``observer`` and ``record_moments`` are passed on to ``train``.
+    Replicas go to ``train`` in batches, in order, sized to keep near
+    ``_LOCKSTEP_FLOATS`` in memory; a replica's bits do not depend on its
+    batch.  ``observer`` (one replica only) and ``record_moments`` are
+    passed on to ``train``.
     """
-    ens = Ensemble.from_init(init, act, alpha,
-                             streams.stream(replica, purpose="init"), n)
-    return train(ens, model, schedule, streams.stream(replica, purpose="data"),
-                 observer=observer, record_moments=record_moments)
+    single = np.ndim(replica) == 0
+    replicas = [int(replica)] if single else [int(r) for r in replica]
+    size = max(1, _LOCKSTEP_FLOATS // ((n + 2 * _STREAM_CHUNK) * (init.d + 1)))
+    results = []
+    for lo in range(0, len(replicas), size):
+        part = replicas[lo:lo + size]
+        ensembles = [Ensemble.from_init(init, act, alpha,
+                                        streams.stream(r, purpose="init"), n)
+                     for r in part]
+        rngs = [streams.stream(r, purpose="data") for r in part]
+        try:
+            results += train(ensembles, model, schedule, rngs,
+                             observer=observer, record_moments=record_moments)
+        except DivergedError as exc:
+            err = DivergedError(f"{exc} in replica {part[exc.replica]}",
+                                step=exc.step)
+            err.replica = part[exc.replica]
+            raise err from None
+    return results[0] if single else results

@@ -6,13 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meanfield_sgd import (DataModel, Ensemble, QuadratureSpec, RandomStreams,
-                           RejectedInputError, TrainSchedule, activation,
+from meanfield_sgd import (DataModel, Ensemble, InitLaw, QuadratureSpec,
+                           RandomStreams, RejectedInputError, TrainSchedule,
+                           activation,
                            chaos_test, default_init, default_model,
                            default_test_functions, freeze_quadrature,
                            limit_distance, lln_decay, martingale_decay,
                            moment_bound, reconcile_decomposition,
-                           run_default, run_study, solve_selfconsistent, train)
+                           run_default, run_study, solve_selfconsistent,
+                           train)
 from meanfield_sgd import diagnostics
 from meanfield_sgd.diagnostics import (_DecompositionObserver,
                                        default_martingale_quadrature)
@@ -397,7 +399,8 @@ def test_chaos_pair_averaged_tracks_single_pair(model, init):
 def test_chaos_reads_study_replicas(model, init, monkeypatch):
     """Replicas the study holds at this T and these streams are read, not
     retrained, and the table is bit for bit the same; a study at another T
-    is not used."""
+    is not used.  The retrains go to run_default as one batch per N, whose
+    replicas are counted here one at a time."""
     streams = RandomStreams(37)
     kw = dict(model=model, init=init, f1=FS[0], f2=FS[1], n_grid=[16, 32],
               T=0.25, R=50, streams=streams)
@@ -406,7 +409,7 @@ def test_chaos_reads_study_replicas(model, init, monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("replica"))
+        calls.extend(kwargs["replica"])
         return run_default(*args, **kwargs)
 
     monkeypatch.setattr(diagnostics, "run_default", counting)
@@ -421,3 +424,25 @@ def test_chaos_reads_study_replicas(model, init, monkeypatch):
     for name in ("n_values", "cov", "ci_lo", "ci_hi"):
         assert np.array_equal(getattr(reused, name), getattr(plain, name))
     assert reused.to_csv_rows() == plain.to_csv_rows()
+
+
+@pytest.mark.parametrize("mismatch", ["alpha", "activation", "init"])
+def test_chaos_ignores_a_study_trained_otherwise(model, init, mismatch):
+    """A study trained at another alpha, activation or initial law holds
+    other replicas, so chaos_test retrains them: the table is the one
+    without a study."""
+    streams = RandomStreams(3)
+    kw = dict(model=model, init=init, f1=FS[0], f2=FS[1], n_grid=[16, 32],
+              T=0.25, R=50, streams=streams)
+    other = dict(act=TANH, alpha=1.0, init=init)
+    other.update({"alpha": {"alpha": 0.0},
+                  "activation": {"act": activation("logistic")},
+                  "init": {"init": InitLaw(d=2, w_scale=0.5)}}[mismatch])
+    study = run_study(model, other["init"], other["act"], other["alpha"],
+                      0.25, [16, 32], 50, streams)
+    assert not study.trained_as(model, init, TANH, 1.0, 0.25, streams)
+    plain = chaos_test(**kw)
+    assert chaos_test(study=study, **kw).to_csv_rows() == plain.to_csv_rows()
+    same = run_study(model, init, TANH, 1.0, 0.25, [16, 32], 50, streams)
+    assert same.trained_as(model, init, TANH, 1.0, 0.25, streams)
+    assert chaos_test(study=same, **kw).to_csv_rows() == plain.to_csv_rows()

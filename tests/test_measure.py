@@ -2,6 +2,10 @@
 oracle), histograms, and CSV round trips."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,3 +258,22 @@ def test_histogram_csv_round_trip(tmp_path):
 def test_fmt_float_round_trips():
     for v in (0.1, 1.0 / 3.0, -2.5e-17, 1e300):
         assert float(fmt_float(v)) == v
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    """scipy.optimize (about 0.13 s of start-up) is imported only by the
+    exact Wasserstein path, so a fresh ``import meanfield_sgd.cli`` leaves
+    it out, and the exact path brings it in."""
+    import meanfield_sgd
+    src = str(Path(meanfield_sgd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, numpy as np, meanfield_sgd.cli\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "from meanfield_sgd import EmpiricalMeasure, wasserstein\n"
+            "a = EmpiricalMeasure(np.zeros(3), np.zeros((3, 2)))\n"
+            "wasserstein(a, a)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["False", "True"]

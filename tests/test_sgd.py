@@ -107,6 +107,128 @@ def test_divergence_guard_raises_with_step():
         train(ens, model, TrainSchedule(60.0), np.random.default_rng(4))
     assert err.value.step is not None
     assert err.value.step >= 1
+    assert err.value.replica == 0 and ens.step == err.value.step
+    # a batch stops at the first step any replica passes the limit and
+    # names the lowest such replica; here replicas 1 and 3 pass it at step
+    # 1, and replicas 0 and 2 stand at step 1 with the bits of a lone step
+    big = 0.9 * DIVERGENCE_LIMIT
+    starts = [(0.5, 0.3), (big, 1.0), (-0.4, -0.2), (big, 1.0)]
+    batch = [Ensemble(np.array([c]), np.array([[w, w]]), TANH, 1.0)
+             for c, w in starts]
+    rngs = [np.random.default_rng(60 + r) for r in range(4)]
+    with pytest.raises(DivergedError) as err:
+        train(batch, model, TrainSchedule(60.0), rngs)
+    assert (err.value.step, err.value.replica) == (1, 1)
+    assert [e.step for e in batch] == [1] * 4
+    for r in (1, 3):
+        assert not max_abs(batch[r].w) <= DIVERGENCE_LIMIT
+    for r in (0, 2):
+        alone = Ensemble(np.array([starts[r][0]]),
+                         np.array([[starts[r][1]] * 2]), TANH, 1.0)
+        x = sample_data(model, np.random.default_rng(60 + r), sgd._STREAM_CHUNK)
+        sgd_step(alone, x.x[0], float(x.y[0]))
+        assert np.array_equal(batch[r].c, alone.c)
+        assert np.array_equal(batch[r].w, alone.w)
+
+
+def test_batch_divergence_names_the_replica_id(init):
+    """A batch through run_default names the replica id, not its place in
+    the batch: the earliest diverging step of the lone runs, and the lowest
+    replica diverging there."""
+    model, streams, sched = default_model(), RandomStreams(9), TrainSchedule(5.0)
+    alone = {}
+    for r in (4, 7, 8):
+        with pytest.raises(DivergedError) as err:
+            run_default(model, init, TANH, 1e7, 20, sched, streams, replica=r)
+        alone[r] = err.value.step
+        assert err.value.replica == r
+    with pytest.raises(DivergedError) as err:
+        run_default(model, init, TANH, 1e7, 20, sched, streams,
+                    replica=[4, 7, 8])
+    first = min(alone.values())
+    assert err.value.step == first
+    assert err.value.replica == min(r for r, k in alone.items() if k == first)
+    assert f"replica {err.value.replica}" in str(err.value)
+
+
+def test_observer_needs_a_batch_of_one(model, init):
+    batch = [Ensemble.from_init(init, TANH, 1.0, np.random.default_rng(r), 8)
+             for r in range(2)]
+    with pytest.raises(RejectedInputError):
+        train(batch, model, TrainSchedule(1.0),
+              [np.random.default_rng(r) for r in range(2)],
+              observer=lambda *args: None)
+    with pytest.raises(RejectedInputError):
+        train(batch, model, TrainSchedule(1.0), [np.random.default_rng(0)])
+
+
+def _assert_same_runs(a, b):
+    for ra, rb in zip(a, b, strict=True):
+        assert [t for t, _ in ra.snapshots] == [t for t, _ in rb.snapshots]
+        for (_, ca), (_, cb) in zip(ra.snapshots, rb.snapshots):
+            assert np.array_equal(ca.c, cb.c) and np.array_equal(ca.w, cb.w)
+        if ra.moment_trace is None:
+            assert rb.moment_trace is None
+        else:
+            assert np.array_equal(ra.moment_trace, rb.moment_trace)
+            assert ra.max_moment == rb.max_moment
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["d2", "d100"])
+@pytest.mark.parametrize("record_moments", [False, True])
+def test_replica_bits_do_not_depend_on_batch(wide, record_moments):
+    """Replica r's snapshots and moment trace are the same bits in one
+    batch, in a split batch and alone, at N = 37 (not a multiple of 8).  At
+    d=100 without moments the 185 steps go through three folds of the
+    deferred update, with a snapshot inside a block."""
+    if wide:
+        model, init = wide_model(), InitLaw(d=WIDE_D, w_scale=0.3)
+    else:
+        model, init = default_model(), InitLaw(d=2)
+    streams, n = RandomStreams(61), 37
+    sched = TrainSchedule(5.0, (1.0, 5.0))
+    kw = dict(record_moments=record_moments)
+    whole = run_default(model, init, TANH, 1.0, n, sched, streams,
+                        replica=range(6), **kw)
+    split = (run_default(model, init, TANH, 1.0, n, sched, streams,
+                         replica=[0, 1], **kw)
+             + run_default(model, init, TANH, 1.0, n, sched, streams,
+                           replica=range(2, 6), **kw))
+    alone = [run_default(model, init, TANH, 1.0, n, sched, streams,
+                         replica=r, **kw) for r in range(6)]
+    _assert_same_runs(whole, split)
+    _assert_same_runs(whole, alone)
+    assert not np.array_equal(whole[0].snapshots[-1][1].c,
+                              whole[1].snapshots[-1][1].c)
+    if wide and not record_moments:
+        plain = plain_run(Ensemble.from_init(init, TANH, 1.0,
+                                             streams.stream(2, purpose="init"),
+                                             n),
+                          model, streams.stream(2, purpose="data"), 185)
+        final = whole[2].snapshots[-1][1]
+        assert close(final.c, plain.c) and close(final.w, plain.w)
+
+
+def test_replica_batches_are_capped_by_memory(monkeypatch, model, init):
+    """Capped at two replicas per batch, run_default trains three batches
+    and gives the bits of one batch."""
+    streams, sched = RandomStreams(62), TrainSchedule(1.0)
+    whole = run_default(model, init, TANH, 1.0, 24, sched, streams,
+                        replica=range(5), record_moments=True)
+    sizes = []
+    real_train = sgd.train
+
+    def counting(ens, *args, **kwargs):
+        sizes.append(len(ens))
+        return real_train(ens, *args, **kwargs)
+
+    monkeypatch.setattr(sgd, "train", counting)
+    monkeypatch.setattr(sgd, "_LOCKSTEP_FLOATS",
+                        2 * (24 + 2 * sgd._STREAM_CHUNK) * 3)
+    capped = run_default(model, init, TANH, 1.0, 24, sched, streams,
+                         replica=range(5), record_moments=True)
+    assert sizes == [2, 2, 1]
+    _assert_same_runs(whole, capped)
 
 
 def test_moment_guard_formula():
@@ -341,15 +463,16 @@ def test_deferred_c_divergence_leaves_w_folded():
     rng = np.random.default_rng(56)
     ens = wide_ensemble(8)
     w = ens.w.copy()
-    pending = sgd._DeferredW(ens, sgd._DEFER_BLOCK)
+    pending = sgd._Lockstep([ens], sgd._DEFER_BLOCK)
     for k in range(5):
         x, u = rng.standard_normal(WIDE_D), rng.standard_normal(8)
         w += np.outer(u, x)
         dc = np.full(8, 2 * DIVERGENCE_LIMIT if k == 4 else 0.0)
         if k < 4:
-            pending.push(x, dc, u)
+            pending.push(x[None], dc[None], u[None])
             continue
         with pytest.raises(DivergedError) as err:
-            pending.push(x, dc, u)
-    assert err.value.step == ens.step == 5 and pending.pending == 0
+            pending.push(x[None], dc[None], u[None])
+    assert err.value.step == pending.step == 5 and pending.pending == 0
+    assert err.value.replica == 0
     assert close(ens.w, w)
