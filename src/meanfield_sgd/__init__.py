@@ -22,6 +22,6 @@ from .meanfield import (MeanFieldSolution, PicardResult, Quadrature,
                         seed_resampled_floor, solve_selfconsistent,
                         weak_residual, weak_residuals, work_buffers)
 from .diagnostics import (ChaosTable, LimitTable, LlnTable, MartingaleTable,
-                          MomentTable, ReplicaStudy, chaos_test,
+                          MomentTable, ReplicaStudy, chaos_table, chaos_test,
                           limit_distance, lln_decay, martingale_decay,
                           moment_bound, reconcile_decomposition, run_study)

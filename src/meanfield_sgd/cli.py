@@ -6,8 +6,8 @@ artifacts embed the config hash, manifests carry per-file checksums and no
 timestamps, so re-running a command into a fresh directory reproduces every
 byte.
 
-Exit codes: 0 ok; 2 config/artifact error; 3 diverged or non-convergent run;
-4 verification failure.
+Exit codes: 0 ok; 2 config/artifact error or out of memory; 3 diverged or
+non-convergent run; 4 verification failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .core import (ConfigError, DivergedError, RandomStreams,
 from .data import (IdxFormatError, InitLaw, load_mnist_idx,
                    noisy_polynomial, sample_init, teacher_network)
 from .diagnostics import (CHAOS_MIN_REPLICAS, LLN_MIN_REPLICAS,
-                          LLN_MIN_WIDTHS, chaos_test, limit_distance,
+                          LLN_MIN_WIDTHS, chaos_table, limit_distance,
                           lln_decay, martingale_decay, moment_bound, run_study)
 from .measure import (EmpiricalMeasure, fmt_float, histogram, histogram_w1,
                       write_histogram_csv)
@@ -134,6 +134,13 @@ def _increasing(cfg: dict, key: str) -> list[int]:
     if len(grid) < 2 or any(a >= b for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{key}={cfg[key]!r}: need 2+ strictly increasing N")
     return grid
+
+
+def _at_least(command: str, *checks):
+    """Refuse the first (key, value, least) whose value is below least."""
+    for key, have, least in checks:
+        if have < least:
+            raise ConfigError(f"{key}={have}: {command} needs at least {least}")
 
 
 def _slug(label: str) -> str:
@@ -322,9 +329,10 @@ def cmd_train(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     streams = RandomStreams(seed)
     model, init, act = _build_model(cfg)
     chash = config_hash(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    _at_least("train", ("n", cfg["n"], 1), ("bins", cfg["bins"], 2))
     times = tuple(_list(cfg, "snapshot_times", float)) or (cfg["t_horizon"],)
     schedule = TrainSchedule(cfg["t_horizon"], (0.0,) + times)
+    out.mkdir(parents=True, exist_ok=True)
     try:
         result = run_default(model, init, act, cfg["alpha"], cfg["n"], schedule,
                              streams, record_moments=True)
@@ -410,12 +418,11 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     model, init, act = _build_model(cfg)
     chash = config_hash(cfg)
     n_grid, mart_grid = _increasing(cfg, "n_grid"), _increasing(cfg, "mart_n_grid")
-    for key, have, least in (("replicas", cfg["replicas"], LLN_MIN_REPLICAS),
-                             ("chaos_replicas", cfg["chaos_replicas"],
-                              CHAOS_MIN_REPLICAS),
-                             ("n_grid widths", len(n_grid), LLN_MIN_WIDTHS)):
-        if have < least:
-            raise ConfigError(f"{key}={have}: verify needs at least {least}")
+    _at_least("verify", ("replicas", cfg["replicas"], LLN_MIN_REPLICAS),
+              ("chaos_replicas", cfg["chaos_replicas"], CHAOS_MIN_REPLICAS),
+              ("n_grid widths", len(n_grid), LLN_MIN_WIDTHS),
+              ("smallest n_grid width", n_grid[0], 2),
+              ("smallest mart_n_grid width", mart_grid[0], 1))
     # the limit comes first, so a refused one costs no training
     if cfg["meanfield_dir"]:
         mf_dir = Path(cfg["meanfield_dir"])
@@ -491,9 +498,7 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
                f"gaps={np.array2string(series, precision=4)} "
                f"floor={floor:.4f} se={se:.4f}")
 
-    chaos = chaos_test(model, init, fs[0], fs[1], n_grid, T,
-                       cfg["chaos_replicas"], streams, alpha=alpha, act=act,
-                       study=study)
+    chaos = chaos_table(study, fs[0], fs[1], cfg["chaos_replicas"])
     header, rows = chaos.to_csv_rows()
     _write_csv(out / "chaos.csv", header, rows, chash)
     dec = bool(np.all(np.diff(np.abs(chaos.cov)) < 0))
@@ -520,10 +525,14 @@ def cmd_mnist_hist(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     act = activation(cfg["activation"])
     init = _init_law(cfg, model.d)
     chash = config_hash(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    n_grid = _list(cfg, "mnist_n_grid", int)
+    _at_least("mnist-hist", ("bins", cfg["bins"], 2),
+              ("mnist_n_grid widths", len(n_grid), 1),
+              ("smallest mnist_n_grid width", min(n_grid, default=1), 1))
     schedule = TrainSchedule(cfg["t_horizon"])
+    out.mkdir(parents=True, exist_ok=True)
     hists = []
-    for n in _list(cfg, "mnist_n_grid", int):
+    for n in n_grid:
         cloud = run_default(model, init, act, cfg["alpha"], n, schedule,
                             streams).snapshots[-1][1]
         h = histogram(cloud, "c", cfg["bins"])
@@ -576,6 +585,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except DivergedError as exc:
         print(f"diverged: {exc}", file=sys.stderr)

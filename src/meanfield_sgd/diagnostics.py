@@ -14,14 +14,17 @@ Every trained replica goes through ``sgd.run_default``, which keys its
 streams by (replica, purpose) only, so runs at different network sizes share
 their initial particles and their sample streams (common random numbers);
 trend statements across an N-grid are then far less noisy, while each
-single-N statistic keeps its marginal law.  The replica study and the chaos
-retrains train each N's replicas in lockstep, as one (R, N) batch; the
-drift/fluctuation observer runs one replica at a time.  Every statistic here
-reads the state at the horizon T.
+single-N statistic keeps its marginal law.  The replica study trains each
+N's replicas in lockstep, as one (R, N) batch, and the chaos table reads
+them and trains the replicas it needs beyond them the same way, with the
+study's own setup; the drift/fluctuation observer runs one replica at a
+time, against ``default_martingale_quadrature``.  Every statistic here reads
+the state at the horizon T.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -33,7 +36,7 @@ from .core import (Activation, RandomStreams, RejectedInputError,
 from .data import DataModel, InitLaw
 from .measure import fmt_float, pair, resample, wasserstein
 from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec,
-                        _as_quadrature, drift_pairing, node_arrays,
+                        drift_pairing, freeze_quadrature, node_arrays,
                         work_buffers)
 from .sgd import Ensemble, TrainSchedule, run_default
 
@@ -42,7 +45,7 @@ SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 #: 1000 rows cost microseconds
 N_BOOT = 1000
 #: the least replicas and N-grid widths behind a decay slope (``lln_decay``)
-#: and the least replicas behind a chaos covariance (``chaos_test``)
+#: and the least replicas behind a chaos covariance (``chaos_table``)
 LLN_MIN_REPLICAS = 20
 LLN_MIN_WIDTHS = 3
 CHAOS_MIN_REPLICAS = 50
@@ -77,14 +80,6 @@ class ReplicaStudy:
     def pairings(self, f: TestFunction, n: int) -> np.ndarray:
         return np.array([pair(f, self.clouds[(n, r)]) for r in range(self.R)])
 
-    def trained_as(self, model: DataModel, init: InitLaw, act: Activation,
-                   alpha: float, T: float, streams: RandomStreams) -> bool:
-        """Whether replica r at size n here is ``run_default``'s replica r
-        for these inputs (the model compares by identity)."""
-        return (self.model is model and self.init == init and self.act == act
-                and self.alpha == alpha and self.T == T
-                and self.streams == streams)
-
 
 def _study_task(args):
     model, init, act, alpha, T, n, replicas, streams = args
@@ -98,19 +93,22 @@ def run_study(model: DataModel, init: InitLaw, act: Activation, alpha: float,
               T: float, n_grid: Sequence[int], R: int, streams: RandomStreams,
               workers: int = 1) -> ReplicaStudy:
     """Train replicas 0..R-1 at every N through ``sgd.run_default``, one
-    lockstep batch per N (``workers`` > 1 splits each N's replicas into
-    that many chunks, one per task), and keep each final cloud;
-    deterministic regardless of ``workers``."""
+    lockstep batch per N, and keep each final cloud; deterministic
+    regardless of ``workers``.  ``workers`` > 1 splits each N's replicas
+    into one chunk per process, and the pool never holds more processes
+    than replicas or usable cores."""
     if R < 2:
         raise RejectedInputError("a replica study needs R >= 2")
     study = ReplicaStudy(float(T), tuple(int(n) for n in n_grid), R, streams,
                          model, init, act, float(alpha))
-    chunks = [c.tolist() for c in np.array_split(np.arange(R), max(1, workers))
-              if c.size]
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    procs = min(workers, R, cores)
+    chunks = [c.tolist() for c in np.array_split(np.arange(R), max(1, procs))]
     tasks = [(model, init, act, alpha, T, n, chunk, streams)
              for n in study.n_grid for chunk in chunks]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if procs > 1:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             outcomes = list(pool.map(_study_task, tasks))
     else:
         outcomes = [_study_task(t) for t in tasks]
@@ -261,7 +259,7 @@ class MartingaleTable:
 
 def martingale_decay(model: DataModel, init: InitLaw, f: TestFunction,
                      n_grid: Sequence[int], T: float, R: int,
-                     streams: RandomStreams, quad=None, alpha: float = 1.0,
+                     streams: RandomStreams, alpha: float = 1.0,
                      act: Activation | None = None) -> MartingaleTable:
     """Second moments of the accumulated fluctuation terms M1(T), M2(T).
 
@@ -271,8 +269,8 @@ def martingale_decay(model: DataModel, init: InitLaw, f: TestFunction,
     averages floor(N*T) terms per run and is far tighter at small R.
     """
     act = act or activation("tanh")
-    quad = _as_quadrature(quad or default_martingale_quadrature(model), model,
-                          streams.stream(purpose="quadrature"))
+    quad = freeze_quadrature(default_martingale_quadrature(model), model,
+                             streams.stream(purpose="quadrature"))
     schedule = TrainSchedule(float(T))
     rows = {n: ([], [], [], []) for n in n_grid}
     for n in n_grid:
@@ -307,7 +305,7 @@ class ReconcileReport:
 
 def reconcile_decomposition(model: DataModel, init: InitLaw, f: TestFunction,
                             n: int, T: float, streams: RandomStreams,
-                            quad=None, alpha: float = 1.0,
+                            alpha: float = 1.0,
                             act: Activation | None = None) -> ReconcileReport:
     """Train one replica comparing the decomposition against ground truth.
 
@@ -319,8 +317,8 @@ def reconcile_decomposition(model: DataModel, init: InitLaw, f: TestFunction,
     cloud.
     """
     act = act or activation("tanh")
-    quad = _as_quadrature(quad or default_martingale_quadrature(model), model,
-                          streams.stream(purpose="quadrature"))
+    quad = freeze_quadrature(default_martingale_quadrature(model), model,
+                             streams.stream(purpose="quadrature"))
     schedule = TrainSchedule(float(T))
     n_steps = schedule.n_steps(n)
     obs = _DecompositionObserver(f, quad, alpha, act, n_steps, n)
@@ -433,7 +431,6 @@ class ChaosTable:
     cov: np.ndarray
     ci_lo: np.ndarray
     ci_hi: np.ndarray
-    mode: str
 
     def to_csv_rows(self):
         header = "n,cov,ci_lo,ci_hi"
@@ -442,77 +439,66 @@ class ChaosTable:
         return header, rows
 
 
-def chaos_test(model: DataModel, init: InitLaw, f1: TestFunction,
-               f2: TestFunction, n_grid: Sequence[int], T: float, R: int,
-               streams: RandomStreams, alpha: float = 1.0,
-               act: Activation | None = None, mode: str = "pair-averaged",
-               pair_indices: tuple[int, int] = (0, 1),
-               study: ReplicaStudy | None = None) -> ChaosTable:
-    """Estimated Cov(f1 of one particle, f2 of another) after training.
+def chaos_table(study: ReplicaStudy, f1: TestFunction, f2: TestFunction,
+                R: int) -> ChaosTable:
+    """Estimated Cov(f1 of one particle, f2 of another) at the horizon, per
+    width of the study's N-grid, over replicas 0..R-1.
 
-    mode "single-pair" uses exactly the particles named by ``pair_indices``;
-    mode "pair-averaged" (default) averages f1(z_i) f2(z_j) over all ordered
-    pairs i != j, which estimates the same covariance (particles are
-    exchangeable) at a fraction of the replica noise.  The 95% CI comes from
-    a seeded bootstrap over replicas.
+    f1(z_i) f2(z_j) is averaged over all ordered pairs i != j, which
+    estimates the covariance of any one pair (particles are exchangeable) at
+    a fraction of the replica noise.  The 95% CI comes from a seeded
+    bootstrap over replicas.
 
-    Replica r at size n is ``run_default``'s replica r.  A ``study`` from
-    ``run_study`` already holds it when it was trained with this model (the
-    same object), initial law, activation, alpha, T and streams and has
-    (n, r); such replicas are read from it, not retrained, and the rest of
-    each N's replicas are trained as one batch.  Below the input width at
-    which ``sgd.train`` defers steps (d < 16) they are bit for bit the
-    clouds a retrain gives; at wider inputs the study applied every step at
-    once (it records moments) where a retrain defers them, so the two
-    differ in the last bits.
+    Replicas the study holds are read; the rest are trained as one
+    ``run_default`` batch per N with the study's model, initial law,
+    activation, alpha, T and streams.  Below the input width at which
+    ``sgd.train`` defers steps (d < 16) the two are bit for bit the same
+    clouds; at wider inputs the study applied every step at once (it
+    records moments) where the retrains defer them, so the two differ in
+    the last bits.
     """
     if R < CHAOS_MIN_REPLICAS:
         raise RejectedInputError(
             f"chaos estimates need R >= {CHAOS_MIN_REPLICAS}")
-    if min(n_grid) < 2:
+    if min(study.n_grid) < 2:
         raise RejectedInputError("chaos needs at least 2 particles")
-    if mode not in ("pair-averaged", "single-pair"):
-        raise RejectedInputError(f"unknown mode {mode!r}")
-    act = act or activation("tanh")
-    i1, i2 = pair_indices
-    schedule = TrainSchedule(float(T))
-    out_n, out_cov, out_lo, out_hi = [], [], [], []
-    boot_rng = streams.stream(purpose="chaos-boot")
-    held = (study.clouds if study is not None and study.trained_as(
-        model, init, act, alpha, schedule.T, streams) else {})
-    for n in n_grid:
-        cross = np.empty(R)
-        a1 = np.empty(R)
-        a2 = np.empty(R)
-        clouds = {r: held[(n, r)] for r in range(R) if (n, r) in held}
-        missing = [r for r in range(R) if r not in clouds]
-        for r, res in zip(missing, run_default(model, init, act, alpha, n,
-                                               schedule, streams,
-                                               replica=missing)):
-            clouds[r] = res.snapshots[-1][1]
-        for r in range(R):
-            cloud = clouds[r]
+    schedule = TrainSchedule(study.T)
+    held = min(R, study.R)
+    out_cov, out_lo, out_hi = [], [], []
+    boot_rng = study.streams.stream(purpose="chaos-boot")
+    for n in study.n_grid:
+        clouds = [study.clouds[(n, r)] for r in range(held)]
+        clouds += [res.snapshots[-1][1] for res in run_default(
+            study.model, study.init, study.act, study.alpha, n, schedule,
+            study.streams, replica=list(range(held, R)))]
+        cross, a1, a2 = np.empty(R), np.empty(R), np.empty(R)
+        for r, cloud in enumerate(clouds):
             v1 = f1.value(cloud.c, cloud.w)
             v2 = f2.value(cloud.c, cloud.w)
-            if mode == "single-pair":
-                cross[r] = v1[i1] * v2[i2]
-                a1[r], a2[r] = v1[i1], v2[i2]
-            else:
-                s1, s2 = float(np.mean(v1)), float(np.mean(v2))
-                s12 = float(np.mean(v1 * v2))
-                cross[r] = (n * s1 * s2 - s12) / (n - 1)
-                a1[r], a2[r] = s1, s2
-        cov = float(np.mean(cross) - np.mean(a1) * np.mean(a2))
+            s1, s2 = float(np.mean(v1)), float(np.mean(v2))
+            s12 = float(np.mean(v1 * v2))
+            cross[r] = (n * s1 * s2 - s12) / (n - 1)
+            a1[r], a2[r] = s1, s2
+        out_cov.append(float(np.mean(cross) - np.mean(a1) * np.mean(a2)))
         idx = boot_rng.integers(0, R, size=(N_BOOT, R))
         boots = (np.mean(cross[idx], axis=1)
                  - np.mean(a1[idx], axis=1) * np.mean(a2[idx], axis=1))
         lo, hi = np.percentile(boots, [2.5, 97.5])
-        out_n.append(int(n))
-        out_cov.append(cov)
         out_lo.append(float(lo))
         out_hi.append(float(hi))
-    return ChaosTable(np.array(out_n), np.array(out_cov), np.array(out_lo),
-                      np.array(out_hi), mode)
+    return ChaosTable(np.array(study.n_grid), np.array(out_cov),
+                      np.array(out_lo), np.array(out_hi))
+
+
+def chaos_test(model: DataModel, init: InitLaw, f1: TestFunction,
+               f2: TestFunction, n_grid: Sequence[int], T: float, R: int,
+               streams: RandomStreams, alpha: float = 1.0,
+               act: Activation | None = None) -> ChaosTable:
+    """``chaos_table`` over a study of this setup that holds no replica yet,
+    so every replica is trained here."""
+    study = ReplicaStudy(float(T), tuple(int(n) for n in n_grid), 0, streams,
+                         model, init, act or activation("tanh"), float(alpha))
+    return chaos_table(study, f1, f2, R)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,46 @@ def test_train_divergence_exit_3(tmp_path):
     assert read_manifest(out)["status"] == "diverged"
 
 
+@pytest.mark.parametrize("command,line", [
+    ("train", "bins=1"), ("train", "n=0"),
+    ("train", "snapshot_times=0.3,0.1"),
+    ("mnist-hist", "mnist_n_grid=100,0"), ("mnist-hist", "mnist_n_grid="),
+    ("mnist-hist", "bins=1"),
+])
+def test_train_and_mnist_hist_refuse_before_any_output(
+        idx_files, tmp_path, capsys, monkeypatch, command, line):
+    """Bins, widths and the schedule are checked before the output directory
+    is made or a replica trained, so a refused config exits 2 and leaves
+    nothing behind."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("training started before the config was checked")
+
+    monkeypatch.setattr(cli, "run_default", no_work)
+    images, labels = idx_files
+    cfg = _write_cfg(tmp_path, f"images={images}\nlabels={labels}\n"
+                               f"t_horizon=0.5\n{line}\n")
+    out = tmp_path / "x"
+    rc = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    assert rc == 2 and capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    """An allocation too large for the machine is a config error (exit 2),
+    reported in one line rather than a traceback."""
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with "
+                          "shape (100000000, 1000) and data type float64")
+
+    monkeypatch.setattr(cli, "run_default", too_big)
+    cfg = _write_cfg(tmp_path, TRAIN_CFG)
+    rc = main(["train", "--config", cfg, "--out", str(tmp_path / "x"),
+               "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: out of memory")
+    assert err.count("\n") == 1
+
+
 def test_unknown_model_exit_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "model=quux\n")
     rc = main(["train", "--config", cfg, "--out", str(tmp_path / "x"), "--quiet"])
@@ -440,12 +480,14 @@ def test_verify_rejects_grid_out_of_order(tmp_path, capsys, grids):
 
 @pytest.mark.parametrize("keys", [("replicas=20", "replicas=19"),
                                   ("chaos_replicas=50", "chaos_replicas=49"),
-                                  ("n_grid=16,32,64", "n_grid=16,64")])
+                                  ("n_grid=16,32,64", "n_grid=16,64"),
+                                  ("n_grid=16,32,64", "n_grid=1,32,64"),
+                                  ("mart_n_grid=16,64", "mart_n_grid=0,64")])
 def test_verify_rejects_too_few_replicas_or_widths_up_front(
         tmp_path, capsys, monkeypatch, keys):
-    """The slope and chaos statistics' minimums are checked before the limit
-    is solved or a replica trained, so such a config exits 2 at once and
-    writes no output directory."""
+    """The slope and chaos statistics' minimums, and the least width of
+    each grid, are checked before the limit is solved or a replica trained,
+    so such a config exits 2 at once and writes no output directory."""
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the config was checked")
 

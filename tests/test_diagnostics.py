@@ -8,7 +8,7 @@ import pytest
 
 from meanfield_sgd import (DataModel, Ensemble, InitLaw, QuadratureSpec,
                            RandomStreams, RejectedInputError, TrainSchedule,
-                           activation,
+                           activation, chaos_table,
                            chaos_test, default_init, default_model,
                            default_test_functions, freeze_quadrature,
                            limit_distance, lln_decay, martingale_decay,
@@ -43,6 +43,41 @@ def test_run_study_is_deterministic_and_parallel_invariant(model, init):
         ca, cb = serial.clouds[key], pooled.clouds[key]
         assert np.array_equal(ca.c, cb.c) and np.array_equal(ca.w, cb.w)
     assert serial.max_moments == pooled.max_moments
+
+
+@pytest.mark.parametrize("cores,want", [(64, 3), (2, 2), (1, None)])
+def test_run_study_pool_is_capped_by_replicas_and_cores(
+        model, init, monkeypatch, cores, want):
+    """A pool forks all its processes at the first task, so workers=5000
+    must not ask for more processes than replicas or usable cores; one
+    usable core trains in-process.  The pool here is a stand-in that
+    records its size and runs the tasks in this process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(diagnostics.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)))
+    kw = dict(model=model, init=init, act=TANH, alpha=1.0, T=0.25,
+              n_grid=[16], R=3, streams=RandomStreams(5))
+    capped = run_study(**kw, workers=5000)
+    assert sizes == ([] if want is None else [want])
+    serial = run_study(**kw)
+    for key in serial.clouds:
+        assert np.array_equal(capped.clouds[key].w, serial.clouds[key].w)
+    assert capped.max_moments == serial.max_moments
 
 
 def test_study_clouds_are_run_default_replicas(model, init):
@@ -359,9 +394,6 @@ def test_chaos_guards(model, init):
     with pytest.raises(RejectedInputError):
         chaos_test(model, init, FS[0], FS[1], [1, 16], 0.2, 50,
                    RandomStreams(0))
-    with pytest.raises(RejectedInputError):
-        chaos_test(model, init, FS[0], FS[1], [16], 0.2, 50, RandomStreams(0),
-                   mode="triples")
 
 
 def test_chaos_alpha_zero_ci_contains_zero(model, init):
@@ -375,37 +407,52 @@ def test_chaos_alpha_zero_ci_contains_zero(model, init):
     assert len(rows) == 2
 
 
+def _single_pair(clouds, f1, f2, i, j, rng):
+    """Cov(f1 of particle i, f2 of particle j) across the replicas' clouds
+    and the width of its 95% bootstrap CI."""
+    a = np.array([f1.value(cloud.c, cloud.w)[i] for cloud in clouds])
+    b = np.array([f2.value(cloud.c, cloud.w)[j] for cloud in clouds])
+    idx = rng.integers(0, len(clouds), size=(1000, len(clouds)))
+    boots = (np.mean((a * b)[idx], axis=1)
+             - np.mean(a[idx], axis=1) * np.mean(b[idx], axis=1))
+    lo, hi = np.percentile(boots, [2.5, 97.5])
+    return float(np.mean(a * b) - np.mean(a) * np.mean(b)), float(hi - lo)
+
+
+def _trained_clouds(model, init, n, T, R, streams):
+    return [res.snapshots[-1][1] for res in run_default(
+        model, init, TANH, 1.0, n, TrainSchedule(T), streams,
+        replica=list(range(R)))]
+
+
 def test_chaos_single_pair_mode_and_exchangeability(model, init):
     """Estimates from different particle pairs agree within their joint
     noise: the law of the particle system is exchangeable."""
-    kw = dict(model=model, init=init, f1=FS[0], f2=FS[1], n_grid=[48],
-              T=0.3, R=60, streams=RandomStreams(23))
-    a = chaos_test(mode="single-pair", pair_indices=(0, 1), **kw)
-    b = chaos_test(mode="single-pair", pair_indices=(17, 31), **kw)
-    width = (a.ci_hi[0] - a.ci_lo[0]) + (b.ci_hi[0] - b.ci_lo[0])
-    assert abs(a.cov[0] - b.cov[0]) <= width
-    assert a.mode == "single-pair"
+    streams = RandomStreams(23)
+    clouds = _trained_clouds(model, init, 48, 0.3, 60, streams)
+    cov_a, width_a = _single_pair(clouds, FS[0], FS[1], 0, 1,
+                                  streams.stream(purpose="chaos-boot"))
+    cov_b, width_b = _single_pair(clouds, FS[0], FS[1], 17, 31,
+                                  streams.stream(purpose="chaos-boot"))
+    assert abs(cov_a - cov_b) <= width_a + width_b
 
 
 def test_chaos_pair_averaged_tracks_single_pair(model, init):
-    kw = dict(model=model, init=init, f1=FS[0], f2=FS[0], n_grid=[32],
-              T=0.3, R=60, streams=RandomStreams(31))
-    avg = chaos_test(mode="pair-averaged", **kw)
-    single = chaos_test(mode="single-pair", **kw)
-    width = (single.ci_hi[0] - single.ci_lo[0])
-    assert abs(avg.cov[0] - single.cov[0]) <= 1.5 * width
+    streams = RandomStreams(31)
+    avg = chaos_test(model, init, FS[0], FS[0], [32], 0.3, 60, streams)
+    clouds = _trained_clouds(model, init, 32, 0.3, 60, streams)
+    cov, width = _single_pair(clouds, FS[0], FS[0], 0, 1,
+                              streams.stream(purpose="chaos-boot"))
+    assert abs(avg.cov[0] - cov) <= 1.5 * width
 
 
 def test_chaos_reads_study_replicas(model, init, monkeypatch):
-    """Replicas the study holds at this T and these streams are read, not
-    retrained, and the table is bit for bit the same; a study at another T
-    is not used.  The retrains go to run_default as one batch per N, whose
-    replicas are counted here one at a time."""
+    """Replicas the study holds are read, not retrained, and the table is
+    bit for bit the one that trains them all.  The retrains go to
+    run_default as one batch per N, whose replicas are counted here one at
+    a time."""
     streams = RandomStreams(37)
-    kw = dict(model=model, init=init, f1=FS[0], f2=FS[1], n_grid=[16, 32],
-              T=0.25, R=50, streams=streams)
     held = run_study(model, init, TANH, 1.0, 0.25, [16, 32], 3, streams)
-    other_t = run_study(model, init, TANH, 1.0, 0.5, [16, 32], 3, streams)
     calls = []
 
     def counting(*args, **kwargs):
@@ -413,36 +460,30 @@ def test_chaos_reads_study_replicas(model, init, monkeypatch):
         return run_default(*args, **kwargs)
 
     monkeypatch.setattr(diagnostics, "run_default", counting)
-    plain = chaos_test(**kw)
+    plain = chaos_test(model, init, FS[0], FS[1], [16, 32], 0.25, 50, streams)
     assert len(calls) == 50 * 2
     calls.clear()
-    reused = chaos_test(study=held, **kw)
+    reused = chaos_table(held, FS[0], FS[1], 50)
     assert len(calls) == (50 - 3) * 2 and min(calls) == 3
-    calls.clear()
-    chaos_test(study=other_t, **kw)
-    assert len(calls) == 50 * 2
     for name in ("n_values", "cov", "ci_lo", "ci_hi"):
         assert np.array_equal(getattr(reused, name), getattr(plain, name))
     assert reused.to_csv_rows() == plain.to_csv_rows()
 
 
-@pytest.mark.parametrize("mismatch", ["alpha", "activation", "init"])
-def test_chaos_ignores_a_study_trained_otherwise(model, init, mismatch):
-    """A study trained at another alpha, activation or initial law holds
-    other replicas, so chaos_test retrains them: the table is the one
-    without a study."""
+@pytest.mark.parametrize("setup", ["alpha", "activation", "init"])
+def test_chaos_table_trains_with_its_study_setup(model, init, setup):
+    """A study trained at another alpha, activation or initial law gives
+    the table of chaos_test at that setup, byte for byte: the replicas the
+    study lacks are trained with the study's own setup."""
     streams = RandomStreams(3)
-    kw = dict(model=model, init=init, f1=FS[0], f2=FS[1], n_grid=[16, 32],
-              T=0.25, R=50, streams=streams)
     other = dict(act=TANH, alpha=1.0, init=init)
     other.update({"alpha": {"alpha": 0.0},
                   "activation": {"act": activation("logistic")},
-                  "init": {"init": InitLaw(d=2, w_scale=0.5)}}[mismatch])
+                  "init": {"init": InitLaw(d=2, w_scale=0.5)}}[setup])
     study = run_study(model, other["init"], other["act"], other["alpha"],
-                      0.25, [16, 32], 50, streams)
-    assert not study.trained_as(model, init, TANH, 1.0, 0.25, streams)
-    plain = chaos_test(**kw)
-    assert chaos_test(study=study, **kw).to_csv_rows() == plain.to_csv_rows()
-    same = run_study(model, init, TANH, 1.0, 0.25, [16, 32], 50, streams)
-    assert same.trained_as(model, init, TANH, 1.0, 0.25, streams)
-    assert chaos_test(study=same, **kw).to_csv_rows() == plain.to_csv_rows()
+                      0.25, [16, 32], 3, streams)
+    ref = chaos_test(model, other["init"], FS[0], FS[1], [16, 32], 0.25, 50,
+                     streams, alpha=other["alpha"], act=other["act"])
+    table = chaos_table(study, FS[0], FS[1], 50)
+    assert table.to_csv_rows() == ref.to_csv_rows()
+    assert np.array_equal(table.cov, ref.cov)
