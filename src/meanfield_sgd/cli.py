@@ -332,6 +332,7 @@ def cmd_train(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     _at_least("train", ("n", cfg["n"], 1), ("bins", cfg["bins"], 2))
     times = tuple(_list(cfg, "snapshot_times", float)) or (cfg["t_horizon"],)
     schedule = TrainSchedule(cfg["t_horizon"], (0.0,) + times)
+    schedule.n_steps(cfg["n"])  # refuses a horizon too long to count
     out.mkdir(parents=True, exist_ok=True)
     try:
         result = run_default(model, init, act, cfg["alpha"], cfg["n"], schedule,
@@ -423,6 +424,7 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
               ("n_grid widths", len(n_grid), LLN_MIN_WIDTHS),
               ("smallest n_grid width", n_grid[0], 2),
               ("smallest mart_n_grid width", mart_grid[0], 1))
+    TrainSchedule(cfg["t_horizon"]).n_steps(max(n_grid[-1], mart_grid[-1]))
     # the limit comes first, so a refused one costs no training
     if cfg["meanfield_dir"]:
         mf_dir = Path(cfg["meanfield_dir"])
@@ -530,6 +532,7 @@ def cmd_mnist_hist(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
               ("mnist_n_grid widths", len(n_grid), 1),
               ("smallest mnist_n_grid width", min(n_grid, default=1), 1))
     schedule = TrainSchedule(cfg["t_horizon"])
+    schedule.n_steps(max(n_grid))  # refuses a horizon too long to count
     out.mkdir(parents=True, exist_ok=True)
     hists = []
     for n in n_grid:

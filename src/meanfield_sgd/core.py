@@ -86,11 +86,6 @@ class Activation:
     deriv_from_value: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-#: elements of the scratch block through which in-place shortcuts that read
-#: their argument twice are streamed
-_SCRATCH_ELEMS = 1 << 16
-
-
 def _tanh_dfv(v, out=None):
     if out is None:
         return 1.0 - v * v
@@ -101,12 +96,7 @@ def _tanh_dfv(v, out=None):
 def _logistic_dfv(v, out=None):
     if out is None:
         return v * (1.0 - v)
-    # out may be v itself, so 1 - v goes through one small block at a time
-    rows = max(1, _SCRATCH_ELEMS // max(1, v[0].size))
-    for lo in range(0, v.shape[0], rows):
-        vb = v[lo:lo + rows]
-        np.multiply(vb, 1.0 - vb, out=out[lo:lo + rows])
-    return out
+    return np.multiply(v, 1.0 - v, out=out)  # out may be v itself
 
 
 def _tanh_d1(z):

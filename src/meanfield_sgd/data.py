@@ -195,16 +195,25 @@ def sample_init(law: InitLaw, rng: np.random.Generator, n: int) -> EmpiricalMeas
     draw, and mapped in place into c and w, so no temporary of w's size is
     made.
     """
+    c, w = _sample_clouds(law, [rng], n)
+    return EmpiricalMeasure(c[0], w[0])
+
+
+def _sample_clouds(law: InitLaw, rngs: list, n: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """One cloud of n particles per generator, written into c (R, n) and w
+    (R, n, d): the sampler behind ``sample_init`` and the replica batches of
+    ``sgd.run_default``, so both draw the same uniform blocks."""
     if n < 1:
         raise RejectedInputError("need n >= 1 particles")
     width = 1 + law.d
-    c = np.empty(n)
-    w = np.empty((n, law.d))
+    c, w = np.empty((len(rngs), n)), np.empty((len(rngs), n, law.d))
     rows = max(1, _INIT_BLOCK // width)
-    for lo in range(0, n, rows):
-        u = rng.random((min(rows, n - lo), width))
-        _map_init(law, u, c[lo:lo + rows], w[lo:lo + rows])
-    return EmpiricalMeasure(c, w)
+    for r, rng in enumerate(rngs):
+        for lo in range(0, n, rows):
+            u = rng.random((min(rows, n - lo), width))
+            _map_init(law, u, c[r, lo:lo + rows], w[r, lo:lo + rows])
+    return c, w
 
 
 def _map_init(law: InitLaw, u: np.ndarray, c: np.ndarray, w: np.ndarray):

@@ -6,7 +6,7 @@ limit, and asymptotic pairwise independence of particles.
 The drift/fluctuation observer takes its conditional terms from the pairing
 form of the mean-field solver's velocity field (``meanfield.drift_pairing``,
 which also gives the weak-form residual; run here in float64) and its
-realized terms from the increments that ``sgd.train`` computes once per
+realized terms from the increments that the SGD loop computes once per
 step, hands to the observer and then applies, so the formula for the field
 lives in ``meanfield`` and ``sgd`` only.
 
@@ -34,11 +34,11 @@ import numpy as np
 from .core import (Activation, RandomStreams, RejectedInputError,
                    TestFunction, activation)
 from .data import DataModel, InitLaw
-from .measure import fmt_float, pair, resample, wasserstein
+from .measure import EmpiricalMeasure, fmt_float, pair, resample, wasserstein
 from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec,
                         drift_pairing, freeze_quadrature, node_arrays,
                         work_buffers)
-from .sgd import Ensemble, TrainSchedule, run_default
+from .sgd import TrainSchedule, run_default
 
 SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 #: bootstrap resamples behind every SE and CI here; R <= 60 replicas make
@@ -176,10 +176,10 @@ def lln_decay(study: ReplicaStudy, f: TestFunction) -> LlnTable:
 
 
 class _DecompositionObserver:
-    """train() observer accumulating the four components step by step.
+    """SGD observer accumulating the four components step by step.
 
     The realized terms contract the step's own increments (dc, dw = u x^T),
-    as ``train`` passes them, with the test function's gradient.  The
+    as the SGD loop passes them, with the test function's gradient.  The
     conditional terms are the same contraction with the velocity field
     (g1, g2) over the frozen quadrature: E[dc_i] = g1_i / N and E[dw_i] =
     g2_i / N.  ``drift_pairing`` takes that contraction over particle row
@@ -199,12 +199,12 @@ class _DecompositionObserver:
         self._nodes = node_arrays(quad, np.float64)
         self._work = work_buffers(n, quad.n, act, np.float64)
 
-    def __call__(self, k: int, ens: Ensemble, x: np.ndarray, y: float,
-                 dc: np.ndarray, u: np.ndarray):
-        if ens.n != self.n:
+    def __call__(self, k: int, cloud: EmpiricalMeasure, x: np.ndarray,
+                 y: float, dc: np.ndarray, u: np.ndarray):
+        if cloud.n != self.n:
             raise RejectedInputError(
-                f"observer built for N={self.n} got an ensemble of {ens.n}")
-        c, w, n = ens.c, ens.w, self.n
+                f"observer built for N={self.n} got a cloud of {cloud.n}")
+        c, w, n = cloud.c, cloud.w, self.n
         fc = self.f.grad_c(c, w)
         fw = self.f.grad_w(c, w)
         # realized first-order increments at the actual sample
@@ -452,7 +452,7 @@ def chaos_table(study: ReplicaStudy, f1: TestFunction, f2: TestFunction,
     Replicas the study holds are read; the rest are trained as one
     ``run_default`` batch per N with the study's model, initial law,
     activation, alpha, T and streams.  Below the input width at which
-    ``sgd.train`` defers steps (d < 16) the two are bit for bit the same
+    the SGD loop defers steps (d < 16) the two are bit for bit the same
     clouds; at wider inputs the study applied every step at once (it
     records moments) where the retrains defer them, so the two differ in
     the last bits.

@@ -302,7 +302,12 @@ def _snapshot_plan(dt: float, T: float, snapshot_times):
     """(n_steps, dt_eff, snapshot steps) for horizon T.  A given grid must
     end at T: ``picard_iterate`` takes its horizon from the last snapshot, so
     a grid that stopped early would shorten the solve."""
-    n_steps = max(1, int(round(T / dt)))
+    if not dt > 0 or not T > 0:
+        raise RejectedInputError("need dt > 0 and T > 0")
+    steps = T / dt
+    if not steps < 2.0 ** 53:  # past it a float no longer names one step
+        raise RejectedInputError(f"T/dt = {steps:g} steps are too many to count")
+    n_steps = max(1, int(round(steps)))
     dt_eff = T / n_steps
     if snapshot_times is None:
         count = min(51, n_steps + 1)
@@ -329,13 +334,11 @@ def solve_selfconsistent(init, model: DataModel, M: int | None, dt: float,
     initial cloud) or a ready Quadrature.  dt is coerced so the horizon is an
     exact number of steps.
     """
-    if not dt > 0 or not T > 0:
-        raise RejectedInputError("need dt > 0 and T > 0")
+    n_steps, dt_eff, snap_steps = _snapshot_plan(dt, T, snapshot_times)
     act = act or (model.activation if model.activation is not None
                   else activation("tanh"))
     cloud0 = _as_cloud(init, rng, M)
     quad = _as_quadrature(quad, model, rng)
-    n_steps, dt_eff, snap_steps = _snapshot_plan(dt, T, snapshot_times)
     return _evolve(cloud0, act, alpha, dt_eff, n_steps, snap_steps, quad)
 
 

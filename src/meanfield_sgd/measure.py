@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RejectedInputError, TestFunction
+from .core import RejectedInputError, TestFunction, max_abs
 
 EXACT_LIMIT = 256
 SLICES = 64
@@ -42,12 +42,12 @@ class EmpiricalMeasure:
     def __post_init__(self):
         c = np.asarray(self.c, dtype=np.float64)
         w = np.asarray(self.w, dtype=np.float64)
-        if c.ndim != 1 or w.ndim != 2 or w.shape[0] != c.shape[0]:
+        if c.ndim != 1 or w.ndim != 2 or w.shape[0] != c.shape[0] or w.shape[1] < 1:
             raise RejectedInputError(
                 f"need c (n,) and w (n, d); got {c.shape} and {w.shape}")
         if c.shape[0] < 1:
             raise RejectedInputError("a measure needs at least one atom")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(w))):
+        if not (math.isfinite(max_abs(c)) and math.isfinite(max_abs(w))):
             raise RejectedInputError("atoms must be finite")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "w", w)

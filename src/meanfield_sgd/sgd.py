@@ -10,14 +10,17 @@ pre-step state:
 Scaled time runs one unit per N steps, so a horizon T means floor(N*T) steps
 and the snapshot at scaled time t is the state after exactly floor(N*t) steps.
 
-``train`` advances R replicas of one N in lockstep (``_Lockstep``): c as an
-(R, N) array and w as (R, N, d), each replica on its own sample stream, and
-one run is the batch of one.  Every operation of a step is elementwise or
-acts on one replica's block with the same call a lone replica makes, so a
-replica's bits do not depend on the batch it is trained in.  Each step moves
-w by the rank-one matrix u x^T.  At a wide input ``train`` defers it: w is
-kept as W0 + U^T X with up to B pending steps in U and X, folded into W0 by
-GEMM at least every B steps.
+Every replica is trained by ``_train`` as part of a ``_Lockstep`` batch of
+R replicas of one N: c as an (R, N) array and w as (R, N, d), each replica
+on its own sample stream.  ``run_default`` samples its replicas straight
+into those arrays and hands them back as the final clouds; ``train`` steps
+one ``Ensemble`` as the batch of one, in its own arrays.  Every operation
+of a step is elementwise or acts on one replica's block with the same call
+a lone replica makes, so a replica's bits do not depend on the batch it is
+trained in.  Each step moves w by the rank-one matrix u x^T.  At a wide
+input it is deferred: w is kept as W0 + U^T X with up to B pending steps in
+U and X, folded into W0 by GEMM over particle row blocks at least every B
+steps.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import numpy as np
 from .core import (DIVERGENCE_LIMIT, Activation, DivergedError,
                    RejectedInputError, RandomStreams, activation_deriv,
                    guard_divergence, max_abs)
-from .data import DataModel, InitLaw, sample_data, sample_init
+from .data import (DataModel, InitLaw, _sample_clouds, sample_data,
+                   sample_init)
 from .measure import EmpiricalMeasure
 
 _STREAM_CHUNK = 4096  # samples drawn per refill; fixed, part of determinism
@@ -39,6 +43,9 @@ _STREAM_CHUNK = 4096  # samples drawn per refill; fixed, part of determinism
 #: apply each step at once (a block of one), where the dense update is cheap
 _DEFER_BLOCK = 64
 _DEFER_MIN_D = 16
+#: weights per particle row block of a fold, which sums that block's pending
+#: steps by one GEMM into a work block of this size
+_FOLD_FLOATS = 1 << 16
 #: w is scanned with its pending steps once their bound on max|w| passes
 #: this; the slack sits far above the round-off of a 64-term sum, so no step
 #: within the bound can hold a w past DIVERGENCE_LIMIT
@@ -97,11 +104,12 @@ def sgd_step(ens: Ensemble, x: np.ndarray, y: float) -> Ensemble:
     if x.shape != (ens.d,):
         raise RejectedInputError(f"sample has shape {x.shape}, expected ({ens.d},)")
     dc, u = step_increments(ens, x, y)
-    state = _Lockstep([ens], 1)
+    state = _Lockstep(ens.c[None], ens.w[None], ens.activation, ens.alpha,
+                      True, ens.step)
     try:
-        state.push(x[None], dc[None], u[None])
+        state.push(x[None], dc[None], u[None], True)
     finally:
-        state.sync()
+        ens.step = state.step
     return ens
 
 
@@ -131,49 +139,49 @@ def step_increments(ens, x: np.ndarray, y, z: np.ndarray | None = None
 
 
 class _Lockstep:
-    """R ensembles of one N, d, activation and alpha, stepped together.
-
-    c is (R, N) and w is (R, N, d); a batch of one holds views of its
-    ensemble's own arrays, so no copy of w is made.  Replica r's z is one
-    matrix-vector product on its (N, d) block, the call a lone replica
-    makes, and the rest of a step is elementwise or per row, so a
+    """R replicas of one N, stepped together in the caller's own arrays:
+    c (R, N) and w (R, N, d), changed in place and never copied.  Replica
+    r's z is one matrix-vector product on its (N, d) block, the call a lone
+    replica makes, and the rest of a step is elementwise or per row, so a
     replica's bits do not depend on R.
 
-    At ``block`` > 1, w is held as W0 + U^T X per replica, with up to
-    ``block`` pending steps in U (R, block, N) and X (R, block, d).  w x
-    is then W0 x + U^T (X x), which costs O(N (d + k)) where applying a
-    step costs O(N d), and a fold adds the pending steps to W0 by GEMM.
+    Below input width ``_DEFER_MIN_D`` each step adds u x^T at once, plane
+    by plane.  From it on, w is held as W0 + U^T X per replica, with up to
+    ``block`` pending steps in U (R, block, N) and X (R, block, d):
+    ``_DEFER_BLOCK`` of them, or one when ``every_step`` asks for w after
+    each step.  w x is then W0 x + U^T (X x), which costs O(N (d + k))
+    where applying a step costs O(N d), and a fold adds the pending steps
+    to W0 by GEMM over particle row blocks of ``_FOLD_FLOATS`` weights, so
+    no temporary of w's size is made.
 
     The divergence guard stays exact.  c is scanned every step, and w at
     every fold.  Between folds ``bound`` holds max|W0| from the last scan
     plus sum_k max|u_k| max|x_k| over the batch, at least max|w|, and once
     it passes the limit (or stops being finite) w is scanned with its
-    pending steps added, without folding, so the folds, and with them the
-    bits, come at the same steps whatever the batch.  A step past the
-    limit is seen at the step it happens; the error names the lowest
-    replica past it, and every replica's w is folded to that step.
+    pending steps added, over the same row blocks and without folding, so
+    the folds, and with them the bits, come at the same steps whatever the
+    batch.  A step past the limit is seen at the step it happens; the error
+    names the lowest replica past it, and every replica's w is folded to
+    that step.
     """
 
-    def __init__(self, ensembles: list, block: int):
-        first = ensembles[0]
-        if len({(e.n, e.d, e.activation, e.alpha, e.step)
-                for e in ensembles}) > 1:
-            raise RejectedInputError(
-                "a batch needs one N, d, activation, alpha and step")
-        self.ensembles = ensembles
-        self.activation, self.alpha, self.n = first.activation, first.alpha, first.n
-        self.step = first.step
-        if len(ensembles) == 1:
-            self.c, self.w = first.c[None], first.w[None]
-        else:
-            self.c = np.stack([e.c for e in ensembles])
-            self.w = np.stack([e.w for e in ensembles])
-        r, n, d = self.w.shape
-        self.block = block
-        self.u = np.empty((r, block, n)) if block > 1 else None
-        self.x = np.empty((r, block, d)) if block > 1 else None
+    def __init__(self, c: np.ndarray, w: np.ndarray, activation: Activation,
+                 alpha: float, every_step: bool, step: int):
+        if not alpha >= 0:
+            raise RejectedInputError("alpha must be >= 0")
+        self.c, self.w = c, w
+        self.activation, self.alpha, self.n = activation, alpha, c.shape[1]
+        self.step = step
+        r, n, d = w.shape
+        wide = d >= _DEFER_MIN_D
+        self.block = 1 if every_step or not wide else _DEFER_BLOCK
+        self.u = np.empty((r, self.block, n)) if wide else None
+        self.x = np.empty((r, self.block, d)) if wide else None
+        # the fold's row block when wide, else the plane of one step
+        self.work = (np.empty((min(n, max(1, _FOLD_FLOATS // d)), d))
+                     if wide else np.empty((r, n)))
         self.pending = 0
-        self.bound = max_abs(self.w) if block > 1 else 0.0
+        self.bound = max_abs(w) if self.block > 1 else 0.0
 
     def preactivations(self, x: np.ndarray) -> np.ndarray:
         """w x per replica for samples x (R, d), with the pending steps
@@ -184,75 +192,58 @@ class _Lockstep:
             z += np.matmul(self.u[:, :self.pending].transpose(0, 2, 1), xx)[..., 0]
         return z
 
-    def push(self, x: np.ndarray, dc: np.ndarray, u: np.ndarray,
-             fold: bool = False):
+    def push(self, x: np.ndarray, dc: np.ndarray, u: np.ndarray, fold: bool):
         """Take one step's increments (from ``step_increments``): add dc to
-        c and u x^T to w, at once in a block of one, else held pending and
-        folded when the block is full or when ``fold`` asks for a
+        c and u x^T to w, at once below ``_DEFER_MIN_D``, else held pending
+        and folded when the block is full or when ``fold`` asks for a
         materialised w."""
         self.c += dc
         self.step += 1
-        if self.block == 1:
-            _add_outer(self.w, u, x)
+        if self.u is None:
+            for j in range(self.w.shape[2]):
+                self.w[..., j] += np.multiply(u, x[:, j, None], out=self.work)
             self._guard(self.w)
             return
         self.u[:, self.pending] = u
         self.x[:, self.pending] = x
         self.pending += 1
         self.bound += max_abs(u) * max_abs(x)
-        if fold or self.pending == self.block:
-            self.fold()
-        elif not self.bound <= _BOUND_LIMIT:
-            self.bound = self._guard(self.w + self._pending_steps())
+        full = fold or self.pending == self.block
+        if full or not self.bound <= _BOUND_LIMIT:
+            self.bound = self._guard(self._scan(full))
         else:
             self._guard(None)
 
-    def _pending_steps(self) -> np.ndarray:
-        j = self.pending
-        return np.matmul(self.u[:, :j].transpose(0, 2, 1), self.x[:, :j])
-
-    def fold(self):
-        """Add the pending steps to W0 by GEMM and scan it."""
-        if self.pending:
-            self.w += self._pending_steps()
+    def _scan(self, fold: bool) -> np.ndarray:
+        """max|W0 + U^T X| per particle row block, each block's pending
+        steps summed by one GEMM into the work block; with ``fold`` the sums
+        go into w and nothing is left pending."""
+        j, rows = self.pending, self.work.shape[0]
+        maxes = []
+        for r in range(self.w.shape[0]):
+            for lo in range(0, self.n, rows):
+                wb = self.w[r, lo:lo + rows]
+                steps = np.matmul(self.u[r, :j, lo:lo + rows].T, self.x[r, :j],
+                                  out=self.work[:wb.shape[0]])
+                maxes.append(max_abs(np.add(wb, steps, out=wb if fold else steps)))
+        if fold:
             self.pending = 0
-            self.bound = self._guard(self.w)
+        return np.array(maxes)
 
     def _guard(self, w: np.ndarray | None) -> float | None:
-        """Check c, and ``w`` (the weights with any pending steps) when
-        given; return max|w|.  Past the limit, fold and raise
-        ``DivergedError`` with the lowest replica past it."""
+        """Check c, and ``w`` (the weights with any pending steps, or their
+        row-block maxima) when given; return max|w|.  Past the limit, fold
+        and raise ``DivergedError`` with the lowest replica past it."""
         try:
             guard_divergence(self.step, self.c)
             return None if w is None else guard_divergence(self.step, w)
         except DivergedError as exc:
             if self.pending:  # w too stands at the step the error names
-                self.w += self._pending_steps()
-                self.pending = 0
+                self._scan(True)
             exc.replica = next(
                 r for r in range(self.c.shape[0])
                 if not max(max_abs(self.c[r]), max_abs(self.w[r])) <= DIVERGENCE_LIMIT)
             raise
-
-    def sync(self):
-        """Leave each ensemble at the batch's state and step count."""
-        for r, e in enumerate(self.ensembles):
-            if len(self.ensembles) > 1:
-                e.c[...] = self.c[r]
-                e.w[...] = self.w[r]
-            e.step = self.step
-
-
-def _add_outer(w: np.ndarray, u: np.ndarray, x: np.ndarray):
-    """w += u x^T per replica, with the floats of GEMM with one inner term.
-    Below ``_DEFER_MIN_D`` it goes plane by plane, with no (R, N, d)
-    temporary."""
-    if w.shape[2] >= _DEFER_MIN_D:
-        w += u[:, :, None] * x[:, None, :]
-        return
-    plane = np.empty_like(u)
-    for j in range(w.shape[2]):
-        w[..., j] += np.multiply(u, x[:, j, None], out=plane)
 
 
 def moment_guard(ens) -> float | np.ndarray:
@@ -296,6 +287,8 @@ def _floor_steps(n_particles: int, t: float) -> int:
     """floor(N*t), tolerant of the rounding in the float product: 100 * 0.29
     is 28.999999999999996, yet scaled time 0.29 at N=100 is step 29."""
     x = n_particles * t
+    if not x < 2.0 ** 53:  # past it a float no longer names one step
+        raise RejectedInputError(f"N*T = {x:g} steps are too many to count")
     k = round(x)
     return int(k) if abs(x - k) <= 1e-9 * max(1.0, x) else math.floor(x)
 
@@ -323,82 +316,90 @@ def _per_step(arrays: list) -> np.ndarray:
     return np.stack(arrays, axis=1)
 
 
-def train(ens, model: DataModel, schedule: TrainSchedule, rng,
+def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule, rng,
           observer: Callable | None = None,
-          record_moments: bool = False):
-    """Run floor(N*T) steps on fresh i.i.d. streams; collect snapshots.
+          record_moments: bool = False) -> TrainResult:
+    """Run floor(N*T) steps of ``ens``, in place, on fresh i.i.d. samples
+    and collect snapshots, which share no memory with ``ens``.
 
-    ``ens`` is one ``Ensemble`` with one generator ``rng``, giving one
-    ``TrainResult``, or a list of R ensembles of one N, d, activation and
-    alpha with R generators, trained in lockstep and giving R results.
-    Each replica draws its samples from its own generator in fixed-size
-    chunks, so the stream it consumes is a function of that generator
-    alone.  The first step at which any replica passes the divergence
-    limit raises ``DivergedError`` with that step and the lowest such
-    replica, and leaves every ensemble at that step.
+    The samples come from ``rng`` in fixed-size chunks, so the stream the
+    run consumes is a function of that generator alone.  A step past the
+    divergence limit raises ``DivergedError`` with that step and leaves
+    ``ens`` there.
 
-    ``observer(k, ens, x, y, dc, u)``, if given, needs a batch of one.  It
-    is called before each step with the pre-step state, the sample about to
-    be applied and that step's increments from ``step_increments`` (used by
-    the drift and fluctuation diagnostics); the step then applies exactly
-    those increments.
+    ``observer(k, cloud, x, y, dc, u)``, if given, is called before each
+    step with the live pre-step state (an ``EmpiricalMeasure`` over the
+    replica's own c and w), the sample about to be applied and that step's
+    increments from ``step_increments`` (used by the drift and fluctuation
+    diagnostics); the step then applies exactly those increments.
 
     Steps are deferred in blocks of ``_DEFER_BLOCK`` at input width d >=
     ``_DEFER_MIN_D``, and w is folded before every snapshot.  An observer or
     ``record_moments`` reads w every step, so either applies each step at
     once.
     """
-    single = isinstance(ens, Ensemble)
-    ensembles = [ens] if single else list(ens)
-    rngs = [rng] if single else list(rng)
-    if not ensembles or len(rngs) != len(ensembles):
-        raise RejectedInputError("need one generator per ensemble")
-    if observer is not None and len(ensembles) > 1:
+    state = _Lockstep(ens.c[None], ens.w[None], ens.activation, ens.alpha,
+                      observer is not None or record_moments, ens.step)
+    try:
+        return _train(state, model, schedule, [rng], observer,
+                      record_moments, False)[0]
+    finally:
+        ens.step = state.step
+
+
+def _train(state: _Lockstep, model: DataModel, schedule: TrainSchedule,
+           rngs: list, observer: Callable | None, record_moments: bool,
+           own: bool) -> list:
+    """Step the batch ``state`` in lockstep, replica r on generator
+    ``rngs[r]``, and give one ``TrainResult`` per replica.  The first step
+    at which any replica passes the divergence limit raises
+    ``DivergedError`` with that step and the lowest such replica.  With
+    ``own`` the snapshots at the last step are the batch's own arrays, else
+    every snapshot is a copy."""
+    if len(rngs) != state.c.shape[0]:
+        raise RejectedInputError("need one generator per replica")
+    if observer is not None and len(rngs) > 1:
         raise RejectedInputError("an observer needs a batch of one")
-    first = ensembles[0]
-    if model.d != first.d:
+    if model.d != state.w.shape[2]:
         raise RejectedInputError("model dimension differs from ensemble")
-    n_steps = schedule.n_steps(first.n)
-    snap_steps = schedule.snapshot_steps(first.n)
+    n_steps = schedule.n_steps(state.n)
+    snap_steps = schedule.snapshot_steps(state.n)
     snapshots: list = [None] * len(snap_steps)
-    wide = first.d >= _DEFER_MIN_D and observer is None and not record_moments
-    state = _Lockstep(ensembles, _DEFER_BLOCK if wide else 1)
-    trace = np.empty((len(ensembles), n_steps + 1)) if record_moments else None
+    trace = np.empty((len(rngs), n_steps + 1)) if record_moments else None
     if record_moments:
         trace[:, 0] = moment_guard(state)
+    cloud = None if observer is None else EmpiricalMeasure(state.c[0],
+                                                           state.w[0])
     fold_at = set(snap_steps) | {n_steps}
 
     def record(step_idx: int):
+        keep = (lambda a: a) if own and step_idx == n_steps else np.copy
         for slot, want in enumerate(snap_steps):
             if want == step_idx and snapshots[slot] is None:
-                snapshots[slot] = [EmpiricalMeasure(c.copy(), w.copy())
+                snapshots[slot] = [EmpiricalMeasure(keep(c), keep(w))
                                    for c, w in zip(state.c, state.w)]
 
     record(0)
     done = 0
-    try:
-        while done < n_steps:
-            batches = [sample_data(model, g, _STREAM_CHUNK) for g in rngs]
-            take = min(n_steps - done, _STREAM_CHUNK)
-            xs = _per_step([b.x for b in batches])
-            ys = _per_step([b.y for b in batches])
-            for i in range(take):
-                x, y = xs[i], ys[i]
-                dc, u = step_increments(state, x, y, state.preactivations(x))
-                if observer is not None:
-                    observer(done, first, x[0], float(y[0]), dc[0], u[0])
-                done += 1
-                state.push(x, dc, u, fold=done in fold_at)
-                if record_moments:
-                    trace[:, done] = moment_guard(state)
-                record(done)
-    finally:
-        state.sync()
-    results = [TrainResult([(t, clouds[r]) for t, clouds
-                            in zip(schedule.snapshot_times, snapshots)],
-                           None if trace is None else trace[r])
-               for r in range(len(ensembles))]
-    return results[0] if single else results
+    while done < n_steps:
+        batches = [sample_data(model, g, _STREAM_CHUNK) for g in rngs]
+        take = min(n_steps - done, _STREAM_CHUNK)
+        xs = _per_step([b.x for b in batches])
+        ys = _per_step([b.y for b in batches])
+        for i in range(take):
+            x, y = xs[i], ys[i]
+            dc, u = step_increments(state, x, y, state.preactivations(x))
+            if observer is not None:
+                observer(done, cloud, x[0], float(y[0]), dc[0], u[0])
+            done += 1
+            state.push(x, dc, u, done in fold_at)
+            if record_moments:
+                trace[:, done] = moment_guard(state)
+            record(done)
+    return [TrainResult([(t, clouds[r]) for t, clouds
+                         in zip(schedule.snapshot_times, snapshots)],
+                        None if trace is None else trace[r])
+            for r in range(len(rngs))]
 
 
 def run_default(model: DataModel, init: InitLaw, act: Activation, alpha: float,
@@ -413,10 +414,12 @@ def run_default(model: DataModel, init: InitLaw, act: Activation, alpha: float,
     diagnostic: (replica, "init") and (replica, "data") whatever n is, so
     runs across an N-grid share initial-particle prefixes and the data
     sequence (common random numbers), which quiets trend comparisons.
-    Replicas go to ``train`` in batches, in order, sized to keep near
+    Replicas are trained in batches, in order, sized to keep near
     ``_LOCKSTEP_FLOATS`` in memory; a replica's bits do not depend on its
-    batch.  ``observer`` (one replica only) and ``record_moments`` are
-    passed on to ``train``.
+    batch.  Each batch is sampled straight into its (R, N) and (R, N, d)
+    arrays, stepped there, and handed back as the final clouds, so a
+    replica's weights are held once.  ``observer`` (one replica only) and
+    ``record_moments`` are as in ``train``.
     """
     single = np.ndim(replica) == 0
     replicas = [int(replica)] if single else [int(r) for r in replica]
@@ -424,13 +427,14 @@ def run_default(model: DataModel, init: InitLaw, act: Activation, alpha: float,
     results = []
     for lo in range(0, len(replicas), size):
         part = replicas[lo:lo + size]
-        ensembles = [Ensemble.from_init(init, act, alpha,
-                                        streams.stream(r, purpose="init"), n)
-                     for r in part]
-        rngs = [streams.stream(r, purpose="data") for r in part]
+        c, w = _sample_clouds(init, [streams.stream(r, purpose="init")
+                                    for r in part], n)
+        state = _Lockstep(c, w, act, alpha,
+                          observer is not None or record_moments, 0)
         try:
-            results += train(ensembles, model, schedule, rngs,
-                             observer=observer, record_moments=record_moments)
+            results += _train(state, model, schedule,
+                              [streams.stream(r, purpose="data") for r in part],
+                              observer, record_moments, True)
         except DivergedError as exc:
             err = DivergedError(f"{exc} in replica {part[exc.replica]}",
                                 step=exc.step)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanfield_sgd import cli
+from meanfield_sgd import cli, meanfield
 from meanfield_sgd.cli import (_slug, check_manifest, config_hash,
                                load_solution, main, parse_config,
                                read_cloud_csv, read_manifest, write_cloud_csv)
@@ -233,6 +233,33 @@ def test_train_and_mnist_hist_refuse_before_any_output(
     out = tmp_path / "x"
     rc = main([command, "--config", cfg, "--out", str(out), "--quiet"])
     assert rc == 2 and capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,line,why", [
+    ("train", "n=10\nt_horizon=1e300", "too many"),
+    ("mnist-hist", "t_horizon=1e300", "too many"),
+    ("meanfield", "t_horizon=1e300", "too many"),
+    ("verify", "t_horizon=1e300", "too many"),
+    ("meanfield", "t_horizon=1e13\nmode=picard", "too many"),
+    ("meanfield", "dt=0\nmode=picard\npicard_tol=0.01", "dt > 0"),
+])
+def test_uncountable_step_counts_exit_2_before_any_output(
+        idx_files, tmp_path, capsys, monkeypatch, command, line, why):
+    """From 2**53 steps on (N*T for SGD, T/dt for the Euler solver) a float
+    names no one step, and dt = 0 names none at all; each command refuses
+    such a plan before the output directory is made, and no training or
+    solve starts."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a horizon too long to count")
+
+    monkeypatch.setattr(cli, "run_default", no_work)
+    monkeypatch.setattr(meanfield, "_evolve", no_work)
+    images, labels = idx_files
+    cfg = _write_cfg(tmp_path, f"images={images}\nlabels={labels}\n{line}\n")
+    out = tmp_path / "x"
+    rc = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    assert rc == 2 and why in capsys.readouterr().err
     assert not out.exists()
 
 

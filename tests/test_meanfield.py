@@ -13,12 +13,12 @@ from meanfield_sgd import (ConfigError, DataModel, DivergedError,
                            drift, drift_pairing, freeze_quadrature,
                            from_network, frozen_start, node_arrays,
                            noisy_polynomial, pair, pairing_rows, picard_iterate,
-                           q_on_nodes, seed_resampled_floor,
+                           q_on_nodes, sample_init, seed_resampled_floor,
                            solve_selfconsistent, wasserstein, weak_residual,
                            weak_residuals, work_buffers)
 from meanfield_sgd.core import activation_deriv
 from meanfield_sgd.data import conditional_mean
-from meanfield_sgd.meanfield import Quadrature, _trapz
+from meanfield_sgd.meanfield import Quadrature, _snapshot_plan, _trapz
 
 TANH = activation("tanh")
 
@@ -163,6 +163,26 @@ def test_snapshot_plan_and_time_lookup(streams, model, init):
     assert dense.times.shape[0] == 51           # default snapshot cap
     coerced = small_solution(streams, model, init, m=16, dt=0.07, T=0.3)
     assert coerced.dt == pytest.approx(0.3 / 4)
+
+
+def test_snapshot_plan_refuses_steps_too_many_to_count():
+    """From 2**53 Euler steps on, T/dt rounds to a float that names no one
+    step, and the snapshot steps would wrap around as integers."""
+    assert _snapshot_plan(1.0, 2.0 ** 52, None)[0] == 2 ** 52
+    for dt, T in ((1.0, 2.0 ** 53), (1.0, 1e300), (1e-300, 1.0)):
+        with pytest.raises(RejectedInputError, match="too many"):
+            _snapshot_plan(dt, T, None)
+
+
+def test_frozen_start_refuses_dt_or_t_not_positive(streams, model, init):
+    """The Picard start plans its steps as the solver does: dt = 0 divided
+    by zero, and a negative dt quietly took one step over the horizon."""
+    cloud = sample_init(init, streams.stream(purpose="p"), 8)
+    quad = freeze_quadrature(QuadratureSpec("monte-carlo", 8), model,
+                             streams.stream(purpose="q"))
+    for dt, T in ((0.0, 0.3), (-0.01, 0.3), (0.01, -0.3)):
+        with pytest.raises(RejectedInputError, match="dt > 0"):
+            frozen_start(cloud, T, dt, quad, activation("tanh"), 1.0)
 
 
 def test_solver_input_validation(streams, model, init):

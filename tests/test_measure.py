@@ -34,6 +34,21 @@ def test_measure_validation():
         EmpiricalMeasure(np.array([np.nan]), np.zeros((1, 1)))
     with pytest.raises(RejectedInputError):
         EmpiricalMeasure(np.empty(0), np.empty((0, 1)))
+    with pytest.raises(RejectedInputError):
+        EmpiricalMeasure(np.zeros(2), np.zeros((2, 0)))
+
+
+@pytest.mark.parametrize("where", ["c", "w"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_measure_rejects_any_non_finite_atom(where, bad):
+    """One NaN or infinity anywhere in c or w, beside finite values."""
+    c, w = np.array([0.5, -1.0, 2.0]), np.array([[1.0, 2.0]] * 3)
+    if where == "c":
+        c[1] = bad
+    else:
+        w[1, 1] = bad
+    with pytest.raises(RejectedInputError, match="finite"):
+        EmpiricalMeasure(c, w)
 
 
 def test_pairing_constant_is_exactly_one():

@@ -1,6 +1,8 @@
 """The finite-N particle system: update formula oracles, 1/N scaling,
 simultaneity, divergence guard, scheduling, and bit-determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,22 +115,23 @@ def test_divergence_guard_raises_with_step():
     # 1, and replicas 0 and 2 stand at step 1 with the bits of a lone step
     big = 0.9 * DIVERGENCE_LIMIT
     starts = [(0.5, 0.3), (big, 1.0), (-0.4, -0.2), (big, 1.0)]
-    batch = [Ensemble(np.array([c]), np.array([[w, w]]), TANH, 1.0)
-             for c, w in starts]
+    c = np.array([[c0] for c0, _ in starts])
+    w = np.array([[[w0, w0]] for _, w0 in starts])
+    batch = sgd._Lockstep(c, w, TANH, 1.0, False, 0)
     rngs = [np.random.default_rng(60 + r) for r in range(4)]
     with pytest.raises(DivergedError) as err:
-        train(batch, model, TrainSchedule(60.0), rngs)
+        sgd._train(batch, model, TrainSchedule(60.0), rngs, None, False, True)
     assert (err.value.step, err.value.replica) == (1, 1)
-    assert [e.step for e in batch] == [1] * 4
+    assert batch.step == 1
     for r in (1, 3):
-        assert not max_abs(batch[r].w) <= DIVERGENCE_LIMIT
+        assert not max_abs(w[r]) <= DIVERGENCE_LIMIT
     for r in (0, 2):
         alone = Ensemble(np.array([starts[r][0]]),
                          np.array([[starts[r][1]] * 2]), TANH, 1.0)
         x = sample_data(model, np.random.default_rng(60 + r), sgd._STREAM_CHUNK)
         sgd_step(alone, x.x[0], float(x.y[0]))
-        assert np.array_equal(batch[r].c, alone.c)
-        assert np.array_equal(batch[r].w, alone.w)
+        assert np.array_equal(c[r], alone.c)
+        assert np.array_equal(w[r], alone.w)
 
 
 def test_batch_divergence_names_the_replica_id(init):
@@ -152,14 +155,15 @@ def test_batch_divergence_names_the_replica_id(init):
 
 
 def test_observer_needs_a_batch_of_one(model, init):
-    batch = [Ensemble.from_init(init, TANH, 1.0, np.random.default_rng(r), 8)
-             for r in range(2)]
+    streams = RandomStreams(8)
     with pytest.raises(RejectedInputError):
-        train(batch, model, TrainSchedule(1.0),
-              [np.random.default_rng(r) for r in range(2)],
-              observer=lambda *args: None)
+        run_default(model, init, TANH, 1.0, 8, TrainSchedule(1.0), streams,
+                    replica=[0, 1], observer=lambda *args: None)
+    batch = sgd._Lockstep(np.zeros((2, 8)), np.zeros((2, 8, 2)), TANH, 1.0,
+                          False, 0)
     with pytest.raises(RejectedInputError):
-        train(batch, model, TrainSchedule(1.0), [np.random.default_rng(0)])
+        sgd._train(batch, model, TrainSchedule(1.0),
+                   [np.random.default_rng(0)], None, False, True)
 
 
 def _assert_same_runs(a, b):
@@ -216,13 +220,13 @@ def test_replica_batches_are_capped_by_memory(monkeypatch, model, init):
     whole = run_default(model, init, TANH, 1.0, 24, sched, streams,
                         replica=range(5), record_moments=True)
     sizes = []
-    real_train = sgd.train
+    real_train = sgd._train
 
-    def counting(ens, *args, **kwargs):
-        sizes.append(len(ens))
-        return real_train(ens, *args, **kwargs)
+    def counting(state, *args):
+        sizes.append(state.c.shape[0])
+        return real_train(state, *args)
 
-    monkeypatch.setattr(sgd, "train", counting)
+    monkeypatch.setattr(sgd, "_train", counting)
     monkeypatch.setattr(sgd, "_LOCKSTEP_FLOATS",
                         2 * (24 + 2 * sgd._STREAM_CHUNK) * 3)
     capped = run_default(model, init, TANH, 1.0, 24, sched, streams,
@@ -284,6 +288,20 @@ def test_schedule_steps_survive_product_rounding():
         want = [n * i // 100 for n in ns]
         assert [sched.n_steps(n) for n in ns] == want, f"T={i / 100}"
         assert [sched.snapshot_steps(n)[0] for n in ns] == want
+
+
+def test_horizon_too_long_to_count_is_refused(model, init):
+    """From N*T = 2**53 steps on, floor and round of the float no longer
+    name one step: the schedule refuses it, and train does before any work."""
+    for T in (float("inf"), 1e300, 2.0 ** 52):
+        with pytest.raises(RejectedInputError, match="too many"):
+            TrainSchedule(T).n_steps(10)
+    assert TrainSchedule(2.0 ** 52).n_steps(1) == 2 ** 52
+    ens = Ensemble.from_init(init, TANH, 1.0, np.random.default_rng(0), 10)
+    with pytest.raises(RejectedInputError, match="too many"):
+        train(ens, model, TrainSchedule(1e300), np.random.default_rng(1),
+              record_moments=True)
+    assert ens.step == 0
 
 
 def test_train_records_requested_snapshots(streams, model, init):
@@ -463,16 +481,70 @@ def test_deferred_c_divergence_leaves_w_folded():
     rng = np.random.default_rng(56)
     ens = wide_ensemble(8)
     w = ens.w.copy()
-    pending = sgd._Lockstep([ens], sgd._DEFER_BLOCK)
+    pending = sgd._Lockstep(ens.c[None], ens.w[None], TANH, 1.0, False, 0)
+    assert pending.block == sgd._DEFER_BLOCK
     for k in range(5):
         x, u = rng.standard_normal(WIDE_D), rng.standard_normal(8)
         w += np.outer(u, x)
         dc = np.full(8, 2 * DIVERGENCE_LIMIT if k == 4 else 0.0)
         if k < 4:
-            pending.push(x[None], dc[None], u[None])
+            pending.push(x[None], dc[None], u[None], False)
             continue
         with pytest.raises(DivergedError) as err:
-            pending.push(x[None], dc[None], u[None])
+            pending.push(x[None], dc[None], u[None], False)
     assert err.value.step == pending.step == 5 and pending.pending == 0
     assert err.value.replica == 0
     assert close(ens.w, w)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_default_holds_its_weights_once():
+    """run_default samples the cloud into the batch it steps and hands that
+    batch back, and folds over particle row blocks: at N=3000, d=784 (four
+    full folds and a partial one) its traced peak stays below w, one chunk
+    of samples and half a w more."""
+    n, d = 3000, 784
+    model, init = wide_model(d), InitLaw(d=d, w_scale=0.3)
+    sched = TrainSchedule(0.1)
+    out = []
+    peak = traced_peak(lambda: out.append(run_default(
+        model, init, TANH, 1.0, n, sched, RandomStreams(63))))
+    w = out[0].snapshots[-1][1].w
+    chunk = sgd._STREAM_CHUNK * d * 8
+    assert w.shape == (n, d) and sched.n_steps(n) == 300
+    assert peak < w.nbytes + chunk + w.nbytes / 2, \
+        f"peak {peak / w.nbytes:.2f} w, chunk {chunk / w.nbytes:.2f} w"
+
+
+def test_wide_sgd_step_makes_no_temporary_of_w():
+    """A step at d >= _DEFER_MIN_D adds u x^T through the row-blocked fold,
+    so it allocates well under half of w."""
+    ens = wide_ensemble(2000, d=784)
+    x = np.random.default_rng(64).uniform(-1.0, 1.0, 784)
+    peak = traced_peak(lambda: sgd_step(ens, x, 0.5))
+    assert ens.step == 1
+    assert peak < ens.w.nbytes / 2, f"peak {peak / ens.w.nbytes:.2f} w"
+
+
+@pytest.mark.parametrize("shape", [(1, 10_000, 784), (3, 37, 100),
+                                   (2, 500, 16)])
+def test_fold_of_one_step_is_the_outer_product(shape):
+    """A block of one folds by a GEMM with one inner term over row blocks:
+    the floats of w + u x^T formed by broadcasting."""
+    r, n, d = shape
+    rng = np.random.default_rng(65)
+    c, w = rng.standard_normal((r, n)), rng.standard_normal((r, n, d))
+    u, x = rng.standard_normal((r, n)), rng.standard_normal((r, d))
+    want = w + u[:, :, None] * x[:, None, :]
+    state = sgd._Lockstep(c, w, TANH, 1.0, True, 0)
+    assert state.block == 1
+    state.push(x, np.zeros((r, n)), u, False)
+    assert state.pending == 0 and np.array_equal(w, want)
