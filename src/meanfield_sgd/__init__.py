@@ -12,7 +12,8 @@ from .data import (Batch, DataModel, IdxFormatError, InitLaw, default_init,
                    default_model, from_network, load_mnist_idx,
                    noisy_polynomial, sample_data, sample_init, teacher_network)
 from .measure import (EmpiricalMeasure, Histogram1D, histogram, histogram_w1,
-                      pair, resample, wasserstein, wasserstein_bruteforce)
+                      pair, resample, sliced_wasserstein, wasserstein,
+                      wasserstein_bruteforce)
 from .sgd import (Ensemble, TrainResult, TrainSchedule, moment_guard,
                   run_default, sgd_step, train)
 from .meanfield import (MeanFieldSolution, PicardResult, Quadrature,

@@ -3,12 +3,15 @@ variance decay of pairings, decay of the fluctuation (martingale) terms in
 the step decomposition, distance between the finite-N cloud and the solved
 limit, and asymptotic pairwise independence of particles.
 
-The drift/fluctuation observer takes its conditional terms from the pairing
-form of the mean-field solver's velocity field (``meanfield.drift_pairing``,
-which also gives the weak-form residual; run here in float64) and its
-realized terms from the increments that the SGD loop computes once per
-step, hands to the observer and then applies, so the formula for the field
-lives in ``meanfield`` and ``sgd`` only.
+The drift/fluctuation observer takes its realized terms from the increments
+that the SGD loop computes once per step, hands to the observer and then
+applies.  It needs no conditional expectation: at each step it draws a twin
+sample from the replica's own stream (replica, "twin") and takes the twin's
+increments from the same pre-step state through ``sgd.step_increments``.
+The difference of the two realizations has mean zero and twice the
+fluctuation's conditional variance, so the fluctuation moments come at
+O(N d) per step, with no quadrature, and the formula for the step lives in
+``sgd`` only.
 
 Every trained replica goes through ``sgd.run_default``, which keys its
 streams by (replica, purpose) only, so runs at different network sizes share
@@ -17,9 +20,9 @@ trend statements across an N-grid are then far less noisy, while each
 single-N statistic keeps its marginal law.  The replica study trains each
 N's replicas in lockstep, as one (R, N) batch, and the chaos table reads
 them and trains the replicas it needs beyond them the same way, with the
-study's own setup; the drift/fluctuation observer runs one replica at a
-time, against ``default_martingale_quadrature``.  Every statistic here reads
-the state at the horizon T.
+study's own setup; the drift/fluctuation observer watches each N's
+replicas as one lockstep batch too.  Every statistic here reads the state
+at the horizon T.
 """
 
 from __future__ import annotations
@@ -34,11 +37,10 @@ import numpy as np
 from .core import (Activation, RandomStreams, RejectedInputError,
                    TestFunction, activation)
 from .data import DataModel, InitLaw
-from .measure import EmpiricalMeasure, fmt_float, pair, resample, wasserstein
-from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec,
-                        drift_pairing, freeze_quadrature, node_arrays,
-                        work_buffers)
-from .sgd import TrainSchedule, run_default
+from .measure import fmt_float, pair, resample, sliced_wasserstein
+from .meanfield import MeanFieldSolution
+from .sgd import (_STREAM_CHUNK, TrainSchedule, _draw_chunk, run_default,
+                  step_increments)
 
 SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 #: bootstrap resamples behind every SE and CI here; R <= 60 replicas make
@@ -171,67 +173,86 @@ def lln_decay(study: ReplicaStudy, f: TestFunction) -> LlnTable:
 #
 # plus a second-order Taylor remainder of size O(1/N^2).  D1/D2 are the
 # conditional expectations of the two first-order terms given the current
-# state (computed against a frozen quadrature), M1/M2 the leftover
-# innovations: zero-mean, uncorrelated across steps.
+# state, M1/M2 the leftover innovations: zero-mean, uncorrelated across
+# steps.
+
+
+def _gradients(f: TestFunction, c: np.ndarray, w: np.ndarray):
+    """grad_c f (R, N) and grad_w f (R, N, d) at every particle of a batch
+    c (R, N), w (R, N, d); f acts per particle, so the batch is one flat
+    cloud to it."""
+    r, n, d = w.shape
+    flat_c, flat_w = c.reshape(-1), w.reshape(-1, d)
+    return (f.grad_c(flat_c, flat_w).reshape(r, n),
+            f.grad_w(flat_c, flat_w).reshape(r, n, d))
+
+
+def _first_order(fc, fw, x, dc, u) -> tuple[np.ndarray, np.ndarray]:
+    """The two first-order terms of one step per replica, (1/N) sum_i fc_i
+    dc_i and (1/N) sum_i u_i (fw_i . x), from the gradients of
+    ``_gradients``, the sample x (R, d) and the increments dc, u (R, N) of
+    ``sgd.step_increments``."""
+    return (np.mean(fc * dc, axis=-1),
+            np.mean(u * np.matmul(fw, x[..., None])[..., 0], axis=-1))
 
 
 class _DecompositionObserver:
-    """SGD observer accumulating the four components step by step.
+    """SGD observer estimating, per replica, the second moments of the
+    fluctuations M1, M2 from a twin sample.
 
-    The realized terms contract the step's own increments (dc, dw = u x^T),
-    as the SGD loop passes them, with the test function's gradient.  The
-    conditional terms are the same contraction with the velocity field
-    (g1, g2) over the frozen quadrature: E[dc_i] = g1_i / N and E[dw_i] =
-    g2_i / N.  ``drift_pairing`` takes that contraction over particle row
-    blocks of one (rows, K) float64 work block, made here and reused.
+    At step k it draws one more sample (x', y') from the replica's own
+    stream (replica, "twin"), in ``_STREAM_CHUNK`` chunks as training draws
+    its own, and takes that sample's increments from the same pre-step
+    state through ``sgd.step_increments``, which writes nothing to it.  The
+    first-order terms i_k at the training sample and i'_k at the twin are
+    then two independent draws given the state, so D_k = i_k - i'_k has
+    E[D_k | F_k] = 0 and E[D_k^2 | F_k] = 2 E[M_k^2 | F_k].  Half of
+    sum_k D_k^2 estimates the quadratic variation sum_k M_k^2, and half of
+    (sum_k D_k)^2 estimates M(T)^2, without bias for pi itself and at
+    O(N d) per step.  The training streams are left alone, so every replica
+    trains to the bits it has without an observer.
+
+    ``run_default`` hands the observer its batches in order, each from step
+    0; a batch takes the next replicas of ``replicas``.
     """
 
-    def __init__(self, f: TestFunction, quad: Quadrature, alpha: float,
-                 act: Activation, n_steps: int, n: int):
-        self.f = f
-        self.alpha = alpha
-        self.act = act
-        self.n = n
-        self.i1 = np.empty(n_steps)  # per-step increments
-        self.i2 = np.empty(n_steps)
-        self.e1 = np.empty(n_steps)
-        self.e2 = np.empty(n_steps)
-        self._nodes = node_arrays(quad, np.float64)
-        self._work = work_buffers(n, quad.n, act, np.float64)
+    def __init__(self, f: TestFunction, model: DataModel,
+                 streams: RandomStreams, replicas: Sequence[int]):
+        self.f, self.model, self.streams = f, model, streams
+        self.replicas = [int(r) for r in replicas]
+        self.sums = np.zeros((2, len(self.replicas)))  # sum_k D_k
+        self.squares = np.zeros((2, len(self.replicas)))  # sum_k D_k^2
+        self._batch = slice(0, 0)
+        self._rngs, self._chunk = [], None
 
-    def __call__(self, k: int, cloud: EmpiricalMeasure, x: np.ndarray,
-                 y: float, dc: np.ndarray, u: np.ndarray):
-        if cloud.n != self.n:
-            raise RejectedInputError(
-                f"observer built for N={self.n} got a cloud of {cloud.n}")
-        c, w, n = cloud.c, cloud.w, self.n
-        fc = self.f.grad_c(c, w)
-        fw = self.f.grad_w(c, w)
-        # realized first-order increments at the actual sample
-        self.i1[k] = float(np.mean(fc * dc))
-        self.i2[k] = float(np.mean(u * (fw @ x)))
-        # conditional expectations of the same quantities under pi
-        _, ((p1, p2),) = drift_pairing(c, w, [(fc, fw)], self._nodes,
-                                       self.act, self.alpha, self._work)
-        self.e1[k] = p1 / n / n
-        self.e2[k] = p2 / n / n
+    def __call__(self, k: int, state, x: np.ndarray, y: np.ndarray,
+                 dc: np.ndarray, u: np.ndarray):
+        if k == 0:
+            lo = self._batch.stop
+            self._batch = slice(lo, lo + state.c.shape[0])
+            if self._batch.stop > len(self.replicas):
+                raise RejectedInputError(
+                    f"observer built for {len(self.replicas)} replicas got "
+                    f"a batch past them")
+            self._rngs = [self.streams.stream(r, purpose="twin")
+                          for r in self.replicas[self._batch]]
+        if k % _STREAM_CHUNK == 0:
+            self._chunk = _draw_chunk(self.model, self._rngs)
+        xt, yt = (a[k % _STREAM_CHUNK] for a in self._chunk)
+        fc, fw = _gradients(self.f, state.c, state.w)
+        dct, ut = step_increments(state, xt, yt, state.preactivations(xt))
+        diff = (np.stack(_first_order(fc, fw, x, dc, u))
+                - np.stack(_first_order(fc, fw, xt, dct, ut)))
+        self.sums[:, self._batch] += diff
+        self.squares[:, self._batch] += diff * diff
 
-    def totals(self) -> tuple[float, float, float, float]:
-        """M1(T), M2(T), sum_k M1_k^2 and sum_k M2_k^2 over the run.  M(T)
-        sums the steps left to right, as a running total would."""
-        m1 = self.i1 - self.e1
-        m2 = self.i2 - self.e2
-        end1 = float(np.cumsum(m1)[-1]) if m1.size else 0.0
-        end2 = float(np.cumsum(m2)[-1]) if m2.size else 0.0
-        return end1, end2, float(np.sum(m1 * m1)), float(np.sum(m2 * m2))
-
-
-def default_martingale_quadrature(model: DataModel) -> QuadratureSpec:
-    """Fixed grid for the synthetic models, whose inputs are uniform on the
-    cube (bias ~h^2, exact in y); frozen Monte Carlo nodes for images."""
-    if model.kind != "mnist-binary":
-        return QuadratureSpec("fixed-grid", 1024)
-    return QuadratureSpec("monte-carlo", 4096)
+    def totals(self) -> tuple[np.ndarray, ...]:
+        """Per replica: the quadratic variations sum_k M1_k^2 and
+        sum_k M2_k^2, then M1(T)^2 and M2(T)^2, each estimated by half the
+        twin's.  The sums of D_k run over the steps left to right."""
+        qv1, qv2 = self.squares / 2
+        end1, end2 = self.sums * self.sums / 2
+        return qv1, qv2, end1, end2
 
 
 @dataclass
@@ -266,36 +287,25 @@ def martingale_decay(model: DataModel, init: InitLaw, f: TestFunction,
     Two estimates per size: the across-replica mean of M(T)^2, and the mean
     total quadratic variation sum_k M_k^2.  They estimate the same number
     (increments are uncorrelated across steps) but the quadratic variation
-    averages floor(N*T) terms per run and is far tighter at small R.
+    averages floor(N*T) terms per run and is far tighter at small R.  Each
+    N's replicas train as one ``run_default`` batch, watched by the twin
+    observer (``_DecompositionObserver``).
     """
     act = act or activation("tanh")
-    quad = freeze_quadrature(default_martingale_quadrature(model), model,
-                             streams.stream(purpose="quadrature"))
     schedule = TrainSchedule(float(T))
-    rows = {n: ([], [], [], []) for n in n_grid}
+    replicas, cols = list(range(R)), []
     for n in n_grid:
-        for r in range(R):
-            obs = _DecompositionObserver(f, quad, alpha, act,
-                                         schedule.n_steps(n), n)
-            run_default(model, init, act, alpha, n, schedule, streams,
-                        replica=r, observer=obs)
-            m1, m2, qv1, qv2 = obs.totals()
-            rows[n][0].append(qv1)
-            rows[n][1].append(qv2)
-            rows[n][2].append(m1 ** 2)
-            rows[n][3].append(m2 ** 2)
-    n_values = np.array([int(n) for n in n_grid])
-    return MartingaleTable(
-        f.label, n_values,
-        np.array([np.mean(rows[n][0]) for n in n_grid]),
-        np.array([np.mean(rows[n][1]) for n in n_grid]),
-        np.array([np.mean(rows[n][2]) for n in n_grid]),
-        np.array([np.mean(rows[n][3]) for n in n_grid]))
+        obs = _DecompositionObserver(f, model, streams, replicas)
+        run_default(model, init, act, alpha, n, schedule, streams,
+                    replica=replicas, observer=obs)
+        cols.append([float(np.mean(v)) for v in obs.totals()])
+    return MartingaleTable(f.label, np.array([int(n) for n in n_grid]),
+                           *np.array(cols).reshape(-1, 4).T)
 
 
 @dataclass
 class ReconcileReport:
-    """How exactly the four components rebuild actual pairing increments."""
+    """How exactly the first-order terms rebuild actual pairing increments."""
 
     identity_defect: float    # max |(D1+M1+D2+M2)_k - A_k|, A from real deltas
     taylor_remainder: float   # max |delta<f,nu>_k - A_k|
@@ -309,46 +319,44 @@ def reconcile_decomposition(model: DataModel, init: InitLaw, f: TestFunction,
                             act: Activation | None = None) -> ReconcileReport:
     """Train one replica comparing the decomposition against ground truth.
 
-    A_k is rebuilt from the actually applied parameter deltas, so the check
-    is independent of the formulas inside the observer; the defect must sit
-    at float rounding (<= 1e-10), while the Taylor remainder is genuine and
-    shrinks like 1/N^2 per step.  Step k is closed at the next observer call,
-    which sees its post-step state, and the last step against the final
-    cloud.
+    The realized first-order terms (D1+M1) + (D2+M2) of each step come from
+    the increments the SGD loop hands its observer, as the fluctuation
+    observer takes them.  A_k is rebuilt from the actually applied parameter
+    deltas, so the check is independent of those formulas; the defect must
+    sit at float rounding (<= 1e-10), while the Taylor remainder is genuine
+    and shrinks like 1/N^2 per step.  Step k is closed at the next observer
+    call, which sees its post-step state, and the last step against the
+    final cloud.
     """
     act = act or activation("tanh")
-    quad = freeze_quadrature(default_martingale_quadrature(model), model,
-                             streams.stream(purpose="quadrature"))
     schedule = TrainSchedule(float(T))
-    n_steps = schedule.n_steps(n)
-    obs = _DecompositionObserver(f, quad, alpha, act, n_steps, n)
     identity = remainder = 0.0
-    pending = []         # (k, c, w) of the step whose post-step state is due
+    pending = []  # (c, w, i1 + i2) of the step awaiting its post-step state
 
-    def close(post):
+    def close(c, w):
         nonlocal identity, remainder
         if not pending:
             return
-        k, c0, w0 = pending.pop()
+        c0, w0, realized = pending.pop()
         before = float(np.mean(f.value(c0, w0)))
-        after = float(np.mean(f.value(post.c, post.w)))
+        after = float(np.mean(f.value(c, w)))
         fc = f.grad_c(c0, w0)
         fw = f.grad_w(c0, w0)
-        a_actual = float(np.mean(fc * (post.c - c0))
-                         + np.mean(np.sum(fw * (post.w - w0), axis=1)))
-        four = obs.i1[k] + obs.i2[k]  # (D1+M1) + (D2+M2)
-        identity = max(identity, abs(four - a_actual))
+        a_actual = float(np.mean(fc * (c - c0))
+                         + np.mean(np.sum(fw * (w - w0), axis=1)))
+        identity = max(identity, abs(realized - a_actual))
         remainder = max(remainder, abs((after - before) - a_actual))
 
-    def observer(k, e, x, y, dc, u):
-        close(e)
-        obs(k, e, x, y, dc, u)
-        pending.append((k, e.c.copy(), e.w.copy()))
+    def observer(k, state, x, y, dc, u):
+        close(state.c[0], state.w[0])
+        i1, i2 = _first_order(*_gradients(f, state.c, state.w), x, dc, u)
+        pending.append((state.c[0].copy(), state.w[0].copy(),
+                        float(i1[0] + i2[0])))
 
-    result = run_default(model, init, act, alpha, n, schedule, streams,
-                         observer=observer)
-    close(result.snapshots[-1][1])
-    return ReconcileReport(identity, remainder, n, n_steps)
+    final = run_default(model, init, act, alpha, n, schedule, streams,
+                        observer=observer).snapshots[-1][1]
+    close(final.c, final.w)
+    return ReconcileReport(identity, remainder, n, schedule.n_steps(n))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +392,8 @@ class LimitTable:
 
 def limit_distance(study: ReplicaStudy, sol: MeanFieldSolution,
                    fs: Sequence[TestFunction]) -> LimitTable:
-    """Per N, at t = T: Wasserstein-1 to the solved limit cloud and pairing
+    """Per N, at t = T: sliced Wasserstein-1 to the solved limit cloud (one
+    method at every N, so the column compares like with like) and pairing
     gaps.
 
     The noise floor per test function is E|gap| under the hypothesis that
@@ -403,7 +412,7 @@ def limit_distance(study: ReplicaStudy, sol: MeanFieldSolution,
             ref = (sol_cloud if sol_cloud.n == mu.n else
                    resample(sol_cloud, mu.n,
                             study.streams.stream(r, purpose="limit-resample")))
-            w1s.append(wasserstein(mu, ref, p=1))
+            w1s.append(sliced_wasserstein(mu, ref, p=1))
         gaps = {}
         for f in fs:
             vals = study.pairings(f, n)

@@ -308,12 +308,15 @@ class TrainResult:
         return float(np.max(self.moment_trace))
 
 
-def _per_step(arrays: list) -> np.ndarray:
-    """Chunks (steps, ...) of R replicas as (steps, R, ...); one replica's
-    chunk is viewed, not copied."""
-    if len(arrays) == 1:
-        return arrays[0][:, None]
-    return np.stack(arrays, axis=1)
+def _draw_chunk(model: DataModel, rngs: list) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``_STREAM_CHUNK`` samples of each generator in ``rngs``, as
+    x (steps, R, d) and y (steps, R); one replica's chunk is viewed, not
+    copied."""
+    batches = [sample_data(model, g, _STREAM_CHUNK) for g in rngs]
+    if len(batches) == 1:
+        return batches[0].x[:, None], batches[0].y[:, None]
+    return (np.stack([b.x for b in batches], axis=1),
+            np.stack([b.y for b in batches], axis=1))
 
 
 def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule, rng,
@@ -327,11 +330,13 @@ def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule, rng,
     divergence limit raises ``DivergedError`` with that step and leaves
     ``ens`` there.
 
-    ``observer(k, cloud, x, y, dc, u)``, if given, is called before each
-    step with the live pre-step state (an ``EmpiricalMeasure`` over the
-    replica's own c and w), the sample about to be applied and that step's
-    increments from ``step_increments`` (used by the drift and fluctuation
-    diagnostics); the step then applies exactly those increments.
+    ``observer(k, state, x, y, dc, u)``, if given, is called before each
+    step with the live pre-step batch ``state`` (a ``_Lockstep``: c (R, N),
+    w (R, N, d) and ``preactivations``, here R = 1), the samples about to
+    be applied, x (R, d) and y (R,), and that step's increments (R, N) from
+    ``step_increments`` (used by the drift and fluctuation diagnostics); the
+    step then applies exactly those increments.  The observer writes
+    nothing to the state.
 
     Steps are deferred in blocks of ``_DEFER_BLOCK`` at input width d >=
     ``_DEFER_MIN_D``, and w is folded before every snapshot.  An observer or
@@ -358,8 +363,6 @@ def _train(state: _Lockstep, model: DataModel, schedule: TrainSchedule,
     every snapshot is a copy."""
     if len(rngs) != state.c.shape[0]:
         raise RejectedInputError("need one generator per replica")
-    if observer is not None and len(rngs) > 1:
-        raise RejectedInputError("an observer needs a batch of one")
     if model.d != state.w.shape[2]:
         raise RejectedInputError("model dimension differs from ensemble")
     n_steps = schedule.n_steps(state.n)
@@ -368,8 +371,6 @@ def _train(state: _Lockstep, model: DataModel, schedule: TrainSchedule,
     trace = np.empty((len(rngs), n_steps + 1)) if record_moments else None
     if record_moments:
         trace[:, 0] = moment_guard(state)
-    cloud = None if observer is None else EmpiricalMeasure(state.c[0],
-                                                           state.w[0])
     fold_at = set(snap_steps) | {n_steps}
 
     def record(step_idx: int):
@@ -382,15 +383,12 @@ def _train(state: _Lockstep, model: DataModel, schedule: TrainSchedule,
     record(0)
     done = 0
     while done < n_steps:
-        batches = [sample_data(model, g, _STREAM_CHUNK) for g in rngs]
-        take = min(n_steps - done, _STREAM_CHUNK)
-        xs = _per_step([b.x for b in batches])
-        ys = _per_step([b.y for b in batches])
-        for i in range(take):
+        xs, ys = _draw_chunk(model, rngs)
+        for i in range(min(n_steps - done, _STREAM_CHUNK)):
             x, y = xs[i], ys[i]
             dc, u = step_increments(state, x, y, state.preactivations(x))
             if observer is not None:
-                observer(done, cloud, x[0], float(y[0]), dc[0], u[0])
+                observer(done, state, x, y, dc, u)
             done += 1
             state.push(x, dc, u, done in fold_at)
             if record_moments:
@@ -418,8 +416,9 @@ def run_default(model: DataModel, init: InitLaw, act: Activation, alpha: float,
     ``_LOCKSTEP_FLOATS`` in memory; a replica's bits do not depend on its
     batch.  Each batch is sampled straight into its (R, N) and (R, N, d)
     arrays, stepped there, and handed back as the final clouds, so a
-    replica's weights are held once.  ``observer`` (one replica only) and
-    ``record_moments`` are as in ``train``.
+    replica's weights are held once.  ``observer`` and ``record_moments``
+    are as in ``train``; the observer sees each batch in turn, from its
+    step 0.
     """
     single = np.ndim(replica) == 0
     replicas = [int(replica)] if single else [int(r) for r in replica]

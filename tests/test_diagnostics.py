@@ -1,23 +1,19 @@
 """Statistical verification layer: replica studies, variance/fluctuation
 decay, the decomposition reconciliation, limit distance, and chaos."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from meanfield_sgd import (DataModel, Ensemble, InitLaw, QuadratureSpec,
-                           RandomStreams, RejectedInputError, TrainSchedule,
-                           activation, chaos_table,
-                           chaos_test, default_init, default_model,
-                           default_test_functions, freeze_quadrature,
-                           limit_distance, lln_decay, martingale_decay,
-                           moment_bound, reconcile_decomposition,
-                           run_default, run_study, solve_selfconsistent,
-                           train)
-from meanfield_sgd import diagnostics
-from meanfield_sgd.diagnostics import (_DecompositionObserver,
-                                       default_martingale_quadrature)
+from meanfield_sgd import (Ensemble, InitLaw, QuadratureSpec, RandomStreams,
+                           RejectedInputError, TrainSchedule, activation,
+                           chaos_table, chaos_test, default_init,
+                           default_model, default_test_functions,
+                           freeze_quadrature, limit_distance, lln_decay,
+                           martingale_decay, moment_bound,
+                           reconcile_decomposition, run_default, run_study,
+                           sample_data, solve_selfconsistent)
+from meanfield_sgd import diagnostics, sgd
+from meanfield_sgd.diagnostics import _DecompositionObserver
 from meanfield_sgd.meanfield import (drift, drift_pairing, node_arrays,
                                      pairing_rows, work_buffers)
 from meanfield_sgd.sgd import step_increments
@@ -163,23 +159,39 @@ def test_taylor_remainder_shrinks_like_inverse_n_squared(model, init):
     assert 100 / 3 <= ratio <= 100 * 3
 
 
-def _reference_components(f, quad, alpha, act, ens, x, y):
-    """The observer's four components written out with plain temporaries,
-    plus the magnitude of the summands behind e1 and e2."""
-    n, c, w = ens.n, ens.c, ens.w
+def _reference_increments(f, alpha, act, c, w, x, y):
+    """The two realized first-order terms of one step at sample (x, y),
+    written out with plain temporaries."""
+    n = c.shape[0]
     fc, fw = f.grad_c(c, w), f.grad_w(c, w)
     z = w @ x
     s = act.value(z)
     coef = alpha / n * (y - float(s @ c) / n)
-    i1 = coef * float(np.mean(fc * s))
-    i2 = coef * float(np.mean(c * act.deriv(z) * (fw @ x)))
+    return (coef * float(np.mean(fc * s)),
+            coef * float(np.mean(c * act.deriv(z) * (fw @ x))))
+
+
+def _reference_node_terms(f, quad, alpha, act, ens):
+    """The two first-order terms at every node (x_k, y_k) of ``quad``, with
+    plain (N x K) temporaries, and the factors h1, h2 that multiply
+    alpha/N (y - g) in them."""
+    n, c, w = ens.n, ens.c, ens.w
+    fc, fw = f.grad_c(c, w), f.grad_w(c, w)
     sq = w @ quad.x.T
     vq = act.value(sq)
     h1 = (fc @ vq) / n
     h2 = np.einsum("i,ik,ik->k", c, act.deriv(sq), fw @ quad.x.T) / n
     rq = alpha / n * (quad.y - (c @ vq) / n)
-    return (i1, i2, float(np.mean(rq * h1)), float(np.mean(rq * h2)),
-            float(np.mean(np.abs(rq * h1))), float(np.mean(np.abs(rq * h2))))
+    return rq * h1, rq * h2, h1, h2
+
+
+def _reference_components(f, quad, alpha, act, ens, x, y):
+    """The realized terms at (x, y), their conditional means over the nodes
+    of ``quad``, and the magnitude of the summands behind those means."""
+    t1, t2, _, _ = _reference_node_terms(f, quad, alpha, act, ens)
+    return (*_reference_increments(f, alpha, act, ens.c, ens.w, x, y),
+            float(np.mean(t1)), float(np.mean(t2)),
+            float(np.mean(np.abs(t1))), float(np.mean(np.abs(t2))))
 
 
 def _reference_field(quad, alpha, act, ens, q=None):
@@ -197,65 +209,124 @@ def _reference_field(quad, alpha, act, ens, q=None):
 
 @pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])
 def test_observer_matches_reference_formula(kind, model, init):
-    """i1, i2 to 1e-12 relative; e1, e2 to 1e-12 relative or, where the mean
-    over nodes cancels, to 1e-12 of its summands' magnitude (the h2 GEMM
-    reassociates sums, and a cancelling mean magnifies the last-bit change:
-    1.2e-12 relative on smooth-bump at 6600x cancellation, with old and new
-    both within 7e-13 of a long-double evaluation)."""
+    """Per replica of an observed lockstep batch, the observer's sums of D_k
+    and of D_k^2 equal the twin difference written out with plain
+    temporaries: the realized terms at the training sample minus those at
+    the k-th sample of the stream (replica, "twin"), both from the pre-step
+    state, to 1e-12 of the summed magnitudes."""
     act = activation(kind)
-    quad = freeze_quadrature(default_martingale_quadrature(model), model)
-    n, steps = 96, 24
+    n, steps, reps = 96, 24, 3
+    streams = RandomStreams(17)
+    twins = [sample_data(model, streams.stream(r, purpose="twin"),
+                         sgd._STREAM_CHUNK) for r in range(reps)]
     for f in FS:
-        ens = Ensemble.from_init(init, act, 1.0,
-                                 RandomStreams(17).stream(0, purpose="init"), n)
-        obs = _DecompositionObserver(f, quad, 1.0, act, steps, n)
-        refs = []
+        obs = _DecompositionObserver(f, model, streams, range(reps))
+        diffs, sizes = np.zeros((2, reps)), np.zeros((2, reps))
+        squares = np.zeros((2, reps))
 
-        def both(k, e, x, y, dc, u):
-            refs.append(_reference_components(f, quad, 1.0, act, e, x, y))
-            obs(k, e, x, y, dc, u)
+        def both(k, state, x, y, dc, u):
+            for r, twin in enumerate(twins):
+                c, w = state.c[r].copy(), state.w[r].copy()
+                i = _reference_increments(f, 1.0, act, c, w, x[r], y[r])
+                j = _reference_increments(f, 1.0, act, c, w, twin.x[k],
+                                          twin.y[k])
+                for t in range(2):
+                    diffs[t, r] += i[t] - j[t]
+                    squares[t, r] += (i[t] - j[t]) ** 2
+                    sizes[t, r] += abs(i[t]) + abs(j[t])
+            obs(k, state, x, y, dc, u)
 
-        train(ens, model, TrainSchedule(steps / n),
-              RandomStreams(17).stream(0, purpose="data"), observer=both)
-        assert len(refs) == steps
-        for k, (i1, i2, e1, e2, s1, s2) in enumerate(refs):
-            assert obs.i1[k] == pytest.approx(i1, rel=1e-12, abs=0)
-            assert obs.i2[k] == pytest.approx(i2, rel=1e-12, abs=0)
-            assert obs.e1[k] == pytest.approx(e1, rel=1e-12, abs=1e-12 * s1)
-            assert obs.e2[k] == pytest.approx(e2, rel=1e-12, abs=1e-12 * s2)
+        run_default(model, init, act, 1.0, n, TrainSchedule(steps / n),
+                    streams, replica=list(range(reps)), observer=both)
+        assert np.all(np.abs(obs.sums - diffs) <= 1e-12 * sizes)
+        assert np.all(np.abs(obs.squares - squares) <= 1e-12 * squares)
+        qv1, qv2, end1, end2 = obs.totals()
+        assert np.array_equal(qv1, obs.squares[0] / 2)
+        assert np.array_equal(end2, obs.sums[1] ** 2 / 2)
 
 
-def test_observer_step_allocates_no_n_by_k_array(model, init):
-    n = 800
-    quad = freeze_quadrature(default_martingale_quadrature(model), model)
-    assert quad.n == 1024
-    ens = Ensemble.from_init(init, TANH, 1.0,
-                             RandomStreams(5).stream(0, purpose="init"), n)
-    obs = _DecompositionObserver(FS[1], quad, 1.0, TANH, 2, n)
-    x, y = np.array([0.3, -0.4]), 0.2
-    dc, u = step_increments(ens, x, y)
-    obs(0, ens, x, y, dc, u)           # first call allocates the work buffer
-    tracemalloc.start()
-    try:
-        obs(1, ens, x, y, dc, u)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < n * quad.n * 8
+def test_twin_estimator_is_unbiased(model, init):
+    """On one frozen state, D = i - i' over many twin pairs has mean 0 and
+    E[D^2 / 2] = E[(i - e)^2], each within 4 SE, where e = E[i | state].
+    The oracle takes e and E[(i - e)^2] from the plain reference formula on
+    a fine fixed grid (exact in y), with the variance of the uniform label
+    noise added to the second moment.  A twin that repeated the training
+    sample would give D = 0 and fail the second check."""
+    n, reps, steps, alpha = 32, 40, 250, 1.0
+    ens = Ensemble.from_init(init, TANH, alpha,
+                             RandomStreams(21).stream(0, purpose="init"), n)
+    state = sgd._Lockstep(np.repeat(ens.c[None], reps, axis=0),
+                          np.repeat(ens.w[None], reps, axis=0), TANH, alpha,
+                          True, 0)
+    streams = RandomStreams(23)
+    obs = _DecompositionObserver(FS[1], model, streams, range(reps))
+    xs, ys = sgd._draw_chunk(model, [streams.stream(r, purpose="data")
+                                     for r in range(reps)])
+    for k in range(steps):
+        x, y = xs[k], ys[k]
+        obs(k, state, x, y,
+            *step_increments(state, x, y, state.preactivations(x)))
+    assert np.all(state.c == ens.c) and np.all(state.w == ens.w)
+    quad = freeze_quadrature(QuadratureSpec("fixed-grid", 128 ** 2), model)
+    noise_var = model.noise_scale ** 2 / 3.0
+    terms = _reference_node_terms(FS[1], quad, alpha, TANH, ens)
+    for j, (t, h) in enumerate(zip(terms[:2], terms[2:])):
+        e = float(np.mean(t))
+        want = (float(np.mean((t - e) ** 2))
+                + (alpha / n) ** 2 * noise_var * float(np.mean(h * h)))
+        mean_d = obs.sums[j] / steps
+        half_sq = obs.squares[j] / (2 * steps)
+        assert want > 0 and np.all(half_sq > 0)
+        se = np.std(mean_d, ddof=1) / np.sqrt(reps)
+        assert abs(np.mean(mean_d)) <= 4 * se
+        se = np.std(half_sq, ddof=1) / np.sqrt(reps)
+        assert abs(np.mean(half_sq) - want) <= 4 * se
+
+
+def test_martingale_decay_trains_the_bits_of_run_default(model, init,
+                                                         monkeypatch):
+    """The twin observer draws from streams of its own and writes nothing
+    to the state, so each replica that martingale_decay trains, in one
+    observed batch per N, ends on the bits that run_default gives it alone
+    and without an observer."""
+    finals = {}
+    real = diagnostics.run_default
+
+    def spy(*args, **kw):
+        results = real(*args, **kw)
+        assert kw["observer"] is not None
+        finals[args[4]] = [res.snapshots[-1][1] for res in results]
+        return results
+
+    monkeypatch.setattr(diagnostics, "run_default", spy)
+    streams = RandomStreams(31)
+    martingale_decay(model, init, FS[1], [32, 80], 0.5, 3, streams)
+    assert sorted(finals) == [32, 80]
+    for n, clouds in finals.items():
+        assert len(clouds) == 3
+        for r, cloud in enumerate(clouds):
+            alone = real(model, init, TANH, 1.0, n, TrainSchedule(0.5),
+                         streams, replica=r).snapshots[-1][1]
+            assert np.array_equal(cloud.c, alone.c)
+            assert np.array_equal(cloud.w, alone.w)
 
 
 @pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])
 @pytest.mark.parametrize("n", [96, 256, 300])
 def test_drift_pairing_matches_reference_formula(kind, n, model, init):
-    """The blocked pairing against plain temporaries, with the tolerances of
-    ``test_observer_matches_reference_formula``, for N below one row block,
-    a multiple of it and with a ragged last block; alpha = 0 pairs to 0.
+    """The blocked pairing against plain temporaries, for N below one row
+    block, a multiple of it and with a ragged last block; alpha = 0 pairs
+    to 0.  Pairings match to 1e-12 relative or, where the mean over nodes
+    cancels, to 1e-12 of its summands' magnitude (the H GEMM reassociates
+    sums, and a cancelling mean magnifies the last-bit change: 1.2e-12
+    relative on smooth-bump at 6600x cancellation, with old and new both
+    within 7e-13 of a long-double evaluation).
     All test functions in one call give, bit for bit, the Q and the pairs of
     one call per function.  The blocked per-particle field ``drift``, at the
     pairing's Q and at a frozen one, matches its reference to 1e-12 of the
     magnitude of its summands."""
     act = activation(kind)
-    quad = freeze_quadrature(default_martingale_quadrature(model), model)
+    quad = freeze_quadrature(QuadratureSpec("fixed-grid", 1024), model)
     assert pairing_rows(quad.n) == 128
     nodes = node_arrays(quad, np.float64)
     work = work_buffers(n, quad.n, act, np.float64)
@@ -288,33 +359,16 @@ def test_drift_pairing_matches_reference_formula(kind, n, model, init):
     assert zero == [(0.0, 0.0)] * len(grads)
 
 
-def test_observer_memory_stays_below_two_row_blocks(model, init):
-    """Building the observer and one step at N=800, K=1024 hold less than
-    two of the pairing's row blocks: the work no longer grows with N."""
-    n = 800
-    quad = freeze_quadrature(default_martingale_quadrature(model), model)
-    ens = Ensemble.from_init(init, TANH, 1.0,
-                             RandomStreams(5).stream(0, purpose="init"), n)
-    x, y = np.array([0.3, -0.4]), 0.2
-    dc, u = step_increments(ens, x, y)
-    tracemalloc.start()
-    try:
-        obs = _DecompositionObserver(FS[1], quad, 1.0, TANH, 1, n)
-        obs(0, ens, x, y, dc, u)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * pairing_rows(quad.n) * quad.n * 8
-
-
 def test_observer_rejects_ensemble_of_other_size(model, init):
-    quad = freeze_quadrature(default_martingale_quadrature(model), model)
-    obs = _DecompositionObserver(FS[1], quad, 1.0, TANH, 4, 32)
-    ens = Ensemble.from_init(init, TANH, 1.0,
-                             RandomStreams(5).stream(0, purpose="init"), 16)
-    x = np.array([0.1, 0.2])
+    """An observer built for two replicas refuses a batch of three, whose
+    last replica it has no twin stream for."""
+    obs = _DecompositionObserver(FS[1], model, RandomStreams(5), range(2))
+    state = sgd._Lockstep(np.zeros((3, 16)), np.zeros((3, 16, 2)), TANH,
+                          1.0, True, 0)
+    x, y = np.full((3, 2), 0.1), np.zeros(3)
     with pytest.raises(RejectedInputError):
-        obs(0, ens, x, 0.0, *step_increments(ens, x, 0.0))
+        obs(0, state, x, y,
+            *step_increments(state, x, y, state.preactivations(x)))
 
 
 def test_martingale_zero_when_alpha_zero(model, init):
@@ -323,6 +377,7 @@ def test_martingale_zero_when_alpha_zero(model, init):
     assert np.all(table.m1_sq == 0.0)
     assert np.all(table.m2_sq == 0.0)
     assert np.all(table.m1_sq_direct == 0.0)
+    assert np.all(table.m2_sq_direct == 0.0)
 
 
 def test_martingale_second_moment_scales_inversely_with_n(model, init):
@@ -333,13 +388,6 @@ def test_martingale_second_moment_scales_inversely_with_n(model, init):
         assert 2.0 <= r <= 8.0          # theory 4 at a 4x size step
     header, rows = table.to_csv_rows()
     assert len(rows) == 2
-
-
-def test_default_martingale_quadrature_modes():
-    assert default_martingale_quadrature(default_model()).mode == "fixed-grid"
-    images = DataModel("mnist-binary", 4, images=np.zeros((2, 4)),
-                       labels=np.array([-1.0, 1.0]))
-    assert default_martingale_quadrature(images).mode == "monte-carlo"
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import pytest
 from meanfield_sgd import (EmpiricalMeasure, Histogram1D, RejectedInputError,
                            constant_one, gaussian_bump, histogram,
                            histogram_w1, pair, resample,
-                           smoothed_coordinate, wasserstein,
-                           wasserstein_bruteforce)
+                           sliced_wasserstein, smoothed_coordinate,
+                           wasserstein, wasserstein_bruteforce)
 from meanfield_sgd.measure import (EXACT_LIMIT, fmt_float,
                                    read_histogram_csv, sliced_debias_factor,
                                    write_histogram_csv)
@@ -130,9 +130,10 @@ def test_method_selection_and_info():
     small = cloud(rng, EXACT_LIMIT, 2)
     _, info = wasserstein(small, cloud(rng, EXACT_LIMIT, 2), return_info=True)
     assert info["method"] == "exact-assignment"
-    big = cloud(rng, EXACT_LIMIT + 1, 2)
-    _, info = wasserstein(big, cloud(rng, EXACT_LIMIT + 1, 2), return_info=True)
+    big, other = cloud(rng, EXACT_LIMIT + 1, 2), cloud(rng, EXACT_LIMIT + 1, 2)
+    value, info = wasserstein(big, other, return_info=True)
     assert info["method"] == "sliced"
+    assert value == sliced_wasserstein(big, other, 2)
 
 
 def test_mismatched_sizes_and_bad_p_rejected():
@@ -145,6 +146,10 @@ def test_mismatched_sizes_and_bad_p_rejected():
         wasserstein(cloud(rng, 3, 2), cloud(rng, 3, 2), p=3)
     with pytest.raises(RejectedInputError):
         wasserstein_bruteforce(cloud(rng, 9, 2), cloud(rng, 9, 2))
+    with pytest.raises(RejectedInputError):
+        sliced_wasserstein(cloud(rng, 3, 2), cloud(rng, 4, 2), 1)
+    with pytest.raises(RejectedInputError):
+        sliced_wasserstein(cloud(rng, 3, 2), cloud(rng, 3, 2), p=3)
 
 
 def test_sliced_debias_factor_closed_forms():
@@ -292,3 +297,28 @@ def test_cli_import_leaves_scipy_optimize_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["False", "True"]
+
+
+def test_limit_distance_leaves_scipy_optimize_out():
+    """``limit_distance`` takes the sliced distance at every N, those at or
+    below ``EXACT_LIMIT`` included, so a fresh process that trains a study
+    and measures it against a solved limit never imports scipy.optimize."""
+    import meanfield_sgd
+    src = str(Path(meanfield_sgd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys\n"
+            "from meanfield_sgd import *\n"
+            "model, init, act = default_model(), default_init(2), "
+            "activation('tanh')\n"
+            "streams = RandomStreams(3)\n"
+            "study = run_study(model, init, act, 1.0, 0.25, [16, 32], 2, "
+            "streams)\n"
+            "sol = solve_selfconsistent(init, model, 64, 0.05, 0.25, "
+            "quad=QuadratureSpec('monte-carlo', 64), "
+            "rng=streams.stream(purpose='meanfield'))\n"
+            "table = limit_distance(study, sol, default_test_functions(2))\n"
+            "print(len(table.rows), 'scipy.optimize' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["2", "False"]

@@ -154,15 +154,29 @@ def test_batch_divergence_names_the_replica_id(init):
     assert f"replica {err.value.replica}" in str(err.value)
 
 
-def test_observer_needs_a_batch_of_one(model, init):
-    streams = RandomStreams(8)
-    with pytest.raises(RejectedInputError):
-        run_default(model, init, TANH, 1.0, 8, TrainSchedule(1.0), streams,
-                    replica=[0, 1], observer=lambda *args: None)
-    batch = sgd._Lockstep(np.zeros((2, 8)), np.zeros((2, 8, 2)), TANH, 1.0,
+def test_observed_batch_trains_as_each_replica_alone(model, init):
+    """An observer sees a lockstep batch whole: the state, samples and
+    increments carry the leading replica axis, and the observed batch
+    trains to the bits of each replica trained alone without an observer.
+    A batch still needs one generator per replica."""
+    streams, sched = RandomStreams(8), TrainSchedule(1.0)
+    seen = []
+
+    def observer(k, state, x, y, dc, u):
+        seen.append((k, state.c.shape, state.w.shape, x.shape, y.shape,
+                     dc.shape, u.shape))
+
+    batch = run_default(model, init, TANH, 1.0, 8, sched, streams,
+                        replica=[0, 1, 2], observer=observer)
+    assert seen == [(k, (3, 8), (3, 8, 2), (3, 2), (3,), (3, 8), (3, 8))
+                    for k in range(8)]
+    _assert_same_runs(batch, [run_default(model, init, TANH, 1.0, 8, sched,
+                                          streams, replica=r)
+                              for r in range(3)])
+    state = sgd._Lockstep(np.zeros((2, 8)), np.zeros((2, 8, 2)), TANH, 1.0,
                           False, 0)
     with pytest.raises(RejectedInputError):
-        sgd._train(batch, model, TrainSchedule(1.0),
+        sgd._train(state, model, TrainSchedule(1.0),
                    [np.random.default_rng(0)], None, False, True)
 
 
@@ -333,14 +347,14 @@ def test_observer_sees_pre_step_state(streams, model, init):
     c0 = ens.c.copy()
     seen = []
 
-    def observer(k, e, x, y, dc, u):
+    def observer(k, state, x, y, dc, u):
         if k == 0:
-            seen.append(e.c.copy())
+            seen.append(state.c.copy())
         seen.append(k)
 
     train(ens, model, TrainSchedule(1.0), streams.stream(0, purpose="data"),
           observer=observer)
-    assert np.array_equal(seen[0], c0)
+    assert np.array_equal(seen[0], c0[None])
     assert seen[1:] == list(range(16))
 
 
@@ -351,19 +365,20 @@ def test_observer_increments_are_the_applied_step(streams, model, init):
                              24)
     pending = []
 
-    def check(post):
+    def check(c, w):
         c0, w0, x0, dc0, u0 = pending.pop()
-        assert np.array_equal(post.c, c0 + dc0)
-        assert np.array_equal(post.w, w0 + u0[:, None] * x0[None, :])
+        assert np.array_equal(c, c0 + dc0)
+        assert np.array_equal(w, w0 + u0[..., None] * x0[:, None, :])
 
-    def observer(k, e, x, y, dc, u):
+    def observer(k, state, x, y, dc, u):
         if pending:
-            check(e)
-        pending.append((e.c.copy(), e.w.copy(), x.copy(), dc.copy(), u.copy()))
+            check(state.c, state.w)
+        pending.append((state.c.copy(), state.w.copy(), x.copy(), dc.copy(),
+                        u.copy()))
 
     train(ens, model, TrainSchedule(1.0), streams.stream(0, purpose="data"),
           observer=observer)
-    check(ens)
+    check(ens.c[None], ens.w[None])
 
 
 def test_train_dimension_mismatch(model):
@@ -382,10 +397,11 @@ def test_data_stream_prefix_shared_across_sizes(model, init):
         xs = []
         train(ens, model, TrainSchedule(0.5),
               RandomStreams(7).stream(0, purpose="data"),
-              observer=lambda k, e, x, y, dc, u: xs.append((x.copy(), y)))
+              observer=lambda k, state, x, y, dc, u: xs.append(
+                  (x.copy(), y.copy())))
         seen[n] = xs
     for (xa, ya), (xb, yb) in zip(seen[32], seen[128]):
-        assert np.array_equal(xa, xb) and ya == yb
+        assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
 
 
 # ---------------------------------------------------------------------------
