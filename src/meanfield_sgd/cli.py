@@ -535,10 +535,9 @@ def cmd_mnist_hist(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     schedule.n_steps(max(n_grid))  # refuses a horizon too long to count
     out.mkdir(parents=True, exist_ok=True)
     hists = []
-    for n in n_grid:
-        cloud = run_default(model, init, act, cfg["alpha"], n, schedule,
-                            streams).snapshots[-1][1]
-        h = histogram(cloud, "c", cfg["bins"])
+    for n in n_grid:  # each width's cloud is dropped before the next trains
+        h = histogram(run_default(model, init, act, cfg["alpha"], n, schedule,
+                                  streams).snapshots[-1][1], "c", cfg["bins"])
         write_histogram_csv(h, out / f"hist_c_n{n}.csv", chash)
         hists.append((n, h))
     rows = []

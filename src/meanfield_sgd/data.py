@@ -51,8 +51,9 @@ class DataModel:
     network output (so a cloud that equals the teacher reproduces y bit for
     bit -- the interpolation fixed point).
     kind "noisy-polynomial": y = a0 + a1.x + a2.x^2 + noise.
-    kind "mnist-binary": x is a stored image in [0,1]^d, y in {-1, +1}.
-    Synthetic inputs are uniform on the cube [-1, 1]^d.
+    kind "mnist-binary": ``images`` holds the pixels once, as uint8 bytes
+    (n, d), and a draw scales its image to x in [0,1]^d (``_pixels``); y in
+    {-1, +1}.  Synthetic inputs are uniform on the cube [-1, 1]^d.
     """
 
     kind: str
@@ -76,8 +77,13 @@ class DataModel:
                 raise ConfigError("teacher-network needs units and an activation")
             if self.teacher_w.shape != (self.teacher_c.shape[0], self.d):
                 raise ConfigError("teacher unit shapes disagree with d")
-        if self.kind == "mnist-binary" and (self.images is None or self.labels is None):
-            raise ConfigError("mnist-binary needs loaded images and labels")
+        if self.kind == "mnist-binary":
+            if self.images is None or self.labels is None:
+                raise ConfigError("mnist-binary needs images and labels")
+            pixels = self.images
+            if pixels.dtype != np.uint8 or pixels.shape[1:] != (self.d,):
+                raise ConfigError("mnist-binary images must be uint8 pixel "
+                                  "bytes of shape (n, d)")
 
 
 def teacher_network(d: int = 2, act: Activation | None = None,
@@ -141,13 +147,25 @@ def sample_data(model: DataModel, rng: np.random.Generator, n: int) -> Batch:
     if n < 1:
         raise RejectedInputError("need n >= 1 samples")
     if model.kind == "mnist-binary":
-        idx = rng.integers(0, model.images.shape[0], size=n)
-        return Batch(model.images[idx], model.labels[idx])
+        idx = _draw_indices(model, rng, n)
+        return Batch(_pixels(model, idx), model.labels[idx])
     x = rng.uniform(-1.0, 1.0, size=(n, model.d))
     y = conditional_mean(model, x)
     if model.noise_scale > 0:
         y = y + model.noise_scale * rng.uniform(-1.0, 1.0, size=n)
     return Batch(x, y)
+
+
+def _draw_indices(model: DataModel, rng: np.random.Generator, n: int
+                 ) -> np.ndarray:
+    """n image indices of an image model: the one draw behind its samples."""
+    return rng.integers(0, model.images.shape[0], size=n)
+
+
+def _pixels(model: DataModel, idx) -> np.ndarray:
+    """The float64 inputs in [0, 1] of the images ``idx``, scaled from the
+    stored bytes at each draw."""
+    return model.images[idx] / 255.0
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +301,9 @@ def load_mnist_idx(images_path, labels_path,
                    digit_pair: tuple[int, int]) -> DataModel:
     """Binary digit-pair regression stream from IDX files.
 
-    Pixels are scaled to [0, 1]; the first digit of the pair maps to y = -1,
-    the second to y = +1; all other digits are dropped.
+    The kept images are stored once, as their uint8 bytes (n, d); a draw
+    scales its pixels to [0, 1] (``_pixels``).  The first digit of the pair
+    maps to y = -1, the second to y = +1; all other digits are dropped.
     """
     lo_digit, hi_digit = int(digit_pair[0]), int(digit_pair[1])
     if lo_digit == hi_digit:
@@ -298,6 +317,6 @@ def load_mnist_idx(images_path, labels_path,
     keep = (labels == lo_digit) | (labels == hi_digit)
     if not np.any(keep):
         raise ConfigError(f"no samples of digits {digit_pair} in the files")
-    x = images[keep].reshape(keep.sum(), -1).astype(np.float64) / 255.0
+    kept = images[keep].reshape(keep.sum(), -1)
     y = np.where(labels[keep] == hi_digit, 1.0, -1.0)
-    return DataModel("mnist-binary", x.shape[1], images=x, labels=y)
+    return DataModel("mnist-binary", kept.shape[1], images=kept, labels=y)

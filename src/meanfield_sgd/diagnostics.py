@@ -238,7 +238,7 @@ class _DecompositionObserver:
                           for r in self.replicas[self._batch]]
         if k % _STREAM_CHUNK == 0:
             self._chunk = _draw_chunk(self.model, self._rngs)
-        xt, yt = (a[k % _STREAM_CHUNK] for a in self._chunk)
+        xt, yt = self._chunk(k % _STREAM_CHUNK)
         fc, fw = _gradients(self.f, state.c, state.w)
         dct, ut = step_increments(state, xt, yt, state.preactivations(xt))
         diff = (np.stack(_first_order(fc, fw, x, dc, u))

@@ -34,8 +34,8 @@ import numpy as np
 from .core import (DIVERGENCE_LIMIT, Activation, DivergedError,
                    RejectedInputError, RandomStreams, activation_deriv,
                    guard_divergence, max_abs)
-from .data import (DataModel, InitLaw, _sample_clouds, sample_data,
-                   sample_init)
+from .data import (DataModel, InitLaw, _draw_indices, _pixels, _sample_clouds,
+                   sample_data, sample_init)
 from .measure import EmpiricalMeasure
 
 _STREAM_CHUNK = 4096  # samples drawn per refill; fixed, part of determinism
@@ -308,15 +308,26 @@ class TrainResult:
         return float(np.max(self.moment_trace))
 
 
-def _draw_chunk(model: DataModel, rngs: list) -> tuple[np.ndarray, np.ndarray]:
+def _draw_chunk(model: DataModel, rngs: list) -> Callable:
     """The next ``_STREAM_CHUNK`` samples of each generator in ``rngs``, as
-    x (steps, R, d) and y (steps, R); one replica's chunk is viewed, not
+    a function of the step i in the chunk that gives x (R, d) and y (R,).
+    An image model's chunk holds the drawn indices, the draws of
+    ``sample_data``, and scales step i's images from their bytes at that
+    step.  A synthetic model's chunk holds x (steps, R, d), since its noise
+    is drawn after the whole x block; one replica's chunk is viewed, not
     copied."""
+    if model.kind == "mnist-binary":
+        idx = np.stack([_draw_indices(model, g, _STREAM_CHUNK) for g in rngs],
+                       axis=1)
+        ys = model.labels[idx]
+        return lambda i: (_pixels(model, idx[i]), ys[i])
     batches = [sample_data(model, g, _STREAM_CHUNK) for g in rngs]
     if len(batches) == 1:
-        return batches[0].x[:, None], batches[0].y[:, None]
-    return (np.stack([b.x for b in batches], axis=1),
-            np.stack([b.y for b in batches], axis=1))
+        xs, ys = batches[0].x[:, None], batches[0].y[:, None]
+    else:
+        xs = np.stack([b.x for b in batches], axis=1)
+        ys = np.stack([b.y for b in batches], axis=1)
+    return lambda i: (xs[i], ys[i])
 
 
 def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule, rng,
@@ -383,9 +394,9 @@ def _train(state: _Lockstep, model: DataModel, schedule: TrainSchedule,
     record(0)
     done = 0
     while done < n_steps:
-        xs, ys = _draw_chunk(model, rngs)
+        sample = _draw_chunk(model, rngs)
         for i in range(min(n_steps - done, _STREAM_CHUNK)):
-            x, y = xs[i], ys[i]
+            x, y = sample(i)
             dc, u = step_increments(state, x, y, state.preactivations(x))
             if observer is not None:
                 observer(done, state, x, y, dc, u)

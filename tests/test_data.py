@@ -89,9 +89,12 @@ def test_model_validation_errors():
         teacher_network(noise_scale=-0.1)
     with pytest.raises(ConfigError):
         conditional_mean(DataModel("mnist-binary", 4,
-                                   images=np.zeros((2, 4)),
+                                   images=np.zeros((2, 4), np.uint8),
                                    labels=np.array([-1.0, 1.0])),
                          np.zeros(4))
+    with pytest.raises(ConfigError, match="uint8"):  # pixels, not floats
+        DataModel("mnist-binary", 4, images=np.zeros((2, 4)),
+                  labels=np.array([-1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +216,25 @@ def test_idx_truncation_reports_byte_counts(tmp_path):
 
 
 def test_load_mnist_digit_pair(tmp_path):
+    """The kept images are stored once as their uint8 bytes; a draw scales
+    them to [0, 1]."""
     images_path, labels_path = make_idx_pair(tmp_path, n_per_class=40)
     model = load_mnist_idx(images_path, labels_path, (3, 5))
     assert model.kind == "mnist-binary"
     assert model.d == 28 * 28
-    assert model.images.shape[0] == 80          # the extra digit is dropped
+    assert model.images.dtype == np.uint8
+    assert model.images.shape == (80, model.d)  # the extra digit is dropped
+    raw, digits = read_idx_images(images_path), read_idx_labels(labels_path)
+    assert np.array_equal(model.images,
+                          raw[(digits == 3) | (digits == 5)].reshape(80, -1))
     assert set(np.unique(model.labels)) == {-1.0, 1.0}
-    assert model.images.min() >= 0.0 and model.images.max() <= 1.0
+    batch = sample_data(model, np.random.default_rng(8), 400)
+    assert batch.x.dtype == np.float64
+    assert batch.x.min() >= 0.0 and batch.x.max() <= 1.0
     # first digit of the pair maps to -1: top-band images are the 3s
-    top_mass = model.images[:, : model.d // 2].sum(axis=1)
-    bottom_mass = model.images[:, model.d // 2:].sum(axis=1)
-    assert np.all((top_mass > bottom_mass) == (model.labels == -1.0))
+    top_mass = batch.x[:, : model.d // 2].sum(axis=1)
+    bottom_mass = batch.x[:, model.d // 2:].sum(axis=1)
+    assert np.all((top_mass > bottom_mass) == (batch.y == -1.0))
 
 
 def test_load_mnist_errors(tmp_path):

@@ -260,10 +260,10 @@ def test_twin_estimator_is_unbiased(model, init):
                           True, 0)
     streams = RandomStreams(23)
     obs = _DecompositionObserver(FS[1], model, streams, range(reps))
-    xs, ys = sgd._draw_chunk(model, [streams.stream(r, purpose="data")
+    sample = sgd._draw_chunk(model, [streams.stream(r, purpose="data")
                                      for r in range(reps)])
     for k in range(steps):
-        x, y = xs[k], ys[k]
+        x, y = sample(k)
         obs(k, state, x, y,
             *step_increments(state, x, y, state.preactivations(x)))
     assert np.all(state.c == ens.c) and np.all(state.w == ens.w)

@@ -67,7 +67,7 @@ def test_quadrature_spec_validation(model):
         QuadratureSpec("simpson")
     with pytest.raises(ConfigError):
         QuadratureSpec(n_nodes=0)
-    images = DataModel("mnist-binary", 4, images=np.zeros((2, 4)),
+    images = DataModel("mnist-binary", 4, images=np.zeros((2, 4), np.uint8),
                        labels=np.array([-1.0, 1.0]))
     with pytest.raises(ConfigError):
         freeze_quadrature(QuadratureSpec("fixed-grid", 64), images)

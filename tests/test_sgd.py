@@ -8,9 +8,9 @@ import pytest
 
 from meanfield_sgd import (DivergedError, Ensemble, InitLaw, RandomStreams,
                            RejectedInputError, TrainSchedule, activation,
-                           default_model, from_network, moment_guard,
-                           run_default, sample_data, sgd_step, teacher_network,
-                           train)
+                           default_model, from_network, load_mnist_idx,
+                           moment_guard, run_default, sample_data, sgd_step,
+                           teacher_network, train)
 from meanfield_sgd import sgd
 from meanfield_sgd.core import DIVERGENCE_LIMIT, max_abs
 
@@ -538,6 +538,68 @@ def test_run_default_holds_its_weights_once():
     assert w.shape == (n, d) and sched.n_steps(n) == 300
     assert peak < w.nbytes + chunk + w.nbytes / 2, \
         f"peak {peak / w.nbytes:.2f} w, chunk {chunk / w.nbytes:.2f} w"
+
+
+def test_image_model_holds_no_chunk_of_rows(idx_files):
+    """An image model's stream holds the drawn indices and scales each
+    step's images from their stored bytes: at N=3000, d=784 run_default's
+    traced peak stays below 1.5 w, where 4096 float64 sample rows alone
+    would be 1.37 w."""
+    model = load_mnist_idx(*idx_files, (3, 5))
+    n, init = 3000, InitLaw(d=model.d, w_scale=0.3)
+    sched = TrainSchedule(0.1)
+    out = []
+    peak = traced_peak(lambda: out.append(run_default(
+        model, init, TANH, 1.0, n, sched, RandomStreams(66))))
+    w = out[0].snapshots[-1][1].w
+    assert w.shape == (n, model.d) and sched.n_steps(n) == 300
+    assert peak < 1.5 * w.nbytes, f"peak {peak / w.nbytes:.2f} w"
+
+
+def test_image_steps_are_the_rows_sample_data_draws(idx_files):
+    """Each step of a lockstep batch on an image model, and each sample of a
+    chunk the twin observer draws, holds the float64 bytes of the row
+    sample_data draws from the same generator, and those are the bytes of
+    the float corpus gathered at the drawn indices.  The generators are
+    left where whole chunks of sample_data leave them."""
+    model = load_mnist_idx(*idx_files, (3, 5))
+    seeds, n, steps = (80, 81), 4, sgd._STREAM_CHUNK + 60
+    seen = []
+
+    def observer(k, state, x, y, dc, u):
+        seen.append((x.copy(), y.copy()))
+
+    c, w = sgd._sample_clouds(InitLaw(d=model.d), [np.random.default_rng(70)
+                                                   for _ in seeds], n)
+    state = sgd._Lockstep(c, w, TANH, 0.0, True, 0)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    sgd._train(state, model, TrainSchedule(steps / n), rngs, observer,
+               False, True)
+    twin_rngs = [np.random.default_rng(s) for s in seeds]
+    twin = sgd._draw_chunk(model, twin_rngs)
+    rows = model.images.astype(np.float64) / 255.0
+    assert len(seen) == steps
+    for r, seed in enumerate(seeds):
+        ref = np.random.default_rng(seed)
+        draws = np.random.default_rng(seed)
+        idx = np.concatenate([draws.integers(0, len(rows),
+                                             size=sgd._STREAM_CHUNK)
+                              for _ in range(2)])
+        want = [sample_data(model, ref, sgd._STREAM_CHUNK) for _ in range(2)]
+        x = np.concatenate([b.x for b in want])
+        y = np.concatenate([b.y for b in want])
+        assert x.tobytes() == rows[idx].tobytes()
+        got = np.stack([s[0][r] for s in seen])
+        assert got.tobytes() == x[:steps].tobytes()
+        assert np.array_equal(np.array([s[1][r] for s in seen]), y[:steps])
+        chunk = [twin(i) for i in range(sgd._STREAM_CHUNK)]
+        assert (np.stack([xt[r] for xt, _ in chunk]).tobytes()
+                == want[0].x.tobytes())
+        assert np.array_equal([yt[r] for _, yt in chunk], want[0].y)
+        assert rngs[r].bit_generator.state == ref.bit_generator.state
+        one = np.random.default_rng(seed)
+        sample_data(model, one, sgd._STREAM_CHUNK)
+        assert twin_rngs[r].bit_generator.state == one.bit_generator.state
 
 
 def test_wide_sgd_step_makes_no_temporary_of_w():
