@@ -260,17 +260,27 @@ def _write_weak_residuals(path: Path, sol: MeanFieldSolution, fs,
     return worst
 
 
+def _table_rows(columns) -> list[str]:
+    """One CSV row per row of the stacked ``columns``, each value written as
+    ``fmt_float`` writes it (``tolist`` gives the same Python floats).  Rows
+    are converted one at a time, so no Python float outlives its row."""
+    return [",".join(map(repr, row.tolist())) for row in np.column_stack(columns)]
+
+
 def write_cloud_csv(path: Path, cloud: EmpiricalMeasure, cfg_hash: str):
     header = "c," + ",".join(f"w_{j + 1}" for j in range(cloud.d))
-    rows = [",".join(fmt_float(v) for v in (cloud.c[i], *cloud.w[i]))
-            for i in range(cloud.n)]
-    _write_csv(path, header, rows, cfg_hash)
+    _write_csv(path, header, _table_rows((cloud.c, cloud.w)), cfg_hash)
+
+
+def _read_table(path: Path) -> np.ndarray:
+    """The (rows, columns) floats of a CSV that ``_write_csv`` wrote: its
+    comment line and header are skipped, and every value parses as float()
+    parses it."""
+    return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
 
 
 def read_cloud_csv(path: Path) -> EmpiricalMeasure:
-    rows = [ln for ln in path.read_text().splitlines()
-            if ln and not ln.startswith("#")]
-    data = np.array([[float(tok) for tok in ln.split(",")] for ln in rows[1:]])
+    data = _read_table(path)
     return EmpiricalMeasure(data[:, 0], data[:, 1:])
 
 
@@ -279,9 +289,8 @@ def save_solution(sol: MeanFieldSolution, out: Path, cfg_hash: str):
     for i in range(sol.times.shape[0]):
         write_cloud_csv(out / f"solution_{i:03d}.csv", sol.slice(i), cfg_hash)
     quad_header = ",".join(f"x_{j + 1}" for j in range(sol.quad.x.shape[1])) + ",y"
-    quad_rows = [",".join(fmt_float(v) for v in (*sol.quad.x[i], sol.quad.y[i]))
-                 for i in range(sol.quad.n)]
-    _write_csv(out / "quadrature.csv", quad_header, quad_rows, cfg_hash)
+    _write_csv(out / "quadrature.csv", quad_header,
+               _table_rows((sol.quad.x, sol.quad.y)), cfg_hash)
     meta = {
         "times": ",".join(fmt_float(t) for t in sol.times),
         "dt": fmt_float(sol.dt),
@@ -307,10 +316,7 @@ def load_solution(out: Path) -> MeanFieldSolution:
     times = np.array(_list(meta, "times", float))
     slices = [read_cloud_csv(out / f"solution_{i:03d}.csv")
               for i in range(times.shape[0])]
-    quad_rows = [ln for ln in (out / "quadrature.csv").read_text().splitlines()
-                 if ln and not ln.startswith("#")]
-    qdata = np.array([[float(tok) for tok in ln.split(",")]
-                      for ln in quad_rows[1:]])
+    qdata = _read_table(out / "quadrature.csv")
     spec = QuadratureSpec(meta["quad_mode"], int(meta["quad_nodes"]))
     quad = Quadrature(qdata[:, :-1], qdata[:, -1], spec)
     return MeanFieldSolution(

@@ -13,7 +13,8 @@ Conventions used across the package:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,7 +74,8 @@ class Activation:
 
     ``value`` and ``deriv`` evaluate sigma and sigma' elementwise.  ``value``
     and ``deriv_from_value`` take an optional ``out=`` array in the ufunc
-    convention and then make no temporary of the argument's size, and
+    convention and then make no temporary of the argument's size (but for
+    one where sigma' has a linear term in sigma, as logistic's does), and
     ``deriv_from_value`` may write over its own argument (``out=v``); where
     there is no ``deriv_from_value``, ``deriv`` takes ``out=`` the same way.
     """
@@ -81,22 +83,36 @@ class Activation:
     kind: str
     value: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
-    #: optional algebraic shortcut sigma'(z) as a function of sigma(z); lets
-    #: large kernels skip a second transcendental pass when one exists
-    deriv_from_value: Callable[[np.ndarray], np.ndarray] | None = None
+    #: (a0, a1, a2) with sigma' = a0 + a1 sigma + a2 sigma^2, where sigma'
+    #: is such a polynomial in sigma; lets large kernels skip a second
+    #: transcendental pass and fold sigma' into their products
+    deriv_poly: tuple[float, float, float] | None = None
+    #: sigma'(z) as a function of v = sigma(z), built from ``deriv_poly``
+    deriv_from_value: Callable[[np.ndarray], np.ndarray] | None = field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        dfv = (None if self.deriv_poly is None
+               else partial(_poly_deriv, self.deriv_poly))
+        object.__setattr__(self, "deriv_from_value", dfv)
 
 
-def _tanh_dfv(v, out=None):
-    if out is None:
-        return 1.0 - v * v
-    np.multiply(v, v, out=out)
-    return np.subtract(1.0, out, out=out)
-
-
-def _logistic_dfv(v, out=None):
-    if out is None:
-        return v * (1.0 - v)
-    return np.multiply(v, 1.0 - v, out=out)  # out may be v itself
+def _poly_deriv(coef: tuple[float, float, float], v, out=None):
+    """sigma' = a0 + v (a1 + a2 v) from v = sigma for coef = (a0, a1, a2),
+    in that order, and as a0 + (v v) a2 in place over v when a1 = 0; zero
+    coefficients are skipped.  For tanh (1, 0, -1) these are the floats of
+    1 - v*v, for logistic (0, 1, -1) those of v*(1 - v)."""
+    a0, a1, a2 = coef
+    if a1:
+        inner = a2 * v  # one temporary: v is still needed below
+        inner += a1
+        out = np.multiply(v, inner, out=out)
+    else:
+        out = np.multiply(v, v, out=out)  # out may be v itself
+        out *= a2
+    if a0:
+        out += a0
+    return out
 
 
 def _tanh_d1(z):
@@ -143,9 +159,9 @@ def activation(kind: str) -> Activation:
             "smooth-bump"
         )
     if kind == "tanh":
-        return Activation("tanh", np.tanh, _tanh_d1, _tanh_dfv)
+        return Activation("tanh", np.tanh, _tanh_d1, (1.0, 0.0, -1.0))
     if kind == "logistic":
-        return Activation("logistic", expit, _logistic_d1, _logistic_dfv)
+        return Activation("logistic", expit, _logistic_d1, (0.0, 1.0, -1.0))
     if kind == "smooth-bump":
         return Activation("smooth-bump", _bump, _bump_d1)
     raise ConfigError(f"unknown activation kind {kind!r}")

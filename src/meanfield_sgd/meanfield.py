@@ -17,11 +17,16 @@ loop differently:
 
 pi-integrals are approximated by a quadrature that is frozen up front, so the
 whole evolution is a deterministic function of the initial cloud and the node
-set.  The velocity field is taken over small particle row blocks of a
-caller-owned work block, so no (M x nodes) array is formed: ``drift_pairing``
-sums Q, the cloud's output at the nodes, and the field's pairings with
-test-function gradients; ``drift`` gives each particle's field from a given
-Q, for the Euler step.  The solvers run in float32 (a factor ~3 on the
+set.  The velocity field is taken over small blocks of a caller-owned work
+array, so no (M x nodes) array is formed.  ``drift`` gives each particle's
+field for the Euler step.  It walks blocks of ``NODE_COLUMNS`` (32) node
+columns by all M particles: Q at a node sums over particles only, so one
+block of sigma yields Q and the residual weight at its nodes and then their
+share of the field, and each (path, node) pair takes one sigma per step.
+``drift_pairing`` gives Q and the field's pairings with test-function
+gradients for the weak residual and ``q_on_nodes``; it reduces over
+particles first, so it walks particle row blocks of about 1 MB.  Both form
+Q through one helper.  The solvers run in float32 (a factor ~3 on the
 (M x nodes) sweeps that dominate); snapshots are stored in float64.  Float32
 round-off (~1e-6 relative) is far below the O(dt) + O(1/sqrt(M)) +
 O(1/sqrt(nodes)) error budget of everything computed from these solutions.
@@ -167,34 +172,80 @@ def node_arrays(quad: Quadrature,
             quad.y.astype(dtype))
 
 
-def work_buffers(m: int, k: int, act: Activation,
+#: quadrature nodes per column block of ``drift``'s walk.  One tanh step at
+#: d = 2 on 2 OpenBLAS threads took, at M = 10^4, K = 4096, 55-73 ms with 16
+#: or 24 columns, 43-57 ms with 32 or 40 and 70-83 ms with 64 or 128, where
+#: the (M x width) float32 block outgrows L2 cache; at M = 4000, K = 2048,
+#: 12-16 ms with 16, 8-10 ms with 32 and 13-14 ms with 128
+NODE_COLUMNS = 32
+
+
+def work_buffers(rows: int, cols: int, act: Activation,
                  dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The (sigma, z) work blocks of ``drift`` and ``drift_pairing`` for m
-    particles at k nodes: min(m, ``pairing_rows(k)``) rows in one shared
-    array, or two when sigma' cannot come from sigma and z must outlive it."""
-    buf = np.empty((min(m, pairing_rows(k)), k), dtype=dtype)
-    return buf, (buf if act.deriv_from_value is not None else np.empty_like(buf))
+    """The (sigma, z) work blocks for a walk of ``drift`` or
+    ``drift_pairing`` over blocks of at most rows x cols entries, as flat
+    arrays.  ``drift`` walks all M particle rows by min(K, ``NODE_COLUMNS``)
+    node columns, so its work grows with M and never with K;
+    ``drift_pairing`` walks min(M, ``pairing_rows(K)``) particle rows by all
+    K node columns.  One shared array, or two when sigma' cannot come from
+    sigma and z must outlive it."""
+    buf = np.empty(rows * cols, dtype=dtype)
+    return buf, (buf if act.deriv_poly is not None else np.empty_like(buf))
 
 
 def pairing_rows(k: int) -> int:
-    """Particle rows per work block at k nodes: about 1 MB of float64, so a
-    block stays in L2 cache through its whole pass."""
+    """Particle rows per ``drift_pairing`` block at k nodes: about 1 MB of
+    float64, so a block stays in L2 cache through its whole pass."""
     return max(1, 2 ** 17 // k)
 
 
-def _sigma_blocks(w: np.ndarray, xt: np.ndarray, act: Activation, work):
-    """(lo, hi, sigma, z) per row block of ``work``: z = w[lo:hi] x^T."""
+def _blocks(w: np.ndarray, xt: np.ndarray, act: Activation, work,
+            rows: int, cols: int):
+    """(i, j, sigma, z) over the (rows x cols) blocks of the (M x K)
+    array z = w x^T, taken row block by row block and, within each, column
+    block by column block; sigma and z are views of ``work``, which must
+    hold rows x cols entries (``work_buffers``)."""
     buf, zbuf = work
-    for lo in range(0, w.shape[0], buf.shape[0]):
-        hi = min(lo + buf.shape[0], w.shape[0])
-        sig, z = buf[:hi - lo], zbuf[:hi - lo]
-        np.matmul(w[lo:hi], xt, out=z)
-        act.value(z, out=sig)
-        yield lo, hi, sig, z
+    m, k = w.shape[0], xt.shape[1]
+    for lo in range(0, m, rows):
+        i = slice(lo, min(lo + rows, m))
+        for ko in range(0, k, cols):
+            j = slice(ko, min(ko + cols, k))
+            shape = (i.stop - lo, j.stop - ko)
+            sig = buf[:shape[0] * shape[1]].reshape(shape)
+            z = zbuf[:sig.size].reshape(shape)
+            np.matmul(w[i], xt[:, j], out=z)
+            act.value(z, out=sig)
+            yield i, j, sig, z
+
+
+def _square_or_deriv(act: Activation, z: np.ndarray,
+                     sig: np.ndarray) -> np.ndarray:
+    """Over ``sig``, the block whose product carries sigma''s top term:
+    sigma^2 when sigma' = a0 + a1 sigma + a2 sigma^2 (``_deriv_terms``),
+    else sigma' itself, evaluated at z."""
+    if act.deriv_poly is None:
+        return act.deriv(z, out=sig)
+    return np.square(sig, out=sig)
+
+
+def _deriv_terms(act: Activation) -> tuple[float, float, float]:
+    """(a0, a1, a2) with sigma' = a0 + a1 sigma + a2 B, B the block that
+    ``_square_or_deriv`` leaves: sigma^2 or, without a polynomial, sigma'."""
+    return act.deriv_poly or (0.0, 0.0, 1.0)
+
+
+def _output_and_weight(csum: np.ndarray, m: int, y: np.ndarray,
+                       alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Q = csum / m, the cloud's output at some nodes from the particle sums
+    csum_k = sum_i c_i sigma(w_i . x_k), and the field's weight
+    r = alpha (y - Q) there: the one place a cloud's Q is formed."""
+    q = csum / m
+    return q, alpha * (y - q)
 
 
 def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
-          work, q: np.ndarray):
+          work, q: np.ndarray | None = None):
     """The velocity field (dc/dt, dw/dt) of every particle of a cloud.
 
     With r_k = alpha (y_k - q_k) over the K nodes of ``nodes`` (from
@@ -203,23 +254,45 @@ def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
         g1_i = (1/K) sum_k r_k sigma(w_i . x_k)                    (M,)
         g2_i = (1/K) sum_k r_k c_i sigma'(w_i . x_k) x_k           (M, d)
 
-    ``q`` is Q at the nodes, the cloud's own from ``drift_pairing`` or a
-    frozen one.  Each row block of ``work`` (``work_buffers``) makes one pass
-    z -> sigma -> g1 -> sigma' in place -> g2, in the dtype that the inputs
-    and ``work`` share, so the work memory is one block whatever M is.
+    ``q`` is a frozen Q at the nodes; None takes the cloud's own.  The walk
+    goes over blocks of ``NODE_COLUMNS`` node columns and all M particle
+    rows of ``work`` (``work_buffers``).  Q at a node sums over particles
+    only, so one block of sigma gives in turn Q and r at its nodes and their
+    share of g1 and g2, and every (particle, node) pair takes one z and one
+    sigma per call.  With sigma' = a0 + a1 sigma + a2 sigma^2 (tanh: 1, 0,
+    -1) r folds into the right operand:
+
+        K g2_i / c_i = a0 sum_k r_k x_k + sigma_i (a1 r x) + sigma_i^2 (a2 r x)
+
+    so sigma' is one in-place square of the block; without the polynomial
+    (smooth-bump) it is evaluated from a z block and takes the a2 slot.
+    Block products run in the dtype the inputs and ``work`` share, block
+    sums in float64, and the field comes back in the inputs' dtype.  The
+    work memory is one (M x ``NODE_COLUMNS``) block whatever K is, and no
+    (M x K) array is formed; narrower blocks made OpenBLAS's products
+    slower per node, wider ones outgrew L2 cache at M = 10^4.
     """
     x, xt, y = nodes
-    r = alpha * (y - q.astype(y.dtype, copy=False))
-    g1, g2 = np.empty_like(c), np.empty_like(w)
-    for lo, hi, sig, z in _sigma_blocks(w, xt, act, work):
-        np.matmul(sig, r, out=g1[lo:hi])
-        activation_deriv(act, z, sig, out=sig)
-        sig *= r
-        np.matmul(sig, x, out=g2[lo:hi])
+    m = c.shape[0]
+    a0, a1, a2 = _deriv_terms(act)
+    r_all = None if q is None else alpha * (y - q.astype(y.dtype, copy=False))
+    g1, g2, rx_sum = np.zeros(m), np.zeros(w.shape), np.zeros(w.shape[1])
+    part1, part2 = np.empty_like(c, w.dtype), np.empty_like(w)
+    for _, j, sig, z in _blocks(w, xt, act, work, m, NODE_COLUMNS):
+        r = (_output_and_weight(c @ sig, m, y[j], alpha)[1] if q is None
+             else r_all[j])
+        rx = r[:, None] * x[j]
+        g1 += np.matmul(sig, r, out=part1)
+        if a1:
+            g2 += np.matmul(sig, a1 * rx, out=part2)
+        if a0:
+            rx_sum += rx.sum(axis=0)
+        g2 += np.matmul(_square_or_deriv(act, z, sig), a2 * rx, out=part2)
+    g2 += a0 * rx_sum
     g1 /= y.shape[0]
     g2 /= y.shape[0]
     g2 *= c[:, None]
-    return g1, g2
+    return g1.astype(c.dtype), g2.astype(w.dtype)
 
 
 def drift_pairing(c: np.ndarray, w: np.ndarray, grads: Sequence, nodes,
@@ -230,30 +303,45 @@ def drift_pairing(c: np.ndarray, w: np.ndarray, grads: Sequence, nodes,
     sum_i fw_i . g2_i with ``drift``'s field (g1, g2), without forming it.
 
     Both sums are linear in r = alpha (y - Q), so the particle sums come
-    first, over the row blocks of ``work`` (``work_buffers``), and r last:
+    first, over blocks of ``pairing_rows(K)`` particle rows and all K node
+    columns of ``work`` (``work_buffers``), and r last:
 
         S = [c; fc_1; ...] sigma   (1+J, K)   Q = S_0 / M, r . S_j / K
         H_j = (c fw_j)^T sigma'    (d, K)     sum_k r_k (x_k . H_jk) / K
 
-    Each block makes one pass, z -> sigma -> S -> sigma' in place -> H (no
-    sigma' when ``grads`` is empty), so the work memory is one block
-    whatever M is.  Products run in the inputs' dtype, block sums in float64.
+    sigma' takes ``drift``'s polynomial form, H_j = a0 sum_i (c fw_j)_i +
+    a1 (c fw_j)^T sigma + a2 (c fw_j)^T sigma^2, with the square made in
+    place (no sigma' when ``grads`` is empty).  Unlike ``drift`` this walk
+    reduces over particles before r exists, so it goes by row blocks: with
+    ``drift``'s node column blocks its S and H products for three test
+    functions took 89-95 ms in place of 47-54 ms (M = 10^4, K = 4096, 2
+    BLAS threads).  The work memory is one block whatever M is.  Products
+    run in the inputs' dtype, block sums in float64.
     """
     _, xt, y = nodes
     m, (d, k) = c.shape[0], xt.shape
+    a0, a1, a2 = _deriv_terms(act)
     lhs = np.stack([c] + [fc for fc, _ in grads])
     cfw = np.hstack([c[:, None] * fw for _, fw in grads]) if grads else None
     s, h = np.zeros((1 + len(grads), k)), np.zeros((d * len(grads), k))
+    h1 = np.zeros_like(h) if a1 else None
     s_part, h_part = np.empty_like(s, xt.dtype), np.empty_like(h, xt.dtype)
-    for lo, hi, sig, z in _sigma_blocks(w, xt, act, work):
-        s += np.matmul(lhs[:, lo:hi], sig, out=s_part)
+    for i, _, sig, z in _blocks(w, xt, act, work, pairing_rows(k), k):
+        s += np.matmul(lhs[:, i], sig, out=s_part)
         if grads:
-            activation_deriv(act, z, sig, out=sig)
-            h += np.matmul(cfw[lo:hi].T, sig, out=h_part)
-    r = alpha * (y - s[0] / m)
-    return s[0] / m, [(float(r @ s_j) / k,
-                       float(r @ np.einsum("jk,jk->k", xt, h_j)) / k)
-                      for s_j, h_j in zip(s[1:], h.reshape(-1, d, k))]
+            if a1:
+                h1 += np.matmul(cfw[i].T, sig, out=h_part)
+            h += np.matmul(cfw[i].T, _square_or_deriv(act, z, sig),
+                           out=h_part)
+    h *= a2
+    if a1:
+        h += a1 * h1
+    if a0 and grads:
+        h += a0 * cfw.sum(axis=0, dtype=np.float64)[:, None]
+    q, r = _output_and_weight(s[0], m, y, alpha)
+    return q, [(float(r @ s_j) / k,
+                float(r @ np.einsum("jk,jk->k", xt, h_j)) / k)
+               for s_j, h_j in zip(s[1:], h.reshape(-1, d, k))]
 
 
 def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
@@ -267,7 +355,7 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
     c = cloud0.c.astype(np.float32)
     w = cloud0.w.astype(np.float32)
     nodes = node_arrays(quad, np.float32)
-    work = work_buffers(c.shape[0], quad.n, act, np.float32)
+    work = work_buffers(c.shape[0], min(quad.n, NODE_COLUMNS), act, np.float32)
     slot = {int(s): i for i, s in enumerate(snap_steps)}
     snaps_c = np.empty((len(slot), c.shape[0]))
     snaps_w = np.empty((len(slot),) + w.shape)
@@ -281,9 +369,8 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
                  / np.diff(snap_steps)[row]).astype(np.float32)
     max_rate = 0.0
     for k in range(n_steps):
-        if q_rows is None:
-            q = drift_pairing(c, w, [], nodes, act, alpha, work)[0]
-        else:
+        q = None
+        if q_rows is not None:
             r = row[k]
             q = q_rows[r] + theta[k] * (q_rows[r + 1] - q_rows[r])
         g1, g2 = drift(c, w, nodes, act, alpha, work, q)
@@ -352,7 +439,8 @@ def _slice_pairings(sol: MeanFieldSolution, fs: Sequence):
     """``drift_pairing`` of each slice of ``sol`` in float32, for the
     gradients of the test functions ``fs``: one (Q, pairs) per slice."""
     nodes = node_arrays(sol.quad, np.float32)
-    work = work_buffers(sol.n_paths, sol.quad.n, sol.act, np.float32)
+    work = work_buffers(min(sol.n_paths, pairing_rows(sol.quad.n)),
+                        sol.quad.n, sol.act, np.float32)
     for c, w in zip(sol.c, sol.w):
         grads = [(f.grad_c(c, w).astype(np.float32),
                   f.grad_w(c, w).astype(np.float32)) for f in fs]

@@ -1,6 +1,11 @@
 """End-to-end checks of the command-line runner: config parsing, artifact
 layout, byte-level reproducibility, manifest integrity, and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,6 +328,31 @@ def test_meanfield_solution_roundtrip_exact(tmp_path):
           "--quiet"])
     for f1 in sorted(out1.iterdir()):
         assert f1.read_bytes() == (out2 / f1.name).read_bytes(), f1.name
+
+
+def test_meanfield_manifest_does_not_depend_on_blas_threads(tmp_path):
+    """BLAS splits a product across threads above a size, which could
+    change how its sums are taken.  A run at M = 6000 on 512 nodes, where
+    the Euler walk's (M x 32) block products and the weak residual's row
+    block products pass OpenBLAS's threading thresholds (2^18 multiply-adds
+    for a GEMM, 9216 entries for a GEMV), writes the same manifest at 1 and
+    at 2 threads."""
+    import meanfield_sgd
+    src = str(Path(meanfield_sgd.__file__).resolve().parents[1])
+    cfg = _write_cfg(tmp_path, "m=6000\ndt=0.05\nt_horizon=0.15\n"
+                               "quad_nodes=512\nmf_snapshots=2\n")
+    manifests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "meanfield_sgd.cli",
+                        "meanfield", "--config", cfg, "--seed", "4",
+                        "--out", str(out), "--quiet"], env=env, check=True)
+        manifests.append((out / "manifest.txt").read_text())
+    assert manifests[0] == manifests[1]
+    assert "sha256:solution_001.csv" in manifests[0]
 
 
 def test_meanfield_picard_with_automatic_tolerance(tmp_path):

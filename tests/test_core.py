@@ -65,6 +65,25 @@ def test_deriv_from_value_shortcut():
     assert activation("smooth-bump").deriv_from_value is None
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_deriv_from_value_is_the_written_out_form_bitwise(dtype):
+    """The one sigma'-from-sigma function, built from each activation's
+    coefficients, gives the floats of 1 - v*v (tanh) and v*(1 - v)
+    (logistic) on 10^6 random z, allocating and in place, so that every
+    SGD step takes the same sigma' as the hand-written forms did."""
+    z = np.random.default_rng(11).normal(scale=4.0, size=10 ** 6).astype(dtype)
+    for kind, coef, form in (("tanh", (1.0, 0.0, -1.0), lambda v: 1.0 - v * v),
+                             ("logistic", (0.0, 1.0, -1.0),
+                              lambda v: v * (1.0 - v))):
+        act = activation(kind)
+        assert act.deriv_poly == coef
+        v = act.value(z)
+        want = form(v)
+        assert want.dtype == dtype
+        assert np.array_equal(act.deriv_from_value(v), want)
+        assert np.array_equal(act.deriv_from_value(v, out=v), want)
+
+
 @pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])
 def test_in_place_forms_are_bit_identical(kind):
     """out= writes the same bits as the allocating call, also in place over

@@ -4,18 +4,19 @@ decay, the decomposition reconciliation, limit distance, and chaos."""
 import numpy as np
 import pytest
 
-from meanfield_sgd import (Ensemble, InitLaw, QuadratureSpec, RandomStreams,
-                           RejectedInputError, TrainSchedule, activation,
-                           chaos_table, chaos_test, default_init,
-                           default_model, default_test_functions,
+from meanfield_sgd import (EmpiricalMeasure, Ensemble, InitLaw,
+                           QuadratureSpec, RandomStreams, RejectedInputError,
+                           TrainSchedule, activation, chaos_table, chaos_test,
+                           default_init, default_model, default_test_functions,
                            freeze_quadrature, limit_distance, lln_decay,
                            martingale_decay, moment_bound,
                            reconcile_decomposition, run_default, run_study,
-                           sample_data, solve_selfconsistent)
+                           sample_data, sample_init, solve_selfconsistent)
 from meanfield_sgd import diagnostics, sgd
 from meanfield_sgd.diagnostics import _DecompositionObserver
-from meanfield_sgd.meanfield import (drift, drift_pairing, node_arrays,
-                                     pairing_rows, work_buffers)
+from meanfield_sgd.meanfield import (NODE_COLUMNS, Quadrature, drift,
+                                     drift_pairing, node_arrays, pairing_rows,
+                                     work_buffers)
 from meanfield_sgd.sgd import step_increments
 
 TANH = activation("tanh")
@@ -194,13 +195,14 @@ def _reference_components(f, quad, alpha, act, ens, x, y):
             float(np.mean(np.abs(t1))), float(np.mean(np.abs(t2))))
 
 
-def _reference_field(quad, alpha, act, ens, q=None):
+def _reference_field(quad, alpha, act, ens, q=None, deriv=None):
     """``drift``'s per-particle field (g1, g2) with plain (N x K)
-    temporaries, at the cloud's own Q or a frozen ``q``, plus the magnitude
-    of the summands behind each entry."""
+    temporaries, at the cloud's own Q or a frozen ``q``, with sigma' from
+    ``deriv`` (default ``act.deriv``), plus the magnitude of the summands
+    behind each entry."""
     c, k = ens.c, quad.n
     sq = ens.w @ quad.x.T
-    vq, dq = act.value(sq), act.deriv(sq)
+    vq, dq = act.value(sq), (deriv or act.deriv)(sq)
     rq = alpha * (quad.y - ((c @ vq) / ens.n if q is None else q))
     return (vq @ rq / k, c[:, None] * ((dq * rq) @ quad.x) / k,
             np.abs(vq) @ np.abs(rq) / k,
@@ -329,8 +331,7 @@ def test_drift_pairing_matches_reference_formula(kind, n, model, init):
     quad = freeze_quadrature(QuadratureSpec("fixed-grid", 1024), model)
     assert pairing_rows(quad.n) == 128
     nodes = node_arrays(quad, np.float64)
-    work = work_buffers(n, quad.n, act, np.float64)
-    assert work[0].shape == (min(n, 128), quad.n)
+    work = work_buffers(n, quad.n, act, np.float64)  # either walk's block
     ens = Ensemble.from_init(init, act, 1.0,
                              RandomStreams(19).stream(0, purpose="init"), n)
     x, y = np.array([0.3, -0.4]), 0.2
@@ -357,6 +358,53 @@ def test_drift_pairing_matches_reference_formula(kind, n, model, init):
             assert np.all(np.abs(g2 - r2) <= 1e-12 * s2)
     _, zero = drift_pairing(ens.c, ens.w, grads, nodes, act, 0.0, work)
     assert zero == [(0.0, 0.0)] * len(grads)
+
+
+@pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])
+@pytest.mark.parametrize("m,k", [(50, 100), (50, 20), (1, 70), (1, 1)])
+def test_drift_column_walk_matches_reference_field(kind, m, k):
+    """``drift``'s node-column walk against the float64 reference field,
+    at the cloud's own Q and at a frozen one: a ragged last block (K = 100
+    is three blocks of ``NODE_COLUMNS`` and four nodes), K below one block,
+    and M = 1, each to 1e-12 of the magnitude of the summands."""
+    assert NODE_COLUMNS == 32
+    act = activation(kind)
+    rng = np.random.default_rng(m * 1000 + k)
+    c, w = rng.uniform(-1, 1, m), rng.standard_normal((m, 2))
+    quad = Quadrature(rng.uniform(-1, 1, (k, 2)), rng.standard_normal(k),
+                      QuadratureSpec("monte-carlo", k))
+    nodes = node_arrays(quad, np.float64)
+    work = work_buffers(m, k, act, np.float64)
+    for q in (None, rng.standard_normal(k)):
+        g1, g2 = drift(c, w, nodes, act, 0.7, work, q)
+        r1, r2, s1, s2 = _reference_field(quad, 0.7, act,
+                                          EmpiricalMeasure(c, w), q)
+        assert g1.shape == (m,) and g2.shape == (m, 2)
+        assert np.all(np.abs(g1 - r1) <= 1e-12 * s1)
+        assert np.all(np.abs(g2 - r2) <= 1e-12 * s2)
+
+
+def test_tanh_polynomial_form_holds_where_tanh_saturates():
+    """At init_w_scale = 8 a third of the (particle, node) pairs have
+    |w . x| > 5, where sigma^2 -> 1 and the polynomial form's
+    a0 sum_k r_k x_k - sigma^2 (r x) cancels.  Against the field with the
+    exact sigma' = 1 / cosh^2, it stays within the tolerance that the form
+    it replaced, sigma' = 1 - tanh^2 per entry, meets: 1e-12 of the
+    magnitude of the summands."""
+    m, k = 300, 200
+    rng = np.random.default_rng(5)
+    cloud = sample_init(InitLaw(d=2, w_scale=8.0), rng, m)
+    quad = Quadrature(rng.uniform(-1, 1, (k, 2)), rng.standard_normal(k),
+                      QuadratureSpec("monte-carlo", k))
+    assert np.mean(np.abs(cloud.w @ quad.x.T) > 5) > 0.3
+    nodes = node_arrays(quad, np.float64)
+    g1, g2 = drift(cloud.c, cloud.w, nodes, TANH, 1.0,
+                   work_buffers(m, k, TANH, np.float64))
+    _, exact, _, scale = _reference_field(
+        quad, 1.0, TANH, cloud, deriv=lambda z: 1.0 / np.cosh(z) ** 2)
+    _, per_entry, _, _ = _reference_field(quad, 1.0, TANH, cloud)
+    assert np.all(np.abs(per_entry - exact) <= 1e-12 * scale)
+    assert np.all(np.abs(g2 - exact) <= 1e-12 * scale)
 
 
 def test_observer_rejects_ensemble_of_other_size(model, init):

@@ -18,7 +18,8 @@ from meanfield_sgd import (ConfigError, DataModel, DivergedError,
                            weak_residuals, work_buffers)
 from meanfield_sgd.core import activation_deriv
 from meanfield_sgd.data import conditional_mean
-from meanfield_sgd.meanfield import Quadrature, _snapshot_plan, _trapz
+from meanfield_sgd.meanfield import (NODE_COLUMNS, Quadrature, _snapshot_plan,
+                                     _trapz)
 
 TANH = activation("tanh")
 
@@ -377,11 +378,18 @@ def wide_solution():
                                       act=TANH)
 
 
+#: the unit of the memory bounds: one float32 row block of ``drift_pairing``
+#: at K = 1024 (128 x 1024); ``drift``'s (2000 x 32) column block is half of it
+HALF_MB = 2 ** 19
+
+
 def _pairing_peak_in_row_blocks(fn, wide_solution) -> float:
-    """Traced peak of ``fn(sol)`` in float32 row blocks of ``drift_pairing``
-    and ``drift`` (0.5 MB at K = 1024; an (M x K) block would be 8 MB)."""
+    """Traced peak of ``fn(sol)`` in units of ``HALF_MB`` (an (M x K) block
+    would be 16 units)."""
     quad, sol = wide_solution
-    return _traced_peak(lambda: fn(sol)) / (pairing_rows(quad.n) * quad.n * 4)
+    assert pairing_rows(quad.n) * quad.n * 4 == HALF_MB
+    assert sol.n_paths * NODE_COLUMNS * 4 < HALF_MB
+    return _traced_peak(lambda: fn(sol)) / HALF_MB
 
 
 @pytest.mark.parametrize("kind", ["tanh", "smooth-bump"])
