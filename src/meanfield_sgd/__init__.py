@@ -17,9 +17,8 @@ from .measure import (EmpiricalMeasure, Histogram1D, histogram, histogram_w1,
 from .sgd import (Ensemble, TrainResult, TrainSchedule, moment_guard,
                   run_default, sgd_step, train)
 from .meanfield import (MeanFieldSolution, PicardResult, Quadrature,
-                        QuadratureSpec, drift, drift_pairing,
-                        freeze_quadrature, frozen_start, node_arrays,
-                        pairing_rows, picard_iterate, q_on_nodes,
+                        QuadratureSpec, drift, freeze_quadrature,
+                        frozen_start, node_arrays, picard_iterate, q_on_nodes,
                         seed_resampled_floor, solve_selfconsistent,
                         weak_residual, weak_residuals, work_buffers)
 from .diagnostics import (ChaosTable, LimitTable, LlnTable, MartingaleTable,

@@ -176,7 +176,7 @@ def _build_model(cfg: dict):
                                 noise_scale=cfg["noise_scale"])
     elif kind == "polynomial":
         d = cfg["d"]
-        model = noisy_polynomial(d, lin=np.ones(d),
+        model = noisy_polynomial(d, lin=(1.0,) * d,
                                  noise_scale=cfg["noise_scale"])
     elif kind == "mnist":
         model = _load_mnist(cfg)
@@ -366,6 +366,7 @@ def _solve_limit(cfg: dict, model, init, act, streams: RandomStreams):
     """The mean-field limit that (config, seed) names, for ``meanfield`` to
     write and ``verify`` to check against.  Returns (solution, Picard
     distances or None, status)."""
+    _at_least("the mean-field limit", ("mf_snapshots", cfg["mf_snapshots"], 2))
     quad = freeze_quadrature(QuadratureSpec(cfg["quad_mode"], cfg["quad_nodes"]),
                              model, streams.stream(purpose="quadrature"))
     t_grid = np.linspace(0.0, cfg["t_horizon"], cfg["mf_snapshots"])

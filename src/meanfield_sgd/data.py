@@ -119,6 +119,8 @@ def noisy_polynomial(d: int, const: float = 0.0,
                      lin: Sequence[float] | None = None,
                      quad: Sequence[float] | None = None,
                      noise_scale: float = 0.1) -> DataModel:
+    if d < 1:
+        raise ConfigError(f"d={d}: a polynomial model needs d >= 1")
     lin = np.zeros(d) if lin is None else np.asarray(lin, dtype=np.float64)
     quad = np.zeros(d) if quad is None else np.asarray(quad, dtype=np.float64)
     if lin.shape != (d,) or quad.shape != (d,):

@@ -17,16 +17,14 @@ loop differently:
 
 pi-integrals are approximated by a quadrature that is frozen up front, so the
 whole evolution is a deterministic function of the initial cloud and the node
-set.  The velocity field is taken over small blocks of a caller-owned work
-array, so no (M x nodes) array is formed.  ``drift`` gives each particle's
-field for the Euler step.  It walks blocks of ``NODE_COLUMNS`` (32) node
-columns by all M particles: Q at a node sums over particles only, so one
-block of sigma yields Q and the residual weight at its nodes and then their
-share of the field, and each (path, node) pair takes one sigma per step.
-``drift_pairing`` gives Q and the field's pairings with test-function
-gradients for the weak residual and ``q_on_nodes``; it reduces over
-particles first, so it walks particle row blocks of about 1 MB.  Both form
-Q through one helper.  The solvers run in float32 (a factor ~3 on the
+set.  One kernel, ``drift``, evaluates the velocity field: the Euler step
+integrates it, and the weak residual pairs test-function gradients with it.
+It walks blocks of ``NODE_COLUMNS`` (32) node columns by all M particles of
+a caller-owned work array, so no (M x nodes) array is formed: Q at a node
+sums over particles only, so one block of sigma yields Q and the residual
+weight at its nodes and then their share of the field, and each (path, node)
+pair takes one sigma per step.  ``q_on_nodes``, the frozen Q of a Picard
+step, walks the same blocks.  The solvers run in float32 (a factor ~3 on the
 (M x nodes) sweeps that dominate); snapshots are stored in float64.  Float32
 round-off (~1e-6 relative) is far below the O(dt) + O(1/sqrt(M)) +
 O(1/sqrt(nodes)) error budget of everything computed from these solutions.
@@ -41,8 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (Activation, ConfigError, RandomStreams, RejectedInputError,
-                   activation, activation_deriv, guard_divergence,
-                   max_abs)
+                   activation, guard_divergence, max_abs)
 from .data import DataModel, InitLaw, conditional_mean, sample_data, sample_init
 from .measure import EmpiricalMeasure, pair, wasserstein
 
@@ -88,7 +85,8 @@ def freeze_quadrature(spec: QuadratureSpec, model: DataModel,
     cube and pairs each with E[y | x].  Every integrand used by this package
     is affine in y, so the conditional mean makes the grid exact in the y
     direction; only the O(h^2) x-discretization remains.  It has the largest
-    p^d <= n_nodes nodes, p per axis.
+    p^d <= n_nodes nodes, p per axis, and refuses a grid with fewer than 2
+    points per axis: one node at the origin is no quadrature.
     """
     if spec.mode == "monte-carlo":
         if rng is None:
@@ -98,9 +96,12 @@ def freeze_quadrature(spec: QuadratureSpec, model: DataModel,
     if model.kind == "mnist-binary":
         raise ConfigError("fixed-grid quadrature requires a synthetic model "
                           "with inputs uniform on the cube")
+    if model.d >= int(spec.n_nodes).bit_length():  # 2**d > n_nodes
+        raise ConfigError(f"quad_nodes={spec.n_nodes}: a fixed grid in "
+                          f"d={model.d} needs 2**d nodes, 2 per axis")
     # the float root of a perfect power can land just below it (1000 ** (1/3)
     # is 9.999999999999998), so round and step down to the exact integer root
-    per_axis = max(1, round(spec.n_nodes ** (1.0 / model.d)))
+    per_axis = round(spec.n_nodes ** (1.0 / model.d))
     while per_axis ** model.d > spec.n_nodes:
         per_axis -= 1
     centers = -1.0 + (2.0 * np.arange(per_axis) + 1.0) / per_axis
@@ -180,68 +181,32 @@ def node_arrays(quad: Quadrature,
 NODE_COLUMNS = 32
 
 
-def work_buffers(rows: int, cols: int, act: Activation,
+def work_buffers(m: int, k: int, act: Activation,
                  dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The (sigma, z) work blocks for a walk of ``drift`` or
-    ``drift_pairing`` over blocks of at most rows x cols entries, as flat
-    arrays.  ``drift`` walks all M particle rows by min(K, ``NODE_COLUMNS``)
-    node columns, so its work grows with M and never with K;
-    ``drift_pairing`` walks min(M, ``pairing_rows(K)``) particle rows by all
-    K node columns.  One shared array, or two when sigma' cannot come from
-    sigma and z must outlive it."""
-    buf = np.empty(rows * cols, dtype=dtype)
+    """The (sigma, z) work blocks for a walk of m particles over k nodes
+    (``drift``, ``q_on_nodes``), as flat arrays of m x min(k,
+    ``NODE_COLUMNS``) entries: the walk takes all m particle rows by one
+    column block at a time, so its work grows with M and never with K.  One
+    shared array, or two when sigma' cannot come from sigma and z must
+    outlive it."""
+    buf = np.empty(m * min(k, NODE_COLUMNS), dtype=dtype)
     return buf, (buf if act.deriv_poly is not None else np.empty_like(buf))
 
 
-def pairing_rows(k: int) -> int:
-    """Particle rows per ``drift_pairing`` block at k nodes: about 1 MB of
-    float64, so a block stays in L2 cache through its whole pass."""
-    return max(1, 2 ** 17 // k)
-
-
-def _blocks(w: np.ndarray, xt: np.ndarray, act: Activation, work,
-            rows: int, cols: int):
-    """(i, j, sigma, z) over the (rows x cols) blocks of the (M x K)
-    array z = w x^T, taken row block by row block and, within each, column
-    block by column block; sigma and z are views of ``work``, which must
-    hold rows x cols entries (``work_buffers``)."""
+def _blocks(w: np.ndarray, xt: np.ndarray, act: Activation, work):
+    """(j, sigma, z) over the (M x ``NODE_COLUMNS``) column blocks of the
+    (M x K) array z = w x^T, the last one ragged; sigma and z are views of
+    ``work`` (``work_buffers``)."""
     buf, zbuf = work
     m, k = w.shape[0], xt.shape[1]
-    for lo in range(0, m, rows):
-        i = slice(lo, min(lo + rows, m))
-        for ko in range(0, k, cols):
-            j = slice(ko, min(ko + cols, k))
-            shape = (i.stop - lo, j.stop - ko)
-            sig = buf[:shape[0] * shape[1]].reshape(shape)
-            z = zbuf[:sig.size].reshape(shape)
-            np.matmul(w[i], xt[:, j], out=z)
-            act.value(z, out=sig)
-            yield i, j, sig, z
-
-
-def _square_or_deriv(act: Activation, z: np.ndarray,
-                     sig: np.ndarray) -> np.ndarray:
-    """Over ``sig``, the block whose product carries sigma''s top term:
-    sigma^2 when sigma' = a0 + a1 sigma + a2 sigma^2 (``_deriv_terms``),
-    else sigma' itself, evaluated at z."""
-    if act.deriv_poly is None:
-        return act.deriv(z, out=sig)
-    return np.square(sig, out=sig)
-
-
-def _deriv_terms(act: Activation) -> tuple[float, float, float]:
-    """(a0, a1, a2) with sigma' = a0 + a1 sigma + a2 B, B the block that
-    ``_square_or_deriv`` leaves: sigma^2 or, without a polynomial, sigma'."""
-    return act.deriv_poly or (0.0, 0.0, 1.0)
-
-
-def _output_and_weight(csum: np.ndarray, m: int, y: np.ndarray,
-                       alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Q = csum / m, the cloud's output at some nodes from the particle sums
-    csum_k = sum_i c_i sigma(w_i . x_k), and the field's weight
-    r = alpha (y - Q) there: the one place a cloud's Q is formed."""
-    q = csum / m
-    return q, alpha * (y - q)
+    for lo in range(0, k, NODE_COLUMNS):
+        j = slice(lo, min(lo + NODE_COLUMNS, k))
+        width = j.stop - lo
+        sig = buf[:m * width].reshape(m, width)
+        z = zbuf[:m * width].reshape(m, width)
+        np.matmul(w, xt[:, j], out=z)
+        act.value(z, out=sig)
+        yield j, sig, z
 
 
 def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
@@ -254,13 +219,14 @@ def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
         g1_i = (1/K) sum_k r_k sigma(w_i . x_k)                    (M,)
         g2_i = (1/K) sum_k r_k c_i sigma'(w_i . x_k) x_k           (M, d)
 
-    ``q`` is a frozen Q at the nodes; None takes the cloud's own.  The walk
-    goes over blocks of ``NODE_COLUMNS`` node columns and all M particle
-    rows of ``work`` (``work_buffers``).  Q at a node sums over particles
-    only, so one block of sigma gives in turn Q and r at its nodes and their
-    share of g1 and g2, and every (particle, node) pair takes one z and one
-    sigma per call.  With sigma' = a0 + a1 sigma + a2 sigma^2 (tanh: 1, 0,
-    -1) r folds into the right operand:
+    ``q`` is a frozen Q at the nodes; None takes the cloud's own,
+    Q_k = (1/M) sum_i c_i sigma(w_i . x_k).  The walk goes over blocks of
+    ``NODE_COLUMNS`` node columns and all M particle rows of ``work``
+    (``work_buffers``).  Q at a node sums over particles only, so one block
+    of sigma gives in turn Q and r at its nodes and their share of g1 and
+    g2, and every (particle, node) pair takes one z and one sigma per call.
+    With sigma' = a0 + a1 sigma + a2 sigma^2 (tanh: 1, 0, -1) r folds into
+    the right operand:
 
         K g2_i / c_i = a0 sum_k r_k x_k + sigma_i (a1 r x) + sigma_i^2 (a2 r x)
 
@@ -274,74 +240,28 @@ def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
     """
     x, xt, y = nodes
     m = c.shape[0]
-    a0, a1, a2 = _deriv_terms(act)
+    a0, a1, a2 = act.deriv_poly or (0.0, 0.0, 1.0)
     r_all = None if q is None else alpha * (y - q.astype(y.dtype, copy=False))
     g1, g2, rx_sum = np.zeros(m), np.zeros(w.shape), np.zeros(w.shape[1])
     part1, part2 = np.empty_like(c, w.dtype), np.empty_like(w)
-    for _, j, sig, z in _blocks(w, xt, act, work, m, NODE_COLUMNS):
-        r = (_output_and_weight(c @ sig, m, y[j], alpha)[1] if q is None
-             else r_all[j])
+    for j, sig, z in _blocks(w, xt, act, work):
+        r = alpha * (y[j] - (c @ sig) / m) if q is None else r_all[j]
         rx = r[:, None] * x[j]
         g1 += np.matmul(sig, r, out=part1)
         if a1:
             g2 += np.matmul(sig, a1 * rx, out=part2)
         if a0:
             rx_sum += rx.sum(axis=0)
-        g2 += np.matmul(_square_or_deriv(act, z, sig), a2 * rx, out=part2)
+        # the block that carries the top term of sigma': sigma^2, or
+        # without the polynomial sigma' itself
+        top = (np.square(sig, out=sig) if act.deriv_poly is not None
+               else act.deriv(z, out=sig))
+        g2 += np.matmul(top, a2 * rx, out=part2)
     g2 += a0 * rx_sum
     g1 /= y.shape[0]
     g2 /= y.shape[0]
     g2 *= c[:, None]
     return g1.astype(c.dtype), g2.astype(w.dtype)
-
-
-def drift_pairing(c: np.ndarray, w: np.ndarray, grads: Sequence, nodes,
-                  act: Activation, alpha: float, work
-                  ) -> tuple[np.ndarray, list[tuple[float, float]]]:
-    """Q, the cloud's output at the nodes, and for each test-function
-    gradient (fc, fw) in ``grads`` the pairings sum_i fc_i g1_i and
-    sum_i fw_i . g2_i with ``drift``'s field (g1, g2), without forming it.
-
-    Both sums are linear in r = alpha (y - Q), so the particle sums come
-    first, over blocks of ``pairing_rows(K)`` particle rows and all K node
-    columns of ``work`` (``work_buffers``), and r last:
-
-        S = [c; fc_1; ...] sigma   (1+J, K)   Q = S_0 / M, r . S_j / K
-        H_j = (c fw_j)^T sigma'    (d, K)     sum_k r_k (x_k . H_jk) / K
-
-    sigma' takes ``drift``'s polynomial form, H_j = a0 sum_i (c fw_j)_i +
-    a1 (c fw_j)^T sigma + a2 (c fw_j)^T sigma^2, with the square made in
-    place (no sigma' when ``grads`` is empty).  Unlike ``drift`` this walk
-    reduces over particles before r exists, so it goes by row blocks: with
-    ``drift``'s node column blocks its S and H products for three test
-    functions took 89-95 ms in place of 47-54 ms (M = 10^4, K = 4096, 2
-    BLAS threads).  The work memory is one block whatever M is.  Products
-    run in the inputs' dtype, block sums in float64.
-    """
-    _, xt, y = nodes
-    m, (d, k) = c.shape[0], xt.shape
-    a0, a1, a2 = _deriv_terms(act)
-    lhs = np.stack([c] + [fc for fc, _ in grads])
-    cfw = np.hstack([c[:, None] * fw for _, fw in grads]) if grads else None
-    s, h = np.zeros((1 + len(grads), k)), np.zeros((d * len(grads), k))
-    h1 = np.zeros_like(h) if a1 else None
-    s_part, h_part = np.empty_like(s, xt.dtype), np.empty_like(h, xt.dtype)
-    for i, _, sig, z in _blocks(w, xt, act, work, pairing_rows(k), k):
-        s += np.matmul(lhs[:, i], sig, out=s_part)
-        if grads:
-            if a1:
-                h1 += np.matmul(cfw[i].T, sig, out=h_part)
-            h += np.matmul(cfw[i].T, _square_or_deriv(act, z, sig),
-                           out=h_part)
-    h *= a2
-    if a1:
-        h += a1 * h1
-    if a0 and grads:
-        h += a0 * cfw.sum(axis=0, dtype=np.float64)[:, None]
-    q, r = _output_and_weight(s[0], m, y, alpha)
-    return q, [(float(r @ s_j) / k,
-                float(r @ np.einsum("jk,jk->k", xt, h_j)) / k)
-               for s_j, h_j in zip(s[1:], h.reshape(-1, d, k))]
 
 
 def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
@@ -355,7 +275,7 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
     c = cloud0.c.astype(np.float32)
     w = cloud0.w.astype(np.float32)
     nodes = node_arrays(quad, np.float32)
-    work = work_buffers(c.shape[0], min(quad.n, NODE_COLUMNS), act, np.float32)
+    work = work_buffers(c.shape[0], quad.n, act, np.float32)
     slot = {int(s): i for i, s in enumerate(snap_steps)}
     snaps_c = np.empty((len(slot), c.shape[0]))
     snaps_w = np.empty((len(slot),) + w.shape)
@@ -431,21 +351,16 @@ def solve_selfconsistent(init, model: DataModel, M: int | None, dt: float,
 
 def q_on_nodes(sol: MeanFieldSolution) -> np.ndarray:
     """(S, K) network outputs of each snapshot slice at its own quadrature
-    nodes."""
-    return np.array([q for q, _ in _slice_pairings(sol, [])], np.float32)
-
-
-def _slice_pairings(sol: MeanFieldSolution, fs: Sequence):
-    """``drift_pairing`` of each slice of ``sol`` in float32, for the
-    gradients of the test functions ``fs``: one (Q, pairs) per slice."""
-    nodes = node_arrays(sol.quad, np.float32)
-    work = work_buffers(min(sol.n_paths, pairing_rows(sol.quad.n)),
-                        sol.quad.n, sol.act, np.float32)
-    for c, w in zip(sol.c, sol.w):
-        grads = [(f.grad_c(c, w).astype(np.float32),
-                  f.grad_w(c, w).astype(np.float32)) for f in fs]
-        yield drift_pairing(c.astype(np.float32), w.astype(np.float32), grads,
-                            nodes, sol.act, sol.alpha, work)
+    nodes, Q_k = (1/M) sum_i c_i sigma(w_i . x_k): sigma over ``drift``'s
+    float32 column blocks, the particle sums in float64.  A float32 sum
+    left Picard iteration on a rounding 2-cycle short of its fixed point."""
+    xt = node_arrays(sol.quad, np.float32)[1]
+    work = work_buffers(sol.n_paths, sol.quad.n, sol.act, np.float32)
+    rows = np.empty((sol.times.shape[0], sol.quad.n), np.float32)
+    for row, c, w in zip(rows, sol.c, sol.w):
+        for j, sig, _ in _blocks(w.astype(np.float32), xt, sol.act, work):
+            row[j] = c @ sig / sol.n_paths
+    return rows
 
 
 def frozen_start(cloud: EmpiricalMeasure, T: float, dt: float,
@@ -572,16 +487,26 @@ def weak_residuals(sol: MeanFieldSolution,
 
         a(s) = < df/dc g1 + grad_w f . g2, mu_s >
 
-    and (g1, g2) is the velocity field of the slice against ``sol.quad`` (see
-    ``drift``), with the time integral taken by the trapezoid rule over every
-    stored slice, and one ``drift_pairing`` pass per slice for all of ``fs``.
-    The normalizer integral_0^T |a(s)| ds is the scale for relative error.
+    and (g1, g2) is the velocity field of the slice against ``sol.quad``:
+    the float32 ``drift`` that the Euler step integrates, one call per slice
+    for all of ``fs``, paired in float64 with each test function's
+    gradients.  The time integral is taken by the trapezoid rule over every
+    stored slice.  The normalizer integral_0^T |a(s)| ds is the scale for
+    relative error.
     """
     n_snaps = sol.times.shape[0]
     if n_snaps < 2:
         raise RejectedInputError("need at least two slices")
-    a_vals = np.array([[(p1 + p2) / sol.n_paths for p1, p2 in pairs]
-                       for _, pairs in _slice_pairings(sol, fs)]).T
+    nodes = node_arrays(sol.quad, np.float32)
+    work = work_buffers(sol.n_paths, sol.quad.n, sol.act, np.float32)
+    a_vals = np.empty((len(fs), n_snaps))
+    for s, (c, w) in enumerate(zip(sol.c, sol.w)):
+        g1, g2 = drift(c.astype(np.float32), w.astype(np.float32), nodes,
+                       sol.act, sol.alpha, work)
+        g1, g2 = g1.astype(np.float64), g2.astype(np.float64)
+        for i, f in enumerate(fs):
+            a_vals[i, s] = (f.grad_c(c, w) @ g1
+                            + np.vdot(f.grad_w(c, w), g2)) / sol.n_paths
     first, last = sol.slice(0), sol.slice(n_snaps - 1)
     out = []
     for f, a in zip(fs, a_vals):

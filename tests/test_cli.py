@@ -425,6 +425,34 @@ def test_out_of_range_picard_keys_exit_2_before_any_solve(
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command,line,why", [
+    ("meanfield", "mf_snapshots=1", "mf_snapshots=1"),
+    ("verify", "mf_snapshots=-1", "mf_snapshots=-1"),
+    ("train", "model=polynomial\nd=-1", "d=-1"),
+    ("meanfield", "model=polynomial\nd=0", "d=0"),
+    ("meanfield", "model=polynomial\nd=13\nquad_mode=fixed-grid", "2**d"),
+    ("verify", "model=polynomial\nd=40\nquad_mode=fixed-grid", "2**d"),
+])
+def test_degenerate_shapes_exit_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, line, why):
+    """Fewer than two snapshot slices, a polynomial model without an input
+    dimension, and a fixed grid with fewer than 2 points per axis (2**d
+    above quad_nodes) are config errors: one error line naming the cause,
+    exit 2, no output directory, and no solve or training begun."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    monkeypatch.setattr(cli, "run_default", no_work)
+    monkeypatch.setattr(meanfield, "_evolve", no_work)
+    cfg = _write_cfg(tmp_path, f"m=8\ndt=0.1\n{line}\n")
+    out = tmp_path / "x"
+    rc = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error:") and why in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_meanfield_unknown_mode_exit_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "mode=magic\n")
     rc = main(["meanfield", "--config", cfg, "--out", str(tmp_path / "x"),

@@ -15,8 +15,7 @@ from meanfield_sgd import (EmpiricalMeasure, Ensemble, InitLaw,
 from meanfield_sgd import diagnostics, sgd
 from meanfield_sgd.diagnostics import _DecompositionObserver
 from meanfield_sgd.meanfield import (NODE_COLUMNS, Quadrature, drift,
-                                     drift_pairing, node_arrays, pairing_rows,
-                                     work_buffers)
+                                     node_arrays, work_buffers)
 from meanfield_sgd.sgd import step_increments
 
 TANH = activation("tanh")
@@ -316,48 +315,40 @@ def test_martingale_decay_trains_the_bits_of_run_default(model, init,
 @pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])
 @pytest.mark.parametrize("n", [96, 256, 300])
 def test_drift_pairing_matches_reference_formula(kind, n, model, init):
-    """The blocked pairing against plain temporaries, for N below one row
-    block, a multiple of it and with a ragged last block; alpha = 0 pairs
-    to 0.  Pairings match to 1e-12 relative or, where the mean over nodes
-    cancels, to 1e-12 of its summands' magnitude (the H GEMM reassociates
-    sums, and a cancelling mean magnifies the last-bit change: 1.2e-12
-    relative on smooth-bump at 6600x cancellation, with old and new both
-    within 7e-13 of a long-double evaluation).
-    All test functions in one call give, bit for bit, the Q and the pairs of
-    one call per function.  The blocked per-particle field ``drift``, at the
-    pairing's Q and at a frozen one, matches its reference to 1e-12 of the
+    """``drift``'s field paired with test-function gradients, as the weak
+    residual pairs it, against plain temporaries, for three cloud sizes on
+    the 1024-node grid; alpha = 0 pairs to 0.  Pairings match to
+    1e-12 relative or, where the mean over nodes cancels, to 1e-12 of its
+    summands' magnitude (the blocked sums reassociate, and a cancelling
+    mean magnifies the last-bit change).  The field itself, at the cloud's
+    own Q and at a frozen one, matches its reference to 1e-12 of the
     magnitude of its summands."""
     act = activation(kind)
     quad = freeze_quadrature(QuadratureSpec("fixed-grid", 1024), model)
-    assert pairing_rows(quad.n) == 128
     nodes = node_arrays(quad, np.float64)
-    work = work_buffers(n, quad.n, act, np.float64)  # either walk's block
+    work = work_buffers(n, quad.n, act, np.float64)
     ens = Ensemble.from_init(init, act, 1.0,
                              RandomStreams(19).stream(0, purpose="init"), n)
     x, y = np.array([0.3, -0.4]), 0.2
     grads = [(f.grad_c(ens.c, ens.w), f.grad_w(ens.c, ens.w)) for f in FS]
     assert len(grads) == 3
     for alpha in (1.0, 0.7):
-        q, together = drift_pairing(ens.c, ens.w, grads, nodes, act, alpha,
-                                    work)
-        for f, grad, pair_ in zip(FS, grads, together):
-            q_one, (one,) = drift_pairing(ens.c, ens.w, [grad], nodes, act,
-                                          alpha, work)
-            assert one == pair_ and np.array_equal(q_one, q)
+        g1, g2 = drift(ens.c, ens.w, nodes, act, alpha, work)
+        for f, (fc, fw) in zip(FS, grads):
             *_, e1, e2, s1, s2 = _reference_components(f, quad, alpha, act,
                                                        ens, x, y)
-            p1, p2 = one
+            p1, p2 = fc @ g1, np.vdot(fw, g2)
             assert p1 / n / n == pytest.approx(e1, rel=1e-12, abs=1e-12 * s1)
             assert p2 / n / n == pytest.approx(e2, rel=1e-12, abs=1e-12 * s2)
         for frozen in (None, 0.5 * quad.y):
-            g1, g2 = drift(ens.c, ens.w, nodes, act, alpha, work,
-                           q if frozen is None else frozen)
+            g1, g2 = drift(ens.c, ens.w, nodes, act, alpha, work, frozen)
             r1, r2, s1, s2 = _reference_field(quad, alpha, act, ens, frozen)
             assert g1.shape == (n,) and g2.shape == (n, 2)
             assert np.all(np.abs(g1 - r1) <= 1e-12 * s1)
             assert np.all(np.abs(g2 - r2) <= 1e-12 * s2)
-    _, zero = drift_pairing(ens.c, ens.w, grads, nodes, act, 0.0, work)
-    assert zero == [(0.0, 0.0)] * len(grads)
+    g1, g2 = drift(ens.c, ens.w, nodes, act, 0.0, work)
+    assert [(fc @ g1, np.vdot(fw, g2)) for fc, fw in grads] == \
+        [(0.0, 0.0)] * len(grads)
 
 
 @pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])

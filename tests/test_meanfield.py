@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from meanfield_sgd import (ConfigError, DataModel, DivergedError,
-                           EmpiricalMeasure, QuadratureSpec, RandomStreams,
-                           RejectedInputError, activation, constant_one,
-                           default_init, default_model, default_test_functions,
-                           drift, drift_pairing, freeze_quadrature,
+                           EmpiricalMeasure, MeanFieldSolution, QuadratureSpec,
+                           RandomStreams, RejectedInputError, activation,
+                           constant_one, default_init, default_model,
+                           default_test_functions, drift, freeze_quadrature,
                            from_network, frozen_start, node_arrays,
-                           noisy_polynomial, pair, pairing_rows, picard_iterate,
-                           q_on_nodes, sample_init, seed_resampled_floor,
+                           noisy_polynomial, pair, picard_iterate, q_on_nodes,
+                           sample_init, seed_resampled_floor,
                            solve_selfconsistent, wasserstein, weak_residual,
                            weak_residuals, work_buffers)
+from meanfield_sgd import core
 from meanfield_sgd.core import activation_deriv
 from meanfield_sgd.data import conditional_mean
 from meanfield_sgd.meanfield import (NODE_COLUMNS, Quadrature, _snapshot_plan,
@@ -244,9 +245,9 @@ def test_snapshot_grid_must_end_at_horizon(streams, model, init):
 def test_drift_hand_values():
     """M = K = 1, c = 1, w = (0.5, 0), x = (1, 0), y = 2: with Q frozen at 0,
     g1 = 2 tanh(0.5) and g2 = (2 (1 - tanh(0.5)^2), 0); the cloud's own Q,
-    read through ``drift_pairing``, is tanh(0.5), and pairing the field with
-    fc = 1, fw = (1, 0) gives g1 and the first entry of g2; a frozen Q equal
-    to y leaves no field at all."""
+    which ``q_on_nodes`` reads, is tanh(0.5), and the weak residual pairs
+    the field with fc = 1, fw = (1, 0) to g1 plus the first entry of g2; a
+    frozen Q equal to y leaves no field at all."""
     c, w = np.array([1.0]), np.array([[0.5, 0.0]])
     quad = Quadrature(np.array([[1.0, 0.0]]), np.array([2.0]),
                       QuadratureSpec("monte-carlo", 1))
@@ -257,14 +258,19 @@ def test_drift_hand_values():
     assert g1[0] == pytest.approx(2 * s, abs=1e-15)
     assert g2[0, 0] == pytest.approx(2 * (1 - s * s), abs=1e-15)
     assert g2[0, 1] == 0.0
-    grad = (np.ones(1), np.array([[1.0, 0.0]]))
-    q, ((p1, p2),) = drift_pairing(c, w, [grad], nodes, TANH, 0.5, work)
-    assert q[0] == pytest.approx(s, abs=1e-15)
-    g1, g2 = drift(c, w, nodes, TANH, 0.5, work, q)
+    g1, g2 = drift(c, w, nodes, TANH, 0.5, work)
     assert g1[0] == pytest.approx(0.5 * (2 - s) * s, abs=1e-15)
     assert g2[0, 0] == pytest.approx(0.5 * (2 - s) * (1 - s * s), abs=1e-15)
-    assert p1 == pytest.approx(g1[0], abs=1e-15)
-    assert p2 == pytest.approx(g2[0, 0], abs=1e-15)
+    # two equal slices a unit of time apart: <f, mu> does not move, so the
+    # residual is the pairing a itself, the same at both ends
+    sol = MeanFieldSolution(np.array([0.0, 1.0]), np.stack([c, c]),
+                            np.stack([w, w]), quad, TANH, 0.5, 1.0, 0.0)
+    assert np.allclose(q_on_nodes(sol), s, rtol=1e-7, atol=0)
+    f = core.TestFunction("c + w1", lambda c, w: c + w[:, 0],
+                          lambda c, w: np.ones_like(c),
+                          lambda c, w: np.eye(1, w.shape[1]).repeat(len(c), 0))
+    resid, norm = weak_residual(sol, f)
+    assert resid == norm == pytest.approx(g1[0] + g2[0, 0], rel=1e-6)
     g1, g2 = drift(c, w, nodes, TANH, 1.0, work, q=np.full(1, 2.0))
     assert g1[0] == 0.0 and not g2.any()
 
@@ -378,16 +384,16 @@ def wide_solution():
                                       act=TANH)
 
 
-#: the unit of the memory bounds: one float32 row block of ``drift_pairing``
-#: at K = 1024 (128 x 1024); ``drift``'s (2000 x 32) column block is half of it
+#: the unit of the memory bounds (the tests' "row block"): half a MB, about
+#: 1/16 of a float32 (M x K) array at M = 2000, K = 1024; ``drift``'s
+#: (2000 x 32) float32 column block is half of it
 HALF_MB = 2 ** 19
 
 
-def _pairing_peak_in_row_blocks(fn, wide_solution) -> float:
+def _peak_in_half_mb(fn, wide_solution) -> float:
     """Traced peak of ``fn(sol)`` in units of ``HALF_MB`` (an (M x K) block
     would be 16 units)."""
-    quad, sol = wide_solution
-    assert pairing_rows(quad.n) * quad.n * 4 == HALF_MB
+    sol = wide_solution[1]
     assert sol.n_paths * NODE_COLUMNS * 4 < HALF_MB
     return _traced_peak(lambda: fn(sol)) / HALF_MB
 
@@ -397,19 +403,19 @@ def test_solve_memory_stays_below_three_row_blocks(kind, wide_solution):
     """Two Euler steps from the wide cloud; smooth-bump keeps a second (z)
     row block."""
     assert wide_solution[1].times.shape[0] == 3
-    assert _pairing_peak_in_row_blocks(lambda sol: solve_selfconsistent(
+    assert _peak_in_half_mb(lambda sol: solve_selfconsistent(
         sol.slice(0), default_model(), None, 0.01, 0.02, quad=sol.quad,
         act=activation(kind)), wide_solution) < 3
 
 
 def test_weak_residuals_memory_stays_below_three_row_blocks(wide_solution):
     fs = default_test_functions(2)
-    assert _pairing_peak_in_row_blocks(lambda sol: weak_residuals(sol, fs),
-                                       wide_solution) < 3
+    assert _peak_in_half_mb(lambda sol: weak_residuals(sol, fs),
+                            wide_solution) < 3
 
 
 def test_q_on_nodes_memory_stays_below_three_row_blocks(wide_solution):
-    assert _pairing_peak_in_row_blocks(q_on_nodes, wide_solution) < 3
+    assert _peak_in_half_mb(q_on_nodes, wide_solution) < 3
 
 
 # ---------------------------------------------------------------------------
