@@ -18,7 +18,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 
 class RejectedInputError(ValueError):
@@ -120,8 +119,22 @@ def _tanh_d1(z):
     return 1.0 - t * t
 
 
+def _logistic(z, out=None):
+    """sigma = 1 / (1 + e^-z).  For z below about -709 (-88 in float32)
+    e^-z overflows to inf and sigma is exactly 0, so that overflow is not
+    reported."""
+    with np.errstate(over="ignore"):
+        if out is None:
+            return 1.0 / (1.0 + np.exp(-z))
+        # same operation order as above; out may be z
+        np.negative(z, out=out)
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
 def _logistic_d1(z):
-    s = expit(z)
+    s = _logistic(z)
     return s * (1.0 - s)
 
 
@@ -161,7 +174,8 @@ def activation(kind: str) -> Activation:
     if kind == "tanh":
         return Activation("tanh", np.tanh, _tanh_d1, (1.0, 0.0, -1.0))
     if kind == "logistic":
-        return Activation("logistic", expit, _logistic_d1, (0.0, 1.0, -1.0))
+        return Activation("logistic", _logistic, _logistic_d1,
+                          (0.0, 1.0, -1.0))
     if kind == "smooth-bump":
         return Activation("smooth-bump", _bump, _bump_d1)
     raise ConfigError(f"unknown activation kind {kind!r}")

@@ -28,7 +28,6 @@ at the horizon T.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -110,6 +109,9 @@ def run_study(model: DataModel, init: InitLaw, act: Activation, alpha: float,
     tasks = [(model, init, act, alpha, T, n, chunk, streams)
              for n in study.n_grid for chunk in chunks]
     if procs > 1:
+        # imported here: concurrent.futures.process adds about 20 ms to
+        # every start-up, and only this branch uses it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=procs) as pool:
             outcomes = list(pool.map(_study_task, tasks))
     else:

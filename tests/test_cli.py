@@ -586,10 +586,15 @@ def test_verify_rejects_too_few_replicas_or_widths_up_front(
 
 
 @pytest.mark.parametrize("mode", ["selfconsistent", "picard"])
-def test_verify_solves_the_meanfield_limit(tmp_path, mode):
+def test_verify_solves_the_meanfield_limit(tmp_path, monkeypatch, mode):
     """meanfield_dir= is a cache: verify without it solves the same limit as
     ``mfsgd meanfield`` for the config and seed, so both runs write the
-    same bytes, report and manifest included."""
+    same bytes, report and manifest included.  The cached run takes its
+    weak residuals from the solution directory and never computes them,
+    yet writes the same ``weak_residual.csv`` and ``weak-residual`` line."""
+    def no_residuals(*args, **kwargs):
+        raise AssertionError("verify recomputed the cached weak residuals")
+
     keys = MF_CFG + f"mode={mode}\npicard_max_iters=8\n"
     cfg = _write_cfg(tmp_path, keys)
     mf = tmp_path / "mf"
@@ -598,6 +603,8 @@ def test_verify_solves_the_meanfield_limit(tmp_path, mode):
     reuse = _write_cfg(tmp_path, keys + f"meanfield_dir={mf}\n", "reuse.cfg")
     runs = []
     for name, path in (("solved", cfg), ("cached", reuse)):
+        if name == "cached":
+            monkeypatch.setattr(cli, "weak_residuals", no_residuals)
         out = tmp_path / name
         rc = main(["verify", "--config", path, "--seed", "5",
                    "--out", str(out), "--quiet"])

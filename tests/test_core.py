@@ -1,6 +1,8 @@
 """Network evaluation oracles, activation admissibility, test-function
 calculus, and stream reproducibility."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,36 @@ def test_deriv_from_value_is_the_written_out_form_bitwise(dtype):
         assert want.dtype == dtype
         assert np.array_equal(act.deriv_from_value(v), want)
         assert np.array_equal(act.deriv_from_value(v, out=v), want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_logistic_matches_scipy_expit(dtype):
+    """sigma = 1 / (1 + e^-z) in numpy, against scipy's expit on 10^6 z in
+    [-60, 60]: both evaluate that formula, but numpy's exp is not the C
+    library's, and each of the two results lies up to about 2.5 ulps
+    from the exact value (the exp, the sum and the quotient each round),
+    so they may differ by 4 ulps; both keep the argument's dtype."""
+    from scipy.special import expit
+    z = np.linspace(-60.0, 60.0, 10 ** 6 + 1).astype(dtype)
+    got, want = activation("logistic").value(z), expit(z)
+    assert got.dtype == dtype
+    np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+
+def test_logistic_saturates_silently_and_writes_out():
+    """At z = -/+1000 e^-z overflows to inf or vanishes, and sigma is exactly
+    0 and 1 with no warning, in float32 and float64; ``out=`` writes sigma
+    in place over z and returns it."""
+    act = activation("logistic")
+    for dtype in (np.float32, np.float64):
+        z = np.array([-1000.0, 0.0, 1000.0], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = act.value(z)
+            d = act.deriv(z)
+        assert v.tolist() == [0.0, 0.5, 1.0] and v.dtype == dtype
+        assert d.tolist() == [0.0, 0.25, 0.0]
+        assert act.value(z, out=z) is z and np.array_equal(z, v)
 
 
 @pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy import special
 
 from meanfield_sgd import (Batch, ConfigError, DataModel, IdxFormatError,
                            InitLaw, RandomStreams, RejectedInputError,
@@ -13,7 +13,7 @@ from meanfield_sgd import (Batch, ConfigError, DataModel, IdxFormatError,
                            from_network, load_mnist_idx, network_output,
                            noisy_polynomial, sample_data, sample_init,
                            teacher_network)
-from meanfield_sgd.data import (conditional_mean,
+from meanfield_sgd.data import (_EXPM2, conditional_mean, ndtri,
                                 read_idx_images, read_idx_labels,
                                 write_idx_images, write_idx_labels)
 from meanfield_sgd.sgd import Ensemble
@@ -136,12 +136,63 @@ def test_init_nested_prefix_coupling():
 
 
 def _reference_init(law, rng, n):
-    """The out-of-place form of sample_init: each map makes a new block."""
+    """The out-of-place form of sample_init: each map makes a new block, and
+    the inverse CDF maps the whole clipped block at once."""
     u = rng.random((n, law.d + 1))
     lo, hi = law.c_params
     tiny = np.finfo(np.float64).tiny
     return (lo + (hi - lo) * u[:, 0],
             law.w_scale * ndtri(np.clip(u[:, 1:], tiny, 1.0 - 1e-16)))
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_ndtri_central_region_is_scipys_bitwise():
+    """On 2 x 10^6 uniforms, the 73% in the central region e^-2 < u <=
+    1 - e^-2 take scipy's floats exactly (same rational, same order of
+    operations, no transcendental call), and the tails stay within 8
+    ulps."""
+    u = np.random.default_rng(12).random(2 * 10 ** 6)
+    want = special.ndtri(u)
+    got = ndtri(u.copy())
+    central = (u > _EXPM2) & (u <= 1.0 - _EXPM2)
+    assert central.sum() > 10 ** 6
+    assert np.array_equal(got[central], want[central])
+    assert _ulps(got, want).max() <= 8
+
+
+def test_ndtri_tails_within_8_ulps_of_scipy():
+    """Log-spaced y from the smallest normal double to e^-2, on both sides
+    (u = y and u = 1 - y), including the clip bounds tiny and 1 - 1e-16
+    that reach the far-tail rational (x >= 8).  The tail forms call log,
+    where numpy's and the C library's may round differently."""
+    tiny = np.finfo(np.float64).tiny
+    y = np.geomspace(tiny, _EXPM2, 200_001)
+    upper = 1.0 - y[y >= 1e-16]
+    assert (y < np.exp(-32.0)).sum() > 10 ** 5  # the far-tail rational
+    for u in (y, upper, np.array([tiny, 1.0 - 1e-16, 1e-15, 1.0 - 1e-15])):
+        got, want = ndtri(u.copy()), special.ndtri(u)
+        assert np.all(np.isfinite(got))
+        assert _ulps(got, want).max() <= 8
+
+
+def test_ndtri_in_place_on_a_row_block_view():
+    """Mapped in place over a row block of a larger array, in sub-blocks,
+    ndtri writes exactly the values of the whole-array map into that block
+    and returns the block; the rows around it are untouched.  So does a
+    strided view that leaves out the first column."""
+    u = np.random.default_rng(13).random((500, 784))
+    want = ndtri(u.copy())
+    for rows, cols in ((slice(37, 451), slice(None)),
+                       (slice(None), slice(1, None))):
+        work = u.copy()
+        block = work[rows, cols]
+        assert ndtri(block) is block
+        assert np.array_equal(work[rows, cols], want[rows, cols])
+        work[rows, cols] = u[rows, cols]
+        assert np.array_equal(work, u)
 
 
 @pytest.mark.parametrize("law", [
@@ -152,7 +203,8 @@ def _reference_init(law, rng, n):
 def test_from_init_peak_memory_and_bits(law):
     """An ensemble is built holding at most 2.2 blocks of N x (d+1) float64
     at once (the uniforms are mapped in place, and the ensemble copies the
-    cloud once), with c and w bit-equal to the out-of-place maps.  N=2000 at
+    cloud once), with c and w bit-equal to the out-of-place maps (the
+    package's own inverse CDF over the whole clipped block).  N=2000 at
     d=784, and at smaller d the N that gives a block of the same 12.6 MB, so
     that per-call overheads of a few kB stay out of the bound."""
     n = 2000 * 785 // (law.d + 1)

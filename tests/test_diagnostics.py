@@ -1,6 +1,8 @@
 """Statistical verification layer: replica studies, variance/fluctuation
 decay, the decomposition reconciliation, limit distance, and chaos."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,8 @@ def test_run_study_pool_is_capped_by_replicas_and_cores(
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(diagnostics.os, "sched_getaffinity",
                         lambda pid: set(range(cores)))
     kw = dict(model=model, init=init, act=TANH, alpha=1.0, T=0.25,
