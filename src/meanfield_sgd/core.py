@@ -206,6 +206,27 @@ def network_output(c: np.ndarray, w: np.ndarray, act: Activation,
     return float(s @ c) / c.shape[0]
 
 
+#: input width from which SGD takes w x a tile of steps at a time and defers
+#: its weight updates; narrower inputs apply each step at once
+_DEFER_MIN_D = 16
+#: steps per tile: tiles are aligned to the 4096-sample chunks the samples
+#: are drawn in, 64 to a chunk, and a deferred w is folded at least per tile
+_DEFER_BLOCK = 64
+
+
+def tile_preactivations(w: np.ndarray, x: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """w x for every sample of a tile x (k, d), as the (k, n) product
+    x w^T by one GEMM, written into ``out`` when given.
+
+    Row j is sample j's z.  A GEMM's bits may depend on its column count,
+    so at d >= ``_DEFER_MIN_D`` the SGD step and the ``teacher_mean`` labels
+    of ``data.conditional_mean`` both take z from here over full tiles of
+    ``_DEFER_BLOCK`` rows aligned to the sample chunk: a network trained on
+    its own outputs then sees y - g = 0 exactly."""
+    return np.matmul(x, w.T, out=out)
+
+
 # ---------------------------------------------------------------------------
 # test functions
 #

@@ -16,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (Activation, ConfigError, RejectedInputError, activation,
-                   network_output)
+from .core import (_DEFER_BLOCK, _DEFER_MIN_D, Activation, ConfigError,
+                   RejectedInputError, activation, network_output,
+                   tile_preactivations)
 from .measure import EmpiricalMeasure
 
 IMAGES_MAGIC = 0x00000803
@@ -45,10 +46,12 @@ class DataModel:
     """A reproducible law pi(dx, dy).
 
     kind "teacher-network": y = teacher(x) + noise, teacher a small fixed
-    network; with ``teacher_mean=True`` the teacher averages its units through
-    ``core.network_output``, which takes the same floats as the SGD step's
-    network output (so a cloud that equals the teacher reproduces y bit for
-    bit -- the interpolation fixed point).
+    network; with ``teacher_mean=True`` the teacher averages its units in
+    the same floats as the SGD step's network output, so a cloud that
+    equals the teacher reproduces y bit for bit (the interpolation fixed
+    point): through ``core.network_output`` below ``_DEFER_MIN_D``, and from
+    it on with z from ``core.tile_preactivations`` over the 64-row tiles of
+    the sample block, the tiles the SGD step takes its z from.
     kind "noisy-polynomial": y = a0 + a1.x + a2.x^2 + noise.
     kind "mnist-binary": ``images`` holds the pixels once, as uint8 bytes
     (n, d), and a draw scales its image to x in [0,1]^d (``_pixels``); y in
@@ -132,6 +135,8 @@ def conditional_mean(model: DataModel, x: np.ndarray) -> np.ndarray:
     """E[y | x] for synthetic models (noise has mean zero)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if model.kind == "teacher-network":
+        if model.teacher_mean and model.d >= _DEFER_MIN_D:
+            return _tiled_outputs(model, x)
         if model.teacher_mean:
             return np.array([network_output(model.teacher_c, model.teacher_w,
                                             model.activation, xi) for xi in x])
@@ -141,6 +146,20 @@ def conditional_mean(model: DataModel, x: np.ndarray) -> np.ndarray:
         a0, a1, a2 = model.poly
         return a0 + x @ a1 + (x * x) @ a2
     raise ConfigError("conditional mean is undefined for mnist-binary")
+
+
+def _tiled_outputs(model: DataModel, x: np.ndarray) -> np.ndarray:
+    """The ``teacher_mean`` outputs at d >= ``_DEFER_MIN_D``: z by one
+    ``tile_preactivations`` GEMM per tile of ``_DEFER_BLOCK`` rows of x from
+    its first row, then ``network_output``'s (s . c) / n per row."""
+    c, w, act = model.teacher_c, model.teacher_w, model.activation
+    y = np.empty(len(x))
+    z = np.empty((_DEFER_BLOCK, len(c)))
+    for lo in range(0, len(x), _DEFER_BLOCK):
+        tile = x[lo:lo + _DEFER_BLOCK]
+        s = act.value(tile_preactivations(w, tile, out=z[:len(tile)]))
+        y[lo:lo + len(tile)] = [float(row @ c) / len(c) for row in s]
+    return y
 
 
 def sample_data(model: DataModel, rng: np.random.Generator, n: int) -> Batch:
@@ -163,10 +182,11 @@ def _draw_indices(model: DataModel, rng: np.random.Generator, n: int
     return rng.integers(0, model.images.shape[0], size=n)
 
 
-def _pixels(model: DataModel, idx) -> np.ndarray:
+def _pixels(model: DataModel, idx, out: np.ndarray | None = None
+            ) -> np.ndarray:
     """The float64 inputs in [0, 1] of the images ``idx``, scaled from the
-    stored bytes at each draw."""
-    return model.images[idx] / 255.0
+    stored bytes at each draw, written into ``out`` when given."""
+    return np.divide(model.images[idx], 255.0, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,11 @@ one ``Ensemble`` as the batch of one, in its own arrays.  Every operation
 of a step is elementwise or acts on one replica's block with the same call
 a lone replica makes, so a replica's bits do not depend on the batch it is
 trained in.  Each step moves w by the rank-one matrix u x^T.  At a wide
-input it is deferred: w is kept as W0 + U^T X with up to B pending steps in
-U and X, folded into W0 by GEMM over particle row blocks at least every B
-steps.
+input the steps go in tiles of 64, aligned to the 4096-sample chunks the
+samples are drawn in.  One GEMM at a tile's start gives W0 x for all of its
+samples, and a step's z is that plus U^T (X x) over the tile's earlier
+steps.  w is kept as W0 + U^T X, folded into W0 by GEMM over particle row
+blocks at the tile's end and wherever w is read.
 """
 
 from __future__ import annotations
@@ -31,18 +33,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (DIVERGENCE_LIMIT, Activation, DivergedError,
-                   RejectedInputError, RandomStreams, activation_deriv,
-                   guard_divergence, max_abs)
+from .core import (_DEFER_BLOCK, _DEFER_MIN_D, DIVERGENCE_LIMIT, Activation,
+                   DivergedError, RejectedInputError, RandomStreams,
+                   activation_deriv, guard_divergence, max_abs,
+                   tile_preactivations)
 from .data import (DataModel, InitLaw, _draw_indices, _pixels, _sample_clouds,
                    sample_data, sample_init)
 from .measure import EmpiricalMeasure
 
 _STREAM_CHUNK = 4096  # samples drawn per refill; fixed, part of determinism
-#: pending steps per fold at input width d >= _DEFER_MIN_D; narrower inputs
-#: apply each step at once (a block of one), where the dense update is cheap
-_DEFER_BLOCK = 64
-_DEFER_MIN_D = 16
+assert _STREAM_CHUNK % _DEFER_BLOCK == 0  # no tile straddles a chunk
 #: weights per particle row block of a fold, which sums that block's pending
 #: steps by one GEMM into a work block of this size
 _FOLD_FLOATS = 1 << 16
@@ -123,7 +123,9 @@ def step_increments(ens, x: np.ndarray, y, z: np.ndarray | None = None
     sigma(w_i . x) takes the same floats as ``core.network_output``, so a
     network trained on its own outputs gets y - g = 0 exactly and never
     moves.  ``z`` is w x when the caller holds w in another form
-    (``_Lockstep.preactivations``).
+    (``_Lockstep.tile_step`` or ``preactivations``); at d >=
+    ``_DEFER_MIN_D`` a teacher's labels take their z from the same tile
+    GEMM as the step's, so the two still agree bit for bit.
     """
     act = ens.activation
     if z is None:
@@ -140,19 +142,26 @@ def step_increments(ens, x: np.ndarray, y, z: np.ndarray | None = None
 
 class _Lockstep:
     """R replicas of one N, stepped together in the caller's own arrays:
-    c (R, N) and w (R, N, d), changed in place and never copied.  Replica
-    r's z is one matrix-vector product on its (N, d) block, the call a lone
-    replica makes, and the rest of a step is elementwise or per row, so a
-    replica's bits do not depend on R.
+    c (R, N) and w (R, N, d), changed in place and never copied.  Every
+    matrix product acts on one replica's block with the call a lone replica
+    makes, and the rest of a step is elementwise or per row, so a replica's
+    bits do not depend on R.
 
-    Below input width ``_DEFER_MIN_D`` each step adds u x^T at once, plane
-    by plane.  From it on, w is held as W0 + U^T X per replica, with up to
-    ``block`` pending steps in U (R, block, N) and X (R, block, d):
-    ``_DEFER_BLOCK`` of them, or one when ``every_step`` asks for w after
-    each step.  w x is then W0 x + U^T (X x), which costs O(N (d + k))
-    where applying a step costs O(N d), and a fold adds the pending steps
-    to W0 by GEMM over particle row blocks of ``_FOLD_FLOATS`` weights, so
-    no temporary of w's size is made.
+    Below input width ``_DEFER_MIN_D`` a step's z is one matrix-vector
+    product, and each step adds u x^T at once, plane by plane.  From it on
+    the steps go in tiles of ``_DEFER_BLOCK`` (``load``), and w is held as
+    W0 + U^T X per replica: U (R, _DEFER_BLOCK, N) and X (R, _DEFER_BLOCK,
+    d) hold the tile's steps.  A tile starts with nothing pending.  Its
+    samples go into X, and one ``core.tile_preactivations`` GEMM per replica
+    puts their W0 x into U's rows.  Step j reads row j as the column of its
+    z, adds U^T (X x) over the tile's earlier steps (``tile_step``), and
+    then overwrites the row with its own u.  So z costs O(N j) per step
+    where W0 x would cost O(N d).  A fold adds the pending steps to W0 by
+    GEMM over particle row blocks of ``_FOLD_FLOATS`` weights, so no
+    temporary of w's size is made.  It comes at the tile's end, and after
+    each step when ``every_step`` asks for w after each (``block`` 1), or
+    when ``push`` asks for it.  A fold inside a tile materialises w and
+    leaves the tile's z as they are.
 
     The divergence guard stays exact.  c is scanned every step, and w at
     every fold.  Between folds ``bound`` holds max|W0| from the last scan
@@ -175,28 +184,57 @@ class _Lockstep:
         r, n, d = w.shape
         wide = d >= _DEFER_MIN_D
         self.block = 1 if every_step or not wide else _DEFER_BLOCK
-        self.u = np.empty((r, self.block, n)) if wide else None
-        self.x = np.empty((r, self.block, d)) if wide else None
+        self.u = np.empty((r, _DEFER_BLOCK, n)) if wide else None
+        self.x = np.empty((r, _DEFER_BLOCK, d)) if wide else None
         # the fold's row block when wide, else the plane of one step
         self.work = (np.empty((min(n, max(1, _FOLD_FLOATS // d)), d))
                      if wide else np.empty((r, n)))
-        self.pending = 0
+        self.taken = 0  # the tile's steps taken: rows of U and X holding them
+        self.folded = 0  # of these, the rows already added to w
         self.bound = max_abs(w) if self.block > 1 else 0.0
 
+    @property
+    def pending(self) -> int:
+        return self.taken - self.folded
+
+    def load(self, sample: Callable, i: int) -> np.ndarray:
+        """Start a tile at step i of the chunk ``sample`` (``_draw_chunk``),
+        with nothing pending: its samples go into X and their W0 x into U,
+        and its labels y (R, _DEFER_BLOCK) are returned."""
+        y = sample(i, self.x)[1]
+        for r in range(self.w.shape[0]):
+            tile_preactivations(self.w[r], self.x[r], out=self.u[r])
+        self.taken = self.folded = 0
+        return y
+
+    def tile_step(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tile's next sample x (R, d), a view of X, and its z = w x:
+        the column the tile's GEMM left in U plus U^T (X x) over the tile's
+        earlier steps."""
+        j = self.taken
+        x, z = self.x[:, j], self.u[:, j].copy()
+        return x, self._add_steps(z, slice(0, j), x) if j else z
+
     def preactivations(self, x: np.ndarray) -> np.ndarray:
-        """w x per replica for samples x (R, d), with the pending steps
-        added as U^T (X x)."""
+        """w x per replica for samples x (R, d) from outside the tile, with
+        the pending steps added as U^T (X x)."""
         z = np.matmul(self.w, x[:, :, None])[..., 0]
         if self.pending:
-            xx = np.matmul(self.x[:, :self.pending], x[:, :, None])
-            z += np.matmul(self.u[:, :self.pending].transpose(0, 2, 1), xx)[..., 0]
+            return self._add_steps(z, slice(self.folded, self.taken), x)
+        return z
+
+    def _add_steps(self, z: np.ndarray, steps: slice, x: np.ndarray
+                   ) -> np.ndarray:
+        """z plus U^T (X x) over the tile's rows ``steps``, in place."""
+        xx = np.matmul(self.x[:, steps], x[:, :, None])
+        z += np.matmul(self.u[:, steps].transpose(0, 2, 1), xx)[..., 0]
         return z
 
     def push(self, x: np.ndarray, dc: np.ndarray, u: np.ndarray, fold: bool):
         """Take one step's increments (from ``step_increments``): add dc to
-        c and u x^T to w, at once below ``_DEFER_MIN_D``, else held pending
-        and folded when the block is full or when ``fold`` asks for a
-        materialised w."""
+        c and u x^T to w, at once below ``_DEFER_MIN_D``, else as the tile's
+        next row of U and X, folded at the tile's end, at once when
+        ``block`` is 1, or when ``fold`` asks for a materialised w."""
         self.c += dc
         self.step += 1
         if self.u is None:
@@ -204,30 +242,32 @@ class _Lockstep:
                 self.w[..., j] += np.multiply(u, x[:, j, None], out=self.work)
             self._guard(self.w)
             return
-        self.u[:, self.pending] = u
-        self.x[:, self.pending] = x
-        self.pending += 1
+        self.u[:, self.taken] = u
+        self.x[:, self.taken] = x
+        self.taken += 1
         self.bound += max_abs(u) * max_abs(x)
-        full = fold or self.pending == self.block
+        full = fold or self.block == 1 or self.taken == _DEFER_BLOCK
         if full or not self.bound <= _BOUND_LIMIT:
             self.bound = self._guard(self._scan(full))
         else:
             self._guard(None)
+        if self.taken == _DEFER_BLOCK:  # the tile is spent
+            self.taken = self.folded = 0
 
     def _scan(self, fold: bool) -> np.ndarray:
         """max|W0 + U^T X| per particle row block, each block's pending
         steps summed by one GEMM into the work block; with ``fold`` the sums
         go into w and nothing is left pending."""
-        j, rows = self.pending, self.work.shape[0]
+        steps, rows = slice(self.folded, self.taken), self.work.shape[0]
         maxes = []
         for r in range(self.w.shape[0]):
             for lo in range(0, self.n, rows):
                 wb = self.w[r, lo:lo + rows]
-                steps = np.matmul(self.u[r, :j, lo:lo + rows].T, self.x[r, :j],
-                                  out=self.work[:wb.shape[0]])
-                maxes.append(max_abs(np.add(wb, steps, out=wb if fold else steps)))
+                add = np.matmul(self.u[r, steps, lo:lo + rows].T,
+                                self.x[r, steps], out=self.work[:wb.shape[0]])
+                maxes.append(max_abs(np.add(wb, add, out=wb if fold else add)))
         if fold:
-            self.pending = 0
+            self.folded = self.taken
         return np.array(maxes)
 
     def _guard(self, w: np.ndarray | None) -> float | None:
@@ -310,24 +350,38 @@ class TrainResult:
 
 def _draw_chunk(model: DataModel, rngs: list) -> Callable:
     """The next ``_STREAM_CHUNK`` samples of each generator in ``rngs``, as
-    a function of the step i in the chunk that gives x (R, d) and y (R,).
-    An image model's chunk holds the drawn indices, the draws of
-    ``sample_data``, and scales step i's images from their bytes at that
-    step.  A synthetic model's chunk holds x (steps, R, d), since its noise
-    is drawn after the whole x block; one replica's chunk is viewed, not
-    copied."""
+    a function of the step i in the chunk that gives x (R, d) and y (R,);
+    given ``out`` (R, m, d) it writes the x of the m steps from i there and
+    gives out and y (R, m).  An image model's chunk holds the drawn indices,
+    the draws of ``sample_data``, and scales the images of the steps asked
+    for from their bytes.  A synthetic model's chunk holds x (steps, R, d),
+    since its noise is drawn after the whole x block; one replica's chunk is
+    viewed, not copied."""
     if model.kind == "mnist-binary":
         idx = np.stack([_draw_indices(model, g, _STREAM_CHUNK) for g in rngs],
                        axis=1)
         ys = model.labels[idx]
-        return lambda i: (_pixels(model, idx[i]), ys[i])
+
+        def sample(i, out=None):
+            if out is None:
+                return _pixels(model, idx[i]), ys[i]
+            steps = slice(i, i + out.shape[1])
+            return _pixels(model, idx[steps].T, out), ys[steps].T
+        return sample
     batches = [sample_data(model, g, _STREAM_CHUNK) for g in rngs]
     if len(batches) == 1:
         xs, ys = batches[0].x[:, None], batches[0].y[:, None]
     else:
         xs = np.stack([b.x for b in batches], axis=1)
         ys = np.stack([b.y for b in batches], axis=1)
-    return lambda i: (xs[i], ys[i])
+
+    def sample(i, out=None):
+        if out is None:
+            return xs[i], ys[i]
+        steps = slice(i, i + out.shape[1])
+        np.copyto(out, xs[steps].transpose(1, 0, 2))
+        return out, ys[steps].T
+    return sample
 
 
 def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule, rng,
@@ -349,10 +403,11 @@ def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule, rng,
     step then applies exactly those increments.  The observer writes
     nothing to the state.
 
-    Steps are deferred in blocks of ``_DEFER_BLOCK`` at input width d >=
-    ``_DEFER_MIN_D``, and w is folded before every snapshot.  An observer or
-    ``record_moments`` reads w every step, so either applies each step at
-    once.
+    At input width d >= ``_DEFER_MIN_D`` the steps go in tiles of
+    ``_DEFER_BLOCK`` (``_Lockstep``): x is then a row of the tile, which the
+    next tile overwrites.  w is folded at each tile's end and before every
+    snapshot.  An observer or ``record_moments`` reads w every step, so
+    either folds each step at once.
     """
     state = _Lockstep(ens.c[None], ens.w[None], ens.activation, ens.alpha,
                       observer is not None or record_moments, ens.step)
@@ -396,8 +451,15 @@ def _train(state: _Lockstep, model: DataModel, schedule: TrainSchedule,
     while done < n_steps:
         sample = _draw_chunk(model, rngs)
         for i in range(min(n_steps - done, _STREAM_CHUNK)):
-            x, y = sample(i)
-            dc, u = step_increments(state, x, y, state.preactivations(x))
+            if state.u is None:
+                x, y = sample(i)
+                z = state.preactivations(x)
+            else:
+                if i % _DEFER_BLOCK == 0:
+                    ys = state.load(sample, i)
+                x, z = state.tile_step()
+                y = ys[:, i % _DEFER_BLOCK]
+            dc, u = step_increments(state, x, y, z)
             if observer is not None:
                 observer(done, state, x, y, dc, u)
             done += 1

@@ -197,8 +197,8 @@ def _assert_same_runs(a, b):
 def test_replica_bits_do_not_depend_on_batch(wide, record_moments):
     """Replica r's snapshots and moment trace are the same bits in one
     batch, in a split batch and alone, at N = 37 (not a multiple of 8).  At
-    d=100 without moments the 185 steps go through three folds of the
-    deferred update, with a snapshot inside a block."""
+    d=100 without moments the 185 steps go through three tiles of the
+    deferred update, with a snapshot inside the first."""
     if wide:
         model, init = wide_model(), InitLaw(d=WIDE_D, w_scale=0.3)
     else:
@@ -626,3 +626,110 @@ def test_fold_of_one_step_is_the_outer_product(shape):
     assert state.block == 1
     state.push(x, np.zeros((r, n)), u, False)
     assert state.pending == 0 and np.array_equal(w, want)
+
+
+# ---------------------------------------------------------------------------
+# tiles: one GEMM of w x per 64 steps at a wide input
+
+
+@pytest.mark.parametrize("record_moments", [False, True],
+                         ids=["deferred", "every-step"])
+def test_tile_z_matches_matmul_on_the_plain_weights(monkeypatch,
+                                                    record_moments):
+    """At d=784 each step's z, the tile's GEMM column plus U^T (X x) over
+    the tile's earlier steps, agrees with np.matmul(w, x) on the weights
+    stepped plainly to 1e-12 of its magnitude: over two full tiles and a
+    partial third, with a snapshot fold at step 100 inside the second, both
+    with the steps deferred and folded each step."""
+    n, d, steps = 50, 784, 170
+    model = wide_model(d)
+    c, w = sgd._sample_clouds(InitLaw(d=d, w_scale=0.3),
+                              [np.random.default_rng(67)], n)
+    plain = w[0].copy()
+    seen = []
+    real = sgd.step_increments
+
+    def spy(state, x, y, z=None):
+        dc, u = real(state, x, y, z)
+        seen.append((x[0].copy(), z[0].copy(), u[0].copy()))
+        return dc, u
+
+    monkeypatch.setattr(sgd, "step_increments", spy)
+    state = sgd._Lockstep(c, w, TANH, 1.0, record_moments, 0)
+    sched = TrainSchedule(steps / n, (100 / n, steps / n))
+    assert sched.snapshot_steps(n) == [100, steps]
+    result = sgd._train(state, model, sched, [np.random.default_rng(68)],
+                        None, record_moments, True)[0]
+    assert len(seen) == steps
+    for k, (x, z, u) in enumerate(seen):
+        want = np.matmul(plain, x)
+        assert np.max(np.abs(z - want)) <= 1e-12 * np.max(np.abs(want)), k
+        plain += u[:, None] * x
+        if k + 1 == 100:
+            assert close(result.snapshots[0][1].w, plain)
+    assert close(w[0], plain)
+
+
+@pytest.mark.parametrize("mode", ["record_moments", "observer"])
+def test_fixed_point_holds_when_every_step_folds(mode):
+    """At d=784 a network trained on its own outputs never moves when w is
+    folded after every step, under record_moments or an observer: each
+    step's z comes from the same tile GEMM as the teacher's labels, so y - g
+    is exactly 0.0 and every increment is zero."""
+    rng = np.random.default_rng(53)
+    ens = Ensemble(rng.standard_normal(30), rng.standard_normal((30, 784)),
+                   TANH, alpha=1.0)
+    model = from_network(ens.measure(), TANH, noise_scale=0.0)
+    c0, w0 = ens.c.copy(), ens.w.copy()
+    moved = []
+    kw = (dict(observer=lambda k, state, x, y, dc, u: moved.append(
+        bool(dc.any() or u.any()))) if mode == "observer"
+          else dict(record_moments=True))
+    result = train(ens, model, TrainSchedule(5.0, (2.0, 5.0)),
+                   np.random.default_rng(54), **kw)
+    assert ens.step == 150
+    assert np.array_equal(ens.c, c0) and np.array_equal(ens.w, w0)
+    if mode == "observer":
+        assert moved == [False] * 150
+    else:
+        assert np.all(result.moment_trace == result.moment_trace[0])
+
+
+def test_wide_replica_bits_past_a_chunk_do_not_depend_on_batch():
+    """At d=100 and N=37, 4144 steps run past the first 4096-sample chunk,
+    and the snapshot at step 4107 falls inside the second chunk's first
+    tile: each replica's snapshots are the same bits in one batch, in a
+    split batch and alone."""
+    model, init = wide_model(), InitLaw(d=WIDE_D, w_scale=0.3)
+    streams, n = RandomStreams(69), 37
+    sched = TrainSchedule(112.0, (1.0, 111.0, 112.0))
+    assert sched.snapshot_steps(n) == [37, 4107, 4144]
+    whole = run_default(model, init, TANH, 1.0, n, sched, streams,
+                        replica=range(3))
+    split = (run_default(model, init, TANH, 1.0, n, sched, streams,
+                         replica=[0])
+             + run_default(model, init, TANH, 1.0, n, sched, streams,
+                           replica=[1, 2]))
+    alone = [run_default(model, init, TANH, 1.0, n, sched, streams,
+                         replica=r) for r in range(3)]
+    _assert_same_runs(whole, split)
+    _assert_same_runs(whole, alone)
+    assert not np.array_equal(whole[0].snapshots[-1][1].w,
+                              whole[1].snapshots[-1][1].w)
+
+
+def test_image_tiles_allocate_no_second_block_of_z(idx_files):
+    """A tile's GEMM writes W0 x straight into U's rows, and its images are
+    scaled straight into X: training an image model at N=3000, d=784
+    allocates no N x 64 float array besides U: the traced peak stays below
+    w, U, X, the fold's work block and one more such array."""
+    model = load_mnist_idx(*idx_files, (3, 5))
+    n, init = 3000, InitLaw(d=model.d, w_scale=0.3)
+    out = []
+    peak = traced_peak(lambda: out.append(run_default(
+        model, init, TANH, 1.0, n, TrainSchedule(0.1), RandomStreams(66))))
+    w = out[0].snapshots[-1][1].w
+    tile = sgd._DEFER_BLOCK * n * 8
+    held = w.nbytes + tile + sgd._DEFER_BLOCK * 784 * 8 + sgd._FOLD_FLOATS * 8
+    assert w.shape == (n, 784)
+    assert peak - held < tile, f"peak {(peak - held) / tile:.2f} tiles over"
