@@ -440,6 +440,7 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     n_grid, mart_grid = _increasing(cfg, "n_grid"), _increasing(cfg, "mart_n_grid")
     _at_least("verify", ("replicas", cfg["replicas"], LLN_MIN_REPLICAS),
               ("chaos_replicas", cfg["chaos_replicas"], CHAOS_MIN_REPLICAS),
+              ("mart_replicas", cfg["mart_replicas"], 1),
               ("n_grid widths", len(n_grid), LLN_MIN_WIDTHS),
               ("smallest n_grid width", n_grid[0], 2),
               ("smallest mart_n_grid width", mart_grid[0], 1))
@@ -577,6 +578,11 @@ def cmd_mnist_hist(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
 # entry point
 
 
+#: how numpy's messages begin when an array's size overflows its index type
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded",
+            "Maximum allowed size exceeded")
+
+
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", default=None, help="key=value config file")
     sub.add_argument("--seed", type=int, default=0, help="64-bit run seed")
@@ -601,6 +607,9 @@ def main(argv=None) -> int:
     }
     try:
         cfg = parse_config(args.config)
+        # every command trains or solves at this rate: refuse it before any
+        # work and before any output directory
+        _at_least(args.command, ("alpha", cfg["alpha"], 0))
         out = Path(args.out) if args.out else Path(
             f"runs/{args.command}-{config_hash(cfg)[:8]}-s{args.seed}")
         return dispatch[args.command](cfg, args.seed, out, args.quiet)
@@ -611,6 +620,13 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # numpy refuses an array whose size overflows its index type with a
+        # ValueError, not a MemoryError; any other one is a bug and raises
+        if not str(exc).startswith(_TOO_BIG):
+            raise
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except DivergedError as exc:

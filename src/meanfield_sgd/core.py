@@ -48,6 +48,13 @@ def max_abs(a: np.ndarray) -> float:
     return float(max(a.max(), -a.min()))
 
 
+def check_alpha(alpha: float) -> float:
+    """The learning rate ``alpha``, refused when it is negative or NaN."""
+    if not alpha >= 0:
+        raise RejectedInputError("alpha must be >= 0")
+    return alpha
+
+
 def guard_divergence(step: int, *arrays: np.ndarray) -> float:
     """Raise ``DivergedError`` at ``step`` when any entry of ``arrays`` is
     not finite or exceeds ``DIVERGENCE_LIMIT`` in magnitude; otherwise

@@ -258,15 +258,16 @@ def _sample_clouds(law: InitLaw, rngs: list, n: int
 def _map_init(law: InitLaw, u: np.ndarray, c: np.ndarray, w: np.ndarray):
     """Push one block of uniforms through the inverse CDFs into c and w.
 
-    c = lo + (hi - lo) u; w = w_scale * ndtri(u) on the uniforms clipped to
-    [tiny, 1 - 1e-16], so every w is finite.  The clip writes into w and
-    ``ndtri`` maps w in place, cache-sized sub-block by sub-block, so the
-    map makes no temporary of w's size.
+    c = lo + (hi - lo) u; w = w_scale * ndtri(u) on the uniforms raised to
+    at least tiny, so every w is finite.  ``Generator.random`` draws from
+    [0, 1 - 2**-53], so only an exact 0 needs mending.  The bound writes
+    into w and ``ndtri`` maps w in place, cache-sized sub-block by
+    sub-block, so the map makes no temporary of w's size.
     """
     lo, hi = law.c_params
     np.multiply(hi - lo, u[:, 0], out=c)
     c += lo
-    np.clip(u[:, 1:], np.finfo(np.float64).tiny, 1.0 - 1e-16, out=w)
+    np.maximum(u[:, 1:], np.finfo(np.float64).tiny, out=w)
     ndtri(w)
     w *= law.w_scale
 

@@ -293,6 +293,8 @@ def martingale_decay(model: DataModel, init: InitLaw, f: TestFunction,
     N's replicas train as one ``run_default`` batch, watched by the twin
     observer (``_DecompositionObserver``).
     """
+    if R < 1:
+        raise RejectedInputError("martingale moments need R >= 1 replicas")
     act = act or activation("tanh")
     schedule = TrainSchedule(float(T))
     replicas, cols = list(range(R)), []
@@ -464,9 +466,9 @@ def chaos_table(study: ReplicaStudy, f1: TestFunction, f2: TestFunction,
     ``run_default`` batch per N with the study's model, initial law,
     activation, alpha, T and streams.  Below the input width at which
     the SGD loop defers steps (d < 16) the two are bit for bit the same
-    clouds; at wider inputs the study applied every step at once (it
-    records moments) where the retrains defer them, so the two differ in
-    the last bits.
+    clouds.  At wider inputs pending steps are folded into w wherever w is
+    read: the study reads it for its moments after every step, and a
+    retrain only at its tiles' ends, so the two differ in the last bits.
     """
     if R < CHAOS_MIN_REPLICAS:
         raise RejectedInputError(

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (Activation, ConfigError, RandomStreams, RejectedInputError,
-                   activation, guard_divergence, max_abs)
+                   activation, check_alpha, guard_divergence, max_abs)
 from .data import DataModel, InitLaw, conditional_mean, sample_data, sample_init
 from .measure import EmpiricalMeasure, pair, wasserstein
 
@@ -341,6 +341,7 @@ def solve_selfconsistent(init, model: DataModel, M: int | None, dt: float,
     initial cloud) or a ready Quadrature.  dt is coerced so the horizon is an
     exact number of steps.
     """
+    check_alpha(alpha)
     n_steps, dt_eff, snap_steps = _snapshot_plan(dt, T, snapshot_times)
     act = act or (model.activation if model.activation is not None
                   else activation("tanh"))
@@ -367,6 +368,7 @@ def frozen_start(cloud: EmpiricalMeasure, T: float, dt: float,
                  quad: Quadrature, act: Activation, alpha: float,
                  snapshot_times=None) -> MeanFieldSolution:
     """The law frozen at its initial state: the usual first Picard iterate."""
+    check_alpha(alpha)
     n_steps, dt_eff, snap_steps = _snapshot_plan(dt, T, snapshot_times)
     s = snap_steps.shape[0]
     return MeanFieldSolution(snap_steps * dt_eff,

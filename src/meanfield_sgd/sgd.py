@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import (_DEFER_BLOCK, _DEFER_MIN_D, DIVERGENCE_LIMIT, Activation,
                    DivergedError, RejectedInputError, RandomStreams,
-                   activation_deriv, guard_divergence, max_abs,
+                   activation_deriv, check_alpha, guard_divergence, max_abs,
                    tile_preactivations)
 from .data import (DataModel, InitLaw, _draw_indices, _pixels, _sample_clouds,
                    sample_data, sample_init)
@@ -47,8 +47,10 @@ assert _STREAM_CHUNK % _DEFER_BLOCK == 0  # no tile straddles a chunk
 #: steps by one GEMM into a work block of this size
 _FOLD_FLOATS = 1 << 16
 #: w is scanned with its pending steps once their bound on max|w| passes
-#: this; the slack sits far above the round-off of a 64-term sum, so no step
-#: within the bound can hold a w past DIVERGENCE_LIMIT
+#: this.  Below _DEFER_MIN_D a step adds one rounded product to each weight,
+#: which the bound's own rounded sum covers, since rounding is monotone;
+#: from it on the slack sits far above the round-off of a 64-term sum.  So
+#: no step within the bound can hold a w past DIVERGENCE_LIMIT
 _BOUND_LIMIT = DIVERGENCE_LIMIT * (1.0 - 1e-9)
 #: ``run_default`` trains at most as many replicas at once as keep their
 #: clouds and sample chunks near this many floats: one batch per N at d=2,
@@ -73,8 +75,7 @@ class Ensemble:
             raise RejectedInputError("need c (N,) and w (N, d)")
         if self.n < 1:
             raise RejectedInputError("ensemble needs at least one particle")
-        if not self.alpha >= 0:
-            raise RejectedInputError("alpha must be >= 0")
+        check_alpha(self.alpha)
 
     @property
     def n(self) -> int:
@@ -90,9 +91,6 @@ class Ensemble:
         cloud = sample_init(law, rng, n)
         return cls(cloud.c, cloud.w, act, alpha)
 
-    def measure(self) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.c.copy(), self.w.copy())
-
 
 def sgd_step(ens: Ensemble, x: np.ndarray, y: float) -> Ensemble:
     """One online step; mutates ``ens`` in place and returns it.
@@ -105,9 +103,10 @@ def sgd_step(ens: Ensemble, x: np.ndarray, y: float) -> Ensemble:
         raise RejectedInputError(f"sample has shape {x.shape}, expected ({ens.d},)")
     dc, u = step_increments(ens, x, y)
     state = _Lockstep(ens.c[None], ens.w[None], ens.activation, ens.alpha,
-                      True, ens.step)
+                      ens.step)
     try:
-        state.push(x[None], dc[None], u[None], True)
+        state.push(x[None], dc[None], u[None])
+        state.fold()
     finally:
         ens.step = state.step
     return ens
@@ -156,18 +155,19 @@ class _Lockstep:
     puts their W0 x into U's rows.  Step j reads row j as the column of its
     z, adds U^T (X x) over the tile's earlier steps (``tile_step``), and
     then overwrites the row with its own u.  So z costs O(N j) per step
-    where W0 x would cost O(N d).  A fold adds the pending steps to W0 by
-    GEMM over particle row blocks of ``_FOLD_FLOATS`` weights, so no
-    temporary of w's size is made.  It comes at the tile's end, and after
-    each step when ``every_step`` asks for w after each (``block`` 1), or
-    when ``push`` asks for it.  A fold inside a tile materialises w and
-    leaves the tile's z as they are.
+    where W0 x would cost O(N d).
 
-    The divergence guard stays exact.  c is scanned every step, and w at
-    every fold.  Between folds ``bound`` holds max|W0| from the last scan
-    plus sum_k max|u_k| max|x_k| over the batch, at least max|w|, and once
-    it passes the limit (or stops being finite) w is scanned with its
-    pending steps added, over the same row blocks and without folding, so
+    One rule says when pending steps reach w: at the tile's end, and
+    wherever w is read, through ``fold``, which a caller makes before it
+    reads w.  A fold adds the pending steps to W0 by GEMM over
+    particle row blocks of ``_FOLD_FLOATS`` weights, so no temporary of w's
+    size is made, and leaves the tile's z as they are.
+
+    The divergence guard stays exact at every width.  c is scanned every
+    step.  ``bound`` holds max|w| from the last scan or fold plus
+    sum_k max|u_k| max|x_k| over the batch since, at least max|w|, and only
+    once it passes the limit (or stops being finite) is w scanned, with its
+    pending steps added over the same row blocks and without folding, so
     the folds, and with them the bits, come at the same steps whatever the
     batch.  A step past the limit is seen at the step it happens; the error
     names the lowest replica past it, and every replica's w is folded to
@@ -175,15 +175,12 @@ class _Lockstep:
     """
 
     def __init__(self, c: np.ndarray, w: np.ndarray, activation: Activation,
-                 alpha: float, every_step: bool, step: int):
-        if not alpha >= 0:
-            raise RejectedInputError("alpha must be >= 0")
+                 alpha: float, step: int):
         self.c, self.w = c, w
-        self.activation, self.alpha, self.n = activation, alpha, c.shape[1]
-        self.step = step
+        self.activation, self.alpha = activation, check_alpha(alpha)
+        self.n, self.step = c.shape[1], step
         r, n, d = w.shape
         wide = d >= _DEFER_MIN_D
-        self.block = 1 if every_step or not wide else _DEFER_BLOCK
         self.u = np.empty((r, _DEFER_BLOCK, n)) if wide else None
         self.x = np.empty((r, _DEFER_BLOCK, d)) if wide else None
         # the fold's row block when wide, else the plane of one step
@@ -191,7 +188,7 @@ class _Lockstep:
                      if wide else np.empty((r, n)))
         self.taken = 0  # the tile's steps taken: rows of U and X holding them
         self.folded = 0  # of these, the rows already added to w
-        self.bound = max_abs(w) if self.block > 1 else 0.0
+        self.bound = max_abs(w)
 
     @property
     def pending(self) -> int:
@@ -213,51 +210,48 @@ class _Lockstep:
         earlier steps."""
         j = self.taken
         x, z = self.x[:, j], self.u[:, j].copy()
-        return x, self._add_steps(z, slice(0, j), x) if j else z
+        if j:
+            xx = np.matmul(self.x[:, :j], x[:, :, None])
+            z += np.matmul(self.u[:, :j].transpose(0, 2, 1), xx)[..., 0]
+        return x, z
 
     def preactivations(self, x: np.ndarray) -> np.ndarray:
-        """w x per replica for samples x (R, d) from outside the tile, with
-        the pending steps added as U^T (X x)."""
-        z = np.matmul(self.w, x[:, :, None])[..., 0]
-        if self.pending:
-            return self._add_steps(z, slice(self.folded, self.taken), x)
-        return z
+        """w x per replica for samples x (R, d) from outside the tile, on
+        the folded w (``fold``)."""
+        return np.matmul(self.w, x[:, :, None])[..., 0]
 
-    def _add_steps(self, z: np.ndarray, steps: slice, x: np.ndarray
-                   ) -> np.ndarray:
-        """z plus U^T (X x) over the tile's rows ``steps``, in place."""
-        xx = np.matmul(self.x[:, steps], x[:, :, None])
-        z += np.matmul(self.u[:, steps].transpose(0, 2, 1), xx)[..., 0]
-        return z
-
-    def push(self, x: np.ndarray, dc: np.ndarray, u: np.ndarray, fold: bool):
+    def push(self, x: np.ndarray, dc: np.ndarray, u: np.ndarray):
         """Take one step's increments (from ``step_increments``): add dc to
         c and u x^T to w, at once below ``_DEFER_MIN_D``, else as the tile's
-        next row of U and X, folded at the tile's end, at once when
-        ``block`` is 1, or when ``fold`` asks for a materialised w."""
+        next row of U and X, folded at the tile's end."""
         self.c += dc
         self.step += 1
+        self.bound += max_abs(u) * max_abs(x)
         if self.u is None:
             for j in range(self.w.shape[2]):
                 self.w[..., j] += np.multiply(u, x[:, j, None], out=self.work)
-            self._guard(self.w)
-            return
-        self.u[:, self.taken] = u
-        self.x[:, self.taken] = x
-        self.taken += 1
-        self.bound += max_abs(u) * max_abs(x)
-        full = fold or self.block == 1 or self.taken == _DEFER_BLOCK
-        if full or not self.bound <= _BOUND_LIMIT:
-            self.bound = self._guard(self._scan(full))
         else:
-            self._guard(None)
+            self.u[:, self.taken] = u
+            self.x[:, self.taken] = x
+            self.taken += 1
+        self._guard()
         if self.taken == _DEFER_BLOCK:  # the tile is spent
+            self.fold()
             self.taken = self.folded = 0
+
+    def fold(self):
+        """Add the pending steps to w, and take its new max|w| as
+        ``bound``."""
+        if self.pending:
+            self.bound = float(np.max(self._scan(True)))
 
     def _scan(self, fold: bool) -> np.ndarray:
         """max|W0 + U^T X| per particle row block, each block's pending
         steps summed by one GEMM into the work block; with ``fold`` the sums
-        go into w and nothing is left pending."""
+        go into w and nothing is left pending.  With nothing pending (always
+        below ``_DEFER_MIN_D``) it is w itself."""
+        if not self.pending:
+            return self.w
         steps, rows = slice(self.folded, self.taken), self.work.shape[0]
         maxes = []
         for r in range(self.w.shape[0]):
@@ -270,16 +264,16 @@ class _Lockstep:
             self.folded = self.taken
         return np.array(maxes)
 
-    def _guard(self, w: np.ndarray | None) -> float | None:
-        """Check c, and ``w`` (the weights with any pending steps, or their
-        row-block maxima) when given; return max|w|.  Past the limit, fold
-        and raise ``DivergedError`` with the lowest replica past it."""
+    def _guard(self):
+        """Check c, and w with its pending steps once ``bound`` passes the
+        limit.  Past the limit, fold and raise ``DivergedError`` with the
+        lowest replica past it."""
         try:
             guard_divergence(self.step, self.c)
-            return None if w is None else guard_divergence(self.step, w)
+            if not self.bound <= _BOUND_LIMIT:
+                self.bound = guard_divergence(self.step, self._scan(False))
         except DivergedError as exc:
-            if self.pending:  # w too stands at the step the error names
-                self._scan(True)
+            self.fold()  # w too stands at the step the error names
             exc.replica = next(
                 r for r in range(self.c.shape[0])
                 if not max(max_abs(self.c[r]), max_abs(self.w[r])) <= DIVERGENCE_LIMIT)
@@ -405,12 +399,12 @@ def train(ens: Ensemble, model: DataModel, schedule: TrainSchedule, rng,
 
     At input width d >= ``_DEFER_MIN_D`` the steps go in tiles of
     ``_DEFER_BLOCK`` (``_Lockstep``): x is then a row of the tile, which the
-    next tile overwrites.  w is folded at each tile's end and before every
-    snapshot.  An observer or ``record_moments`` reads w every step, so
-    either folds each step at once.
+    next tile overwrites.  The pending steps are folded into w at each
+    tile's end and wherever w is read: before the observer, before
+    ``moment_guard``, at every snapshot and at the run's end.
     """
     state = _Lockstep(ens.c[None], ens.w[None], ens.activation, ens.alpha,
-                      observer is not None or record_moments, ens.step)
+                      ens.step)
     try:
         return _train(state, model, schedule, [rng], observer,
                       record_moments, False)[0]
@@ -426,7 +420,8 @@ def _train(state: _Lockstep, model: DataModel, schedule: TrainSchedule,
     at which any replica passes the divergence limit raises
     ``DivergedError`` with that step and the lowest such replica.  With
     ``own`` the snapshots at the last step are the batch's own arrays, else
-    every snapshot is a copy."""
+    every snapshot is a copy.  w is folded (``_Lockstep.fold``) before
+    anything here or in the observer reads it, and at the end."""
     if len(rngs) != state.c.shape[0]:
         raise RejectedInputError("need one generator per replica")
     if model.d != state.w.shape[2]:
@@ -437,12 +432,12 @@ def _train(state: _Lockstep, model: DataModel, schedule: TrainSchedule,
     trace = np.empty((len(rngs), n_steps + 1)) if record_moments else None
     if record_moments:
         trace[:, 0] = moment_guard(state)
-    fold_at = set(snap_steps) | {n_steps}
 
     def record(step_idx: int):
         keep = (lambda a: a) if own and step_idx == n_steps else np.copy
         for slot, want in enumerate(snap_steps):
             if want == step_idx and snapshots[slot] is None:
+                state.fold()
                 snapshots[slot] = [EmpiricalMeasure(keep(c), keep(w))
                                    for c, w in zip(state.c, state.w)]
 
@@ -461,12 +456,15 @@ def _train(state: _Lockstep, model: DataModel, schedule: TrainSchedule,
                 y = ys[:, i % _DEFER_BLOCK]
             dc, u = step_increments(state, x, y, z)
             if observer is not None:
+                state.fold()
                 observer(done, state, x, y, dc, u)
             done += 1
-            state.push(x, dc, u, done in fold_at)
+            state.push(x, dc, u)
             if record_moments:
+                state.fold()
                 trace[:, done] = moment_guard(state)
             record(done)
+    state.fold()
     return [TrainResult([(t, clouds[r]) for t, clouds
                          in zip(schedule.snapshot_times, snapshots)],
                         None if trace is None else trace[r])
@@ -501,8 +499,7 @@ def run_default(model: DataModel, init: InitLaw, act: Activation, alpha: float,
         part = replicas[lo:lo + size]
         c, w = _sample_clouds(init, [streams.stream(r, purpose="init")
                                     for r in part], n)
-        state = _Lockstep(c, w, act, alpha,
-                          observer is not None or record_moments, 0)
+        state = _Lockstep(c, w, act, alpha, 0)
         try:
             results += _train(state, model, schedule,
                               [streams.stream(r, purpose="data") for r in part],

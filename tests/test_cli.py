@@ -2,13 +2,14 @@
 layout, byte-level reproducibility, manifest integrity, and exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meanfield_sgd import cli, meanfield
@@ -284,6 +285,28 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_array_too_big_to_index_exits_2_with_one_line(tmp_path, capsys,
+                                                      monkeypatch):
+    """numpy refuses an array whose byte count overflows its index type with
+    a ValueError, not a MemoryError: 10**18 quadrature nodes at d=2 is out
+    of memory too, exit 2 in one line and before any output.  Any other
+    ValueError is a bug and still raises."""
+    cfg = _write_cfg(tmp_path, "quad_nodes=1000000000000000000\n")
+    out = tmp_path / "x"
+    rc = main(["meanfield", "--config", cfg, "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: out of memory: array is too big")
+    assert err.count("\n") == 1 and not out.exists()
+
+    def bug(*args, **kwargs):
+        raise ValueError("not a size")
+
+    monkeypatch.setattr(cli, "run_default", bug)
+    with pytest.raises(ValueError, match="not a size"):
+        main(["train", "--config", _write_cfg(tmp_path, TRAIN_CFG), "--out",
+              str(out), "--quiet"])
+
+
 def test_unknown_model_exit_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "model=quux\n")
     rc = main(["train", "--config", cfg, "--out", str(tmp_path / "x"), "--quiet"])
@@ -453,6 +476,28 @@ def test_degenerate_shapes_exit_2_before_any_solve(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "meanfield", "verify",
+                                     "mnist-hist"])
+def test_negative_alpha_exits_2_before_any_work(
+        idx_files, tmp_path, capsys, monkeypatch, command):
+    """A negative learning rate is refused by every command with exit 2
+    before the corpus is read, the limit solved or a replica trained, and
+    before the output directory is made."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before alpha was checked")
+
+    for name in ("run_default", "_solve_limit", "_build_model", "_load_mnist"):
+        monkeypatch.setattr(cli, name, no_work)
+    images, labels = idx_files
+    cfg = _write_cfg(tmp_path, MF_CFG + f"images={images}\nlabels={labels}\n"
+                                        "alpha=-1\n")
+    out = tmp_path / "x"
+    rc = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: alpha=-1.0")
+    assert not out.exists()
+
+
 def test_meanfield_unknown_mode_exit_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "mode=magic\n")
     rc = main(["meanfield", "--config", cfg, "--out", str(tmp_path / "x"),
@@ -567,7 +612,8 @@ def test_verify_rejects_grid_out_of_order(tmp_path, capsys, grids):
                                   ("chaos_replicas=50", "chaos_replicas=49"),
                                   ("n_grid=16,32,64", "n_grid=16,64"),
                                   ("n_grid=16,32,64", "n_grid=1,32,64"),
-                                  ("mart_n_grid=16,64", "mart_n_grid=0,64")])
+                                  ("mart_n_grid=16,64", "mart_n_grid=0,64"),
+                                  ("mart_replicas=8", "mart_replicas=0")])
 def test_verify_rejects_too_few_replicas_or_widths_up_front(
         tmp_path, capsys, monkeypatch, keys):
     """The slope and chaos statistics' minimums, and the least width of
@@ -675,3 +721,97 @@ def test_mnist_hist_missing_paths_exit_2(tmp_path, capsys):
     rc = main(["mnist-hist", "--config", cfg, "--out", str(tmp_path / "x"),
                "--quiet"])
     assert rc == 2 and "images=" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over drawn configs
+
+_HUGE = 10 ** 18
+#: keys whose work grows with their value: a huge one is a long run, not an
+#: edge case, so they draw small values only
+_WORK_KEYS = {"replicas", "chaos_replicas", "mart_replicas", "floor_runs",
+              "picard_max_iters", "workers"}
+_STR_VALUES = {
+    "model": ["teacher", "polynomial", "mnist", "", "bogus"],
+    "activation": ["tanh", "logistic", "smooth-bump", "relu", ""],
+    "init_c": ["0,0", "1,-1", "", "1", "x", "-1e300,1e300"],
+    "snapshot_times": ["0", "-1", "0.1,0.25", "0.25,0.1", "1e300"],
+    "n_grid": ["", "0", "4,8", "-1,4,8", "0,4,8", "1,2,3", f"4,8,{_HUGE}"],
+    "mart_n_grid": ["", "4", "0,8", "8,4", f"1,{_HUGE}"],
+    "mnist_n_grid": ["", "0", "4", "-1,4", f"{_HUGE}"],
+    "digit_pair": ["", "3,3", "3", "-1,5", "3,9"],
+    "quad_mode": ["fixed-grid", "", "bogus"],
+    "mode": ["picard", "", "bogus"],
+    "meanfield_dir": ["nowhere"],
+    "images": ["", "nowhere"],
+    "labels": ["", "nowhere"],
+}
+#: tiny sizes for every command; a drawn key overrides one of them
+_TINY = {"n": 8, "t_horizon": 0.25, "bins": 4, "n_grid": "4,8,16",
+         "replicas": 20, "m": 16, "dt": 0.05, "quad_nodes": 16,
+         "mf_snapshots": 3, "chaos_replicas": 50, "mart_n_grid": "4,8",
+         "mart_replicas": 2, "floor_runs": 2, "picard_max_iters": 3,
+         "mnist_n_grid": "4,8"}
+#: the command in a child that may map at most 2 GiB, so a huge allocation
+#: fails at once instead of taking the machine's memory
+_CHILD = ("import resource, sys\n"
+          "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+          "from meanfield_sgd.cli import main\n"
+          "sys.exit(main(sys.argv[1:]))\n")
+
+
+def _drawn_values(key: str) -> list:
+    parse = cli._SCHEMA[key][0]
+    if parse is int:
+        return [-1, 0, 1, 2, 3] + ([] if key in _WORK_KEYS else [_HUGE])
+    if parse is float:
+        return [-1.0, 0.0, 1e-300, 0.5, 1.0, 1e300]
+    return _STR_VALUES[key]
+
+
+_overrides = st.lists(st.sampled_from(sorted(cli._SCHEMA)), min_size=1,
+                      max_size=3, unique=True).flatmap(
+    lambda keys: st.tuples(*[st.sampled_from(_drawn_values(k))
+                             for k in keys]).map(
+        lambda values: dict(zip(keys, values))))
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(command=st.sampled_from(["train", "meanfield", "verify", "mnist-hist"]),
+       overrides=_overrides)
+@example(command="train", overrides={"alpha": -1.0})
+@example(command="verify", overrides={"mart_replicas": 0})
+@example(command="meanfield", overrides={"quad_nodes": _HUGE})
+def test_drawn_configs_keep_the_exit_code_contract(idx_files, contract_dir,
+                                                   command, overrides):
+    """Every command, on tiny sizes with one to three keys of ``_SCHEMA``
+    set to a boundary value, 0, a negative, an empty list or a huge value,
+    exits 0, 2, 3 or 4 without a traceback.  A config it refuses (exit 2
+    other than out of memory, which may stop a run midway) leaves no output
+    directory, and no CSV it writes holds nan or inf.  Each run is a child
+    process with a 60 s timeout, so a hang fails the test."""
+    images, labels = idx_files
+    keys = {**_TINY, "images": images, "labels": labels, **overrides}
+    for key in ("meanfield_dir", "images", "labels"):
+        if keys.get(key) == "nowhere":
+            keys[key] = contract_dir / "nowhere"
+    run = contract_dir / f"run{len(list(contract_dir.iterdir()))}"
+    run.mkdir()
+    cfg = _write_cfg(run, "".join(f"{k}={v}\n" for k, v in keys.items()))
+    out = run / "out"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, command, "--config",
+                           cfg, "--out", str(out), "--quiet"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if proc.returncode == 2 and "out of memory" not in proc.stderr:
+        assert not out.exists(), proc.stderr
+    for csv in (out.rglob("*.csv") if out.exists() else ()):
+        assert not re.search(r"\b(nan|inf)\b", csv.read_text(), re.I), csv

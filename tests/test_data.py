@@ -16,6 +16,7 @@ from meanfield_sgd import (Batch, ConfigError, DataModel, IdxFormatError,
 from meanfield_sgd.data import (_EXPM2, conditional_mean, ndtri,
                                 read_idx_images, read_idx_labels,
                                 write_idx_images, write_idx_labels)
+from meanfield_sgd import data
 from meanfield_sgd.sgd import Ensemble
 from tests.conftest import make_idx_pair
 
@@ -76,7 +77,7 @@ def test_from_network_reproduces_outputs_bit_for_bit():
     rng = np.random.default_rng(7)
     ens = Ensemble(rng.standard_normal(40), rng.standard_normal((40, 2)),
                    activation("tanh"), alpha=1.0)
-    model = from_network(ens.measure(), ens.activation, noise_scale=0.0)
+    model = from_network(ens, ens.activation, noise_scale=0.0)
     batch = sample_data(model, rng, 64)
     for x, y in zip(batch.x, batch.y):
         assert network_output(ens.c, ens.w, ens.activation, x) == y
@@ -220,6 +221,23 @@ def test_from_init_peak_memory_and_bits(law):
     c, w = _reference_init(law, np.random.default_rng(8), n)
     assert np.array_equal(ens.c, c)
     assert np.array_equal(ens.w, w)
+
+
+def test_init_map_bounds_only_zero():
+    """The largest uniform ``Generator.random`` draws, 1 - 2**-53, is the
+    float that 1 - 1e-16 rounds to, so an upper clip is moot: raising the
+    uniforms to tiny gives the bits of the clip to [tiny, 1 - 1e-16] on 0,
+    2**-53 and 1 - 2**-53 and on a drawn block, and w stays finite."""
+    assert 1.0 - 1e-16 == 1.0 - 2.0 ** -53 == np.nextafter(1.0, 0.0)
+    law, tiny = InitLaw(d=3, c_params=(-0.5, 2.0), w_scale=1.5), 2.0 ** -1022
+    edges = np.array([[0.5, 0.0, 2.0 ** -53, 1.0 - 2.0 ** -53]])
+    drawn = np.random.default_rng(12).random((500, 4))
+    for u in (edges, drawn):
+        c, w = np.empty(len(u)), np.empty((len(u), 3))
+        data._map_init(law, u, c, w)
+        want = 1.5 * ndtri(np.clip(u[:, 1:], tiny, 1.0 - 1e-16))
+        assert w.tobytes() == want.tobytes() and np.all(np.isfinite(w))
+        assert c.tobytes() == (-0.5 + 2.5 * u[:, 0]).tobytes()
 
 
 def test_init_law_validation():

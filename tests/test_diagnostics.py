@@ -261,7 +261,7 @@ def test_twin_estimator_is_unbiased(model, init):
                              RandomStreams(21).stream(0, purpose="init"), n)
     state = sgd._Lockstep(np.repeat(ens.c[None], reps, axis=0),
                           np.repeat(ens.w[None], reps, axis=0), TANH, alpha,
-                          True, 0)
+                          0)
     streams = RandomStreams(23)
     obs = _DecompositionObserver(FS[1], model, streams, range(reps))
     sample = sgd._draw_chunk(model, [streams.stream(r, purpose="data")
@@ -406,11 +406,20 @@ def test_observer_rejects_ensemble_of_other_size(model, init):
     last replica it has no twin stream for."""
     obs = _DecompositionObserver(FS[1], model, RandomStreams(5), range(2))
     state = sgd._Lockstep(np.zeros((3, 16)), np.zeros((3, 16, 2)), TANH,
-                          1.0, True, 0)
+                          1.0, 0)
     x, y = np.full((3, 2), 0.1), np.zeros(3)
     with pytest.raises(RejectedInputError):
         obs(0, state, x, y,
             *step_increments(state, x, y, state.preactivations(x)))
+
+
+def test_martingale_needs_a_replica(model, init):
+    """With no replica the moments would be means over nothing, NaN in
+    every row; martingale_decay refuses R < 1 instead."""
+    for R in (0, -1):
+        with pytest.raises(RejectedInputError, match="R >= 1"):
+            martingale_decay(model, init, FS[1], [16, 64], 0.25, R,
+                             RandomStreams(3))
 
 
 def test_martingale_zero_when_alpha_zero(model, init):

@@ -187,6 +187,22 @@ def test_frozen_start_refuses_dt_or_t_not_positive(streams, model, init):
             frozen_start(cloud, T, dt, quad, activation("tanh"), 1.0)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, float("nan")])
+def test_solvers_refuse_alpha_below_zero_or_nan(streams, model, init, alpha):
+    """The self-consistent solve and the Picard start refuse a negative or
+    NaN learning rate, as the SGD run does, and draw nothing first."""
+    rng = streams.stream(purpose="x")
+    with pytest.raises(RejectedInputError, match="alpha"):
+        solve_selfconsistent(init, model, 16, 0.01, 0.1, alpha=alpha,
+                             quad=QuadratureSpec("monte-carlo", 8), rng=rng)
+    assert rng.random() == streams.stream(purpose="x").random()
+    cloud = sample_init(init, streams.stream(purpose="p"), 8)
+    quad = freeze_quadrature(QuadratureSpec("monte-carlo", 8), model,
+                             streams.stream(purpose="q"))
+    with pytest.raises(RejectedInputError, match="alpha"):
+        frozen_start(cloud, 0.1, 0.01, quad, TANH, alpha)
+
+
 def test_solver_input_validation(streams, model, init):
     nan = float("nan")
     for dt, T in ((-0.01, 0.3), (nan, 0.3), (0.01, nan)):

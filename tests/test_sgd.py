@@ -95,7 +95,7 @@ def test_interpolation_fixed_point_is_exact():
     rng = np.random.default_rng(2)
     ens = Ensemble(rng.standard_normal(30), rng.standard_normal((30, 2)),
                    TANH, alpha=1.0)
-    model = from_network(ens.measure(), TANH, noise_scale=0.0)
+    model = from_network(ens, TANH, noise_scale=0.0)
     c0, w0 = ens.c.copy(), ens.w.copy()
     train(ens, model, TrainSchedule(3.0), np.random.default_rng(3))
     assert np.array_equal(ens.c, c0)
@@ -117,7 +117,7 @@ def test_divergence_guard_raises_with_step():
     starts = [(0.5, 0.3), (big, 1.0), (-0.4, -0.2), (big, 1.0)]
     c = np.array([[c0] for c0, _ in starts])
     w = np.array([[[w0, w0]] for _, w0 in starts])
-    batch = sgd._Lockstep(c, w, TANH, 1.0, False, 0)
+    batch = sgd._Lockstep(c, w, TANH, 1.0, 0)
     rngs = [np.random.default_rng(60 + r) for r in range(4)]
     with pytest.raises(DivergedError) as err:
         sgd._train(batch, model, TrainSchedule(60.0), rngs, None, False, True)
@@ -132,6 +132,41 @@ def test_divergence_guard_raises_with_step():
         sgd_step(alone, x.x[0], float(x.y[0]))
         assert np.array_equal(c[r], alone.c)
         assert np.array_equal(w[r], alone.w)
+
+
+def test_narrow_guard_scans_w_only_past_the_bound(monkeypatch):
+    """At d=2 the guard checks c every step and w only once the running
+    bound, max|w| at the last scan plus max|u| max|x| per step, passes the
+    limit.  A bound past it over a w still inside it scans once and goes
+    on; a step that carries replica 2's w past the limit while every c
+    stays finite raises at that step and names replica 2."""
+    scans = []
+    real = sgd._Lockstep._scan
+
+    def counting(self, fold):
+        scans.append(self.step)
+        return real(self, fold)
+
+    monkeypatch.setattr(sgd._Lockstep, "_scan", counting)
+    r, n, big = 3, 4, 0.6 * DIVERGENCE_LIMIT
+    c, w = np.ones((r, n)), np.full((r, n, 2), 0.5)
+    state = sgd._Lockstep(c, w, TANH, 1.0, 0)
+    x, dc = np.ones((r, 2)), np.zeros((r, n))
+    moves = {2: (1, big), 3: (1, -big), 4: (2, big), 5: (2, big)}
+    for k in range(1, 6):
+        u = np.full((r, n), 1.0 if k == 1 else 0.0)
+        if k in moves:
+            u[moves[k][0]] = moves[k][1]
+        if k < 5:
+            state.push(x, dc, u)
+            assert scans == ([3] if k >= 3 else []), k
+            continue
+        with pytest.raises(DivergedError) as err:
+            state.push(x, dc, u)
+    assert scans == [3, 5]
+    assert (err.value.step, err.value.replica) == (5, 2) and state.step == 5
+    assert max_abs(c) == 1.0 and max_abs(w[:2]) == 1.5
+    assert not max_abs(w[2]) <= DIVERGENCE_LIMIT
 
 
 def test_batch_divergence_names_the_replica_id(init):
@@ -173,8 +208,7 @@ def test_observed_batch_trains_as_each_replica_alone(model, init):
     _assert_same_runs(batch, [run_default(model, init, TANH, 1.0, 8, sched,
                                           streams, replica=r)
                               for r in range(3)])
-    state = sgd._Lockstep(np.zeros((2, 8)), np.zeros((2, 8, 2)), TANH, 1.0,
-                          False, 0)
+    state = sgd._Lockstep(np.zeros((2, 8)), np.zeros((2, 8, 2)), TANH, 1.0, 0)
     with pytest.raises(RejectedInputError):
         sgd._train(state, model, TrainSchedule(1.0),
                    [np.random.default_rng(0)], None, False, True)
@@ -465,7 +499,7 @@ def test_deferred_interpolation_fixed_point_is_exact():
     rng = np.random.default_rng(53)
     ens = Ensemble(rng.standard_normal(30), rng.standard_normal((30, 784)),
                    TANH, alpha=1.0)
-    model = from_network(ens.measure(), TANH, noise_scale=0.0)
+    model = from_network(ens, TANH, noise_scale=0.0)
     c0, w0 = ens.c.copy(), ens.w.copy()
     train(ens, model, TrainSchedule(5.0), np.random.default_rng(54))
     assert ens.step == 150
@@ -497,17 +531,17 @@ def test_deferred_c_divergence_leaves_w_folded():
     rng = np.random.default_rng(56)
     ens = wide_ensemble(8)
     w = ens.w.copy()
-    pending = sgd._Lockstep(ens.c[None], ens.w[None], TANH, 1.0, False, 0)
-    assert pending.block == sgd._DEFER_BLOCK
+    pending = sgd._Lockstep(ens.c[None], ens.w[None], TANH, 1.0, 0)
     for k in range(5):
         x, u = rng.standard_normal(WIDE_D), rng.standard_normal(8)
         w += np.outer(u, x)
         dc = np.full(8, 2 * DIVERGENCE_LIMIT if k == 4 else 0.0)
         if k < 4:
-            pending.push(x[None], dc[None], u[None], False)
+            pending.push(x[None], dc[None], u[None])
+            assert pending.pending == k + 1
             continue
         with pytest.raises(DivergedError) as err:
-            pending.push(x[None], dc[None], u[None], False)
+            pending.push(x[None], dc[None], u[None])
     assert err.value.step == pending.step == 5 and pending.pending == 0
     assert err.value.replica == 0
     assert close(ens.w, w)
@@ -571,7 +605,7 @@ def test_image_steps_are_the_rows_sample_data_draws(idx_files):
 
     c, w = sgd._sample_clouds(InitLaw(d=model.d), [np.random.default_rng(70)
                                                    for _ in seeds], n)
-    state = sgd._Lockstep(c, w, TANH, 0.0, True, 0)
+    state = sgd._Lockstep(c, w, TANH, 0.0, 0)
     rngs = [np.random.default_rng(s) for s in seeds]
     sgd._train(state, model, TrainSchedule(steps / n), rngs, observer,
                False, True)
@@ -615,16 +649,17 @@ def test_wide_sgd_step_makes_no_temporary_of_w():
 @pytest.mark.parametrize("shape", [(1, 10_000, 784), (3, 37, 100),
                                    (2, 500, 16)])
 def test_fold_of_one_step_is_the_outer_product(shape):
-    """A block of one folds by a GEMM with one inner term over row blocks:
-    the floats of w + u x^T formed by broadcasting."""
+    """A fold of one pending step is a GEMM with one inner term over row
+    blocks: the floats of w + u x^T formed by broadcasting."""
     r, n, d = shape
     rng = np.random.default_rng(65)
     c, w = rng.standard_normal((r, n)), rng.standard_normal((r, n, d))
     u, x = rng.standard_normal((r, n)), rng.standard_normal((r, d))
     want = w + u[:, :, None] * x[:, None, :]
-    state = sgd._Lockstep(c, w, TANH, 1.0, True, 0)
-    assert state.block == 1
-    state.push(x, np.zeros((r, n)), u, False)
+    state = sgd._Lockstep(c, w, TANH, 1.0, 0)
+    state.push(x, np.zeros((r, n)), u)
+    assert state.pending == 1
+    state.fold()
     assert state.pending == 0 and np.array_equal(w, want)
 
 
@@ -655,7 +690,7 @@ def test_tile_z_matches_matmul_on_the_plain_weights(monkeypatch,
         return dc, u
 
     monkeypatch.setattr(sgd, "step_increments", spy)
-    state = sgd._Lockstep(c, w, TANH, 1.0, record_moments, 0)
+    state = sgd._Lockstep(c, w, TANH, 1.0, 0)
     sched = TrainSchedule(steps / n, (100 / n, steps / n))
     assert sched.snapshot_steps(n) == [100, steps]
     result = sgd._train(state, model, sched, [np.random.default_rng(68)],
@@ -679,7 +714,7 @@ def test_fixed_point_holds_when_every_step_folds(mode):
     rng = np.random.default_rng(53)
     ens = Ensemble(rng.standard_normal(30), rng.standard_normal((30, 784)),
                    TANH, alpha=1.0)
-    model = from_network(ens.measure(), TANH, noise_scale=0.0)
+    model = from_network(ens, TANH, noise_scale=0.0)
     c0, w0 = ens.c.copy(), ens.w.copy()
     moved = []
     kw = (dict(observer=lambda k, state, x, y, dc, u: moved.append(
