@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -141,6 +142,18 @@ def _at_least(command: str, *checks):
     for key, have, least in checks:
         if have < least:
             raise ConfigError(f"{key}={have}: {command} needs at least {least}")
+
+
+def _histogram_fits(command: str, bins: int):
+    """Refuse a bins= whose histogram cannot be held: bins + 1 float64 edges
+    and bins int64 counts beyond this machine's physical memory.  The
+    histogram comes after training, so the refusal must come before it."""
+    need = 8 * (2 * bins + 1)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"bins={bins}: {command} would need {need:.3g} bytes "
+                          f"of histogram edges and counts, more than this "
+                          f"machine's {have:.3g}")
 
 
 def _slug(label: str) -> str:
@@ -348,6 +361,7 @@ def cmd_train(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     model, init, act = _build_model(cfg)
     chash = config_hash(cfg)
     _at_least("train", ("n", cfg["n"], 1), ("bins", cfg["bins"], 2))
+    _histogram_fits("train", cfg["bins"])
     times = tuple(_list(cfg, "snapshot_times", float)) or (cfg["t_horizon"],)
     schedule = TrainSchedule(cfg["t_horizon"], (0.0,) + times)
     schedule.n_steps(cfg["n"])  # refuses a horizon too long to count
@@ -554,6 +568,7 @@ def cmd_mnist_hist(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     _at_least("mnist-hist", ("bins", cfg["bins"], 2),
               ("mnist_n_grid widths", len(n_grid), 1),
               ("smallest mnist_n_grid width", min(n_grid, default=1), 1))
+    _histogram_fits("mnist-hist", cfg["bins"])
     schedule = TrainSchedule(cfg["t_horizon"])
     schedule.n_steps(max(n_grid))  # refuses a horizon too long to count
     out.mkdir(parents=True, exist_ok=True)

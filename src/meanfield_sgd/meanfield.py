@@ -18,7 +18,8 @@ loop differently:
 pi-integrals are approximated by a quadrature that is frozen up front, so the
 whole evolution is a deterministic function of the initial cloud and the node
 set.  One kernel, ``drift``, evaluates the velocity field: the Euler step
-integrates it, and the weak residual pairs test-function gradients with it.
+integrates it, and the weak residual pairs test-function gradients with it,
+taking the fields a self-consistent solve kept at its slices.
 It walks blocks of ``NODE_COLUMNS`` (32) node columns by all M particles of
 a caller-owned work array, so no (M x nodes) array is formed: Q at a node
 sums over particles only, so one block of sigma yields Q and the residual
@@ -33,7 +34,7 @@ O(1/sqrt(nodes)) error budget of everything computed from these solutions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -112,7 +113,14 @@ def freeze_quadrature(spec: QuadratureSpec, model: DataModel,
 
 @dataclass(frozen=True, eq=False)
 class MeanFieldSolution:
-    """M sample paths stored at snapshot times; each slice is a cloud."""
+    """M sample paths stored at snapshot times; each slice is a cloud.
+
+    ``fields`` holds the float32 velocity field (g1 (S-1, M), g2 (S-1, M,
+    d)) that the self-consistent solve's ``drift`` returned at every slice
+    but the last, for ``weak_residuals`` to pair; it is None on a Picard
+    iterate (whose fields use a frozen Q) and on a loaded solution.  It is
+    never compared and never written to disk.
+    """
 
     times: np.ndarray            # (S,)
     c: np.ndarray                # (S, M)
@@ -122,6 +130,8 @@ class MeanFieldSolution:
     alpha: float
     dt: float
     max_rate: float              # max over steps/paths of the drift magnitude
+    fields: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def n_paths(self) -> int:
@@ -268,10 +278,14 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
             dt: float, n_steps: int, snap_steps: np.ndarray,
             quad: Quadrature, q_rows: np.ndarray | None = None
             ) -> MeanFieldSolution:
-    """Euler-advance M paths and keep them at the (sorted) ``snap_steps``.
-    Q per step is either self-consistent (None) or frozen: ``q_rows[i]`` is Q
-    at step ``snap_steps[i]``, and a step between two snapshots takes Q
-    linearly interpolated between their rows."""
+    """Euler-advance M paths and keep them at the (sorted) ``snap_steps``,
+    the last of which is ``n_steps``.  Q per step is either self-consistent
+    (None) or frozen: ``q_rows[i]`` is Q at step ``snap_steps[i]``, and a
+    step between two snapshots takes Q linearly interpolated between their
+    rows.  A self-consistent solve also keeps the (g1, g2) that ``drift``
+    returns at each snapshot step before the horizon: they are the fields
+    ``weak_residuals`` pairs at those slices, from the same float32 state,
+    nodes and work shape."""
     c = cloud0.c.astype(np.float32)
     w = cloud0.w.astype(np.float32)
     nodes = node_arrays(quad, np.float32)
@@ -281,6 +295,10 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
     snaps_w = np.empty((len(slot),) + w.shape)
     if 0 in slot:
         snaps_c[slot[0]], snaps_w[slot[0]] = c, w
+    fields = None
+    if q_rows is None:
+        fields = (np.empty((len(slot) - 1,) + c.shape, np.float32),
+                  np.empty((len(slot) - 1,) + w.shape, np.float32))
     dtf = np.float32(dt)
     if q_rows is not None:
         steps = np.arange(n_steps)
@@ -294,6 +312,8 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
             r = row[k]
             q = q_rows[r] + theta[k] * (q_rows[r + 1] - q_rows[r])
         g1, g2 = drift(c, w, nodes, act, alpha, work, q)
+        if fields is not None and k in slot:
+            fields[0][slot[k]], fields[1][slot[k]] = g1, g2
         w += dtf * g2
         c += dtf * g1
         # a non-finite rate leaves a non-finite c or w, which the guard sees
@@ -302,7 +322,7 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
         if k + 1 in slot:
             snaps_c[slot[k + 1]], snaps_w[slot[k + 1]] = c, w
     return MeanFieldSolution(snap_steps * dt, snaps_c, snaps_w, quad, act,
-                             alpha, dt, max_rate)
+                             alpha, dt, max_rate, fields)
 
 
 def _snapshot_plan(dt: float, T: float, snapshot_times):
@@ -316,16 +336,17 @@ def _snapshot_plan(dt: float, T: float, snapshot_times):
         raise RejectedInputError(f"T/dt = {steps:g} steps are too many to count")
     n_steps = max(1, int(round(steps)))
     dt_eff = T / n_steps
+    # a sorted set, not np.unique: that imports numpy.ma (10-15 ms) on first use
     if snapshot_times is None:
         count = min(51, n_steps + 1)
-        snap_steps = np.unique(np.round(np.linspace(0, n_steps, count)).astype(int))
+        steps = set(np.round(np.linspace(0, n_steps, count)).astype(int).tolist())
     else:
-        snap_steps = np.unique([int(round(t / dt_eff)) for t in snapshot_times])
-        if np.any(snap_steps < 0) or np.any(snap_steps > n_steps):
+        steps = {int(round(t / dt_eff)) for t in snapshot_times}
+        if any(s < 0 or s > n_steps for s in steps):
             raise RejectedInputError("snapshot times must lie in [0, T]")
-        if snap_steps.size == 0 or snap_steps[-1] != n_steps:
+        if n_steps not in steps:
             raise RejectedInputError(f"snapshot times must end at T={T:g}")
-    return n_steps, dt_eff, snap_steps
+    return n_steps, dt_eff, np.array(sorted(steps), dtype=int)
 
 
 def solve_selfconsistent(init, model: DataModel, M: int | None, dt: float,
@@ -490,21 +511,28 @@ def weak_residuals(sol: MeanFieldSolution,
         a(s) = < df/dc g1 + grad_w f . g2, mu_s >
 
     and (g1, g2) is the velocity field of the slice against ``sol.quad``:
-    the float32 ``drift`` that the Euler step integrates, one call per slice
-    for all of ``fs``, paired in float64 with each test function's
-    gradients.  The time integral is taken by the trapezoid rule over every
-    stored slice.  The normalizer integral_0^T |a(s)| ds is the scale for
-    relative error.
+    the float32 ``drift`` that the Euler step integrates, paired in float64
+    with each test function's gradients.  A slice takes its field from
+    ``sol.fields`` when the solve kept it; ``drift`` runs, once for all of
+    ``fs``, only on the slices without one (the last slice, or every slice
+    of a Picard or loaded solution), and all those calls come before any
+    pairing: the float64 pairings wake OpenBLAS's second thread, which then
+    spins through a later ``drift`` call (0.06 s of process CPU at M = 10^4,
+    K = 4096), where ``drift``'s own float32 products wake none.  The time
+    integral is taken by the trapezoid rule over every stored slice.  The
+    normalizer integral_0^T |a(s)| ds is the scale for relative error.
     """
     n_snaps = sol.times.shape[0]
     if n_snaps < 2:
         raise RejectedInputError("need at least two slices")
+    kept = list(zip(*sol.fields)) if sol.fields is not None else []
     nodes = node_arrays(sol.quad, np.float32)
     work = work_buffers(sol.n_paths, sol.quad.n, sol.act, np.float32)
+    fields = kept + [drift(c.astype(np.float32), w.astype(np.float32), nodes,
+                           sol.act, sol.alpha, work)
+                     for c, w in zip(sol.c[len(kept):], sol.w[len(kept):])]
     a_vals = np.empty((len(fs), n_snaps))
-    for s, (c, w) in enumerate(zip(sol.c, sol.w)):
-        g1, g2 = drift(c.astype(np.float32), w.astype(np.float32), nodes,
-                       sol.act, sol.alpha, work)
+    for s, (c, w, (g1, g2)) in enumerate(zip(sol.c, sol.w, fields)):
         g1, g2 = g1.astype(np.float64), g2.astype(np.float64)
         for i, f in enumerate(fs):
             a_vals[i, s] = (f.grad_c(c, w) @ g1

@@ -378,6 +378,27 @@ def test_meanfield_manifest_does_not_depend_on_blas_threads(tmp_path):
     assert "sha256:solution_001.csv" in manifests[0]
 
 
+def test_meanfield_leaves_numpy_ma_unloaded(tmp_path):
+    """A fresh process that runs a tiny ``mfsgd meanfield`` never imports
+    numpy.ma: ``np.unique`` would (10-15 ms on first use), and the snapshot
+    plan takes a sorted set of steps instead."""
+    import meanfield_sgd
+    src = str(Path(meanfield_sgd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    cfg = _write_cfg(tmp_path, "m=16\nquad_nodes=16\ndt=0.05\n"
+                               "t_horizon=0.25\nmf_snapshots=3\n")
+    code = ("import sys\n"
+            "from meanfield_sgd.cli import main\n"
+            f"rc = main(['meanfield', '--config', {cfg!r}, '--out', "
+            f"{str(tmp_path / 'mf')!r}, '--quiet'])\n"
+            "print(rc, 'numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["0", "False"]
+    assert (tmp_path / "mf" / "weak_residual.csv").exists()
+
+
 def test_meanfield_picard_with_automatic_tolerance(tmp_path):
     cfg = _write_cfg(tmp_path, MF_CFG + "mode=picard\npicard_max_iters=8\n")
     out = tmp_path / "pic"
@@ -787,14 +808,18 @@ def contract_dir(tmp_path_factory):
 @example(command="train", overrides={"alpha": -1.0})
 @example(command="verify", overrides={"mart_replicas": 0})
 @example(command="meanfield", overrides={"quad_nodes": _HUGE})
+@example(command="train", overrides={"bins": _HUGE})
+@example(command="mnist-hist", overrides={"bins": _HUGE})
 def test_drawn_configs_keep_the_exit_code_contract(idx_files, contract_dir,
                                                    command, overrides):
     """Every command, on tiny sizes with one to three keys of ``_SCHEMA``
     set to a boundary value, 0, a negative, an empty list or a huge value,
     exits 0, 2, 3 or 4 without a traceback.  A config it refuses (exit 2
     other than out of memory, which may stop a run midway) leaves no output
-    directory, and no CSV it writes holds nan or inf.  Each run is a child
-    process with a 60 s timeout, so a hang fails the test."""
+    directory, and no CSV it writes holds nan or inf.  A huge ``bins`` is
+    refused before ``train`` or ``mnist-hist`` trains or makes its output
+    directory.  Each run is a child process with a 60 s timeout, so a hang
+    fails the test."""
     images, labels = idx_files
     keys = {**_TINY, "images": images, "labels": labels, **overrides}
     for key in ("meanfield_dir", "images", "labels"):
@@ -813,5 +838,9 @@ def test_drawn_configs_keep_the_exit_code_contract(idx_files, contract_dir,
     assert "Traceback" not in proc.stderr, proc.stderr
     if proc.returncode == 2 and "out of memory" not in proc.stderr:
         assert not out.exists(), proc.stderr
+    if command in ("train", "mnist-hist") and overrides.get("bins") == _HUGE:
+        assert proc.returncode == 2 and not out.exists(), proc.stderr
+        assert [ln for ln in proc.stderr.splitlines()
+                if ln.startswith("error:")] == [proc.stderr.strip()]
     for csv in (out.rglob("*.csv") if out.exists() else ()):
         assert not re.search(r"\b(nan|inf)\b", csv.read_text(), re.I), csv

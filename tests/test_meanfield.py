@@ -1,6 +1,7 @@
 """The limit dynamics solver: quadrature construction, Euler kernel oracles,
 invariances, Picard iteration, and the weak-form residual."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,11 +17,12 @@ from meanfield_sgd import (ConfigError, DataModel, DivergedError,
                            sample_init, seed_resampled_floor,
                            solve_selfconsistent, wasserstein, weak_residual,
                            weak_residuals, work_buffers)
-from meanfield_sgd import core
+from meanfield_sgd import core, meanfield
+from meanfield_sgd.cli import load_solution, save_solution
 from meanfield_sgd.core import activation_deriv
 from meanfield_sgd.data import conditional_mean
-from meanfield_sgd.meanfield import (NODE_COLUMNS, Quadrature, _snapshot_plan,
-                                     _trapz)
+from meanfield_sgd.meanfield import (NODE_COLUMNS, Quadrature, _evolve,
+                                     _snapshot_plan, _trapz)
 
 TANH = activation("tanh")
 
@@ -378,6 +380,64 @@ def test_weak_residuals_equal_single_function_form_bitwise(streams, model, init)
         assert weak_residual(sol, f) == pair_
 
 
+@pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])
+def test_kept_fields_give_the_residual_bitwise(kind, streams, model, init,
+                                               tmp_path):
+    """The fields a self-consistent solve keeps are ``drift``'s on each
+    stored slice, bit for bit, so the residual is the same with them, with
+    them dropped, and after a save and load, which keeps none.  smooth-bump
+    has no ``deriv_poly`` and takes the separate z block."""
+    sol = small_solution(streams, model, init, m=96, nodes=80,
+                         act=activation(kind))
+    n_snaps = sol.times.shape[0]
+    g1s, g2s = sol.fields
+    assert g1s.shape == (n_snaps - 1, 96) and g2s.shape == (n_snaps - 1, 96, 2)
+    assert g1s.dtype == g2s.dtype == np.float32
+    nodes = node_arrays(sol.quad, np.float32)
+    work = work_buffers(96, 80, sol.act, np.float32)
+    for c, w, g1, g2 in zip(sol.c, sol.w, g1s, g2s):
+        fresh = drift(c.astype(np.float32), w.astype(np.float32), nodes,
+                      sol.act, sol.alpha, work)
+        assert np.array_equal(fresh[0], g1) and np.array_equal(fresh[1], g2)
+    fs = default_test_functions(2) + [constant_one()]
+    got = weak_residuals(sol, fs)
+    assert weak_residuals(dataclasses.replace(sol, fields=None), fs) == got
+    save_solution(sol, tmp_path, "0" * 16)
+    loaded = load_solution(tmp_path)
+    assert loaded.fields is None
+    assert weak_residuals(loaded, fs) == got
+
+
+def test_residual_calls_drift_only_where_the_solve_did_not(monkeypatch,
+                                                           streams, model,
+                                                           init):
+    """A self-consistent solve of n steps plus its residual make n + 1
+    ``drift`` calls: one per Euler state and one for the last slice.  A
+    Picard iterate keeps no fields, so its residual makes one per slice,
+    and each Picard iteration still makes one per step."""
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    real = meanfield.drift
+    monkeypatch.setattr(meanfield, "drift", counted)
+    sol = small_solution(streams, model, init, m=32, nodes=40, dt=0.01,
+                         T=0.1, snapshot_times=(0.0, 0.05, 0.1))
+    fs = default_test_functions(2)
+    weak_residuals(sol, fs)
+    assert len(calls) == 10 + 1
+    calls.clear()
+    m0 = frozen_start(sol.slice(0), 0.1, 0.01, sol.quad, sol.act, sol.alpha,
+                      snapshot_times=(0.0, 0.05, 0.1))
+    res = picard_iterate(m0, tol=1e-12, max_iters=2)
+    assert len(calls) == 2 * 10 and res.solution.fields is None
+    calls.clear()
+    weak_residuals(res.solution, fs)
+    assert len(calls) == 3
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -422,6 +482,23 @@ def test_solve_memory_stays_below_three_row_blocks(kind, wide_solution):
     assert _peak_in_half_mb(lambda sol: solve_selfconsistent(
         sol.slice(0), default_model(), None, 0.01, 0.02, quad=sol.quad,
         act=activation(kind)), wide_solution) < 3
+
+
+@pytest.mark.parametrize("kind", ["tanh", "smooth-bump"])
+def test_kept_fields_are_all_the_solve_adds_to_its_peak(kind, wide_solution):
+    """A Picard ``_evolve`` of the same shapes keeps no fields and holds a
+    frozen Q on top of the self-consistent solve's work, so the solve's
+    traced peak may pass it by no more than the kept fields' (S-1) M (1+d)
+    float32 entries."""
+    sol = wide_solution[1]
+    steps = np.round(sol.times / sol.dt).astype(int)
+    act, q_rows = activation(kind), q_on_nodes(sol)
+    peaks = [_traced_peak(lambda: _evolve(sol.slice(0), act, 1.0, sol.dt,
+                                          steps[-1], steps, sol.quad, q))
+             for q in (None, q_rows)]
+    kept = (steps.shape[0] - 1) * sol.n_paths * (1 + sol.d) * 4
+    assert sum(f.nbytes for f in sol.fields) == kept
+    assert peaks[0] <= peaks[1] + kept
 
 
 def test_weak_residuals_memory_stays_below_three_row_blocks(wide_solution):
