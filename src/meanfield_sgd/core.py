@@ -12,6 +12,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from functools import partial
@@ -278,77 +279,69 @@ class TestFunction:
     d: int | None = None
 
 
-def smoothed_coordinate(coord: int | str = "c", a: float = 4.0,
-                        b: float = 2.0) -> TestFunction:
-    """psi applied to a single coordinate: the clamped first moment of c or w_j."""
-    use_c = coord == "c"
-    j = None if use_c else int(coord)
-    label = "psi(c)" if use_c else f"psi(w{j + 1})"
-
-    def pick(c, w):
-        if not use_c and j >= w.shape[1]:
-            raise RejectedInputError(f"coordinate w_{j + 1} needs d > {j}")
-        return c if use_c else w[:, j]
-
-    def value(c, w):
-        return _clamp_value(pick(c, w), a, b)
-
-    def grad_c(c, w):
-        u = pick(c, w)
-        return _clamp_d1(u, a, b) if use_c else np.zeros_like(c)
-
-    def grad_w(c, w):
-        u = pick(c, w)
-        g = np.zeros_like(w)
-        if not use_c:
-            g[:, j] = _clamp_d1(u, a, b)
-        return g
-
-    return TestFunction(label, value, grad_c, grad_w)
-
-
-def _mono_d1(v, e):
-    if e == 0:
-        return np.zeros_like(v)
-    return e * v ** (e - 1)
-
-
-def clamped_polynomial(c_exp: int, w_exps: Sequence[int], a: float = 4.0,
-                       b: float = 2.0) -> TestFunction:
-    """psi applied to the monomial c^c_exp * prod_j w_j^w_exps[j]."""
-    w_exps = tuple(int(e) for e in w_exps)
-    d = len(w_exps)
-    pieces = ([f"c^{c_exp}"] if c_exp else []) + [
-        f"w{j + 1}^{e}" for j, e in enumerate(w_exps) if e]
-    label = "psi(" + ("*".join(pieces) or "1") + ")"
+def _clamped_monomial(label: str, c_exp: int, w_exps: dict[int, int],
+                      d: int | None, a: float, b: float) -> TestFunction:
+    """psi(c^c_exp * prod_j w_j^e_j) over the axes ``w_exps`` = {j: e_j}
+    of nonzero exponent.  Every other axis enters as w_j^0 = 1, so it is
+    never read and its gradient, like grad_c when c_exp = 0, is exactly +0;
+    the named factors are multiplied in increasing j, which gives the floats
+    of the product over all d axes.  ``d`` pins the input width, or is None
+    for any width that holds the named axes."""
+    axes = sorted(w_exps.items())
 
     def parts(c, w):
-        if w.shape[1] != d:
+        if d is not None and w.shape[1] != d:
             raise RejectedInputError(f"test function pinned to d={d}")
+        if axes and axes[-1][0] >= w.shape[1]:
+            j = axes[-1][0]
+            raise RejectedInputError(f"coordinate w_{j + 1} needs d > {j}")
         cf = c ** c_exp
-        wf = np.stack([w[:, j] ** e for j, e in enumerate(w_exps)], axis=1)
-        return cf, wf, cf * np.prod(wf, axis=1)
+        wf = [w[:, j] ** e for j, e in axes]
+        return cf, wf, cf * math.prod(wf)
 
     def value(c, w):
         return _clamp_value(parts(c, w)[2], a, b)
 
     def grad_c(c, w):
-        cf, wf, p = parts(c, w)
-        return _clamp_d1(p, a, b) * _mono_d1(c, c_exp) * np.prod(wf, axis=1)
-
-    def _wprod_except(wf, j):
-        others = [wf[:, l] for l in range(d) if l != j]
-        return np.prod(np.stack(others, axis=1), axis=1) if others else np.ones(wf.shape[0])
+        _, wf, p = parts(c, w)
+        if not c_exp:
+            return np.zeros_like(c)
+        return (_clamp_d1(p, a, b) * (c_exp * c ** (c_exp - 1))
+                * math.prod(wf))
 
     def grad_w(c, w):
         cf, wf, p = parts(c, w)
-        d1 = _clamp_d1(p, a, b)
-        g = np.empty_like(w)
-        for j, e in enumerate(w_exps):
-            g[:, j] = d1 * cf * _mono_d1(w[:, j], e) * _wprod_except(wf, j)
+        d1 = _clamp_d1(p, a, b) * cf
+        g = np.zeros_like(w)
+        for i, (j, e) in enumerate(axes):
+            g[:, j] = (d1 * (e * w[:, j] ** (e - 1))
+                       * math.prod(wf[:i] + wf[i + 1:]))
         return g
 
     return TestFunction(label, value, grad_c, grad_w, d=d)
+
+
+def smoothed_coordinate(coord: int | str = "c", a: float = 4.0,
+                        b: float = 2.0) -> TestFunction:
+    """psi applied to a single coordinate: the clamped first moment of c or
+    of w_j (``coord`` = j, counted from 0), for any d > j; it reads only
+    that coordinate."""
+    if coord == "c":
+        return _clamped_monomial("psi(c)", 1, {}, None, a, b)
+    j = int(coord)
+    return _clamped_monomial(f"psi(w{j + 1})", 0, {j: 1}, None, a, b)
+
+
+def clamped_polynomial(c_exp: int, w_exps: Sequence[int], a: float = 4.0,
+                       b: float = 2.0) -> TestFunction:
+    """psi applied to the monomial c^c_exp * prod_j w_j^w_exps[j], pinned to
+    d = len(w_exps); it reads only the axes of nonzero exponent, so its cost
+    grows with their count, not with d."""
+    named = {j: e for j, e in enumerate(map(int, w_exps)) if e}
+    pieces = ([f"c^{c_exp}"] if c_exp else []) + [
+        f"w{j + 1}^{e}" for j, e in named.items()]
+    label = "psi(" + ("*".join(pieces) or "1") + ")"
+    return _clamped_monomial(label, c_exp, named, len(w_exps), a, b)
 
 
 def gaussian_bump(center_c: float, center_w: Sequence[float],
@@ -381,27 +374,21 @@ def gaussian_bump(center_c: float, center_w: Sequence[float],
 
 
 def constant_one() -> TestFunction:
-    """f = 1: pairing against any probability measure is exactly 1."""
-
-    def value(c, w):
-        return np.ones_like(c)
-
-    def zero_c(c, w):
-        return np.zeros_like(c)
-
-    def zero_w(c, w):
-        return np.zeros_like(w)
-
-    return TestFunction("1", value, zero_c, zero_w)
+    """f = 1, the clamped empty monomial: pairing against any probability
+    measure is exactly 1."""
+    return _clamped_monomial("1", 0, {}, None, 4.0, 2.0)
 
 
 def default_test_functions(d: int) -> list[TestFunction]:
     """The three probes used by the verification studies: a clamped first
-    moment of c, a clamped c*w_1 coupling, and a Gaussian bump at the origin."""
+    moment of c, a clamped c*w_1 coupling, and a Gaussian bump at the
+    origin.  Under the default initial law ||w||^2 is about d, so the bump's
+    scale is 1.5 sqrt(d / 2): 1.5 at d = 2, and at any d a pairing with a
+    default-init cloud of order one rather than an underflowed zero."""
     return [
         smoothed_coordinate("c"),
         clamped_polynomial(1, (1,) + (0,) * (d - 1)),
-        gaussian_bump(0.0, np.zeros(d), scale=1.5),
+        gaussian_bump(0.0, np.zeros(d), scale=1.5 * math.sqrt(d / 2)),
     ]
 
 

@@ -8,10 +8,9 @@ assignment problem; larger instances fall back to ``sliced_wasserstein``, a
 sliced (1-D projected, sorted coupling) estimate that is debiased so
 axis-like displacements are reported on the exact solver's scale, then
 truncated at the aggregate level.  The per-pair truncation has no sliced
-analogue, so the two modes are only calibrated, not identical;
-``return_info`` records which mode produced a number, and a table over
-sizes that must compare like with like calls ``sliced_wasserstein`` at
-every size.
+analogue, so the two modes are only calibrated, not identical: the atom
+count alone says which mode produced a number, and a table over sizes that
+must compare like with like calls ``sliced_wasserstein`` at every size.
 """
 
 from __future__ import annotations
@@ -143,26 +142,21 @@ def sliced_wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure,
     return min(debiased, 1.0) ** (1.0 / p)
 
 
-def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure, p: int = 2,
-                return_info: bool = False):
+def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure,
+                p: int = 2) -> float:
     """p-Wasserstein distance under cost min(||.||_p^p, 1).
 
     Exact optimal assignment up to ``EXACT_LIMIT`` atoms,
-    ``sliced_wasserstein`` beyond.  Returns a float, or ``(float, info)``
-    with ``return_info=True``.
+    ``sliced_wasserstein`` beyond.
     """
     _check_pair(a, b, p)
-    if a.n <= EXACT_LIMIT:
-        # imported here: scipy.optimize adds about 0.13 s to every start-up
-        from scipy.optimize import linear_sum_assignment
-        cost = _pair_costs(a.joint(), b.joint(), p)
-        rows, cols = linear_sum_assignment(cost)
-        value = float(np.mean(cost[rows, cols])) ** (1.0 / p)
-        info = {"method": "exact-assignment", "p": p, "n": a.n}
-    else:
-        value = sliced_wasserstein(a, b, p)
-        info = {"method": "sliced", "p": p, "n": a.n, "n_slices": SLICES}
-    return (value, info) if return_info else value
+    if a.n > EXACT_LIMIT:
+        return sliced_wasserstein(a, b, p)
+    # imported here: scipy.optimize adds about 0.13 s to every start-up
+    from scipy.optimize import linear_sum_assignment
+    cost = _pair_costs(a.joint(), b.joint(), p)
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.mean(cost[rows, cols])) ** (1.0 / p)
 
 
 @functools.cache

@@ -18,6 +18,7 @@ from meanfield_sgd.cli import (_slug, check_manifest, config_hash,
                                read_cloud_csv, read_manifest, write_cloud_csv)
 from meanfield_sgd.core import ConfigError
 from meanfield_sgd.measure import EmpiricalMeasure, read_histogram_csv
+from tests.conftest import make_idx_pair
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -397,6 +398,32 @@ def test_meanfield_leaves_numpy_ma_unloaded(tmp_path):
                          capture_output=True, text=True).stdout.split()
     assert out == ["0", "False"]
     assert (tmp_path / "mf" / "weak_residual.csv").exists()
+
+
+def test_image_model_meanfield_finishes_in_seconds(tmp_path):
+    """``mfsgd meanfield model=mnist`` at d = 784 in a child process with a
+    20 s timeout: its weak residual pairs psi(c*w1) through a gradient that
+    reads one axis of w, so the run takes seconds.  The three residual rows
+    are finite."""
+    import meanfield_sgd
+    src = str(Path(meanfield_sgd.__file__).resolve().parents[1])
+    images, labels = make_idx_pair(tmp_path, n_per_class=100)
+    cfg = _write_cfg(tmp_path, "model=mnist\ndigit_pair=3,5\nm=1000\n"
+                               "quad_nodes=256\ndt=0.05\nt_horizon=0.1\n"
+                               f"mf_snapshots=3\nimages={images}\n"
+                               f"labels={labels}\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "mf"
+    proc = subprocess.run([sys.executable, "-m", "meanfield_sgd.cli",
+                           "meanfield", "--config", cfg, "--seed", "1",
+                           "--out", str(out), "--quiet"], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    rows = [ln.split(",") for ln in
+            (out / "weak_residual.csv").read_text().splitlines()[2:]]
+    assert len(rows) == 3
+    assert all(np.isfinite(float(v)) for row in rows for v in row[1:])
 
 
 def test_meanfield_picard_with_automatic_tolerance(tmp_path):

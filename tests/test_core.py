@@ -1,6 +1,7 @@
 """Network evaluation oracles, activation admissibility, test-function
 calculus, and stream reproducibility."""
 
+import time
 import warnings
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 
 from meanfield_sgd import (ConfigError, RandomStreams, RejectedInputError,
                            activation, clamped_polynomial, constant_one,
-                           default_test_functions, gaussian_bump,
-                           network_output, smoothed_coordinate)
-from meanfield_sgd.core import (DIVERGENCE_LIMIT, DivergedError,
-                                activation_deriv, guard_divergence)
+                           default_init, default_test_functions,
+                           gaussian_bump, network_output, pair, sample_init,
+                           smoothed_coordinate)
+from meanfield_sgd.core import (DIVERGENCE_LIMIT, DivergedError, _clamp_d1,
+                                _clamp_value, activation_deriv,
+                                guard_divergence)
 
 TANH = activation("tanh")
 
@@ -226,6 +229,122 @@ def test_default_test_functions_labels_distinct():
     w = np.zeros((5, 2))
     for f in fs:
         assert f.value(c, w).shape == (5,)
+
+
+def _dense_monomial(c_exp, w_exps, a=4.0, b=2.0):
+    """value, grad_c and grad_w of psi(c^c_exp * prod_j w_j^w_exps[j]) by
+    formulas that multiply over all d axes, exponent-0 axes as factors of
+    w_j^0 = 1 and their derivative as 0 times the rest."""
+
+    def mono_d1(v, e):
+        return np.zeros_like(v) if e == 0 else e * v ** (e - 1)
+
+    def evaluate(c, w):
+        cf = c ** c_exp
+        wf = np.stack([w[:, j] ** e for j, e in enumerate(w_exps)], axis=1)
+        p = cf * np.prod(wf, axis=1)
+        d1 = _clamp_d1(p, a, b)
+        g = np.empty_like(w)
+        for j, e in enumerate(w_exps):
+            others = np.prod(np.delete(wf, j, axis=1), axis=1)
+            g[:, j] = d1 * cf * mono_d1(w[:, j], e) * others
+        return (_clamp_value(p, a, b),
+                d1 * mono_d1(c, c_exp) * np.prod(wf, axis=1), g)
+
+    return evaluate
+
+
+def _monomial_cases(d):
+    """(test function, c exponent, {axis: exponent}) for the three public
+    builders, with 1, 2 and 3 nonzero w exponents as far as d allows."""
+
+    def poly(c_exp, named):
+        exps = [named.get(j, 0) for j in range(d)]
+        return clamped_polynomial(c_exp, exps), c_exp, named
+
+    cases = [(smoothed_coordinate("c"), 1, {}),
+             (smoothed_coordinate(0), 0, {0: 1}),
+             (smoothed_coordinate(d - 1), 0, {d - 1: 1}),
+             (constant_one(), 0, {}),
+             poly(1, {0: 1})]
+    if d >= 2:
+        cases.append(poly(2, {0: 1, d - 1: 2}))
+    if d >= 3:
+        cases += [poly(0, {0: 1, 1: 3, d - 1: 2}),
+                  poly(3, {0: 2, d // 2: 1, d - 1: 1})]
+    return cases
+
+
+@pytest.mark.parametrize("d", [1, 2, 20, 784])
+def test_monomials_match_the_dense_formulas_bitwise(d):
+    """Every clamped monomial reads only the axes it names, yet gives the
+    floats of the product over all d axes: value and grad_c bit for bit, and
+    grad_w bit for bit on the named axes.  On an axis of exponent 0 (and in
+    grad_c when c has exponent 0) the dense formula multiplies a 0 into the
+    rest, which may leave -0.0; the builder writes +0.0, equal under ==."""
+    rng = np.random.default_rng(d)
+    c = rng.uniform(-3.0, 3.0, 64)
+    w = rng.uniform(-3.0, 3.0, (64, d))
+    c[:4] = [0.0, -0.0, 1e3, -1e3]     # signed zeros and a saturated clamp
+    for f, c_exp, named in _monomial_cases(d):
+        exps = [named.get(j, 0) for j in range(d)]
+        ref_v, ref_c, ref_w = _dense_monomial(c_exp, exps)(c, w)
+        v, gc, gw = f.value(c, w), f.grad_c(c, w), f.grad_w(c, w)
+        assert v.tobytes() == ref_v.tobytes(), f.label
+        if c_exp:
+            assert gc.tobytes() == ref_c.tobytes(), f.label
+        else:
+            assert np.array_equal(gc, ref_c) and not np.signbit(gc).any()
+        axes = sorted(named)
+        assert gw.dtype == ref_w.dtype and gw.shape == ref_w.shape
+        assert gw[:, axes].tobytes() == ref_w[:, axes].tobytes(), f.label
+        rest, ref_rest = (np.delete(g, axes, axis=1) for g in (gw, ref_w))
+        assert np.array_equal(rest, ref_rest) and not rest.any()
+        assert not np.signbit(rest).any(), f.label
+
+
+def test_monomial_errors_are_pinned():
+    """A pinned width that does not match, and a coordinate beyond d, are
+    refused by every evaluator with the same message."""
+    c = np.zeros(3)
+    for ev in ("value", "grad_c", "grad_w"):
+        with pytest.raises(RejectedInputError,
+                           match=r"^test function pinned to d=2$"):
+            getattr(clamped_polynomial(1, (1, 0)), ev)(c, np.zeros((3, 3)))
+        with pytest.raises(RejectedInputError,
+                           match=r"^coordinate w_3 needs d > 2$"):
+            getattr(smoothed_coordinate(2), ev)(c, np.zeros((3, 2)))
+    assert smoothed_coordinate(2).d is None and constant_one().d is None
+    assert clamped_polynomial(1, (1, 0, 0)).d == 3
+
+
+def test_monomial_gradient_cost_does_not_grow_with_unnamed_axes():
+    """grad_w of psi(c*w1) at d = 784 touches one axis of w, so at N = 1000
+    it takes about a millisecond, far inside the bound."""
+    f = default_test_functions(784)[1]
+    rng = np.random.default_rng(5)
+    c, w = rng.standard_normal(1000), rng.standard_normal((1000, 784))
+    start = time.perf_counter()
+    g = f.grad_w(c, w)
+    assert time.perf_counter() - start < 0.5
+    assert g[:, 0].all() and not g[:, 1:].any()
+
+
+def test_default_bump_width_grows_with_d():
+    """The default bump's scale is 1.5 sqrt(d / 2): exactly the fixed 1.5
+    bump at d = 2, and at d = 784, where ||w||^2 is about d under the default
+    initial law, still of order one on a default-init cloud."""
+    rng = np.random.default_rng(9)
+    c, w = rng.standard_normal(50), rng.standard_normal((50, 2))
+    bump, ref = default_test_functions(2)[2], gaussian_bump(0.0, np.zeros(2),
+                                                            scale=1.5)
+    assert bump.label == ref.label == "bump(s=1.5)"
+    for ev in ("value", "grad_c", "grad_w"):
+        assert (getattr(bump, ev)(c, w).tobytes()
+                == getattr(ref, ev)(c, w).tobytes())
+    cloud = sample_init(default_init(784), RandomStreams(3).stream(
+        purpose="init"), 2000)
+    assert 0.1 < pair(default_test_functions(784)[2], cloud) < 1.0
 
 
 def test_bump_rejects_wrong_dimension():

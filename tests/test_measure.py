@@ -125,15 +125,33 @@ def test_cost_truncation_saturates_at_one():
     assert wasserstein(near_big, far_big, p=2) == 1.0
 
 
-def test_method_selection_and_info():
+def test_method_selection_by_atom_count():
+    """Up to ``EXACT_LIMIT`` atoms the distance is the optimal assignment of
+    the capped cost matrix, built here; beyond it, the sliced estimate, at
+    d = 2 and at the image width.  The clouds are narrow enough that no
+    distance saturates at the cap."""
+    from scipy.optimize import linear_sum_assignment
+
+    def narrow(rng, n, d, s):
+        return EmpiricalMeasure(s * rng.standard_normal(n),
+                                s * rng.standard_normal((n, d)))
+
     rng = np.random.default_rng(11)
-    small = cloud(rng, EXACT_LIMIT, 2)
-    _, info = wasserstein(small, cloud(rng, EXACT_LIMIT, 2), return_info=True)
-    assert info["method"] == "exact-assignment"
-    big, other = cloud(rng, EXACT_LIMIT + 1, 2), cloud(rng, EXACT_LIMIT + 1, 2)
-    value, info = wasserstein(big, other, return_info=True)
-    assert info["method"] == "sliced"
-    assert value == sliced_wasserstein(big, other, 2)
+    for p in (1, 2, 4):
+        a, b = (narrow(rng, EXACT_LIMIT, 2, 0.2) for _ in range(2))
+        za, zb = a.joint(), b.joint()
+        cost = np.minimum((np.abs(za[:, None] - zb[None]) ** p).sum(axis=2),
+                          1.0)
+        rows, cols = linear_sum_assignment(cost)
+        exact = float(np.mean(cost[rows, cols])) ** (1.0 / p)
+        value = wasserstein(a, b, p)
+        assert value == pytest.approx(exact, rel=1e-12) and value < 1.0
+        assert value != sliced_wasserstein(a, b, p)
+    for d, s in ((2, 0.2), (784, 0.005)):
+        big = narrow(rng, EXACT_LIMIT + 1, d, s)
+        other = narrow(rng, EXACT_LIMIT + 1, d, s)
+        value = wasserstein(big, other)
+        assert value == sliced_wasserstein(big, other, 2) and 0 < value < 1.0
 
 
 def test_mismatched_sizes_and_bad_p_rejected():
@@ -175,8 +193,8 @@ def test_sliced_debias_factor_matches_gamma_ratio_and_stays_finite():
 def test_sliced_wasserstein_at_image_dimension():
     rng = np.random.default_rng(31)
     a, b = cloud(rng, 300, 784), cloud(rng, 300, 784, shift=0.1)
-    value, info = wasserstein(a, b, p=1, return_info=True)
-    assert info["method"] == "sliced"
+    value = wasserstein(a, b, p=1)
+    assert value == sliced_wasserstein(a, b, 1)
     assert np.isfinite(value) and 0 < value <= 1.0
 
 
