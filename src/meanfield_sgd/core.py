@@ -267,15 +267,15 @@ def _clamp_d1(u, a, b):
 class TestFunction:
     """A bounded C^2 function of one particle, with its gradient.
 
-    Evaluators take ``c`` of shape (n,) and ``w`` of shape (n, d) and return
-    (n,) arrays (``grad_w`` returns (n, d)).  ``d`` is the pinned input
+    Evaluators take ``c`` of shape (n,) and ``w`` of shape (n, d).
+    ``value`` returns f (n,); ``grad`` returns both partials from one pass,
+    the pair (df/dc (n,), grad_w f (n, d)).  ``d`` is the pinned input
     dimension, or ``None`` when the function applies to any d.
     """
 
     label: str
     value: Callable
-    grad_c: Callable
-    grad_w: Callable
+    grad: Callable
     d: int | None = None
 
 
@@ -283,7 +283,7 @@ def _clamped_monomial(label: str, c_exp: int, w_exps: dict[int, int],
                       d: int | None, a: float, b: float) -> TestFunction:
     """psi(c^c_exp * prod_j w_j^e_j) over the axes ``w_exps`` = {j: e_j}
     of nonzero exponent.  Every other axis enters as w_j^0 = 1, so it is
-    never read and its gradient, like grad_c when c_exp = 0, is exactly +0;
+    never read and its gradient, like df/dc when c_exp = 0, is exactly +0;
     the named factors are multiplied in increasing j, which gives the floats
     of the product over all d axes.  ``d`` pins the input width, or is None
     for any width that holds the named axes."""
@@ -302,23 +302,19 @@ def _clamped_monomial(label: str, c_exp: int, w_exps: dict[int, int],
     def value(c, w):
         return _clamp_value(parts(c, w)[2], a, b)
 
-    def grad_c(c, w):
-        _, wf, p = parts(c, w)
-        if not c_exp:
-            return np.zeros_like(c)
-        return (_clamp_d1(p, a, b) * (c_exp * c ** (c_exp - 1))
-                * math.prod(wf))
-
-    def grad_w(c, w):
+    def grad(c, w):
         cf, wf, p = parts(c, w)
-        d1 = _clamp_d1(p, a, b) * cf
-        g = np.zeros_like(w)
+        d1 = _clamp_d1(p, a, b)
+        gc = (d1 * (c_exp * c ** (c_exp - 1)) * math.prod(wf) if c_exp
+              else np.zeros_like(c))
+        d1 = d1 * cf
+        gw = np.zeros_like(w)
         for i, (j, e) in enumerate(axes):
-            g[:, j] = (d1 * (e * w[:, j] ** (e - 1))
-                       * math.prod(wf[:i] + wf[i + 1:]))
-        return g
+            gw[:, j] = (d1 * (e * w[:, j] ** (e - 1))
+                        * math.prod(wf[:i] + wf[i + 1:]))
+        return gc, gw
 
-    return TestFunction(label, value, grad_c, grad_w, d=d)
+    return TestFunction(label, value, grad, d=d)
 
 
 def smoothed_coordinate(coord: int | str = "c", a: float = 4.0,
@@ -362,15 +358,11 @@ def gaussian_bump(center_c: float, center_w: Sequence[float],
     def value(c, w):
         return offsets(c, w)[2]
 
-    def grad_c(c, w):
+    def grad(c, w):
         dc, dw, f = offsets(c, w)
-        return -dc / s2 * f
+        return -dc / s2 * f, -dw / s2 * f[:, None]
 
-    def grad_w(c, w):
-        dc, dw, f = offsets(c, w)
-        return -dw / s2 * f[:, None]
-
-    return TestFunction(label, value, grad_c, grad_w, d=d)
+    return TestFunction(label, value, grad, d=d)
 
 
 def constant_one() -> TestFunction:

@@ -413,21 +413,6 @@ def read_idx_labels(path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).copy()
 
 
-def write_idx_images(path, images: np.ndarray):
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IMAGES_MAGIC, n, rows, cols))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray):
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", LABELS_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
-
-
 def load_mnist_idx(images_path, labels_path,
                    digit_pair: tuple[int, int]) -> DataModel:
     """Binary digit-pair regression stream from IDX files.

@@ -180,13 +180,12 @@ def lln_decay(study: ReplicaStudy, f: TestFunction) -> LlnTable:
 
 
 def _gradients(f: TestFunction, c: np.ndarray, w: np.ndarray):
-    """grad_c f (R, N) and grad_w f (R, N, d) at every particle of a batch
-    c (R, N), w (R, N, d); f acts per particle, so the batch is one flat
-    cloud to it."""
+    """df/dc (R, N) and grad_w f (R, N, d) at every particle of a batch
+    c (R, N), w (R, N, d), from one ``f.grad`` call; f acts per particle,
+    so the batch is one flat cloud to it."""
     r, n, d = w.shape
-    flat_c, flat_w = c.reshape(-1), w.reshape(-1, d)
-    return (f.grad_c(flat_c, flat_w).reshape(r, n),
-            f.grad_w(flat_c, flat_w).reshape(r, n, d))
+    fc, fw = f.grad(c.reshape(-1), w.reshape(-1, d))
+    return fc.reshape(r, n), fw.reshape(r, n, d)
 
 
 def _first_order(fc, fw, x, dc, u) -> tuple[np.ndarray, np.ndarray]:
@@ -330,32 +329,35 @@ def reconcile_decomposition(model: DataModel, init: InitLaw, f: TestFunction,
     sit at float rounding (<= 1e-10), while the Taylor remainder is genuine
     and shrinks like 1/N^2 per step.  Step k is closed at the next observer
     call, which sees its post-step state, and the last step against the
-    final cloud.
+    final cloud.  Each state is evaluated once: the observer takes <f, nu>
+    and the gradients at its pre-step state, and the step's close reuses
+    them, so f.value runs steps + 1 times and f.grad steps times.
     """
     act = act or activation("tanh")
     schedule = TrainSchedule(float(T))
     identity = remainder = 0.0
-    pending = []  # (c, w, i1 + i2) of the step awaiting its post-step state
+    # the step awaiting its post-step state: (c, w, <f, nu>, df/dc,
+    # grad_w f) before it, and its i1 + i2
+    pending = []
 
-    def close(c, w):
+    def close(c, w) -> float:
+        """<f, nu> at (c, w), which closes the pending step."""
         nonlocal identity, remainder
-        if not pending:
-            return
-        c0, w0, realized = pending.pop()
-        before = float(np.mean(f.value(c0, w0)))
         after = float(np.mean(f.value(c, w)))
-        fc = f.grad_c(c0, w0)
-        fw = f.grad_w(c0, w0)
-        a_actual = float(np.mean(fc * (c - c0))
-                         + np.mean(np.sum(fw * (w - w0), axis=1)))
-        identity = max(identity, abs(realized - a_actual))
-        remainder = max(remainder, abs((after - before) - a_actual))
+        if pending:
+            c0, w0, before, fc, fw, realized = pending.pop()
+            a_actual = float(np.mean(fc * (c - c0))
+                             + np.mean(np.sum(fw * (w - w0), axis=1)))
+            identity = max(identity, abs(realized - a_actual))
+            remainder = max(remainder, abs((after - before) - a_actual))
+        return after
 
     def observer(k, state, x, y, dc, u):
-        close(state.c[0], state.w[0])
-        i1, i2 = _first_order(*_gradients(f, state.c, state.w), x, dc, u)
-        pending.append((state.c[0].copy(), state.w[0].copy(),
-                        float(i1[0] + i2[0])))
+        before = close(state.c[0], state.w[0])
+        fc, fw = _gradients(f, state.c, state.w)
+        i1, i2 = _first_order(fc, fw, x, dc, u)
+        pending.append((state.c[0].copy(), state.w[0].copy(), before,
+                        fc[0], fw[0], float(i1[0] + i2[0])))
 
     final = run_default(model, init, act, alpha, n, schedule, streams,
                         observer=observer).snapshots[-1][1]
@@ -404,11 +406,17 @@ def limit_distance(study: ReplicaStudy, sol: MeanFieldSolution,
     only sampling noise separates the two sides: replica scatter s_N plus
     the limit cloud's own finite-M standard error, folded through E|normal|
     = sqrt(2/pi) * sd.  gap_se is a seeded bootstrap SE of the mean
-    absolute gap.
+    absolute gap.  Each f is evaluated on the limit cloud once, before the
+    N loop: its mean is the target pairing and its scatter gives s_mf.
     """
     rows = []
     boot_rng = study.streams.stream(purpose="limit-boot")
     sol_cloud = sol.measure_at(study.T)
+    limits = []  # (<f, limit cloud>, its finite-M standard error) per f
+    for f in fs:
+        fv = f.value(sol_cloud.c, sol_cloud.w)
+        limits.append((float(np.mean(fv)),
+                       float(np.std(fv, ddof=1) / np.sqrt(sol_cloud.n))))
     for n in study.n_grid:
         w1s = []
         for r in range(study.R):
@@ -418,14 +426,11 @@ def limit_distance(study: ReplicaStudy, sol: MeanFieldSolution,
                             study.streams.stream(r, purpose="limit-resample")))
             w1s.append(sliced_wasserstein(mu, ref, p=1))
         gaps = {}
-        for f in fs:
+        for f, (target, s_mf) in zip(fs, limits):
             vals = study.pairings(f, n)
-            target = pair(f, sol_cloud)
             g = vals - target
             gap = float(np.mean(np.abs(g)))
             s_n = float(np.std(vals, ddof=1))
-            fv = f.value(sol_cloud.c, sol_cloud.w)
-            s_mf = float(np.std(fv, ddof=1) / np.sqrt(sol_cloud.n))
             floor = SQRT_2_OVER_PI * float(np.hypot(s_n, s_mf))
             idx = boot_rng.integers(0, study.R, size=(N_BOOT, study.R))
             boots = np.mean(np.abs(g[idx]), axis=1)

@@ -512,13 +512,14 @@ def weak_residuals(sol: MeanFieldSolution,
 
     and (g1, g2) is the velocity field of the slice against ``sol.quad``:
     the float32 ``drift`` that the Euler step integrates, paired in float64
-    with each test function's gradients.  A slice takes its field from
-    ``sol.fields`` when the solve kept it; ``drift`` runs, once for all of
-    ``fs``, only on the slices without one (the last slice, or every slice
-    of a Picard or loaded solution), and all those calls come before any
-    pairing: the float64 pairings wake OpenBLAS's second thread, which then
-    spins through a later ``drift`` call (0.06 s of process CPU at M = 10^4,
-    K = 4096), where ``drift``'s own float32 products wake none.  The time
+    with both partials of one ``grad`` call per slice and test function.
+    A slice takes its field from ``sol.fields`` when the solve kept it;
+    ``drift`` runs, once for all of ``fs``, only on the slices without one
+    (the last slice, or every slice of a Picard or loaded solution), and
+    all those calls come before any pairing: the float64 pairings wake
+    OpenBLAS's second thread, which then spins through a later ``drift``
+    call (0.06 s of process CPU at M = 10^4, K = 4096), where ``drift``'s
+    own float32 products wake none.  The time
     integral is taken by the trapezoid rule over every stored slice.  The
     normalizer integral_0^T |a(s)| ds is the scale for relative error.
     """
@@ -535,8 +536,8 @@ def weak_residuals(sol: MeanFieldSolution,
     for s, (c, w, (g1, g2)) in enumerate(zip(sol.c, sol.w, fields)):
         g1, g2 = g1.astype(np.float64), g2.astype(np.float64)
         for i, f in enumerate(fs):
-            a_vals[i, s] = (f.grad_c(c, w) @ g1
-                            + np.vdot(f.grad_w(c, w), g2)) / sol.n_paths
+            fc, fw = f.grad(c, w)
+            a_vals[i, s] = (fc @ g1 + np.vdot(fw, g2)) / sol.n_paths
     first, last = sol.slice(0), sol.slice(n_snaps - 1)
     out = []
     for f, a in zip(fs, a_vals):

@@ -118,11 +118,16 @@ def sliced_debias_factor(p: int, dim: int) -> float:
                     - math.lgamma((dim + p) / 2)) / math.sqrt(math.pi)
 
 
+@functools.cache
 def _slice_directions(dim: int) -> np.ndarray:
+    """The fixed unit directions of ``sliced_wasserstein`` on a dim-wide
+    joint space, as a read-only (SLICES, dim) array drawn once per dim."""
     ss = np.random.SeedSequence(entropy=_SLICE_ENTROPY, spawn_key=(dim, SLICES))
     g = np.random.Generator(np.random.Philox(ss))
     th = g.standard_normal((SLICES, dim))
-    return th / np.linalg.norm(th, axis=1, keepdims=True)
+    th /= np.linalg.norm(th, axis=1, keepdims=True)
+    th.flags.writeable = False
+    return th
 
 
 def sliced_wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure,
@@ -263,18 +268,3 @@ def write_histogram_csv(h: Histogram1D, path, config_hash: str | None = None):
         lines.append(f"{fmt_float(lo)},{fmt_float(hi)},{int(cnt)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_histogram_csv(path) -> Histogram1D:
-    lows, highs, counts = [], [], []
-    with open(path) as fh:
-        rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not rows or rows[0] != "edge_lo,edge_hi,count":
-        raise RejectedInputError(f"{path}: not a histogram CSV")
-    for row in rows[1:]:
-        lo, hi, cnt = row.split(",")
-        lows.append(float(lo))
-        highs.append(float(hi))
-        counts.append(int(cnt))
-    edges = np.array(lows + [highs[-1]])
-    return Histogram1D(edges, np.array(counts), "c")

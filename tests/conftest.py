@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
-from meanfield_sgd import (RandomStreams, activation, default_init,
+from meanfield_sgd import (Histogram1D, RandomStreams, RejectedInputError,
+                           TestFunction, activation, default_init,
                            default_model, default_test_functions)
-from meanfield_sgd.data import write_idx_images, write_idx_labels
+from meanfield_sgd.data import IMAGES_MAGIC, LABELS_MAGIC
 
 
 @pytest.fixture
@@ -29,6 +32,56 @@ def tanh_act():
 @pytest.fixture
 def test_fns():
     return default_test_functions(2)
+
+
+def counting(f: TestFunction):
+    """``f`` giving the same floats, and a log of the particle count of each
+    of its ``value`` and ``grad`` calls: (wrapped f, {"value": [...],
+    "grad": [...]})."""
+    calls = {"value": [], "grad": []}
+
+    def value(c, w):
+        calls["value"].append(c.shape[0])
+        return f.value(c, w)
+
+    def grad(c, w):
+        calls["grad"].append(c.shape[0])
+        return f.grad(c, w)
+
+    return TestFunction(f.label, value, grad, f.d), calls
+
+
+def write_idx_images(path, images: np.ndarray):
+    """A big-endian IDX3 file of uint8 images (n, rows, cols)."""
+    images = np.asarray(images, dtype=np.uint8)
+    n, rows, cols = images.shape
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">IIII", IMAGES_MAGIC, n, rows, cols))
+        fh.write(images.tobytes())
+
+
+def write_idx_labels(path, labels: np.ndarray):
+    """A big-endian IDX1 file of uint8 labels (n,)."""
+    labels = np.asarray(labels, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">II", LABELS_MAGIC, labels.shape[0]))
+        fh.write(labels.tobytes())
+
+
+def read_histogram_csv(path) -> Histogram1D:
+    """The histogram ``measure.write_histogram_csv`` wrote, labelled "c"."""
+    lows, highs, counts = [], [], []
+    with open(path) as fh:
+        rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    if not rows or rows[0] != "edge_lo,edge_hi,count":
+        raise RejectedInputError(f"{path}: not a histogram CSV")
+    for row in rows[1:]:
+        lo, hi, cnt = row.split(",")
+        lows.append(float(lo))
+        highs.append(float(hi))
+        counts.append(int(cnt))
+    edges = np.array(lows + [highs[-1]])
+    return Histogram1D(edges, np.array(counts), "c")
 
 
 def make_idx_pair(directory, n_per_class=300, digits=(3, 5), extra_digit=7,

@@ -17,8 +17,8 @@ from meanfield_sgd.cli import (_slug, check_manifest, config_hash,
                                load_solution, main, parse_config,
                                read_cloud_csv, read_manifest, write_cloud_csv)
 from meanfield_sgd.core import ConfigError
-from meanfield_sgd.measure import EmpiricalMeasure, read_histogram_csv
-from tests.conftest import make_idx_pair
+from meanfield_sgd.measure import EmpiricalMeasure
+from tests.conftest import make_idx_pair, read_histogram_csv
 
 # ---------------------------------------------------------------------------
 # config parsing

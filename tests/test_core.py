@@ -154,14 +154,14 @@ def test_gradients_and_hessians_by_finite_differences():
         for _ in range(20):
             c = rng.uniform(-6, 6, size=3)
             w = rng.uniform(-6, 6, size=(3, 2))
-            gc = f.grad_c(c, w)
+            gc, gw = f.grad(c, w)
             fd = (f.value(c + h, w) - f.value(c - h, w)) / (2 * h)
             assert np.max(np.abs(gc - fd)) < 1e-6, f.label
             for j in range(2):
                 dw = np.zeros_like(w)
                 dw[:, j] = h
                 fdw = (f.value(c, w + dw) - f.value(c, w - dw)) / (2 * h)
-                assert np.max(np.abs(f.grad_w(c, w)[:, j] - fdw)) < 1e-6, f.label
+                assert np.max(np.abs(gw[:, j] - fdw)) < 1e-6, f.label
 
 
 def test_test_functions_are_bounded():
@@ -180,7 +180,7 @@ def test_clamp_exactly_inactive_inside_window():
     c = np.array([2.0, -3.999, 0.125])
     w = np.zeros((3, 2))
     assert np.array_equal(f.value(c, w), c)
-    assert np.array_equal(f.grad_c(c, w), np.ones(3))
+    assert np.array_equal(f.grad(c, w)[0], np.ones(3))
     # outside the window the value saturates below a + b
     far = np.array([1e9, -1e9])
     vals = f.value(far, np.zeros((2, 2)))
@@ -189,7 +189,7 @@ def test_clamp_exactly_inactive_inside_window():
 
 
 def test_clamp_seam_is_c2():
-    """psi'' is a central difference of grad_c taken wholly on one side of
+    """psi'' is a central difference of df/dc taken wholly on one side of
     the seam at |u| = a, once inside and once outside the window."""
     f = smoothed_coordinate("c", a=4.0, b=2.0)
     w = np.zeros((2, 1))
@@ -198,10 +198,10 @@ def test_clamp_seam_is_c2():
         lo = np.array([side - h, side + h])
         v = f.value(lo, w)
         assert abs(v[1] - v[0]) < 3 * h            # continuous
-        g = f.grad_c(lo, w)
+        g = f.grad(lo, w)[0]
         assert abs(g[1] - g[0]) < 1e-5             # C^1 across the seam
         at = np.array([side - 2 * h, side + 2 * h])
-        s = (f.grad_c(at + h, w) - f.grad_c(at - h, w)) / (2 * h)
+        s = (f.grad(at + h, w)[0] - f.grad(at - h, w)[0]) / (2 * h)
         assert abs(s[1] - s[0]) < 1e-4             # C^2 across the seam
 
 
@@ -210,8 +210,8 @@ def test_constant_one_everything():
     c = np.array([3.0, -7.0])
     w = np.array([[1.0], [2.0]])
     assert np.array_equal(f.value(c, w), [1.0, 1.0])
-    assert not f.grad_c(c, w).any()
-    assert not f.grad_w(c, w).any()
+    gc, gw = f.grad(c, w)
+    assert not gc.any() and not gw.any()
 
 
 def test_clamped_polynomial_matches_plain_product_inside_window():
@@ -232,7 +232,7 @@ def test_default_test_functions_labels_distinct():
 
 
 def _dense_monomial(c_exp, w_exps, a=4.0, b=2.0):
-    """value, grad_c and grad_w of psi(c^c_exp * prod_j w_j^w_exps[j]) by
+    """value, df/dc and grad_w of psi(c^c_exp * prod_j w_j^w_exps[j]) by
     formulas that multiply over all d axes, exponent-0 axes as factors of
     w_j^0 = 1 and their derivative as 0 times the rest."""
 
@@ -278,9 +278,9 @@ def _monomial_cases(d):
 @pytest.mark.parametrize("d", [1, 2, 20, 784])
 def test_monomials_match_the_dense_formulas_bitwise(d):
     """Every clamped monomial reads only the axes it names, yet gives the
-    floats of the product over all d axes: value and grad_c bit for bit, and
+    floats of the product over all d axes: value and df/dc bit for bit, and
     grad_w bit for bit on the named axes.  On an axis of exponent 0 (and in
-    grad_c when c has exponent 0) the dense formula multiplies a 0 into the
+    df/dc when c has exponent 0) the dense formula multiplies a 0 into the
     rest, which may leave -0.0; the builder writes +0.0, equal under ==."""
     rng = np.random.default_rng(d)
     c = rng.uniform(-3.0, 3.0, 64)
@@ -289,7 +289,7 @@ def test_monomials_match_the_dense_formulas_bitwise(d):
     for f, c_exp, named in _monomial_cases(d):
         exps = [named.get(j, 0) for j in range(d)]
         ref_v, ref_c, ref_w = _dense_monomial(c_exp, exps)(c, w)
-        v, gc, gw = f.value(c, w), f.grad_c(c, w), f.grad_w(c, w)
+        v, (gc, gw) = f.value(c, w), f.grad(c, w)
         assert v.tobytes() == ref_v.tobytes(), f.label
         if c_exp:
             assert gc.tobytes() == ref_c.tobytes(), f.label
@@ -305,9 +305,9 @@ def test_monomials_match_the_dense_formulas_bitwise(d):
 
 def test_monomial_errors_are_pinned():
     """A pinned width that does not match, and a coordinate beyond d, are
-    refused by every evaluator with the same message."""
+    refused by ``value`` and ``grad`` alike with the same message."""
     c = np.zeros(3)
-    for ev in ("value", "grad_c", "grad_w"):
+    for ev in ("value", "grad"):
         with pytest.raises(RejectedInputError,
                            match=r"^test function pinned to d=2$"):
             getattr(clamped_polynomial(1, (1, 0)), ev)(c, np.zeros((3, 3)))
@@ -319,13 +319,13 @@ def test_monomial_errors_are_pinned():
 
 
 def test_monomial_gradient_cost_does_not_grow_with_unnamed_axes():
-    """grad_w of psi(c*w1) at d = 784 touches one axis of w, so at N = 1000
-    it takes about a millisecond, far inside the bound."""
+    """The gradients of psi(c*w1) at d = 784 touch one axis of w, so at
+    N = 1000 they take about a millisecond, far inside the bound."""
     f = default_test_functions(784)[1]
     rng = np.random.default_rng(5)
     c, w = rng.standard_normal(1000), rng.standard_normal((1000, 784))
     start = time.perf_counter()
-    g = f.grad_w(c, w)
+    _, g = f.grad(c, w)
     assert time.perf_counter() - start < 0.5
     assert g[:, 0].all() and not g[:, 1:].any()
 
@@ -339,9 +339,9 @@ def test_default_bump_width_grows_with_d():
     bump, ref = default_test_functions(2)[2], gaussian_bump(0.0, np.zeros(2),
                                                             scale=1.5)
     assert bump.label == ref.label == "bump(s=1.5)"
-    for ev in ("value", "grad_c", "grad_w"):
-        assert (getattr(bump, ev)(c, w).tobytes()
-                == getattr(ref, ev)(c, w).tobytes())
+    assert bump.value(c, w).tobytes() == ref.value(c, w).tobytes()
+    for got, want in zip(bump.grad(c, w), ref.grad(c, w)):
+        assert got.tobytes() == want.tobytes()
     cloud = sample_init(default_init(784), RandomStreams(3).stream(
         purpose="init"), 2000)
     assert 0.1 < pair(default_test_functions(784)[2], cloud) < 1.0

@@ -14,11 +14,10 @@ from meanfield_sgd import (Batch, ConfigError, DataModel, IdxFormatError,
                            noisy_polynomial, sample_data, sample_init,
                            teacher_network)
 from meanfield_sgd.data import (_EXPM2, conditional_mean, ndtri,
-                                read_idx_images, read_idx_labels,
-                                write_idx_images, write_idx_labels)
+                                read_idx_images, read_idx_labels)
 from meanfield_sgd import data
 from meanfield_sgd.sgd import Ensemble
-from tests.conftest import make_idx_pair
+from tests.conftest import make_idx_pair, write_idx_images, write_idx_labels
 
 
 def test_teacher_conditional_mean_oracle():

@@ -19,6 +19,7 @@ from meanfield_sgd.diagnostics import _DecompositionObserver
 from meanfield_sgd.meanfield import (NODE_COLUMNS, Quadrature, drift,
                                      node_arrays, work_buffers)
 from meanfield_sgd.sgd import step_increments
+from tests.conftest import counting
 
 TANH = activation("tanh")
 FS = default_test_functions(2)
@@ -152,6 +153,19 @@ def test_reconciliation_identity_and_remainder(model, init):
     assert 0 < rep.taylor_remainder < 1e-3
 
 
+@pytest.mark.parametrize("i", range(len(FS)))
+def test_reconcile_evaluates_each_state_once(model, init, i):
+    """The value and gradients the observer takes at a pre-step state also
+    close that step: f.value runs once per state (steps + 1 of them) and
+    f.grad once per step, with the floats of the plain test function."""
+    f, calls = counting(FS[i])
+    rep = reconcile_decomposition(model, init, f, 64, 0.5, RandomStreams(11))
+    assert len(calls["value"]) == rep.steps + 1
+    assert len(calls["grad"]) == rep.steps
+    assert rep == reconcile_decomposition(model, init, FS[i], 64, 0.5,
+                                          RandomStreams(11))
+
+
 def test_taylor_remainder_shrinks_like_inverse_n_squared(model, init):
     """Per-step remainder ~ 1/N^2: N = 100 -> 1000 should shrink it ~100x
     (within a factor of 3, it is a max over random steps)."""
@@ -166,7 +180,7 @@ def _reference_increments(f, alpha, act, c, w, x, y):
     """The two realized first-order terms of one step at sample (x, y),
     written out with plain temporaries."""
     n = c.shape[0]
-    fc, fw = f.grad_c(c, w), f.grad_w(c, w)
+    fc, fw = f.grad(c, w)
     z = w @ x
     s = act.value(z)
     coef = alpha / n * (y - float(s @ c) / n)
@@ -179,7 +193,7 @@ def _reference_node_terms(f, quad, alpha, act, ens):
     plain (N x K) temporaries, and the factors h1, h2 that multiply
     alpha/N (y - g) in them."""
     n, c, w = ens.n, ens.c, ens.w
-    fc, fw = f.grad_c(c, w), f.grad_w(c, w)
+    fc, fw = f.grad(c, w)
     sq = w @ quad.x.T
     vq = act.value(sq)
     h1 = (fc @ vq) / n
@@ -333,7 +347,7 @@ def test_drift_pairing_matches_reference_formula(kind, n, model, init):
     ens = Ensemble.from_init(init, act, 1.0,
                              RandomStreams(19).stream(0, purpose="init"), n)
     x, y = np.array([0.3, -0.4]), 0.2
-    grads = [(f.grad_c(ens.c, ens.w), f.grad_w(ens.c, ens.w)) for f in FS]
+    grads = [f.grad(ens.c, ens.w) for f in FS]
     assert len(grads) == 3
     for alpha in (1.0, 0.7):
         g1, g2 = drift(ens.c, ens.w, nodes, act, alpha, work)
@@ -466,6 +480,21 @@ def test_limit_distance_gaps_shrink_to_floor(study, limit_solution):
     assert all(r.w1 > 0 for r in table.rows)
     header, rows = table.to_csv_rows()
     assert len(rows) == 9
+
+
+def test_limit_distance_evaluates_the_limit_cloud_once_per_f(
+        study, limit_solution):
+    """Each f meets the limit cloud (M = 2000 paths) once, not once per N,
+    besides once per study cloud; the table is the plain functions' one."""
+    counted = [counting(f) for f in FS]
+    table = limit_distance(study, limit_solution, [f for f, _ in counted])
+    per_study = [n for n in study.n_grid for _ in range(study.R)]
+    for _, calls in counted:
+        assert (sorted(calls["value"])
+                == sorted(per_study + [limit_solution.n_paths]))
+        assert not calls["grad"]
+    assert (table.to_csv_rows()
+            == limit_distance(study, limit_solution, FS).to_csv_rows())
 
 
 def test_limit_distance_alpha_zero_is_pure_sampling_noise(model, init):

@@ -23,6 +23,7 @@ from meanfield_sgd.core import activation_deriv
 from meanfield_sgd.data import conditional_mean
 from meanfield_sgd.meanfield import (NODE_COLUMNS, Quadrature, _evolve,
                                      _snapshot_plan, _trapz)
+from tests.conftest import counting
 
 TANH = activation("tanh")
 
@@ -285,8 +286,8 @@ def test_drift_hand_values():
                             np.stack([w, w]), quad, TANH, 0.5, 1.0, 0.0)
     assert np.allclose(q_on_nodes(sol), s, rtol=1e-7, atol=0)
     f = core.TestFunction("c + w1", lambda c, w: c + w[:, 0],
-                          lambda c, w: np.ones_like(c),
-                          lambda c, w: np.eye(1, w.shape[1]).repeat(len(c), 0))
+                          lambda c, w: (np.ones_like(c), np.eye(
+                              1, w.shape[1]).repeat(len(c), 0)))
     resid, norm = weak_residual(sol, f)
     assert resid == norm == pytest.approx(g1[0] + g2[0, 0], rel=1e-6)
     g1, g2 = drift(c, w, nodes, TANH, 1.0, work, q=np.full(1, 2.0))
@@ -346,8 +347,7 @@ def _reference_weak_residual(sol, f):
         v = sol.act.value(z)
         q = (c32 @ v).astype(np.float64) / m
         r = sol.alpha * (yn - q)
-        fc = f.grad_c(c64, w64).astype(np.float32)
-        fw = f.grad_w(c64, w64).astype(np.float32)
+        fc, fw = (g.astype(np.float32) for g in f.grad(c64, w64))
         h1 = (fc @ v).astype(np.float64) / m
         dv = activation_deriv(sol.act, z, v)
         h2 = np.einsum("i,ik,ik->k", c32, dv, fw @ xt).astype(np.float64) / m
@@ -378,6 +378,20 @@ def test_weak_residuals_equal_single_function_form_bitwise(streams, model, init)
     together = weak_residuals(sol, fs)
     for f, pair_ in zip(fs, together):
         assert weak_residual(sol, f) == pair_
+
+
+def test_weak_residuals_take_one_grad_per_slice_and_function(streams, model,
+                                                            init):
+    """Both partials come from one ``grad`` call per (slice, f), and
+    ``value`` runs on the first and last slices only."""
+    sol = small_solution(streams, model, init, m=64, nodes=64)
+    fs = default_test_functions(2) + [constant_one()]
+    counted = [counting(f) for f in fs]
+    got = weak_residuals(sol, [f for f, _ in counted])
+    for _, calls in counted:
+        assert calls["grad"] == [64] * sol.times.shape[0]
+        assert calls["value"] == [64, 64]
+    assert got == weak_residuals(sol, fs)
 
 
 @pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])

@@ -15,9 +15,10 @@ from meanfield_sgd import (EmpiricalMeasure, Histogram1D, RejectedInputError,
                            histogram_w1, pair, resample,
                            sliced_wasserstein, smoothed_coordinate,
                            wasserstein, wasserstein_bruteforce)
+from meanfield_sgd import measure
 from meanfield_sgd.measure import (EXACT_LIMIT, fmt_float,
-                                   read_histogram_csv, sliced_debias_factor,
-                                   write_histogram_csv)
+                                   sliced_debias_factor, write_histogram_csv)
+from tests.conftest import read_histogram_csv
 
 
 def cloud(rng, n, d, shift=0.0):
@@ -233,6 +234,18 @@ def test_sliced_directions_are_fixed():
     rng = np.random.default_rng(4)
     a, b = cloud(rng, 400, 2), cloud(rng, 400, 2)
     assert wasserstein(a, b) == wasserstein(a, b)
+
+
+@pytest.mark.parametrize("dim", [3, 785])
+def test_slice_directions_are_drawn_once_per_width(dim):
+    """One read-only direction matrix per width, the same floats as an
+    uncached draw (d = 2 and d = 784 clouds have joint widths 3 and 785)."""
+    th = measure._slice_directions(dim)
+    assert measure._slice_directions(dim) is th
+    assert not th.flags.writeable
+    fresh = measure._slice_directions.__wrapped__(dim)
+    assert fresh is not th and np.array_equal(fresh, th)
+    assert th.shape == (measure.SLICES, dim)
 
 
 # ---------------------------------------------------------------------------
