@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .core import (Activation, ConfigError, DivergedError, RandomStreams,
                    RejectedInputError, TestFunction, activation,
                    clamped_polynomial, constant_one, default_test_functions,
-                   gaussian_bump, network_output, smoothed_coordinate)
+                   gaussian_bump, mean_output, smoothed_coordinate)
 from .data import (Batch, DataModel, IdxFormatError, InitLaw, default_init,
                    default_model, from_network, load_mnist_idx,
                    noisy_polynomial, sample_data, sample_init, teacher_network)

@@ -79,17 +79,21 @@ def guard_divergence(step: int, *arrays: np.ndarray) -> float:
 class Activation:
     """A twice continuously differentiable, bounded activation.
 
-    ``value`` and ``deriv`` evaluate sigma and sigma' elementwise.  ``value``
-    and ``deriv_from_value`` take an optional ``out=`` array in the ufunc
-    convention and then make no temporary of the argument's size (but for
-    one where sigma' has a linear term in sigma, as logistic's does), and
-    ``deriv_from_value`` may write over its own argument (``out=v``); where
-    there is no ``deriv_from_value``, ``deriv`` takes ``out=`` the same way.
+    ``value`` and ``deriv`` evaluate sigma and sigma' elementwise on arrays
+    (not on scalars).  Where sigma' is a polynomial in sigma
+    (``deriv_poly``), ``deriv`` is not given but built as that polynomial
+    of sigma(z), and ``deriv_from_value`` gives it from sigma alone.
+    ``value``, ``deriv`` and ``deriv_from_value`` take an optional ``out=``
+    array in the ufunc convention and then make no temporary of the
+    argument's size (but for one where sigma' has a linear term in sigma,
+    as logistic's does); ``deriv_from_value`` may write over its own
+    argument (``out=v``).
     """
 
     kind: str
     value: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
+    deriv: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, compare=False)
     #: (a0, a1, a2) with sigma' = a0 + a1 sigma + a2 sigma^2, where sigma'
     #: is such a polynomial in sigma; lets large kernels skip a second
     #: transcendental pass and fold sigma' into their products
@@ -99,8 +103,11 @@ class Activation:
         init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        dfv = (None if self.deriv_poly is None
-               else partial(_poly_deriv, self.deriv_poly))
+        dfv = None
+        if self.deriv_poly is not None:
+            dfv = partial(_poly_deriv, self.deriv_poly)
+            object.__setattr__(self, "deriv",
+                               partial(_poly_of_value, self.value, dfv))
         object.__setattr__(self, "deriv_from_value", dfv)
 
 
@@ -122,45 +129,39 @@ def _poly_deriv(coef: tuple[float, float, float], v, out=None):
     return out
 
 
-def _tanh_d1(z):
-    t = np.tanh(z)
-    return 1.0 - t * t
+def _poly_of_value(value: Callable, dfv: Callable, z, out=None):
+    """sigma'(z) as ``dfv`` of sigma = ``value``(z), both written into
+    ``out`` when given."""
+    return dfv(value(z, out=out), out=out)
+
+
+#: sigma' of tanh as a polynomial in sigma: 1 - tanh^2
+_TANH_POLY = (1.0, 0.0, -1.0)
 
 
 def _logistic(z, out=None):
-    """sigma = 1 / (1 + e^-z).  For z below about -709 (-88 in float32)
-    e^-z overflows to inf and sigma is exactly 0, so that overflow is not
-    reported."""
+    """sigma = 1 / (1 + e^-z), written into ``out`` when given, which may
+    be z.  For z below about -709 (-88 in float32) e^-z overflows to inf
+    and sigma is exactly 0, so that overflow is not reported."""
     with np.errstate(over="ignore"):
-        if out is None:
-            return 1.0 / (1.0 + np.exp(-z))
-        # same operation order as above; out may be z
-        np.negative(z, out=out)
+        out = np.negative(z, out=out)
         np.exp(out, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
 
 
-def _logistic_d1(z):
-    s = _logistic(z)
-    return s * (1.0 - s)
-
-
 def _bump(z, out=None):
-    z = np.asarray(z)
-    if out is None:
-        return np.exp(-0.5 * z * z)
-    # same operation order as above; out must not be z
-    np.multiply(-0.5, z, out=out)
+    """sigma = exp((-0.5 z) z), written into ``out`` when given, which must
+    not be z."""
+    out = np.multiply(-0.5, z, out=out)
     np.multiply(out, z, out=out)
     return np.exp(out, out=out)
 
 
 def _bump_d1(z, out=None):
-    z = np.asarray(z)
-    if out is None:
-        return -z * np.exp(-0.5 * z * z)
-    _bump(z, out=out)
+    """sigma' = -(sigma(z) z), written into ``out`` when given, which must
+    not be z."""
+    out = _bump(z, out=out)
     np.multiply(out, z, out=out)
     return np.negative(out, out=out)
 
@@ -180,10 +181,9 @@ def activation(kind: str) -> Activation:
             "smooth-bump"
         )
     if kind == "tanh":
-        return Activation("tanh", np.tanh, _tanh_d1, (1.0, 0.0, -1.0))
+        return Activation("tanh", np.tanh, deriv_poly=_TANH_POLY)
     if kind == "logistic":
-        return Activation("logistic", _logistic, _logistic_d1,
-                          (0.0, 1.0, -1.0))
+        return Activation("logistic", _logistic, deriv_poly=(0.0, 1.0, -1.0))
     if kind == "smooth-bump":
         return Activation("smooth-bump", _bump, _bump_d1)
     raise ConfigError(f"unknown activation kind {kind!r}")
@@ -203,15 +203,13 @@ def activation_deriv(act: Activation, z: np.ndarray, v: np.ndarray,
 # network evaluation
 
 
-def network_output(c: np.ndarray, w: np.ndarray, act: Activation,
-                   x: np.ndarray) -> float:
-    """(1/n) sum_i c_i sigma(w_i . x) for a single input ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != w.shape[1]:
-        raise RejectedInputError(
-            f"input has shape {x.shape}, expected ({w.shape[1]},)")
-    s = act.value(w @ x)
-    return float(s @ c) / c.shape[0]
+def mean_output(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The network output g = (1/n) sum_i c_i s_i for each row of
+    s = sigma(w x) (..., n), with c (n,) for every row or one row of c per
+    row of s.  Each row takes one BLAS dot, the floats of (s @ c) / n:
+    the SGD step and the ``teacher_mean`` labels both sum here, so a
+    network trained on its own outputs sees y - g = 0 exactly."""
+    return np.matmul(s[..., None, :], c[..., :, None])[..., 0, 0] / c.shape[-1]
 
 
 #: input width from which SGD takes w x a tile of steps at a time and defers
@@ -260,7 +258,7 @@ def _clamp_d1(u, a, b):
     u = np.asarray(u, dtype=np.float64)
     inside = np.abs(u) <= a
     z = (np.abs(u) - a) / b
-    return np.where(inside, 1.0, _tanh_d1(z))
+    return np.where(inside, 1.0, _poly_deriv(_TANH_POLY, np.tanh(z)))
 
 
 @dataclass(frozen=True)

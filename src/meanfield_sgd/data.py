@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (_DEFER_BLOCK, _DEFER_MIN_D, Activation, ConfigError,
-                   RejectedInputError, activation, network_output,
+                   RejectedInputError, activation, mean_output,
                    tile_preactivations)
 from .measure import EmpiricalMeasure
 
@@ -49,9 +49,8 @@ class DataModel:
     network; with ``teacher_mean=True`` the teacher averages its units in
     the same floats as the SGD step's network output, so a cloud that
     equals the teacher reproduces y bit for bit (the interpolation fixed
-    point): through ``core.network_output`` below ``_DEFER_MIN_D``, and from
-    it on with z from ``core.tile_preactivations`` over the 64-row tiles of
-    the sample block, the tiles the SGD step takes its z from.
+    point): z as the SGD step forms it, then ``core.mean_output``
+    (``conditional_mean``).
     kind "noisy-polynomial": y = a0 + a1.x + a2.x^2 + noise.
     kind "mnist-binary": ``images`` holds the pixels once, as uint8 bytes
     (n, d), and a draw scales its image to x in [0,1]^d (``_pixels``); y in
@@ -132,34 +131,30 @@ def noisy_polynomial(d: int, const: float = 0.0,
 
 
 def conditional_mean(model: DataModel, x: np.ndarray) -> np.ndarray:
-    """E[y | x] for synthetic models (noise has mean zero)."""
+    """E[y | x] for synthetic models (noise has mean zero).
+
+    A ``teacher_mean`` teacher's labels go in tiles of ``_DEFER_BLOCK`` rows
+    of x from its first row, z formed as the SGD step forms it: one
+    matrix-vector product per sample below ``_DEFER_MIN_D``, and from it on
+    one ``core.tile_preactivations`` GEMM per tile, the tiles the step takes
+    its z from, since a GEMM's bits may depend on its column count.  Each
+    row's output is then ``core.mean_output``, the step's own sum."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if model.kind == "teacher-network":
-        if model.teacher_mean and model.d >= _DEFER_MIN_D:
-            return _tiled_outputs(model, x)
-        if model.teacher_mean:
-            return np.array([network_output(model.teacher_c, model.teacher_w,
-                                            model.activation, xi) for xi in x])
-        s = model.activation.value(x @ model.teacher_w.T)
-        return s @ model.teacher_c
+        c, w, act = model.teacher_c, model.teacher_w, model.activation
+        if not model.teacher_mean:
+            return act.value(x @ w.T) @ c
+        y = np.empty(len(x))
+        for lo in range(0, len(x), _DEFER_BLOCK):
+            tile = x[lo:lo + _DEFER_BLOCK]
+            z = (tile_preactivations(w, tile) if model.d >= _DEFER_MIN_D
+                 else np.matmul(w, tile[:, :, None])[..., 0])
+            y[lo:lo + len(tile)] = mean_output(c, act.value(z))
+        return y
     if model.kind == "noisy-polynomial":
         a0, a1, a2 = model.poly
         return a0 + x @ a1 + (x * x) @ a2
     raise ConfigError("conditional mean is undefined for mnist-binary")
-
-
-def _tiled_outputs(model: DataModel, x: np.ndarray) -> np.ndarray:
-    """The ``teacher_mean`` outputs at d >= ``_DEFER_MIN_D``: z by one
-    ``tile_preactivations`` GEMM per tile of ``_DEFER_BLOCK`` rows of x from
-    its first row, then ``network_output``'s (s . c) / n per row."""
-    c, w, act = model.teacher_c, model.teacher_w, model.activation
-    y = np.empty(len(x))
-    z = np.empty((_DEFER_BLOCK, len(c)))
-    for lo in range(0, len(x), _DEFER_BLOCK):
-        tile = x[lo:lo + _DEFER_BLOCK]
-        s = act.value(tile_preactivations(w, tile, out=z[:len(tile)]))
-        y[lo:lo + len(tile)] = [float(row @ c) / len(c) for row in s]
-    return y
 
 
 def sample_data(model: DataModel, rng: np.random.Generator, n: int) -> Batch:

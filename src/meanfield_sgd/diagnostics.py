@@ -27,6 +27,7 @@ at the horizon T.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -64,7 +65,8 @@ class ReplicaStudy:
 
     ``clouds[(n, r)]`` is the final cloud of replica r at size n, and
     ``max_moments[(n, r)]`` the max of the parameter-moment guard over that
-    whole run.
+    whole run.  ``pairings(f, n)`` pairs each cloud of size n with f once
+    and keeps the values for every later table that asks.
     """
 
     T: float
@@ -77,9 +79,15 @@ class ReplicaStudy:
     alpha: float
     clouds: dict = field(default_factory=dict)
     max_moments: dict = field(default_factory=dict)
+    _pairings: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def pairings(self, f: TestFunction, n: int) -> np.ndarray:
-        return np.array([pair(f, self.clouds[(n, r)]) for r in range(self.R)])
+        key = (f, n)
+        if key not in self._pairings:
+            self._pairings[key] = np.array(
+                [pair(f, self.clouds[(n, r)]) for r in range(self.R)])
+        return self._pairings[key]
 
 
 def _study_task(args):
@@ -241,7 +249,7 @@ class _DecompositionObserver:
             self._chunk = _draw_chunk(self.model, self._rngs)
         xt, yt = self._chunk(k % _STREAM_CHUNK)
         fc, fw = _gradients(self.f, state.c, state.w)
-        dct, ut = step_increments(state, xt, yt, state.preactivations(xt))
+        dct, ut = step_increments(state, yt, state.preactivations(xt))
         diff = (np.stack(_first_order(fc, fw, x, dc, u))
                 - np.stack(_first_order(fc, fw, xt, dct, ut)))
         self.sums[:, self._batch] += diff
@@ -501,11 +509,31 @@ def chaos_table(study: ReplicaStudy, f1: TestFunction, f2: TestFunction,
         idx = boot_rng.integers(0, R, size=(N_BOOT, R))
         boots = (np.mean(cross[idx], axis=1)
                  - np.mean(a1[idx], axis=1) * np.mean(a2[idx], axis=1))
-        lo, hi = np.percentile(boots, [2.5, 97.5])
-        out_lo.append(float(lo))
-        out_hi.append(float(hi))
+        lo, hi = _ci95(boots)
+        out_lo.append(lo)
+        out_hi.append(hi)
     return ChaosTable(np.array(study.n_grid), np.array(out_cov),
                       np.array(out_lo), np.array(out_hi))
+
+
+def _ci95(values: np.ndarray) -> list[float]:
+    """The 2.5% and 97.5% points of n >= 2 values, in the floats of numpy's
+    default (linear) ``np.percentile``: at position p = (n - 1) q of the
+    ordered values, with i = floor(p) and t = p - i, v_i + (v_{i+1} - v_i) t,
+    or v_{i+1} - (v_{i+1} - v_i)(1 - t) where t >= 1/2.  The values are
+    partitioned at the indices ``np.percentile`` partitions at (0, n - 1
+    and each i and i + 1), so that even ties of -0 and +0 land as they
+    land there.  This keeps its ``np.unique`` call, and the numpy.ma import
+    behind it, out of every ``verify``."""
+    n = len(values)
+    ps = [(n - 1) * q for q in (0.025, 0.975)]
+    ks = [math.floor(p) for p in ps]
+    v = np.partition(values, sorted({0, n - 1, *ks, *(k + 1 for k in ks)}))
+    out = []
+    for p, k in zip(ps, ks):
+        a, b, t = float(v[k]), float(v[k + 1]), p - k
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
 
 
 def chaos_test(model: DataModel, init: InitLaw, f1: TestFunction,

@@ -36,7 +36,7 @@ import numpy as np
 from .core import (_DEFER_BLOCK, _DEFER_MIN_D, DIVERGENCE_LIMIT, Activation,
                    DivergedError, RejectedInputError, RandomStreams,
                    activation_deriv, check_alpha, guard_divergence, max_abs,
-                   tile_preactivations)
+                   mean_output, tile_preactivations)
 from .data import (DataModel, InitLaw, _draw_indices, _pixels, _sample_clouds,
                    sample_data, sample_init)
 from .measure import EmpiricalMeasure
@@ -96,45 +96,39 @@ def sgd_step(ens: Ensemble, x: np.ndarray, y: float) -> Ensemble:
     """One online step; mutates ``ens`` in place and returns it.
 
     Every particle sees the network output g of the pre-step parameters; both
-    updates use pre-step c and w (simultaneous update).
+    updates use pre-step c and w (simultaneous update).  The step is that of
+    a ``_Lockstep`` batch of one on ``ens``'s own arrays.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (ens.d,):
         raise RejectedInputError(f"sample has shape {x.shape}, expected ({ens.d},)")
-    dc, u = step_increments(ens, x, y)
     state = _Lockstep(ens.c[None], ens.w[None], ens.activation, ens.alpha,
                       ens.step)
+    x = x[None]
     try:
-        state.push(x[None], dc[None], u[None])
+        state.push(x, *step_increments(state, y, state.preactivations(x)))
         state.fold()
     finally:
         ens.step = state.step
     return ens
 
 
-def step_increments(ens, x: np.ndarray, y, z: np.ndarray | None = None
+def step_increments(state: _Lockstep, y, z: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The increments of one step at sample (x, y) from the pre-step state:
-    dc (N,) and the factor u (N,) of the rank-one dw = u x^T.
+    """The increments of one step of the batch ``state`` from its pre-step
+    state, given the labels y (R,) and z = w x (R, N): dc (R, N) and the
+    factor u (R, N) of the rank-one dw = u x^T.
 
-    ``ens`` is an ``Ensemble`` or a ``_Lockstep`` batch, whose c, y, z and
-    increments carry a leading replica axis (R, N).  g = (1/N) sum_i c_i
-    sigma(w_i . x) takes the same floats as ``core.network_output``, so a
-    network trained on its own outputs gets y - g = 0 exactly and never
-    moves.  ``z`` is w x when the caller holds w in another form
-    (``_Lockstep.tile_step`` or ``preactivations``); at d >=
-    ``_DEFER_MIN_D`` a teacher's labels take their z from the same tile
-    GEMM as the step's, so the two still agree bit for bit.
+    z comes from ``_Lockstep.tile_step`` or ``preactivations`` and g is
+    ``core.mean_output``: the z and the sum the ``teacher_mean`` labels
+    take too (``data.conditional_mean``), so a network trained on its own
+    outputs gets y - g = 0 exactly and never moves.
     """
-    act = ens.activation
-    if z is None:
-        z = ens.w @ x
+    act = state.activation
     s = act.value(z)
-    # c . s per replica by one BLAS dot each, the floats of s @ c
-    g = np.matmul(s[..., None, :], ens.c[..., :, None])[..., 0, 0] / ens.n
-    coef = np.asarray(ens.alpha / ens.n * (y - g))[..., None]
+    coef = (state.alpha / state.n * (y - mean_output(state.c, s)))[:, None]
     dc = coef * s
-    u = coef * ens.c
+    u = coef * state.c
     u *= activation_deriv(act, z, s, out=s)  # s is spent: sigma' goes there
     return dc, u
 
@@ -454,7 +448,7 @@ def _train(state: _Lockstep, model: DataModel, schedule: TrainSchedule,
                     ys = state.load(sample, i)
                 x, z = state.tile_step()
                 y = ys[:, i % _DEFER_BLOCK]
-            dc, u = step_increments(state, x, y, z)
+            dc, u = step_increments(state, y, z)
             if observer is not None:
                 state.fold()
                 observer(done, state, x, y, dc, u)

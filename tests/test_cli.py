@@ -379,25 +379,44 @@ def test_meanfield_manifest_does_not_depend_on_blas_threads(tmp_path):
     assert "sha256:solution_001.csv" in manifests[0]
 
 
-def test_meanfield_leaves_numpy_ma_unloaded(tmp_path):
-    """A fresh process that runs a tiny ``mfsgd meanfield`` never imports
-    numpy.ma: ``np.unique`` would (10-15 ms on first use), and the snapshot
-    plan takes a sorted set of steps instead."""
+@pytest.mark.parametrize("command,text", [
+    ("train", TRAIN_CFG),
+    ("meanfield", "m=16\nquad_nodes=16\ndt=0.05\nt_horizon=0.25\n"
+                  "mf_snapshots=3\n"),
+    ("verify", MF_CFG),
+    ("mnist-hist", "digit_pair=3,5\nmnist_n_grid=20,40\nt_horizon=0.1\n"
+                   "bins=10\n"),
+    ("picard", "m=64\ndt=0.025\nt_horizon=0.25\nquad_nodes=128\n"
+               "mf_snapshots=5\nmode=picard\npicard_max_iters=4\n"),
+], ids=["train", "meanfield", "verify", "mnist-hist", "picard"])
+def test_commands_leave_numpy_ma_and_scipy_unloaded(idx_files, tmp_path,
+                                                    command, text):
+    """A fresh process that runs a tiny command imports neither numpy.ma
+    (``np.unique`` and ``np.percentile`` would, 10-15 ms on first use) nor
+    any scipy module.  The one exception is a Picard ``meanfield`` at
+    m <= ``EXACT_LIMIT`` paths: its distances and its seed-resampled floor
+    take the exact assignment, which imports scipy.optimize."""
     import meanfield_sgd
     src = str(Path(meanfield_sgd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
-    cfg = _write_cfg(tmp_path, "m=16\nquad_nodes=16\ndt=0.05\n"
-                               "t_horizon=0.25\nmf_snapshots=3\n")
+    images, labels = idx_files
+    cfg = _write_cfg(tmp_path, text + f"images={images}\nlabels={labels}\n")
+    argv = ["meanfield" if command == "picard" else command, "--config", cfg,
+            "--out", str(tmp_path / "out"), "--quiet"]
     code = ("import sys\n"
             "from meanfield_sgd.cli import main\n"
-            f"rc = main(['meanfield', '--config', {cfg!r}, '--out', "
-            f"{str(tmp_path / 'mf')!r}, '--quiet'])\n"
-            "print(rc, 'numpy.ma' in sys.modules)\n")
+            f"rc = main({argv!r})\n"
+            "print(rc, 'numpy.ma' in sys.modules, 'scipy' in sys.modules,\n"
+            "      'scipy.optimize' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    assert out == ["0", "False"]
-    assert (tmp_path / "mf" / "weak_residual.csv").exists()
+    assert out[0] in (("0", "4") if command == "verify" else ("0",))
+    check_manifest(tmp_path / "out")
+    if command == "picard":
+        assert out[3] == "True"
+    else:
+        assert out[1:] == ["False"] * 3
 
 
 def test_image_model_meanfield_finishes_in_seconds(tmp_path):

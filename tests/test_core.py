@@ -10,7 +10,7 @@ import pytest
 from meanfield_sgd import (ConfigError, RandomStreams, RejectedInputError,
                            activation, clamped_polynomial, constant_one,
                            default_init, default_test_functions,
-                           gaussian_bump, network_output, pair, sample_init,
+                           gaussian_bump, mean_output, pair, sample_init,
                            smoothed_coordinate)
 from meanfield_sgd.core import (DIVERGENCE_LIMIT, DivergedError, _clamp_d1,
                                 _clamp_value, activation_deriv,
@@ -20,25 +20,30 @@ TANH = activation("tanh")
 
 
 def test_network_output_two_unit_oracle():
-    # hand value: (tanh(0.5) - tanh(1.0)) / 2
-    got = network_output(np.array([1.0, -1.0]), np.array([[0.5], [1.0]]),
-                         TANH, np.array([1.0]))
+    """The network output through ``mean_output``, the one sum every
+    network output takes; hand value: (tanh(0.5) - tanh(1.0)) / 2."""
+    w, x = np.array([[0.5], [1.0]]), np.array([1.0])
+    got = mean_output(np.array([1.0, -1.0]), TANH.value(w @ x))
     assert got == pytest.approx(-0.1497384993478776, abs=1e-15)
 
 
 def test_network_output_logistic_oracle():
     act = activation("logistic")
-    got = network_output(np.array([2.0]), np.array([[1.0, -1.0]]),
-                         act, np.array([0.5, 0.25]))
+    w, x = np.array([[1.0, -1.0]]), np.array([0.5, 0.25])
+    got = mean_output(np.array([2.0]), act.value(w @ x))
     assert got == pytest.approx(1.1243530017715962, abs=1e-15)
 
 
-def test_network_output_rejects_bad_shapes():
-    c, w = np.array([1.0]), np.array([[1.0, 2.0]])
-    with pytest.raises(RejectedInputError):
-        network_output(c, w, TANH, np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(RejectedInputError):
-        network_output(c, w, TANH, np.array([[1.0, 2.0]]))
+def test_mean_output_is_one_dot_per_row():
+    """Over rows of s, with one c for all rows or one c row per row of s,
+    each output is the floats of (s_row @ c_row) / n."""
+    rng = np.random.default_rng(4)
+    s, c = rng.standard_normal((7, 5, 33)), rng.standard_normal((7, 5, 33))
+    want = np.array([[float(s[i, j] @ c[i, j]) / 33 for j in range(5)]
+                     for i in range(7)])
+    assert np.array_equal(mean_output(c, s), want)
+    assert np.array_equal(mean_output(c[0, 0], s[0]),
+                          [float(row @ c[0, 0]) / 33 for row in s[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from scipy import special
 from meanfield_sgd import (Batch, ConfigError, DataModel, IdxFormatError,
                            InitLaw, RandomStreams, RejectedInputError,
                            activation, default_init, default_model,
-                           from_network, load_mnist_idx, network_output,
+                           from_network, load_mnist_idx, mean_output,
                            noisy_polynomial, sample_data, sample_init,
                            teacher_network)
 from meanfield_sgd.data import (_EXPM2, conditional_mean, ndtri,
@@ -79,7 +79,7 @@ def test_from_network_reproduces_outputs_bit_for_bit():
     model = from_network(ens, ens.activation, noise_scale=0.0)
     batch = sample_data(model, rng, 64)
     for x, y in zip(batch.x, batch.y):
-        assert network_output(ens.c, ens.w, ens.activation, x) == y
+        assert mean_output(ens.c, ens.activation.value(ens.w @ x)) == y
 
 
 def test_model_validation_errors():

@@ -15,7 +15,7 @@ from meanfield_sgd import (EmpiricalMeasure, Ensemble, InitLaw,
                            reconcile_decomposition, run_default, run_study,
                            sample_data, sample_init, solve_selfconsistent)
 from meanfield_sgd import diagnostics, sgd
-from meanfield_sgd.diagnostics import _DecompositionObserver
+from meanfield_sgd.diagnostics import N_BOOT, _ci95, _DecompositionObserver
 from meanfield_sgd.meanfield import (NODE_COLUMNS, Quadrature, drift,
                                      node_arrays, work_buffers)
 from meanfield_sgd.sgd import step_increments
@@ -283,7 +283,7 @@ def test_twin_estimator_is_unbiased(model, init):
     for k in range(steps):
         x, y = sample(k)
         obs(k, state, x, y,
-            *step_increments(state, x, y, state.preactivations(x)))
+            *step_increments(state, y, state.preactivations(x)))
     assert np.all(state.c == ens.c) and np.all(state.w == ens.w)
     quad = freeze_quadrature(QuadratureSpec("fixed-grid", 128 ** 2), model)
     noise_var = model.noise_scale ** 2 / 3.0
@@ -424,7 +424,7 @@ def test_observer_rejects_ensemble_of_other_size(model, init):
     x, y = np.full((3, 2), 0.1), np.zeros(3)
     with pytest.raises(RejectedInputError):
         obs(0, state, x, y,
-            *step_increments(state, x, y, state.preactivations(x)))
+            *step_increments(state, y, state.preactivations(x)))
 
 
 def test_martingale_needs_a_replica(model, init):
@@ -497,6 +497,24 @@ def test_limit_distance_evaluates_the_limit_cloud_once_per_f(
             == limit_distance(study, limit_solution, FS).to_csv_rows())
 
 
+def test_each_study_cloud_is_paired_once_across_tables(study,
+                                                       limit_solution):
+    """``lln_decay`` and ``limit_distance`` read one pairing per study
+    cloud and f: across both tables each counted f meets every study cloud
+    once and the limit cloud once, and both tables' rows are the plain
+    functions' ones."""
+    counted = [counting(f) for f in FS]
+    fs = [f for f, _ in counted]
+    lln = [lln_decay(study, f).to_csv_rows() for f in fs]
+    table = limit_distance(study, limit_solution, fs).to_csv_rows()
+    per_study = [n for n in study.n_grid for _ in range(study.R)]
+    for _, calls in counted:
+        assert (sorted(calls["value"])
+                == sorted(per_study + [limit_solution.n_paths]))
+    assert lln == [lln_decay(study, f).to_csv_rows() for f in FS]
+    assert table == limit_distance(study, limit_solution, FS).to_csv_rows()
+
+
 def test_limit_distance_alpha_zero_is_pure_sampling_noise(model, init):
     """Without training both sides are i.i.d. samples of the same law, so
     every pairing gap must sit within its sampling floor."""
@@ -533,6 +551,20 @@ def test_chaos_alpha_zero_ci_contains_zero(model, init):
         assert table.ci_lo[i] <= 0.0 <= table.ci_hi[i]
     header, rows = table.to_csv_rows()
     assert len(rows) == 2
+
+
+def test_ci95_is_numpys_linear_percentile_bit_for_bit():
+    """The chaos CI reads the floats ``np.percentile(v, [2.5, 97.5])``
+    gives, on 10^4 draws of ``N_BOOT`` values over many scales; every
+    other draw is rounded to one decimal, which makes ties frequent and
+    brings in signed zeros."""
+    rng = np.random.default_rng(37)
+    for k in range(10 ** 4):
+        v = rng.standard_normal(N_BOOT) * 10.0 ** int(rng.integers(-9, 3))
+        if k % 2:
+            v = np.round(v * 10.0 ** -int(rng.integers(-9, 3)), 1)
+        want = [float(q).hex() for q in np.percentile(v, [2.5, 97.5])]
+        assert [q.hex() for q in _ci95(v)] == want, k
 
 
 def _single_pair(clouds, f1, f2, i, j, rng):

@@ -12,7 +12,8 @@ from meanfield_sgd import (DivergedError, Ensemble, InitLaw, RandomStreams,
                            moment_guard, run_default, sample_data, sgd_step,
                            teacher_network, train)
 from meanfield_sgd import sgd
-from meanfield_sgd.core import DIVERGENCE_LIMIT, max_abs
+from meanfield_sgd.core import (_DEFER_BLOCK, _DEFER_MIN_D, DIVERGENCE_LIMIT,
+                                max_abs, mean_output, tile_preactivations)
 
 TANH = activation("tanh")
 
@@ -507,6 +508,33 @@ def test_deferred_interpolation_fixed_point_is_exact():
     assert np.array_equal(ens.w, w0)
 
 
+@pytest.mark.parametrize("kind", ["tanh", "logistic", "smooth-bump"])
+@pytest.mark.parametrize("d", [1, 2, 8, 15, 16, 100])
+def test_fixed_point_and_teacher_labels_at_every_width(d, kind):
+    """On both sides of ``_DEFER_MIN_D`` and for every activation, a network
+    trained on its own outputs for 150 steps (two full tiles and a ragged
+    third at d >= 16) never moves, and the labels of 4100 samples are
+    ``mean_output`` of each row's z, formed as the SGD step forms it: one
+    matrix-vector product per sample below ``_DEFER_MIN_D``, one GEMM per
+    64-row tile of the sample block from it on."""
+    act = activation(kind)
+    rng = np.random.default_rng(80 + d)
+    ens = Ensemble(rng.standard_normal(30), rng.standard_normal((30, d)),
+                   act, alpha=1.0)
+    model = from_network(ens, act, noise_scale=0.0)
+    c0, w0 = ens.c.copy(), ens.w.copy()
+    train(ens, model, TrainSchedule(5.0), np.random.default_rng(81))
+    assert ens.step == 150
+    assert np.array_equal(ens.c, c0) and np.array_equal(ens.w, w0)
+    batch = sample_data(model, np.random.default_rng(82), 4100)
+    for lo in range(0, 4100, _DEFER_BLOCK):
+        tile = batch.x[lo:lo + _DEFER_BLOCK]
+        z = (tile_preactivations(w0, tile) if d >= _DEFER_MIN_D
+             else np.array([w0 @ x for x in tile]))
+        assert np.array_equal(batch.y[lo:lo + _DEFER_BLOCK],
+                              mean_output(c0, act.value(z)))
+
+
 def test_deferred_divergence_step_matches_plain():
     """A blow-up in the middle of a block folds it at that step, so train
     reports the step a plain sgd_step loop stops at.  At alpha=25 it is w
@@ -684,9 +712,10 @@ def test_tile_z_matches_matmul_on_the_plain_weights(monkeypatch,
     seen = []
     real = sgd.step_increments
 
-    def spy(state, x, y, z=None):
-        dc, u = real(state, x, y, z)
-        seen.append((x[0].copy(), z[0].copy(), u[0].copy()))
+    def spy(state, y, z):  # the step's sample is the tile's next row of X
+        dc, u = real(state, y, z)
+        seen.append((state.x[0, state.taken].copy(), z[0].copy(),
+                     u[0].copy()))
         return dc, u
 
     monkeypatch.setattr(sgd, "step_increments", spy)
