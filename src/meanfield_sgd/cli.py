@@ -4,7 +4,10 @@ One flat key=value config file describes a whole experiment; each subcommand
 reads the keys it needs.  A run is fully determined by (config file, seed):
 artifacts embed the config hash, manifests carry per-file checksums and no
 timestamps, so re-running a command into a fresh directory reproduces every
-byte.
+byte.  Every CSV goes through ``measure.write_csv`` and its rows through
+``csv_row`` (a cloud's rows through ``_table_rows``, the same text), and the
+manifest and ``solution_meta.txt`` through ``_write_keys``/``_read_keys``;
+files are written and hashed a row or a block at a time.
 
 Exit codes: 0 ok; 2 config/artifact error or out of memory; 3 diverged or
 non-convergent run; 4 verification failure.
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -28,8 +32,8 @@ from .data import (IdxFormatError, InitLaw, load_mnist_idx,
 from .diagnostics import (CHAOS_MIN_REPLICAS, LLN_MIN_REPLICAS,
                           LLN_MIN_WIDTHS, chaos_table, limit_distance,
                           lln_decay, martingale_decay, moment_bound, run_study)
-from .measure import (EmpiricalMeasure, fmt_float, histogram, histogram_w1,
-                      write_histogram_csv)
+from .measure import (EmpiricalMeasure, csv_row, fmt_float, histogram,
+                      histogram_w1, write_csv, write_histogram_csv)
 from .meanfield import (MeanFieldSolution, Quadrature, QuadratureSpec,
                         freeze_quadrature, frozen_start, picard_iterate,
                         seed_resampled_floor, solve_selfconsistent,
@@ -203,9 +207,27 @@ def _build_model(cfg: dict):
 
 
 def _sha256(path: Path) -> str:
+    """The file's SHA-256, read in 1 MiB blocks."""
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
     return h.hexdigest()
+
+
+def _write_keys(path: Path, entries: dict):
+    """The one key=value file format: a line per key, in sorted order."""
+    with open(path, "w") as fh:
+        for key in sorted(entries):
+            fh.write(f"{key}={entries[key]}\n")
+
+
+def _read_keys(path: Path) -> dict:
+    """The entries of a file ``_write_keys`` wrote; a line without ``=`` is
+    skipped."""
+    with open(path) as fh:
+        return dict(line.rstrip("\n").split("=", 1) for line in fh
+                    if "=" in line)
 
 
 def write_manifest(out: Path, cfg_hash: str, seed: int, extra: dict | None = None):
@@ -220,20 +242,14 @@ def write_manifest(out: Path, cfg_hash: str, seed: int, extra: dict | None = Non
     for file in sorted(out.rglob("*")):
         if file.is_file() and file.name != "manifest.txt":
             lines[f"sha256:{file.relative_to(out)}"] = _sha256(file)
-    text = "\n".join(f"{k}={v}" for k, v in sorted(lines.items())) + "\n"
-    (out / "manifest.txt").write_text(text)
+    _write_keys(out / "manifest.txt", lines)
 
 
 def read_manifest(out: Path) -> dict:
     path = out / "manifest.txt"
     if not path.exists():
         raise ConfigError(f"{out}: missing manifest.txt")
-    entries = {}
-    for line in path.read_text().splitlines():
-        if "=" in line:
-            k, v = line.split("=", 1)
-            entries[k] = v
-    return entries
+    return _read_keys(path)
 
 
 def check_manifest(out: Path):
@@ -253,12 +269,6 @@ def check_manifest(out: Path):
     return entries
 
 
-def _write_csv(path: Path, header: str, rows, cfg_hash: str):
-    lines = [f"# config_hash={cfg_hash}", header]
-    lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _write_weak_residuals(path: Path, sol: MeanFieldSolution, fs,
                           cfg_hash: str) -> float:
     """One row per test function of ``fs``: the weak-form residual of
@@ -267,41 +277,35 @@ def _write_weak_residuals(path: Path, sol: MeanFieldSolution, fs,
     for f, (resid, norm) in zip(fs, weak_residuals(sol, fs)):
         rel = resid / norm if norm > 0 else 0.0
         worst = max(worst, rel)
-        rows.append(f"{f.label},{fmt_float(resid)},{fmt_float(norm)},"
-                    f"{fmt_float(rel)}")
-    _write_csv(path, "f,residual,normalizer,relative", rows, cfg_hash)
+        rows.append(csv_row(f.label, resid, norm, rel))
+    write_csv(path, "f,residual,normalizer,relative", rows, cfg_hash)
     return worst
 
 
-def _copy_weak_residuals(src: Path, out: Path) -> float:
-    """Copy the weak-residual table of the solution in ``src`` into ``out``
-    and return its largest relative residual.  ``mfsgd meanfield`` wrote
-    that table for the same test functions, and the caller has checked its
-    checksum, config hash and seed, so these are the bytes and the value
-    ``_write_weak_residuals`` would give."""
-    text = (src / "weak_residual.csv").read_text()
-    (out / "weak_residual.csv").write_text(text)
-    rel = [float(row.rsplit(",", 1)[1]) for row in text.splitlines()[2:]]
-    return max([0.0] + rel)
-
-
-def _table_rows(columns) -> list[str]:
+def _table_rows(columns):
     """One CSV row per row of the stacked ``columns``, each value written as
-    ``fmt_float`` writes it (``tolist`` gives the same Python floats).  Rows
-    are converted one at a time, so no Python float outlives its row."""
-    return [",".join(map(repr, row.tolist())) for row in np.column_stack(columns)]
+    ``fmt_float`` writes it (``tolist`` gives the same Python floats, and
+    ``repr`` of a Python float is ``fmt_float``).  Rows are made one at a
+    time as the writer asks, so no row outlives its write."""
+    for row in np.column_stack(columns):
+        yield ",".join(map(repr, row.tolist()))
 
 
 def write_cloud_csv(path: Path, cloud: EmpiricalMeasure, cfg_hash: str):
     header = "c," + ",".join(f"w_{j + 1}" for j in range(cloud.d))
-    _write_csv(path, header, _table_rows((cloud.c, cloud.w)), cfg_hash)
+    write_csv(path, header, _table_rows((cloud.c, cloud.w)), cfg_hash)
 
 
-def _read_table(path: Path) -> np.ndarray:
-    """The (rows, columns) floats of a CSV that ``_write_csv`` wrote: its
-    comment line and header are skipped, and every value parses as float()
-    parses it."""
-    return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+def _read_table(path: Path, usecols=None) -> np.ndarray:
+    """The (rows, columns) floats of a CSV that ``write_csv`` wrote, or of
+    its ``usecols``: its comment line and header are skipped, and every
+    value parses as float() parses it.  A cell that does not parse is a
+    ConfigError naming the file."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2,
+                          usecols=usecols)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def read_cloud_csv(path: Path) -> EmpiricalMeasure:
@@ -314,9 +318,9 @@ def save_solution(sol: MeanFieldSolution, out: Path, cfg_hash: str):
     for i in range(sol.times.shape[0]):
         write_cloud_csv(out / f"solution_{i:03d}.csv", sol.slice(i), cfg_hash)
     quad_header = ",".join(f"x_{j + 1}" for j in range(sol.quad.x.shape[1])) + ",y"
-    _write_csv(out / "quadrature.csv", quad_header,
-               _table_rows((sol.quad.x, sol.quad.y)), cfg_hash)
-    meta = {
+    write_csv(out / "quadrature.csv", quad_header,
+              _table_rows((sol.quad.x, sol.quad.y)), cfg_hash)
+    _write_keys(out / "solution_meta.txt", {
         "times": ",".join(fmt_float(t) for t in sol.times),
         "dt": fmt_float(sol.dt),
         "m_paths": str(sol.n_paths),
@@ -325,31 +329,39 @@ def save_solution(sol: MeanFieldSolution, out: Path, cfg_hash: str):
         "quad_mode": sol.quad.spec.mode,
         "quad_nodes": str(sol.quad.spec.n_nodes),
         "max_rate": fmt_float(sol.max_rate),
-    }
-    text = "\n".join(f"{k}={v}" for k, v in sorted(meta.items())) + "\n"
-    (out / "solution_meta.txt").write_text(text)
+    })
 
 
 def load_solution(out: Path) -> MeanFieldSolution:
+    """The solution ``save_solution`` wrote to ``out``.  A missing key, a
+    number that does not parse or a slice shaped unlike the first is a
+    ConfigError naming the file."""
     meta_path = out / "solution_meta.txt"
     if not meta_path.exists():
         raise ConfigError(
             f"{out}: no mean-field solution found; run `mfsgd meanfield "
             f"--config <same config> --out {out}` first")
-    meta = dict(line.split("=", 1) for line in meta_path.read_text().splitlines()
-                if "=" in line)
-    times = np.array(_list(meta, "times", float))
-    slices = [read_cloud_csv(out / f"solution_{i:03d}.csv")
-              for i in range(times.shape[0])]
+    meta = _read_keys(meta_path)
+    try:
+        times = np.array([float(t) for t in meta["times"].split(",")])
+        spec = QuadratureSpec(meta["quad_mode"], int(meta["quad_nodes"]))
+        act = activation(meta["activation"])
+        alpha, dt, max_rate = (float(meta[k]) for k in ("alpha", "dt", "max_rate"))
+    except KeyError as exc:
+        raise ConfigError(f"{meta_path}: missing key {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{meta_path}: {exc}") from exc
+    slices = []
+    for i in range(times.shape[0]):
+        path = out / f"solution_{i:03d}.csv"
+        slices.append(read_cloud_csv(path))
+        if slices[i].w.shape != slices[0].w.shape:
+            raise ConfigError(f"{path}: {slices[i].n} atoms in d={slices[i].d}, "
+                              f"slice 0 has {slices[0].n} in d={slices[0].d}")
     qdata = _read_table(out / "quadrature.csv")
-    spec = QuadratureSpec(meta["quad_mode"], int(meta["quad_nodes"]))
-    quad = Quadrature(qdata[:, :-1], qdata[:, -1], spec)
     return MeanFieldSolution(
-        times,
-        np.stack([s.c for s in slices]),
-        np.stack([s.w for s in slices]),
-        quad, activation(meta["activation"]), float(meta["alpha"]),
-        float(meta["dt"]), float(meta["max_rate"]))
+        times, np.stack([s.c for s in slices]), np.stack([s.w for s in slices]),
+        Quadrature(qdata[:, :-1], qdata[:, -1], spec), act, alpha, dt, max_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +391,8 @@ def cmd_train(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
         write_cloud_csv(out / f"snapshot_{i:03d}.csv", cloud, chash)
         write_histogram_csv(histogram(cloud, "c", cfg["bins"]),
                             out / f"hist_c_{i:03d}.csv", chash)
-    trace_rows = [f"{k},{fmt_float(v)}" for k, v in enumerate(result.moment_trace)]
-    _write_csv(out / "moment_trace.csv", "step,moment_guard", trace_rows, chash)
+    write_csv(out / "moment_trace.csv", "step,moment_guard",
+              (csv_row(k, v) for k, v in enumerate(result.moment_trace)), chash)
     write_manifest(out, chash, seed, {"status": "ok"})
     if not quiet:
         print(f"train: {len(result.snapshots)} snapshots, "
@@ -430,9 +442,8 @@ def cmd_meanfield(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     sol, distances, status = _solve_limit(cfg, model, init, act, streams)
     out.mkdir(parents=True, exist_ok=True)
     if distances is not None:
-        dist_rows = [f"{i},{fmt_float(d)}" for i, d in enumerate(distances)]
-        _write_csv(out / "picard_distances.csv", "iteration,distance",
-                   dist_rows, chash)
+        write_csv(out / "picard_distances.csv", "iteration,distance",
+                  (csv_row(i, d) for i, d in enumerate(distances)), chash)
     save_solution(sol, out, chash)
     _write_weak_residuals(out / "weak_residual.csv", sol,
                           default_test_functions(model.d), chash)
@@ -468,6 +479,10 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
                 raise ConfigError(f"{mf_dir}: artifacts were produced with "
                                   f"{key}={entries.get(key)}, this run has {want}")
         sol, status = load_solution(mf_dir), entries.get("status")
+        # meanfield wrote this table for the same test functions, so its
+        # largest relative residual is the one _write_weak_residuals gives
+        worst = float(np.max(_read_table(mf_dir / "weak_residual.csv", -1),
+                             initial=0.0))
     else:
         sol, _, status = _solve_limit(cfg, model, init, act, streams)
     if status != "ok":
@@ -485,8 +500,7 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     # variance decay of pairings
     for f in fs:
         table = lln_decay(study, f)
-        header, rows = table.to_csv_rows()
-        _write_csv(out / f"lln_{_slug(f.label)}.csv", header, rows, chash)
+        write_csv(out / f"lln_{_slug(f.label)}.csv", *table.to_csv_rows(), chash)
         if table.slope is None:
             _check(checks, f"lln-slope[{f.label}]", True,
                    "degenerate: zero variance at some N")
@@ -496,8 +510,7 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
 
     # parameter-moment boundedness
     mb = moment_bound(study)
-    header, rows = mb.to_csv_rows()
-    _write_csv(out / "moment_bound.csv", header, rows, chash)
+    write_csv(out / "moment_bound.csv", *mb.to_csv_rows(), chash)
     _check(checks, "moment-bound", mb.spread <= 1.5 and not mb.increasing,
            f"spread={mb.spread:.3f} increasing={mb.increasing}")
 
@@ -505,8 +518,7 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     # fluctuation term is structurally zero
     mart = martingale_decay(model, init, fs[1], mart_grid, T,
                             cfg["mart_replicas"], streams, alpha=alpha, act=act)
-    header, rows = mart.to_csv_rows()
-    _write_csv(out / "martingale.csv", header, rows, chash)
+    write_csv(out / "martingale.csv", *mart.to_csv_rows(), chash)
     if float(np.max(mart.m1_sq)) <= 1e-28 and float(np.max(mart.m2_sq)) <= 1e-28:
         _check(checks, "martingale-ratio", True, "degenerate: fluctuations are 0")
     else:
@@ -521,12 +533,11 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     if mf_dir is None:
         worst = _write_weak_residuals(out / "weak_residual.csv", sol, fs, chash)
     else:
-        worst = _copy_weak_residuals(mf_dir, out)
+        shutil.copyfile(mf_dir / "weak_residual.csv", out / "weak_residual.csv")
     _check(checks, "weak-residual", worst <= 0.05, f"max relative {worst:.4f}")
 
     lim = limit_distance(study, sol, fs)
-    header, rows = lim.to_csv_rows()
-    _write_csv(out / "limit_distance.csv", header, rows, chash)
+    write_csv(out / "limit_distance.csv", *lim.to_csv_rows(), chash)
     for f in fs:
         series = lim.gap_series(f.label, T)
         mono = bool(np.all(np.diff(series) <= 1e-12))
@@ -538,8 +549,7 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
                f"floor={floor:.4f} se={se:.4f}")
 
     chaos = chaos_table(study, fs[0], fs[1], cfg["chaos_replicas"])
-    header, rows = chaos.to_csv_rows()
-    _write_csv(out / "chaos.csv", header, rows, chash)
+    write_csv(out / "chaos.csv", *chaos.to_csv_rows(), chash)
     dec = bool(np.all(np.diff(np.abs(chaos.cov)) < 0))
     covers = chaos.ci_lo[-1] <= 0.0 <= chaos.ci_hi[-1]
     cov_txt = ",".join(f"{v:.2e}" for v in np.abs(chaos.cov))
@@ -578,10 +588,9 @@ def cmd_mnist_hist(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
                                   streams).snapshots[-1][1], "c", cfg["bins"])
         write_histogram_csv(h, out / f"hist_c_n{n}.csv", chash)
         hists.append((n, h))
-    rows = []
-    for (n_small, h_small), (n_large, h_large) in zip(hists, hists[1:]):
-        rows.append(f"{n_small},{n_large},{fmt_float(histogram_w1(h_small, h_large))}")
-    _write_csv(out / "hist_w1.csv", "n_small,n_large,w1", rows, chash)
+    rows = [csv_row(n_small, n_large, histogram_w1(h_small, h_large))
+            for (n_small, h_small), (n_large, h_large) in zip(hists, hists[1:])]
+    write_csv(out / "hist_w1.csv", "n_small,n_large,w1", rows, chash)
     write_manifest(out, chash, seed, {"status": "ok"})
     if not quiet:
         for row in rows:

@@ -10,6 +10,7 @@ interval (compact support, so every exponential moment is finite).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -375,7 +376,10 @@ def _rational(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
 
 
 def _read_exact(fh, count: int, what: str, path) -> bytes:
-    buf = fh.read(count)
+    """``count`` bytes of ``fh``.  A count beyond the bytes left in the file
+    reads only those, so a header's size claim never sizes the read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    buf = fh.read(max(0, min(count, left)))
     if len(buf) != count:
         raise OSError(f"{path}: truncated while reading {what}: "
                       f"expected {count} bytes, got {len(buf)}")

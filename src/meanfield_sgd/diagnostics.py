@@ -37,7 +37,7 @@ import numpy as np
 from .core import (Activation, RandomStreams, RejectedInputError,
                    TestFunction, activation)
 from .data import DataModel, InitLaw
-from .measure import fmt_float, pair, resample, sliced_wasserstein
+from .measure import csv_row, pair, resample, sliced_wasserstein
 from .meanfield import MeanFieldSolution
 from .sgd import (_STREAM_CHUNK, TrainSchedule, _draw_chunk, run_default,
                   step_increments)
@@ -143,13 +143,10 @@ class LlnTable:
     slope: float | None     # least squares d log(std) / d log(N)
 
     def to_csv_rows(self):
-        header = "n,mean,std,slope"
-        rows = []
-        for i, n in enumerate(self.n_values):
-            s = "" if self.slope is None else fmt_float(self.slope)
-            rows.append(f"{int(n)},{fmt_float(self.means[i])},"
-                        f"{fmt_float(self.stds[i])},{s}")
-        return header, rows
+        slope = "" if self.slope is None else self.slope
+        return "n,mean,std,slope", [
+            csv_row(int(n), self.means[i], self.stds[i], slope)
+            for i, n in enumerate(self.n_values)]
 
 
 def lln_decay(study: ReplicaStudy, f: TestFunction) -> LlnTable:
@@ -280,11 +277,9 @@ class MartingaleTable:
         return float(vals[i] / vals[j])
 
     def to_csv_rows(self):
-        header = "n,m1_sq,m2_sq,m1_sq_direct,m2_sq_direct"
-        rows = [f"{int(n)},{fmt_float(self.m1_sq[i])},{fmt_float(self.m2_sq[i])},"
-                f"{fmt_float(self.m1_sq_direct[i])},{fmt_float(self.m2_sq_direct[i])}"
-                for i, n in enumerate(self.n_values)]
-        return header, rows
+        return "n,m1_sq,m2_sq,m1_sq_direct,m2_sq_direct", [
+            csv_row(int(n), self.m1_sq[i], self.m2_sq[i], self.m1_sq_direct[i],
+                    self.m2_sq_direct[i]) for i, n in enumerate(self.n_values)]
 
 
 def martingale_decay(model: DataModel, init: InitLaw, f: TestFunction,
@@ -394,14 +389,9 @@ class LimitTable:
                          if abs(r.t - t) <= 1e-9])
 
     def to_csv_rows(self):
-        header = "n,t,w1,f,gap,noise_floor,gap_se"
-        rows = []
-        for r in self.rows:
-            for label, (gap, floor, se) in r.gaps.items():
-                rows.append(f"{r.n},{fmt_float(r.t)},{fmt_float(r.w1)},"
-                            f"{label},{fmt_float(gap)},{fmt_float(floor)},"
-                            f"{fmt_float(se)}")
-        return header, rows
+        return "n,t,w1,f,gap,noise_floor,gap_se", [
+            csv_row(r.n, r.t, r.w1, label, gap, floor, se)
+            for r in self.rows for label, (gap, floor, se) in r.gaps.items()]
 
 
 def limit_distance(study: ReplicaStudy, sol: MeanFieldSolution,
@@ -459,10 +449,9 @@ class ChaosTable:
     ci_hi: np.ndarray
 
     def to_csv_rows(self):
-        header = "n,cov,ci_lo,ci_hi"
-        rows = [f"{int(n)},{fmt_float(self.cov[i])},{fmt_float(self.ci_lo[i])},"
-                f"{fmt_float(self.ci_hi[i])}" for i, n in enumerate(self.n_values)]
-        return header, rows
+        return "n,cov,ci_lo,ci_hi", [
+            csv_row(int(n), self.cov[i], self.ci_lo[i], self.ci_hi[i])
+            for i, n in enumerate(self.n_values)]
 
 
 def chaos_table(study: ReplicaStudy, f1: TestFunction, f2: TestFunction,
@@ -577,10 +566,9 @@ class MomentTable:
         return bool(g[-1] - g[0] > 3.0 * joint)
 
     def to_csv_rows(self):
-        header = "n,max_moment_guard,se"
-        rows = [f"{int(n)},{fmt_float(self.max_guard[i])},{fmt_float(self.se[i])}"
-                for i, n in enumerate(self.n_values)]
-        return header, rows
+        return "n,max_moment_guard,se", [
+            csv_row(int(n), self.max_guard[i], self.se[i])
+            for i, n in enumerate(self.n_values)]
 
 
 def moment_bound(study: ReplicaStudy) -> MomentTable:

@@ -11,6 +11,10 @@ truncated at the aggregate level.  The per-pair truncation has no sliced
 analogue, so the two modes are only calibrated, not identical: the atom
 count alone says which mode produced a number, and a table over sizes that
 must compare like with like calls ``sliced_wasserstein`` at every size.
+
+It also holds the one CSV format of every artifact: ``csv_row`` writes a
+row's cells (floats through ``fmt_float``), and ``write_csv`` writes the
+config-hash line and the header, then streams the rows to the file.
 """
 
 from __future__ import annotations
@@ -32,6 +36,23 @@ _SLICE_ENTROPY = 0x51D_EC0DE  # fixed: sliced directions are part of the method
 def fmt_float(x: float) -> str:
     """Shortest round-trip decimal form; used by every CSV writer."""
     return repr(float(x))
+
+
+def csv_row(*cells) -> str:
+    """One CSV row: floats as ``fmt_float`` writes them, ints and labels as
+    ``str`` does (an int count is ``100``, never ``100.0``)."""
+    return ",".join(fmt_float(cell) if isinstance(cell, (float, np.floating))
+                    else str(cell) for cell in cells)
+
+
+def write_csv(path, header: str, rows, config_hash: str):
+    """The one CSV frame: a ``# config_hash=`` comment line, ``header``, then
+    ``rows`` (strings without a newline), each written as it comes, so a
+    generator of rows is never held whole."""
+    with open(path, "w") as fh:
+        fh.write(f"# config_hash={config_hash}\n{header}\n")
+        for row in rows:
+            fh.write(row + "\n")
 
 
 @dataclass(frozen=True)
@@ -259,12 +280,6 @@ def histogram_w1(h1: Histogram1D, h2: Histogram1D) -> float:
     return float(np.sum(np.abs(cdf_gap) * np.diff(pts)))
 
 
-def write_histogram_csv(h: Histogram1D, path, config_hash: str | None = None):
-    lines = []
-    if config_hash is not None:
-        lines.append(f"# config_hash={config_hash}")
-    lines.append("edge_lo,edge_hi,count")
-    for lo, hi, cnt in zip(h.edges[:-1], h.edges[1:], h.counts):
-        lines.append(f"{fmt_float(lo)},{fmt_float(hi)},{int(cnt)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_histogram_csv(h: Histogram1D, path, config_hash: str):
+    rows = map(csv_row, h.edges[:-1], h.edges[1:], h.counts)
+    write_csv(path, "edge_lo,edge_hi,count", rows, config_hash)

@@ -3,21 +3,29 @@ layout, byte-level reproducibility, manifest integrity, and exit codes."""
 
 import os
 import re
+import shutil
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import meanfield_sgd
 from meanfield_sgd import cli, meanfield
 from meanfield_sgd.cli import (_slug, check_manifest, config_hash,
                                load_solution, main, parse_config,
-                               read_cloud_csv, read_manifest, write_cloud_csv)
-from meanfield_sgd.core import ConfigError
+                               read_cloud_csv, read_manifest, write_cloud_csv,
+                               write_manifest)
+from meanfield_sgd.core import ConfigError, activation
 from meanfield_sgd.measure import EmpiricalMeasure
+from meanfield_sgd.meanfield import (MeanFieldSolution, Quadrature,
+                                     QuadratureSpec)
 from tests.conftest import make_idx_pair, read_histogram_csv
 
 # ---------------------------------------------------------------------------
@@ -157,6 +165,123 @@ def test_cloud_csv_roundtrip_exact(tmp_path):
     back = read_cloud_csv(path)
     assert np.array_equal(back.c, cloud.c) and np.array_equal(back.w, cloud.w)
     assert path.read_text().startswith("# config_hash=feedc0de\nc,w_1,w_2,w_3")
+
+
+# ---------------------------------------------------------------------------
+# artifact text and memory
+
+
+def test_meanfield_artifact_text_is_pinned(tmp_path, monkeypatch):
+    """Every file ``mfsgd meanfield`` writes, as literals: integral floats
+    keep their ``.0``, ``-0.0`` its sign, counts are ints, and a relative
+    residual over a zero normalizer is 0.0.  The solution loads back bit
+    for bit, signed zeros included."""
+    # two paths at two times in d = 2, on two quadrature nodes
+    sol = MeanFieldSolution(
+        np.array([0.0, 0.25]), np.array([[2.0, -0.0], [0.1, 1e-20]]),
+        np.array([[[1.0, -2.5], [-0.0, 0.5]], [[0.5, 100.0], [3.0, -1.0]]]),
+        Quadrature(np.array([[0.5, -0.0], [1.0, 2.0]]), np.array([1.0, -1.0]),
+                   QuadratureSpec("monte-carlo", 2)),
+        activation("tanh"), 1.0, 0.25, 2.0)
+    monkeypatch.setattr(cli, "_solve_limit",
+                        lambda *args: (sol, [0.5, 2.0, -0.0], "ok"))
+    monkeypatch.setattr(cli, "weak_residuals", lambda s, fs: [
+        (0.5, 2.0), (-0.0, 0.0), (3.0, 4.0)])
+    out = tmp_path / "mf"
+    assert main(["meanfield", "--out", str(out), "--quiet"]) == 0
+    head = f"# config_hash={config_hash(parse_config(None))}\n"
+    texts = {f.name: f.read_text() for f in out.iterdir()}
+    del texts["manifest.txt"]
+    assert texts == {
+        "picard_distances.csv": head + "iteration,distance\n"
+                                       "0,0.5\n1,2.0\n2,-0.0\n",
+        "solution_000.csv": head + "c,w_1,w_2\n2.0,1.0,-2.5\n-0.0,-0.0,0.5\n",
+        "solution_001.csv": head + "c,w_1,w_2\n0.1,0.5,100.0\n1e-20,3.0,-1.0\n",
+        "quadrature.csv": head + "x_1,x_2,y\n0.5,-0.0,1.0\n1.0,2.0,-1.0\n",
+        "weak_residual.csv": head + "f,residual,normalizer,relative\n"
+                                    "psi(c),0.5,2.0,0.25\n"
+                                    "psi(c^1*w1^1),-0.0,0.0,0.0\n"
+                                    "bump(s=1.5),3.0,4.0,0.75\n",
+        "solution_meta.txt": "activation=tanh\nalpha=1.0\ndt=0.25\n"
+                             "m_paths=2\nmax_rate=2.0\n"
+                             "quad_mode=monte-carlo\nquad_nodes=2\n"
+                             "times=0.0,0.25\n",
+    }
+    back = load_solution(out)
+    for got, want in ((back.times, sol.times), (back.c, sol.c),
+                      (back.w, sol.w), (back.quad.x, sol.quad.x),
+                      (back.quad.y, sol.quad.y)):
+        assert got.tobytes() == want.tobytes()
+    assert (back.quad.spec, back.act.kind, back.alpha, back.dt,
+            back.max_rate) == (sol.quad.spec, "tanh", 1.0, 0.25, 2.0)
+
+
+def test_train_artifact_text_is_pinned(tmp_path, monkeypatch):
+    """The snapshot cloud and the moment trace of ``mfsgd train``, as
+    literals."""
+    cloud = EmpiricalMeasure(np.array([2.0, -0.0]),
+                             np.array([[0.1, 1e-20], [-1.5, 100.0]]))
+    result = SimpleNamespace(snapshots=[(0.5, cloud)], max_moment=2.0,
+                             moment_trace=np.array([1.5, 2.0, -0.0]))
+    monkeypatch.setattr(cli, "run_default", lambda *args, **kwargs: result)
+    out = tmp_path / "train"
+    assert main(["train", "--out", str(out), "--quiet"]) == 0
+    head = f"# config_hash={config_hash(parse_config(None))}\n"
+    assert (out / "snapshot_000.csv").read_text() == (
+        head + "c,w_1,w_2\n2.0,0.1,1e-20\n-0.0,-1.5,100.0\n")
+    assert (out / "moment_trace.csv").read_text() == (
+        head + "step,moment_guard\n0,1.5\n1,2.0\n2,-0.0\n")
+
+
+def test_manifest_text_is_pinned(tmp_path):
+    """Keys in sorted order, one ``key=value`` line each, read back as
+    written."""
+    (tmp_path / "a.csv").write_text("1\n")
+    write_manifest(tmp_path, "abc123", 7, {"status": "ok"})
+    python = ".".join(str(v) for v in sys.version_info[:3])
+    want = {
+        "config_hash": "abc123",
+        "numpy_version": np.__version__,
+        "package_version": meanfield_sgd.__version__,
+        "python_version": python,
+        "seed": "7",
+        "sha256:a.csv": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9"
+                        "ee954a27460dd865",
+        "status": "ok",
+    }
+    assert (tmp_path / "manifest.txt").read_text() == (
+        "config_hash=abc123\n"
+        f"numpy_version={np.__version__}\n"
+        f"package_version={meanfield_sgd.__version__}\n"
+        f"python_version={python}\n"
+        "seed=7\n"
+        "sha256:a.csv=4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9"
+        "ee954a27460dd865\n"
+        "status=ok\n")
+    assert read_manifest(tmp_path) == want
+
+
+def test_cloud_csv_and_its_checksum_hold_no_whole_file(tmp_path):
+    """A cloud of N = 20000 atoms in d = 50 (a 19 MB file) is written a row
+    at a time: the traced peak is one float64 copy of the cloud plus at
+    most 1 MB.  Its checksum reads 1 MiB blocks and peaks under 2.5 MB."""
+    rng = np.random.default_rng(2)
+    cloud = EmpiricalMeasure(rng.standard_normal(20000),
+                             rng.standard_normal((20000, 50)))
+    path = tmp_path / "cloud.csv"
+    mb = 1 << 20
+    tracemalloc.start()
+    try:
+        write_cloud_csv(path, cloud, "feedc0de")
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cli._sha256(path)
+        hash_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 18 * mb
+    assert write_peak <= cloud.c.nbytes + cloud.w.nbytes + mb, write_peak
+    assert hash_peak <= 2.5 * mb, hash_peak
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +872,56 @@ def test_verify_detects_artifact_corruption(verify_run, tmp_path, capsys):
         victim.write_bytes(good)
 
 
+def _run_child(*argv: str) -> subprocess.CompletedProcess:
+    """``mfsgd *argv`` in a fresh process with a 60 s timeout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "meanfield_sgd.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def _drop_line(prefix: str):
+    return lambda lines: [ln for ln in lines if not ln.startswith(prefix)]
+
+
+def _set_line(i: int, line: str):
+    return lambda lines: lines[:i] + [line] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("victim,edit,why", [
+    ("solution_meta.txt", _drop_line("max_rate="), "missing key 'max_rate'"),
+    ("solution_meta.txt", _set_line(1, "alpha=one\n"), "'one'"),
+    ("solution_001.csv", _set_line(2, "x,0.5,0.5\n"), "'x'"),
+    ("solution_001.csv", lambda lines: lines[:-1], "199 atoms"),
+    ("weak_residual.csv", _set_line(3, "psi(c^1*w1^1),0.1,0.2,oops\n"),
+     "'oops'"),
+], ids=["meta-missing-key", "meta-not-a-number", "slice-not-a-number",
+        "slice-shape", "residual-row"])
+def test_verify_refuses_a_malformed_cache_with_exit_2(verify_run, tmp_path,
+                                                      victim, edit, why):
+    """A ``meanfield_dir=`` whose checksums match its files, but whose
+    metadata lacks a key, holds a cell that is not a number, has a slice
+    shaped unlike the first or a malformed weak-residual row (another
+    package version could write one under the same config hash), is a
+    config error: exit 2 with one ``error:`` line naming the file, before
+    any training and before the output directory is made."""
+    base, cfg, mf_out, _, _ = verify_run
+    cache = tmp_path / "cache"
+    shutil.copytree(mf_out, cache)
+    lines = (cache / victim).read_text().splitlines(keepends=True)
+    (cache / victim).write_text("".join(edit(lines)))
+    entries = read_manifest(cache)
+    write_manifest(cache, entries["config_hash"], int(entries["seed"]),
+                   {"status": entries["status"]})
+    reuse = _write_cfg(tmp_path, MF_CFG + f"meanfield_dir={cache}\n")
+    out = tmp_path / "v"
+    proc = _run_child("verify", "--config", reuse, "--seed", "11",
+                      "--out", str(out), "--quiet")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert victim in proc.stderr and why in proc.stderr, proc.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # mnist-hist
 
@@ -781,6 +956,36 @@ def test_mnist_hist_honours_init_c(idx_files, tmp_path):
                  "--quiet"]) == 0
     hist = read_histogram_csv(out / "hist_c_n20.csv")
     assert hist.edges[-1] - hist.edges[0] < 0.5
+
+
+def test_mnist_hist_row_text_is_pinned(idx_files, tmp_path, monkeypatch):
+    """hist_w1.csv rows are two int widths and a float distance."""
+    images, labels = idx_files
+    distances = iter([2.0, -0.0])
+    monkeypatch.setattr(cli, "histogram_w1", lambda a, b: next(distances))
+    cfg = _write_cfg(tmp_path, f"images={images}\nlabels={labels}\n"
+                               "mnist_n_grid=20,40,80\nt_horizon=0.1\n")
+    out = tmp_path / "mnist"
+    assert main(["mnist-hist", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    assert (out / "hist_w1.csv").read_text() == (
+        f"# config_hash={config_hash(parse_config(cfg))}\n"
+        "n_small,n_large,w1\n20,40,2.0\n40,80,-0.0\n")
+
+
+def test_mnist_hist_idx_size_claim_beyond_the_file_exits_2(idx_files,
+                                                           tmp_path):
+    """An image header claiming (2**32 - 1)**3 bytes in a 16-byte file is a
+    truncated file: exit 2 with one line, no traceback."""
+    _, labels = idx_files
+    images = tmp_path / "claims.idx3-ubyte"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, *[2**32 - 1] * 3))
+    cfg = _write_cfg(tmp_path, f"images={images}\nlabels={labels}\n")
+    proc = _run_child("mnist-hist", "--config", cfg, "--out",
+                      str(tmp_path / "x"), "--quiet")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "truncated" in proc.stderr
+    assert "got 0" in proc.stderr
 
 
 def test_mnist_hist_missing_paths_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Data laws (teacher, polynomial, MNIST-derived), initialization laws with
 their nested-prefix coupling, and the IDX file format."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -274,7 +275,6 @@ def test_idx_bad_magic_names_offset(tmp_path):
 
 
 def test_idx_truncation_reports_byte_counts(tmp_path):
-    import struct
     path = tmp_path / "short"
     path.write_bytes(struct.pack(">IIII", 0x00000803, 10, 28, 28) + b"\x00" * 50)
     with pytest.raises(OSError, match="expected 7840 bytes, got 50"):
@@ -282,6 +282,31 @@ def test_idx_truncation_reports_byte_counts(tmp_path):
     (tmp_path / "tiny").write_bytes(b"\x00\x00")
     with pytest.raises(OSError, match="header"):
         read_idx_labels(tmp_path / "tiny")
+
+
+@pytest.mark.parametrize("read,content,got", [
+    (read_idx_images, struct.pack(">IIII", 0x00000803, *[2**32 - 1] * 3), 0),
+    (read_idx_images, struct.pack(">IIII", 0x00000803, 2**20, 2**10, 2**10)
+     + bytes(100), 100),
+    (read_idx_labels, struct.pack(">II", 0x00000801, 2**32 - 1) + bytes(100),
+     100),
+], ids=["images-2**96", "images-2**40", "labels-2**32"])
+def test_idx_size_claim_beyond_the_file_reads_nothing(tmp_path, read, content,
+                                                      got):
+    """A header claiming more bytes than the file holds is a truncated file,
+    refused with its byte counts and without an allocation of the claimed
+    size: (2**32 - 1)**3 bytes is too large for a read to take at all, and
+    2**40 would try to allocate 1 TiB."""
+    path = tmp_path / "idx"
+    path.write_bytes(content)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OSError, match=f"truncated .* got {got}$"):
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_load_mnist_digit_pair(tmp_path):

@@ -15,7 +15,9 @@ from meanfield_sgd import (EmpiricalMeasure, Ensemble, InitLaw,
                            reconcile_decomposition, run_default, run_study,
                            sample_data, sample_init, solve_selfconsistent)
 from meanfield_sgd import diagnostics, sgd
-from meanfield_sgd.diagnostics import N_BOOT, _ci95, _DecompositionObserver
+from meanfield_sgd.diagnostics import (N_BOOT, ChaosTable, LimitRow,
+                                      LimitTable, LlnTable, MartingaleTable,
+                                      MomentTable, _ci95, _DecompositionObserver)
 from meanfield_sgd.meanfield import (NODE_COLUMNS, Quadrature, drift,
                                      node_arrays, work_buffers)
 from meanfield_sgd.sgd import step_increments
@@ -647,3 +649,45 @@ def test_chaos_table_trains_with_its_study_setup(model, init, setup):
     table = chaos_table(study, FS[0], FS[1], 50)
     assert table.to_csv_rows() == ref.to_csv_rows()
     assert np.array_equal(table.cov, ref.cov)
+
+
+# ---------------------------------------------------------------------------
+# the CSV text of every table
+
+
+def test_table_csv_text_is_pinned():
+    """Each table's header and rows, written out as literals: a width column
+    is an int (``100``, never ``100.0``) even from float ``n_values``, an
+    integral float keeps its ``.0``, ``-0.0`` keeps its sign, and other
+    floats take their shortest round-trip form."""
+    n = np.array([100.0, 400.0])
+    lln = LlnTable("psi(c)", n, np.array([2.0, -0.0]), np.array([0.1, 1e-20]),
+                   None)
+    assert lln.to_csv_rows() == ("n,mean,std,slope",
+                                 ["100,2.0,0.1,", "400,-0.0,1e-20,"])
+    lln.slope = -0.5
+    assert lln.to_csv_rows()[1] == ["100,2.0,0.1,-0.5", "400,-0.0,1e-20,-0.5"]
+
+    mart = MartingaleTable("psi(c)", np.array([200, 800]),
+                           np.array([2.0, 0.25]), np.array([-0.0, 1.0 / 3.0]),
+                           np.array([4.0, 0.5]), np.array([1e-20, 3.0]))
+    assert mart.to_csv_rows() == (
+        "n,m1_sq,m2_sq,m1_sq_direct,m2_sq_direct",
+        ["200,2.0,-0.0,4.0,1e-20", "800,0.25,0.3333333333333333,0.5,3.0"])
+
+    lim = LimitTable([LimitRow(100, 0.25, 2.0, {"psi(c)": (-0.0, 0.5, 0.125),
+                                               "bump(s=1.5)": (1.0, 2.0, 3.0)})])
+    assert lim.to_csv_rows() == (
+        "n,t,w1,f,gap,noise_floor,gap_se",
+        ["100,0.25,2.0,psi(c),-0.0,0.5,0.125",
+         "100,0.25,2.0,bump(s=1.5),1.0,2.0,3.0"])
+
+    chaos = ChaosTable(n, np.array([2.0, -0.0]), np.array([-1.5, -0.25]),
+                       np.array([5.5, 0.25]))
+    assert chaos.to_csv_rows() == ("n,cov,ci_lo,ci_hi",
+                                   ["100,2.0,-1.5,5.5", "400,-0.0,-0.25,0.25"])
+
+    mb = MomentTable(np.array([100, 400]), np.array([2.0, 2.5]),
+                     np.array([-0.0, 0.1]))
+    assert mb.to_csv_rows() == ("n,max_moment_guard,se",
+                                ["100,2.0,-0.0", "400,2.5,0.1"])

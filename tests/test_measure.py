@@ -16,8 +16,9 @@ from meanfield_sgd import (EmpiricalMeasure, Histogram1D, RejectedInputError,
                            sliced_wasserstein, smoothed_coordinate,
                            wasserstein, wasserstein_bruteforce)
 from meanfield_sgd import measure
-from meanfield_sgd.measure import (EXACT_LIMIT, fmt_float,
-                                   sliced_debias_factor, write_histogram_csv)
+from meanfield_sgd.measure import (EXACT_LIMIT, csv_row, fmt_float,
+                                   sliced_debias_factor, write_csv,
+                                   write_histogram_csv)
 from tests.conftest import read_histogram_csv
 
 
@@ -309,6 +310,32 @@ def test_histogram_csv_round_trip(tmp_path):
 def test_fmt_float_round_trips():
     for v in (0.1, 1.0 / 3.0, -2.5e-17, 1e300):
         assert float(fmt_float(v)) == v
+
+
+def test_histogram_csv_text_is_pinned(tmp_path):
+    h = Histogram1D(np.array([-1.0, -0.0, 2.0]), np.array([100, 0]), "c")
+    path = tmp_path / "h.csv"
+    write_histogram_csv(h, path, "abc123")
+    assert path.read_text() == ("# config_hash=abc123\n"
+                                "edge_lo,edge_hi,count\n"
+                                "-1.0,-0.0,100\n"
+                                "-0.0,2.0,0\n")
+
+
+def test_csv_row_writes_floats_through_fmt_float_and_the_rest_through_str():
+    assert csv_row(100, np.int64(7), 2.0, np.float64(-0.0), np.float32(0.5),
+                   1.0 / 3.0, 1e-20, "psi(c)", "") == (
+        "100,7,2.0,-0.0,0.5,0.3333333333333333,1e-20,psi(c),")
+
+
+def test_write_csv_frames_a_stream_of_rows(tmp_path):
+    """The comment line and the header come first, then each row the
+    iterator yields, one per line."""
+    path = tmp_path / "t.csv"
+    write_csv(path, "step,value", (csv_row(k, v) for k, v in
+                                   enumerate([2.0, -0.0])), "feedc0de")
+    assert path.read_text() == ("# config_hash=feedc0de\nstep,value\n"
+                                "0,2.0\n1,-0.0\n")
 
 
 def test_cli_import_leaves_scipy_optimize_out():
