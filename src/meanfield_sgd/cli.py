@@ -9,8 +9,15 @@ byte.  Every CSV goes through ``measure.write_csv`` and its rows through
 manifest and ``solution_meta.txt`` through ``_write_keys``/``_read_keys``;
 files are written and hashed a row or a block at a time.
 
-Exit codes: 0 ok; 2 config/artifact error or out of memory; 3 diverged or
-non-convergent run; 4 verification failure.
+Every run ends in ``main``: a ``cmd_*`` returns a status and its summary
+lines, and ``main`` writes the manifest with that status, prints the summary
+unless --quiet and exits with the status's code (``_EXIT_CODES``).  A run
+that diverges after its output directory exists ends there too, with
+``DIVERGED`` (step=k) and a status=diverged manifest; one that diverges
+earlier, like one refused, leaves no directory.
+
+Exit codes: 0 ok; 2 refused config, i/o error or out of memory; 3 diverged
+or not converged; 4 failed verification.
 """
 
 from __future__ import annotations
@@ -298,14 +305,30 @@ def write_cloud_csv(path: Path, cloud: EmpiricalMeasure, cfg_hash: str):
 
 def _read_table(path: Path, usecols=None) -> np.ndarray:
     """The (rows, columns) floats of a CSV that ``write_csv`` wrote, or of
-    its ``usecols``: its comment line and header are skipped, and every
-    value parses as float() parses it.  A cell that does not parse is a
-    ConfigError naming the file."""
+    its ``usecols`` (None or one column index): its comment line and header
+    are skipped, and every value parses as float() parses it.  A row that
+    does not read is a ConfigError naming the file and its line."""
     try:
         return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2,
                           usecols=usecols)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except ValueError:
+        # numpy counts data rows, not file lines, and advises on its own
+        # arguments: find the first line loadtxt refused by reading it again
+        pass
+    with open(path) as fh:  # the lines loadtxt reads as rows
+        rows = [(n, line.split(",")) for n, line in enumerate(fh, 1)
+                if n > 2 and line.strip() and not line.lstrip().startswith("#")]
+    for lineno, cells in rows:
+        if usecols is None and len(cells) != len(rows[0][1]):
+            raise ConfigError(f"{path}:{lineno}: expected {len(rows[0][1])} "
+                              f"columns, found {len(cells)}")
+        for cell in cells if usecols is None else [cells[usecols]]:
+            try:
+                float(cell)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: {cell.strip()!r} is not "
+                                  f"a number") from None
+    raise ConfigError(f"{path}: not a table of numbers")
 
 
 def read_cloud_csv(path: Path) -> EmpiricalMeasure:
@@ -365,39 +388,34 @@ def load_solution(out: Path) -> MeanFieldSolution:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (cfg, streams, config hash, out) from ``main`` and
+# returns (status, summary lines); ``main`` ends every run
 
 
-def cmd_train(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
-    streams = RandomStreams(seed)
+class LimitStatusError(Exception):
+    """The mean-field limit ``verify`` would check against has a status
+    other than ok: exit 3 before any training or output."""
+
+
+def cmd_train(cfg: dict, streams: RandomStreams, chash: str,
+              out: Path) -> tuple[str, list[str]]:
     model, init, act = _build_model(cfg)
-    chash = config_hash(cfg)
     _at_least("train", ("n", cfg["n"], 1), ("bins", cfg["bins"], 2))
     _histogram_fits("train", cfg["bins"])
     times = tuple(_list(cfg, "snapshot_times", float)) or (cfg["t_horizon"],)
     schedule = TrainSchedule(cfg["t_horizon"], (0.0,) + times)
     schedule.n_steps(cfg["n"])  # refuses a horizon too long to count
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        result = run_default(model, init, act, cfg["alpha"], cfg["n"], schedule,
-                             streams, record_moments=True)
-    except DivergedError as exc:
-        (out / "DIVERGED").write_text(f"step={exc.step}\n")
-        write_manifest(out, chash, seed, {"status": "diverged"})
-        if not quiet:
-            print(f"diverged at step {exc.step}", file=sys.stderr)
-        return 3
+    result = run_default(model, init, act, cfg["alpha"], cfg["n"], schedule,
+                         streams, record_moments=True)
     for i, (t, cloud) in enumerate(result.snapshots):
         write_cloud_csv(out / f"snapshot_{i:03d}.csv", cloud, chash)
         write_histogram_csv(histogram(cloud, "c", cfg["bins"]),
                             out / f"hist_c_{i:03d}.csv", chash)
     write_csv(out / "moment_trace.csv", "step,moment_guard",
               (csv_row(k, v) for k, v in enumerate(result.moment_trace)), chash)
-    write_manifest(out, chash, seed, {"status": "ok"})
-    if not quiet:
-        print(f"train: {len(result.snapshots)} snapshots, "
-              f"max moment {result.max_moment:.4f} -> {out}")
-    return 0
+    return "ok", [f"train: {len(result.snapshots)} snapshots, "
+                  f"max moment {result.max_moment:.4f} -> {out}"]
 
 
 def _solve_limit(cfg: dict, model, init, act, streams: RandomStreams):
@@ -435,10 +453,9 @@ def _solve_limit(cfg: dict, model, init, act, streams: RandomStreams):
             "ok" if res.converged else "picard-not-converged")
 
 
-def cmd_meanfield(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
-    streams = RandomStreams(seed)
+def cmd_meanfield(cfg: dict, streams: RandomStreams, chash: str,
+                  out: Path) -> tuple[str, list[str]]:
     model, init, act = _build_model(cfg)
-    chash = config_hash(cfg)
     sol, distances, status = _solve_limit(cfg, model, init, act, streams)
     out.mkdir(parents=True, exist_ok=True)
     if distances is not None:
@@ -447,21 +464,17 @@ def cmd_meanfield(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     save_solution(sol, out, chash)
     _write_weak_residuals(out / "weak_residual.csv", sol,
                           default_test_functions(model.d), chash)
-    write_manifest(out, chash, seed, {"status": status})
-    if not quiet:
-        print(f"meanfield[{cfg['mode']}]: {sol.times.shape[0]} slices -> {out} "
-              f"({status})")
-    return 0 if status == "ok" else 3
+    return status, [f"meanfield[{cfg['mode']}]: {sol.times.shape[0]} slices "
+                    f"-> {out} ({status})"]
 
 
 def _check(checks: list, name: str, passed: bool, detail: str):
     checks.append((name, bool(passed), detail))
 
 
-def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
-    streams = RandomStreams(seed)
+def cmd_verify(cfg: dict, streams: RandomStreams, chash: str,
+               out: Path) -> tuple[str, list[str]]:
     model, init, act = _build_model(cfg)
-    chash = config_hash(cfg)
     n_grid, mart_grid = _increasing(cfg, "n_grid"), _increasing(cfg, "mart_n_grid")
     _at_least("verify", ("replicas", cfg["replicas"], LLN_MIN_REPLICAS),
               ("chaos_replicas", cfg["chaos_replicas"], CHAOS_MIN_REPLICAS),
@@ -474,7 +487,7 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     mf_dir = Path(cfg["meanfield_dir"]) if cfg["meanfield_dir"] else None
     if mf_dir is not None:
         entries = check_manifest(mf_dir)
-        for key, want in (("config_hash", chash), ("seed", str(seed))):
+        for key, want in (("config_hash", chash), ("seed", str(streams.seed))):
             if entries.get(key) != want:
                 raise ConfigError(f"{mf_dir}: artifacts were produced with "
                                   f"{key}={entries.get(key)}, this run has {want}")
@@ -486,9 +499,7 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     else:
         sol, _, status = _solve_limit(cfg, model, init, act, streams)
     if status != "ok":
-        print(f"error: the mean-field limit has status={status}",
-              file=sys.stderr)
-        return 3
+        raise LimitStatusError(f"the mean-field limit has status={status}")
     out.mkdir(parents=True, exist_ok=True)
     alpha, T = cfg["alpha"], cfg["t_horizon"]
     fs = default_test_functions(model.d)
@@ -557,23 +568,17 @@ def cmd_verify(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
            f"|cov|=[{cov_txt}] "
            f"top-N CI [{chaos.ci_lo[-1]:.2e},{chaos.ci_hi[-1]:.2e}]")
 
-    report = []
-    for name, passed, detail in checks:
-        report.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+    report = [f"{'PASS' if passed else 'FAIL'} {name}: {detail}"
+              for name, passed, detail in checks]
     (out / "report.txt").write_text("\n".join(report) + "\n")
-    write_manifest(out, chash, seed,
-                   {"status": "ok" if all(p for _, p, _ in checks) else "failed"})
-    if not quiet:
-        print("\n".join(report))
-    return 0 if all(p for _, p, _ in checks) else 4
+    return "ok" if all(p for _, p, _ in checks) else "failed", report
 
 
-def cmd_mnist_hist(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
-    streams = RandomStreams(seed)
+def cmd_mnist_hist(cfg: dict, streams: RandomStreams, chash: str,
+                   out: Path) -> tuple[str, list[str]]:
     model = _load_mnist(cfg)
     act = activation(cfg["activation"])
     init = _init_law(cfg, model.d)
-    chash = config_hash(cfg)
     n_grid = _list(cfg, "mnist_n_grid", int)
     _at_least("mnist-hist", ("bins", cfg["bins"], 2),
               ("mnist_n_grid widths", len(n_grid), 1),
@@ -591,27 +596,22 @@ def cmd_mnist_hist(cfg: dict, seed: int, out: Path, quiet: bool) -> int:
     rows = [csv_row(n_small, n_large, histogram_w1(h_small, h_large))
             for (n_small, h_small), (n_large, h_large) in zip(hists, hists[1:])]
     write_csv(out / "hist_w1.csv", "n_small,n_large,w1", rows, chash)
-    write_manifest(out, chash, seed, {"status": "ok"})
-    if not quiet:
-        for row in rows:
-            print("w1:", row)
-    return 0
+    return "ok", [f"w1: {row}" for row in rows]
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
+_COMMANDS = {"train": cmd_train, "meanfield": cmd_meanfield,
+             "verify": cmd_verify, "mnist-hist": cmd_mnist_hist}
+
+#: the exit code of each status a command returns; a divergence is 3 too
+_EXIT_CODES = {"ok": 0, "picard-not-converged": 3, "failed": 4}
+
 #: how numpy's messages begin when an array's size overflows its index type
 _TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded",
             "Maximum allowed size exceeded")
-
-
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", default=None, help="key=value config file")
-    sub.add_argument("--seed", type=int, default=0, help="64-bit run seed")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--quiet", action="store_true")
 
 
 def main(argv=None) -> int:
@@ -620,41 +620,52 @@ def main(argv=None) -> int:
         description="Wide-network SGD particle system, its large-N limit, "
                     "and statistical verification runs")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "meanfield", "verify", "mnist-hist"):
-        _add_common(subs.add_parser(name))
+    for name in _COMMANDS:
+        sub = subs.add_parser(name)
+        sub.add_argument("--config", default=None, help="key=value config file")
+        sub.add_argument("--seed", type=int, default=0, help="64-bit run seed")
+        sub.add_argument("--out", default=None, help="output directory")
+        sub.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    dispatch = {
-        "train": cmd_train,
-        "meanfield": cmd_meanfield,
-        "verify": cmd_verify,
-        "mnist-hist": cmd_mnist_hist,
-    }
     try:
         cfg = parse_config(args.config)
         # every command trains or solves at this rate: refuse it before any
         # work and before any output directory
         _at_least(args.command, ("alpha", cfg["alpha"], 0))
+        streams, chash = RandomStreams(args.seed), config_hash(cfg)
         out = Path(args.out) if args.out else Path(
-            f"runs/{args.command}-{config_hash(cfg)[:8]}-s{args.seed}")
-        return dispatch[args.command](cfg, args.seed, out, args.quiet)
+            f"runs/{args.command}-{chash[:8]}-s{args.seed}")
+        try:
+            status, summary = _COMMANDS[args.command](cfg, streams, chash, out)
+        except DivergedError as exc:
+            # a divergence after the output directory exists is recorded there
+            if out.exists():
+                (out / "DIVERGED").write_text(f"step={exc.step}\n")
+                write_manifest(out, chash, args.seed, {"status": "diverged"})
+            raise
+        write_manifest(out, chash, args.seed, {"status": status})
+        if not args.quiet:
+            for line in summary:
+                print(line)
+        return _EXIT_CODES[status]
     except (ConfigError, RejectedInputError, IdxFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (MemoryError, ValueError) as exc:
         # numpy refuses an array whose size overflows its index type with a
         # ValueError, not a MemoryError; any other one is a bug and raises
-        if not str(exc).startswith(_TOO_BIG):
+        if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_BIG):
             raise
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except DivergedError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
+        return 3
+    except LimitStatusError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -335,13 +335,55 @@ def test_train_alpha_zero_leaves_histogram_fixed(tmp_path):
     assert first == last
 
 
-def test_train_divergence_exit_3(tmp_path):
+def test_train_divergence_exit_3(tmp_path, capsys):
+    """A diverged ``train`` leaves DIVERGED and a checked status=diverged
+    manifest, and prints the one ``diverged:`` line under --quiet too."""
     cfg = _write_cfg(tmp_path, "n=32\nt_horizon=0.5\nalpha=1e16\n")
     out = tmp_path / "boom"
     rc = main(["train", "--config", cfg, "--out", str(out), "--quiet"])
     assert rc == 3
     assert (out / "DIVERGED").read_text().startswith("step=")
-    assert read_manifest(out)["status"] == "diverged"
+    assert check_manifest(out)["status"] == "diverged"
+    assert capsys.readouterr().err.startswith(
+        "diverged: parameters exceeded 1e+12 at step ")
+
+
+#: runs that diverge after their output directory exists: verify in its
+#: replica study, mnist-hist in its first width
+_DIVERGE_LATE = {
+    "verify": "alpha=1000\nm=16\nquad_nodes=16\ndt=0.0001\nt_horizon=0.25\n"
+              "mf_snapshots=3\nn_grid=8,16,32\nreplicas=20\n"
+              "chaos_replicas=50\nmart_n_grid=8,16\nmart_replicas=2\n",
+    "mnist-hist": "mnist_n_grid=20,40\nt_horizon=0.5\nbins=10\nalpha=1e13\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DIVERGE_LATE))
+def test_every_command_records_a_divergence_after_output(tmp_path, capsys,
+                                                         command):
+    """``main`` ends every run: a divergence after the output directory
+    exists leaves DIVERGED (step=k) and a status=diverged manifest whose
+    checksums hold, whichever command diverged, and exits 3."""
+    images, labels = make_idx_pair(tmp_path, n_per_class=60)
+    cfg = _write_cfg(tmp_path, f"images={images}\nlabels={labels}\n"
+                               + _DIVERGE_LATE[command])
+    out = tmp_path / "out"
+    rc = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    assert rc == 3 and capsys.readouterr().err.startswith("diverged: ")
+    assert re.fullmatch(r"step=\d+\n", (out / "DIVERGED").read_text())
+    assert check_manifest(out)["status"] == "diverged"
+
+
+def test_divergence_before_output_makes_no_directory(tmp_path, capsys):
+    """The Euler solve diverges before ``meanfield`` makes its output
+    directory: exit 3 and nothing on disk."""
+    cfg = _write_cfg(tmp_path, "m=16\nquad_nodes=16\ndt=0.05\nt_horizon=0.25\n"
+                               "mf_snapshots=3\nalpha=1e12\n")
+    out = tmp_path / "out"
+    assert main(["meanfield", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("diverged: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,line", [
@@ -892,18 +934,21 @@ def _set_line(i: int, line: str):
     ("solution_meta.txt", _set_line(1, "alpha=one\n"), "'one'"),
     ("solution_001.csv", _set_line(2, "x,0.5,0.5\n"), "'x'"),
     ("solution_001.csv", lambda lines: lines[:-1], "199 atoms"),
+    ("solution_001.csv", _set_line(3, "0.1,0.2,0.3,0.4\n"),
+     "solution_001.csv:4: expected 3 columns, found 4"),
     ("weak_residual.csv", _set_line(3, "psi(c^1*w1^1),0.1,0.2,oops\n"),
      "'oops'"),
 ], ids=["meta-missing-key", "meta-not-a-number", "slice-not-a-number",
-        "slice-shape", "residual-row"])
+        "slice-shape", "slice-ragged-row", "residual-row"])
 def test_verify_refuses_a_malformed_cache_with_exit_2(verify_run, tmp_path,
                                                       victim, edit, why):
     """A ``meanfield_dir=`` whose checksums match its files, but whose
     metadata lacks a key, holds a cell that is not a number, has a slice
     shaped unlike the first or a malformed weak-residual row (another
     package version could write one under the same config hash), is a
-    config error: exit 2 with one ``error:`` line naming the file, before
-    any training and before the output directory is made."""
+    config error: exit 2 with one ``error:`` line naming the file (and a
+    CSV's line, without numpy's advice on its own arguments), before any
+    training and before the output directory is made."""
     base, cfg, mf_out, _, _ = verify_run
     cache = tmp_path / "cache"
     shutil.copytree(mf_out, cache)
@@ -919,6 +964,7 @@ def test_verify_refuses_a_malformed_cache_with_exit_2(verify_run, tmp_path,
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert victim in proc.stderr and why in proc.stderr, proc.stderr
+    assert "usecols" not in proc.stderr
     assert not out.exists()
 
 
@@ -1032,6 +1078,11 @@ _CHILD = ("import resource, sys\n"
           "sys.exit(main(sys.argv[1:]))\n")
 
 
+#: the manifest statuses each exit code may end a run directory with
+_STATUSES = {0: ("ok",), 3: ("diverged", "picard-not-converged"),
+             4: ("failed",)}
+
+
 def _drawn_values(key: str) -> list:
     parse = cli._SCHEMA[key][0]
     if parse is int:
@@ -1061,16 +1112,20 @@ def contract_dir(tmp_path_factory):
 @example(command="meanfield", overrides={"quad_nodes": _HUGE})
 @example(command="train", overrides={"bins": _HUGE})
 @example(command="mnist-hist", overrides={"bins": _HUGE})
+@example(command="mnist-hist", overrides={"alpha": 1e300})
+@example(command="meanfield", overrides={"alpha": 1e300})
 def test_drawn_configs_keep_the_exit_code_contract(idx_files, contract_dir,
                                                    command, overrides):
     """Every command, on tiny sizes with one to three keys of ``_SCHEMA``
     set to a boundary value, 0, a negative, an empty list or a huge value,
     exits 0, 2, 3 or 4 without a traceback.  A config it refuses (exit 2
     other than out of memory, which may stop a run midway) leaves no output
-    directory, and no CSV it writes holds nan or inf.  A huge ``bins`` is
-    refused before ``train`` or ``mnist-hist`` trains or makes its output
-    directory.  Each run is a child process with a 60 s timeout, so a hang
-    fails the test."""
+    directory, and no CSV it writes holds nan or inf.  Any other run that
+    makes its output directory ends it with a manifest whose checksums hold
+    and whose status names the exit code, and with DIVERGED exactly when it
+    diverged.  A huge ``bins`` is refused before ``train`` or
+    ``mnist-hist`` trains or makes its output directory.  Each run is a
+    child process with a 60 s timeout, so a hang fails the test."""
     images, labels = idx_files
     keys = {**_TINY, "images": images, "labels": labels, **overrides}
     for key in ("meanfield_dir", "images", "labels"):
@@ -1089,6 +1144,10 @@ def test_drawn_configs_keep_the_exit_code_contract(idx_files, contract_dir,
     assert "Traceback" not in proc.stderr, proc.stderr
     if proc.returncode == 2 and "out of memory" not in proc.stderr:
         assert not out.exists(), proc.stderr
+    if proc.returncode != 2 and out.exists():
+        status = check_manifest(out)["status"]
+        assert status in _STATUSES[proc.returncode], proc.stderr
+        assert (out / "DIVERGED").exists() == (status == "diverged")
     if command in ("train", "mnist-hist") and overrides.get("bins") == _HUGE:
         assert proc.returncode == 2 and not out.exists(), proc.stderr
         assert [ln for ln in proc.stderr.splitlines()
