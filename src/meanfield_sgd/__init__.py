@@ -4,6 +4,10 @@ limit, and the statistical machinery that checks the two against each other.
 
 __version__ = "0.1.0"
 
+from ._blas import pin_one_thread
+
+pin_one_thread()  # before the first numpy import: see _blas
+
 from .core import (Activation, ConfigError, DivergedError, RandomStreams,
                    RejectedInputError, TestFunction, activation,
                    clamped_polynomial, constant_one, default_test_functions,

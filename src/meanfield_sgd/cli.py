@@ -16,6 +16,14 @@ that diverges after its output directory exists ends there too, with
 ``DIVERGED`` (step=k) and a status=diverged manifest; one that diverges
 earlier, like one refused, leaves no directory.
 
+An ``--out`` whose manifest names another config hash is refused before
+any work; the same config may run into its own directory again.
+
+BLAS runs on one thread whatever OPENBLAS_NUM_THREADS says: the package
+pins it as it is imported (``_blas``), so artifacts at every input width
+are the same at every thread count, and the manifest records the count as
+``blas_threads``.  ``workers=`` is the program's only parallelism.
+
 Exit codes: 0 ok; 2 refused config, i/o error or out of memory; 3 diverged
 or not converged; 4 failed verification.
 """
@@ -31,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from .core import (ConfigError, DivergedError, RandomStreams,
                    RejectedInputError, activation, default_test_functions)
 from .data import (IdxFormatError, InitLaw, load_mnist_idx,
@@ -238,11 +246,13 @@ def _read_keys(path: Path) -> dict:
 
 
 def write_manifest(out: Path, cfg_hash: str, seed: int, extra: dict | None = None):
+    threads = _blas.threads()
     lines = {
         "config_hash": cfg_hash,
         "seed": str(seed),
         "package_version": __version__,
         "numpy_version": np.__version__,
+        "blas_threads": "unknown" if threads is None else str(threads),
         "python_version": ".".join(str(v) for v in sys.version_info[:3]),
     }
     lines.update(extra or {})
@@ -257,6 +267,19 @@ def read_manifest(out: Path) -> dict:
     if not path.exists():
         raise ConfigError(f"{out}: missing manifest.txt")
     return _read_keys(path)
+
+
+def _refuse_other_config(out: Path, cfg_hash: str):
+    """Refuse an ``out`` whose manifest names another config: its files,
+    stale ones too, would be hashed into this run's manifest.  The same
+    config writes the same file names, so it may run there again."""
+    path = out / "manifest.txt"
+    if path.is_file():
+        have = _read_keys(path).get("config_hash")
+        if have != cfg_hash:
+            raise ConfigError(f"{out} holds the artifacts of config_hash="
+                              f"{have}, this run has {cfg_hash}; choose "
+                              f"another --out")
 
 
 def check_manifest(out: Path):
@@ -635,6 +658,7 @@ def main(argv=None) -> int:
         streams, chash = RandomStreams(args.seed), config_hash(cfg)
         out = Path(args.out) if args.out else Path(
             f"runs/{args.command}-{chash[:8]}-s{args.seed}")
+        _refuse_other_config(out, chash)
         try:
             status, summary = _COMMANDS[args.command](cfg, streams, chash, out)
         except DivergedError as exc:

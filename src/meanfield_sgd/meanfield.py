@@ -183,11 +183,12 @@ def node_arrays(quad: Quadrature,
             quad.y.astype(dtype))
 
 
-#: quadrature nodes per column block of ``drift``'s walk.  One tanh step at
-#: d = 2 on 2 OpenBLAS threads took, at M = 10^4, K = 4096, 55-73 ms with 16
-#: or 24 columns, 43-57 ms with 32 or 40 and 70-83 ms with 64 or 128, where
-#: the (M x width) float32 block outgrows L2 cache; at M = 4000, K = 2048,
-#: 12-16 ms with 16, 8-10 ms with 32 and 13-14 ms with 128
+#: quadrature nodes per column block of ``drift``'s walk.  One tanh field
+#: at d = 2 (one OpenBLAS thread, medians of 21 calls) took, at M = 10^4,
+#: K = 4096, 65-67 ms with 16 or 24 columns, 48-50 ms with 32 or 40 and
+#: 62-69 ms with 64 or 128, where the (M x width) float32 block outgrows L2
+#: cache; at M = 4000, K = 2048, 15 ms with 16, 8.5 ms with 32 and 12 ms
+#: with 128.  Another width would also move the field's bits
 NODE_COLUMNS = 32
 
 
@@ -515,13 +516,9 @@ def weak_residuals(sol: MeanFieldSolution,
     with both partials of one ``grad`` call per slice and test function.
     A slice takes its field from ``sol.fields`` when the solve kept it;
     ``drift`` runs, once for all of ``fs``, only on the slices without one
-    (the last slice, or every slice of a Picard or loaded solution), and
-    all those calls come before any pairing: the float64 pairings wake
-    OpenBLAS's second thread, which then spins through a later ``drift``
-    call (0.06 s of process CPU at M = 10^4, K = 4096), where ``drift``'s
-    own float32 products wake none.  The time
-    integral is taken by the trapezoid rule over every stored slice.  The
-    normalizer integral_0^T |a(s)| ds is the scale for relative error.
+    (the last slice, or every slice of a Picard or loaded solution).  The
+    time integral is taken by the trapezoid rule over every stored slice.
+    The normalizer integral_0^T |a(s)| ds is the scale for relative error.
     """
     n_snaps = sol.times.shape[0]
     if n_snaps < 2:

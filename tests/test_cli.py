@@ -240,6 +240,7 @@ def test_manifest_text_is_pinned(tmp_path):
     write_manifest(tmp_path, "abc123", 7, {"status": "ok"})
     python = ".".join(str(v) for v in sys.version_info[:3])
     want = {
+        "blas_threads": "1",
         "config_hash": "abc123",
         "numpy_version": np.__version__,
         "package_version": meanfield_sgd.__version__,
@@ -250,6 +251,7 @@ def test_manifest_text_is_pinned(tmp_path):
         "status": "ok",
     }
     assert (tmp_path / "manifest.txt").read_text() == (
+        "blas_threads=1\n"
         "config_hash=abc123\n"
         f"numpy_version={np.__version__}\n"
         f"package_version={meanfield_sgd.__version__}\n"
@@ -333,6 +335,27 @@ def test_train_alpha_zero_leaves_histogram_fixed(tmp_path):
     first = (out / "hist_c_000.csv").read_bytes()
     last = (out / "hist_c_002.csv").read_bytes()
     assert first == last
+
+
+def test_out_of_another_config_is_refused_before_any_work(tmp_path, capsys):
+    """A default ``train`` into the --out of a run with three snapshot
+    times would hash that run's snapshots 2 and 3 into its own manifest: it
+    exits 2 with one error: line and leaves the directory as it was.  The
+    same config run again, at another seed, writes over it."""
+    cfg = _write_cfg(tmp_path, "snapshot_times=0.05,0.1,0.2\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["train", "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "config_hash=" + check_manifest(out)["config_hash"] in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert main(["train", "--config", cfg, "--seed", "3", "--out", str(out),
+                 "--quiet"]) == 0
+    assert check_manifest(out)["seed"] == "3"
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
 
 
 def test_train_divergence_exit_3(tmp_path, capsys):
@@ -521,6 +544,28 @@ def test_meanfield_solution_roundtrip_exact(tmp_path):
         assert f1.read_bytes() == (out2 / f1.name).read_bytes(), f1.name
 
 
+def _manifests_at_1_and_2_blas_threads(tmp_path, command, text, seed):
+    """The manifests ``command`` writes on the config ``text`` in one child
+    process per OPENBLAS_NUM_THREADS, 1 and 2; the two exit codes agree."""
+    src = str(Path(meanfield_sgd.__file__).resolve().parents[1])
+    cfg = _write_cfg(tmp_path, text)
+    manifests, codes = [], set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "meanfield_sgd.cli",
+                               command, "--config", cfg, "--seed", str(seed),
+                               "--out", str(out), "--quiet"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode in (0, 4), proc.stderr
+        codes.add(proc.returncode)
+        manifests.append((out / "manifest.txt").read_text())
+    assert len(codes) == 1
+    return manifests
+
+
 def test_meanfield_manifest_does_not_depend_on_blas_threads(tmp_path):
     """BLAS splits a product across threads above a size, which could
     change how its sums are taken.  A run at M = 6000 on 512 nodes, where
@@ -528,22 +573,43 @@ def test_meanfield_manifest_does_not_depend_on_blas_threads(tmp_path):
     block products pass OpenBLAS's threading thresholds (2^18 multiply-adds
     for a GEMM, 9216 entries for a GEMV), writes the same manifest at 1 and
     at 2 threads."""
-    import meanfield_sgd
-    src = str(Path(meanfield_sgd.__file__).resolve().parents[1])
-    cfg = _write_cfg(tmp_path, "m=6000\ndt=0.05\nt_horizon=0.15\n"
-                               "quad_nodes=512\nmf_snapshots=2\n")
-    manifests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-                   [src, os.environ.get("PYTHONPATH", "")]),
-               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        out = tmp_path / f"threads{threads}"
-        subprocess.run([sys.executable, "-m", "meanfield_sgd.cli",
-                        "meanfield", "--config", cfg, "--seed", "4",
-                        "--out", str(out), "--quiet"], env=env, check=True)
-        manifests.append((out / "manifest.txt").read_text())
+    manifests = _manifests_at_1_and_2_blas_threads(
+        tmp_path, "meanfield", "m=6000\ndt=0.05\nt_horizon=0.15\n"
+                               "quad_nodes=512\nmf_snapshots=2\n", 4)
     assert manifests[0] == manifests[1]
     assert "sha256:solution_001.csv" in manifests[0]
+    assert "blas_threads=1\n" in manifests[0]
+
+
+#: a tiny image-model config on ``make_idx_pair(n_per_class=100)``, for the
+#: mean-field limit and its verification at d = 784
+_IMAGE_CFG = ("model=mnist\ndigit_pair=3,5\nm=1000\nquad_nodes=256\n"
+              "dt=0.05\nt_horizon=0.1\nmf_snapshots=3\nn_grid=20,40,80\n"
+              "replicas=20\nmart_n_grid=16,32\nmart_replicas=2\n"
+              "chaos_replicas=50\n")
+
+
+@pytest.mark.parametrize("command,text,corpus", [
+    ("train", "model=polynomial\nd=20\nn=1000\nt_horizon=0.25\n"
+              "snapshot_times=0.125,0.25\nbins=10\n", None),
+    ("meanfield", _IMAGE_CFG, 100),
+    ("verify", _IMAGE_CFG, 100),
+    ("mnist-hist", "digit_pair=3,5\nmnist_n_grid=100,1000\nt_horizon=0.1\n"
+                   "bins=10\n", 300),
+], ids=["train-d20", "meanfield-d784", "verify-d784", "mnist-hist-d784"])
+def test_wide_artifacts_do_not_depend_on_blas_threads(tmp_path, command,
+                                                      text, corpus):
+    """At d >= 16 products sum over long axes, and OpenBLAS gives other
+    bits at 2 threads than at 1: every command at d = 20 or 784 writes the
+    same manifest, so the same artifacts, whatever OPENBLAS_NUM_THREADS
+    says, because the program runs OpenBLAS on one thread.  Without that,
+    the image-model meanfield and verify differ in their low digits."""
+    if corpus is not None:
+        images, labels = make_idx_pair(tmp_path, n_per_class=corpus)
+        text += f"images={images}\nlabels={labels}\n"
+    manifests = _manifests_at_1_and_2_blas_threads(tmp_path, command, text, 1)
+    assert manifests[0] == manifests[1]
+    assert "blas_threads=1\n" in manifests[0]
 
 
 @pytest.mark.parametrize("command,text", [
@@ -1135,8 +1201,7 @@ def test_drawn_configs_keep_the_exit_code_contract(idx_files, contract_dir,
     run.mkdir()
     cfg = _write_cfg(run, "".join(f"{k}={v}\n" for k, v in keys.items()))
     out = run / "out"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(sys.path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", _CHILD, command, "--config",
                            cfg, "--out", str(out), "--quiet"], env=env,
                           capture_output=True, text=True, timeout=60)
