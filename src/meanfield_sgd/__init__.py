@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from ._blas import pin_one_thread
 
-pin_one_thread()  # before the first numpy import: see _blas
+pin_one_thread("numpy")  # before the first numpy import: see _blas
 
 from .core import (Activation, ConfigError, DivergedError, RandomStreams,
                    RejectedInputError, TestFunction, activation,
@@ -24,7 +24,7 @@ from .meanfield import (MeanFieldSolution, PicardResult, Quadrature,
                         QuadratureSpec, drift, freeze_quadrature,
                         frozen_start, node_arrays, picard_iterate, q_on_nodes,
                         seed_resampled_floor, solve_selfconsistent,
-                        weak_residual, weak_residuals, work_buffers)
+                        weak_residual, weak_residuals)
 from .diagnostics import (ChaosTable, LimitTable, LlnTable, MartingaleTable,
                           MomentTable, ReplicaStudy, chaos_table, chaos_test,
                           limit_distance, lln_decay, martingale_decay,

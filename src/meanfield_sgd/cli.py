@@ -300,16 +300,12 @@ def check_manifest(out: Path):
 
 
 def _write_weak_residuals(path: Path, sol: MeanFieldSolution, fs,
-                          cfg_hash: str) -> float:
+                          cfg_hash: str):
     """One row per test function of ``fs``: the weak-form residual of
-    ``sol``, its normalizer and their ratio.  Returns the largest ratio."""
-    rows, worst = [], 0.0
-    for f, (resid, norm) in zip(fs, weak_residuals(sol, fs)):
-        rel = resid / norm if norm > 0 else 0.0
-        worst = max(worst, rel)
-        rows.append(csv_row(f.label, resid, norm, rel))
+    ``sol``, its normalizer and their ratio."""
+    rows = [csv_row(f.label, resid, norm, resid / norm if norm > 0 else 0.0)
+            for f, (resid, norm) in zip(fs, weak_residuals(sol, fs))]
     write_csv(path, "f,residual,normalizer,relative", rows, cfg_hash)
-    return worst
 
 
 def _table_rows(columns):
@@ -515,10 +511,8 @@ def cmd_verify(cfg: dict, streams: RandomStreams, chash: str,
                 raise ConfigError(f"{mf_dir}: artifacts were produced with "
                                   f"{key}={entries.get(key)}, this run has {want}")
         sol, status = load_solution(mf_dir), entries.get("status")
-        # meanfield wrote this table for the same test functions, so its
-        # largest relative residual is the one _write_weak_residuals gives
-        worst = float(np.max(_read_table(mf_dir / "weak_residual.csv", -1),
-                             initial=0.0))
+        # a malformed table is refused here, before any training
+        _read_table(mf_dir / "weak_residual.csv", -1)
     else:
         sol, _, status = _solve_limit(cfg, model, init, act, streams)
     if status != "ok":
@@ -564,10 +558,14 @@ def cmd_verify(cfg: dict, streams: RandomStreams, chash: str,
                lo <= r1 <= hi and lo <= r2 <= hi,
                f"M1 {r1:.2f}, M2 {r2:.2f}, window [{lo:.2f},{hi:.2f}]")
 
+    # meanfield wrote its table for the same test functions, so a copy holds
+    # the rows this run would write, and repr round-trips every ratio
     if mf_dir is None:
-        worst = _write_weak_residuals(out / "weak_residual.csv", sol, fs, chash)
+        _write_weak_residuals(out / "weak_residual.csv", sol, fs, chash)
     else:
         shutil.copyfile(mf_dir / "weak_residual.csv", out / "weak_residual.csv")
+    worst = float(np.max(_read_table(out / "weak_residual.csv", -1),
+                         initial=0.0))
     _check(checks, "weak-residual", worst <= 0.05, f"max relative {worst:.4f}")
 
     lim = limit_distance(study, sol, fs)

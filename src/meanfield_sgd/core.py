@@ -284,15 +284,12 @@ def _clamped_monomial(label: str, c_exp: int, w_exps: dict[int, int],
     never read and its gradient, like df/dc when c_exp = 0, is exactly +0;
     the named factors are multiplied in increasing j, which gives the floats
     of the product over all d axes.  ``d`` pins the input width, or is None
-    for any width that holds the named axes."""
+    for any width when no axis is named."""
     axes = sorted(w_exps.items())
 
     def parts(c, w):
         if d is not None and w.shape[1] != d:
             raise RejectedInputError(f"test function pinned to d={d}")
-        if axes and axes[-1][0] >= w.shape[1]:
-            j = axes[-1][0]
-            raise RejectedInputError(f"coordinate w_{j + 1} needs d > {j}")
         cf = c ** c_exp
         wf = [w[:, j] ** e for j, e in axes]
         return cf, wf, cf * math.prod(wf)
@@ -315,15 +312,10 @@ def _clamped_monomial(label: str, c_exp: int, w_exps: dict[int, int],
     return TestFunction(label, value, grad, d=d)
 
 
-def smoothed_coordinate(coord: int | str = "c", a: float = 4.0,
-                        b: float = 2.0) -> TestFunction:
-    """psi applied to a single coordinate: the clamped first moment of c or
-    of w_j (``coord`` = j, counted from 0), for any d > j; it reads only
-    that coordinate."""
-    if coord == "c":
-        return _clamped_monomial("psi(c)", 1, {}, None, a, b)
-    j = int(coord)
-    return _clamped_monomial(f"psi(w{j + 1})", 0, {j: 1}, None, a, b)
+def smoothed_coordinate(a: float = 4.0, b: float = 2.0) -> TestFunction:
+    """psi applied to the coordinate c: the clamped first moment of c, for
+    any d; it reads only c."""
+    return _clamped_monomial("psi(c)", 1, {}, None, a, b)
 
 
 def clamped_polynomial(c_exp: int, w_exps: Sequence[int], a: float = 4.0,
@@ -376,7 +368,7 @@ def default_test_functions(d: int) -> list[TestFunction]:
     scale is 1.5 sqrt(d / 2): 1.5 at d = 2, and at any d a pairing with a
     default-init cloud of order one rather than an underflowed zero."""
     return [
-        smoothed_coordinate("c"),
+        smoothed_coordinate(),
         clamped_polynomial(1, (1,) + (0,) * (d - 1)),
         gaussian_bump(0.0, np.zeros(d), scale=1.5 * math.sqrt(d / 2)),
     ]

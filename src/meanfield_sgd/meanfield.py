@@ -20,13 +20,14 @@ whole evolution is a deterministic function of the initial cloud and the node
 set.  One kernel, ``drift``, evaluates the velocity field: the Euler step
 integrates it, and the weak residual pairs test-function gradients with it,
 taking the fields a self-consistent solve kept at its slices.
-It walks blocks of ``NODE_COLUMNS`` (32) node columns by all M particles of
-a caller-owned work array, so no (M x nodes) array is formed: Q at a node
-sums over particles only, so one block of sigma yields Q and the residual
-weight at its nodes and then their share of the field, and each (path, node)
-pair takes one sigma per step.  ``q_on_nodes``, the frozen Q of a Picard
-step, walks the same blocks.  The solvers run in float32 (a factor ~3 on the
-(M x nodes) sweeps that dominate); snapshots are stored in float64.  Float32
+It walks blocks of ``NODE_COLUMNS`` (32) node columns by all M particles,
+in a work block each call allocates for itself, so no (M x nodes) array is
+formed and two calls share no scratch.  Q at a node sums over particles
+only, so one block of sigma yields Q and the residual weight at its nodes
+and then their share of the field, and each (path, node) pair takes one
+sigma per step.  ``q_on_nodes``, the frozen Q of a Picard step, walks the
+same blocks.  The solvers run in float32 (a factor ~3 on the (M x nodes)
+sweeps that dominate); snapshots are stored in float64.  Float32
 round-off (~1e-6 relative) is far below the O(dt) + O(1/sqrt(M)) +
 O(1/sqrt(nodes)) error budget of everything computed from these solutions.
 """
@@ -137,10 +138,6 @@ class MeanFieldSolution:
     def n_paths(self) -> int:
         return self.c.shape[1]
 
-    @property
-    def d(self) -> int:
-        return self.w.shape[2]
-
     def slice(self, i: int) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.c[i], self.w[i])
 
@@ -192,24 +189,16 @@ def node_arrays(quad: Quadrature,
 NODE_COLUMNS = 32
 
 
-def work_buffers(m: int, k: int, act: Activation,
-                 dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The (sigma, z) work blocks for a walk of m particles over k nodes
-    (``drift``, ``q_on_nodes``), as flat arrays of m x min(k,
-    ``NODE_COLUMNS``) entries: the walk takes all m particle rows by one
-    column block at a time, so its work grows with M and never with K.  One
-    shared array, or two when sigma' cannot come from sigma and z must
-    outlive it."""
-    buf = np.empty(m * min(k, NODE_COLUMNS), dtype=dtype)
-    return buf, (buf if act.deriv_poly is not None else np.empty_like(buf))
-
-
-def _blocks(w: np.ndarray, xt: np.ndarray, act: Activation, work):
+def _blocks(w: np.ndarray, xt: np.ndarray, act: Activation):
     """(j, sigma, z) over the (M x ``NODE_COLUMNS``) column blocks of the
-    (M x K) array z = w x^T, the last one ragged; sigma and z are views of
-    ``work`` (``work_buffers``)."""
-    buf, zbuf = work
+    (M x K) array z = w x^T, the last one ragged.  sigma and z are views of
+    one (M x min(K, ``NODE_COLUMNS``)) block in w's dtype that the walk
+    allocates for itself, so its work grows with M and never with K; z has
+    a second block when sigma' cannot come from sigma and z must outlive
+    it."""
     m, k = w.shape[0], xt.shape[1]
+    buf = np.empty(m * min(k, NODE_COLUMNS), dtype=w.dtype)
+    zbuf = buf if act.deriv_poly is not None else np.empty_like(buf)
     for lo in range(0, k, NODE_COLUMNS):
         j = slice(lo, min(lo + NODE_COLUMNS, k))
         width = j.stop - lo
@@ -221,7 +210,7 @@ def _blocks(w: np.ndarray, xt: np.ndarray, act: Activation, work):
 
 
 def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
-          work, q: np.ndarray | None = None):
+          q: np.ndarray | None = None):
     """The velocity field (dc/dt, dw/dt) of every particle of a cloud.
 
     With r_k = alpha (y_k - q_k) over the K nodes of ``nodes`` (from
@@ -232,10 +221,12 @@ def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
 
     ``q`` is a frozen Q at the nodes; None takes the cloud's own,
     Q_k = (1/M) sum_i c_i sigma(w_i . x_k).  The walk goes over blocks of
-    ``NODE_COLUMNS`` node columns and all M particle rows of ``work``
-    (``work_buffers``).  Q at a node sums over particles only, so one block
-    of sigma gives in turn Q and r at its nodes and their share of g1 and
-    g2, and every (particle, node) pair takes one z and one sigma per call.
+    ``NODE_COLUMNS`` node columns and all M particle rows of a work block
+    the call allocates for itself (``_blocks``), so concurrent calls on one
+    cloud and one ``nodes`` share no scratch.  Q at a node sums over
+    particles only, so one block of sigma gives in turn Q and r at its
+    nodes and their share of g1 and g2, and every (particle, node) pair
+    takes one z and one sigma per call.
     With sigma' = a0 + a1 sigma + a2 sigma^2 (tanh: 1, 0, -1) r folds into
     the right operand:
 
@@ -243,9 +234,9 @@ def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
 
     so sigma' is one in-place square of the block; without the polynomial
     (smooth-bump) it is evaluated from a z block and takes the a2 slot.
-    Block products run in the dtype the inputs and ``work`` share, block
-    sums in float64, and the field comes back in the inputs' dtype.  The
-    work memory is one (M x ``NODE_COLUMNS``) block whatever K is, and no
+    Block products run in the inputs' dtype, block sums in float64, and the
+    field comes back in the inputs' dtype.  The work memory is one (M x
+    ``NODE_COLUMNS``) block (two for smooth-bump) whatever K is, and no
     (M x K) array is formed; narrower blocks made OpenBLAS's products
     slower per node, wider ones outgrew L2 cache at M = 10^4.
     """
@@ -255,7 +246,7 @@ def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
     r_all = None if q is None else alpha * (y - q.astype(y.dtype, copy=False))
     g1, g2, rx_sum = np.zeros(m), np.zeros(w.shape), np.zeros(w.shape[1])
     part1, part2 = np.empty_like(c, w.dtype), np.empty_like(w)
-    for j, sig, z in _blocks(w, xt, act, work):
+    for j, sig, z in _blocks(w, xt, act):
         r = alpha * (y[j] - (c @ sig) / m) if q is None else r_all[j]
         rx = r[:, None] * x[j]
         g1 += np.matmul(sig, r, out=part1)
@@ -290,7 +281,6 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
     c = cloud0.c.astype(np.float32)
     w = cloud0.w.astype(np.float32)
     nodes = node_arrays(quad, np.float32)
-    work = work_buffers(c.shape[0], quad.n, act, np.float32)
     slot = {int(s): i for i, s in enumerate(snap_steps)}
     snaps_c = np.empty((len(slot), c.shape[0]))
     snaps_w = np.empty((len(slot),) + w.shape)
@@ -312,7 +302,7 @@ def _evolve(cloud0: EmpiricalMeasure, act: Activation, alpha: float,
         if q_rows is not None:
             r = row[k]
             q = q_rows[r] + theta[k] * (q_rows[r + 1] - q_rows[r])
-        g1, g2 = drift(c, w, nodes, act, alpha, work, q)
+        g1, g2 = drift(c, w, nodes, act, alpha, q)
         if fields is not None and k in slot:
             fields[0][slot[k]], fields[1][slot[k]] = g1, g2
         w += dtf * g2
@@ -378,10 +368,9 @@ def q_on_nodes(sol: MeanFieldSolution) -> np.ndarray:
     float32 column blocks, the particle sums in float64.  A float32 sum
     left Picard iteration on a rounding 2-cycle short of its fixed point."""
     xt = node_arrays(sol.quad, np.float32)[1]
-    work = work_buffers(sol.n_paths, sol.quad.n, sol.act, np.float32)
     rows = np.empty((sol.times.shape[0], sol.quad.n), np.float32)
     for row, c, w in zip(rows, sol.c, sol.w):
-        for j, sig, _ in _blocks(w.astype(np.float32), xt, sol.act, work):
+        for j, sig, _ in _blocks(w.astype(np.float32), xt, sol.act):
             row[j] = c @ sig / sol.n_paths
     return rows
 
@@ -404,10 +393,6 @@ class PicardResult:
     solution: MeanFieldSolution
     distances: list
     converged: bool
-
-    @property
-    def n_iterations(self) -> int:
-        return len(self.distances)
 
 
 def picard_iterate(m0: MeanFieldSolution, tol: float = None,
@@ -525,9 +510,8 @@ def weak_residuals(sol: MeanFieldSolution,
         raise RejectedInputError("need at least two slices")
     kept = list(zip(*sol.fields)) if sol.fields is not None else []
     nodes = node_arrays(sol.quad, np.float32)
-    work = work_buffers(sol.n_paths, sol.quad.n, sol.act, np.float32)
     fields = kept + [drift(c.astype(np.float32), w.astype(np.float32), nodes,
-                           sol.act, sol.alpha, work)
+                           sol.act, sol.alpha)
                      for c, w in zip(sol.c[len(kept):], sol.w[len(kept):])]
     a_vals = np.empty((len(fs), n_snaps))
     for s, (c, w, (g1, g2)) in enumerate(zip(sol.c, sol.w, fields)):

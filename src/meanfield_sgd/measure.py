@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import pin_one_thread
 from .core import RejectedInputError, TestFunction, max_abs
 
 EXACT_LIMIT = 256
@@ -178,11 +179,17 @@ def wasserstein(a: EmpiricalMeasure, b: EmpiricalMeasure,
     _check_pair(a, b, p)
     if a.n > EXACT_LIMIT:
         return sliced_wasserstein(a, b, p)
-    # imported here: scipy.optimize adds about 0.13 s to every start-up
-    from scipy.optimize import linear_sum_assignment
     cost = _pair_costs(a.joint(), b.joint(), p)
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _linear_sum_assignment()(cost)
     return float(np.mean(cost[rows, cols])) ** (1.0 / p)
+
+
+@functools.cache
+def _linear_sum_assignment():
+    """scipy's exact assignment, imported at first use: ``scipy.optimize``
+    adds about 0.13 s to every start-up, and it loads scipy's own OpenBLAS,
+    which ``pin_one_thread`` starts at one thread like numpy's."""
+    return pin_one_thread("scipy.optimize").linear_sum_assignment
 
 
 @functools.cache
@@ -237,35 +244,24 @@ class Histogram1D:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
-def _select(mu: EmpiricalMeasure, selector: str) -> tuple[np.ndarray, str]:
-    if selector == "c":
-        return mu.c, "c"
-    if isinstance(selector, str) and selector.startswith("w"):
-        j = int(selector[1:]) - 1
-        if not 0 <= j < mu.d:
-            raise RejectedInputError(f"selector {selector!r} out of range for d={mu.d}")
-        return mu.w[:, j], selector
-    raise RejectedInputError(f"unknown selector {selector!r}")
-
-
 def histogram(mu: EmpiricalMeasure, selector: str = "c",
               bins: int = 10) -> Histogram1D:
-    """Equal-width histogram of c (``selector`` "c") or of one coordinate
-    w_j of w ("w1", "w2", ...).
+    """Equal-width histogram of c (``selector`` "c", the only one).
 
     All-equal data cannot span a range; it degenerates to a single bin padded
     by 0.5 on each side of the common value.
     """
     if bins < 2:
         raise RejectedInputError("bins must be >= 2")
-    vals, label = _select(mu, selector)
-    lo, hi = float(np.min(vals)), float(np.max(vals))
+    if selector != "c":
+        raise RejectedInputError(f"unknown selector {selector!r}")
+    lo, hi = float(np.min(mu.c)), float(np.max(mu.c))
     if lo == hi:
         edges = np.array([lo - 0.5, lo + 0.5])
     else:
         edges = np.linspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(vals, bins=edges)
-    return Histogram1D(edges, counts, label)
+    counts, _ = np.histogram(mu.c, bins=edges)
+    return Histogram1D(edges, counts, "c")
 
 
 def histogram_w1(h1: Histogram1D, h2: Histogram1D) -> float:

@@ -63,13 +63,13 @@ def test_no_setter_leaves_the_count_as_found():
         "from pathlib import Path\n"
         "import meanfield_sgd\n"
         "from meanfield_sgd import _blas, cli\n"
-        "found = _blas._symbol\n"
-        "found('set')(2)\n"
-        "_blas._symbol = lambda verb: None if verb == 'set' else found(verb)\n"
-        "_blas.pin_one_thread()\n"
+        "found = _blas._symbols\n"
+        "found('set')[0](2)\n"
+        "_blas._symbols = lambda verb: [] if verb == 'set' else found(verb)\n"
+        "_blas.pin_one_thread('numpy')\n"
         "out = Path(tempfile.mkdtemp())\n"
-        "for lookup in (_blas._symbol, lambda verb: None):\n"
-        "    _blas._symbol = lookup\n"
+        "for lookup in (_blas._symbols, lambda verb: []):\n"
+        "    _blas._symbols = lookup\n"
         "    cli.write_manifest(out, 'abc', 1)\n"
         "    print(cli.read_manifest(out)['blas_threads'])\n")
     assert _child(code, "1") == ["2", "unknown"]
@@ -96,3 +96,24 @@ def test_study_workers_inherit_the_count():
         "    one[k].c.tobytes() == two[k].c.tobytes() and\n"
         "    one[k].w.tobytes() == two[k].w.tobytes() for k in one))\n")
     assert _child(code, "2") == ["1", "True"]
+
+
+def test_scipy_openblas_starts_at_one_thread(tmp_path):
+    """A Picard ``meanfield`` at m = 64 takes exact Wasserstein distances,
+    whose ``scipy.optimize`` loads scipy's own OpenBLAS: under
+    OPENBLAS_NUM_THREADS=2 the run still ends with one OS thread, both
+    libraries at one thread, and a manifest that says so."""
+    code = (
+        "from pathlib import Path\n"
+        "from meanfield_sgd import _blas, cli\n"
+        f"tmp = Path({str(tmp_path)!r})\n"
+        "(tmp / 'p.cfg').write_text('mode=picard\\nm=64\\nquad_nodes=128\\n')\n"
+        "print(cli.main(['meanfield', '--config', str(tmp / 'p.cfg'),\n"
+        "                '--out', str(tmp / 'out'), '--quiet']))\n"
+        "print(any('scipy.libs' in line and 'openblas' in line\n"
+        "          for line in open('/proc/self/maps')))\n"
+        "print(*[get() for get in _blas._symbols('get')])\n"
+        "print(cli.read_manifest(tmp / 'out')['blas_threads'])\n"
+        "print(*[line.split()[1] for line in open('/proc/self/status')\n"
+        "        if line.startswith('Threads:')])\n")
+    assert _child(code, "2") == ["0", "True", "1", "1", "1", "1"]

@@ -143,8 +143,7 @@ def test_in_place_forms_are_bit_identical(kind):
 
 def _all_test_functions(d=2):
     return [
-        smoothed_coordinate("c"),
-        smoothed_coordinate(0),
+        smoothed_coordinate(),
         clamped_polynomial(1, (1,) + (0,) * (d - 1)),
         clamped_polynomial(2, (0, 1)),
         gaussian_bump(0.0, np.zeros(d), scale=1.5),
@@ -181,7 +180,7 @@ def test_test_functions_are_bounded():
 
 def test_clamp_exactly_inactive_inside_window():
     """Inside [-a, a] the smooth clamp returns its argument's own floats."""
-    f = smoothed_coordinate("c", a=4.0, b=2.0)
+    f = smoothed_coordinate(a=4.0, b=2.0)
     c = np.array([2.0, -3.999, 0.125])
     w = np.zeros((3, 2))
     assert np.array_equal(f.value(c, w), c)
@@ -196,7 +195,7 @@ def test_clamp_exactly_inactive_inside_window():
 def test_clamp_seam_is_c2():
     """psi'' is a central difference of df/dc taken wholly on one side of
     the seam at |u| = a, once inside and once outside the window."""
-    f = smoothed_coordinate("c", a=4.0, b=2.0)
+    f = smoothed_coordinate(a=4.0, b=2.0)
     w = np.zeros((2, 1))
     h = 1e-7
     for side in (4.0, -4.0):
@@ -267,10 +266,9 @@ def _monomial_cases(d):
         exps = [named.get(j, 0) for j in range(d)]
         return clamped_polynomial(c_exp, exps), c_exp, named
 
-    cases = [(smoothed_coordinate("c"), 1, {}),
-             (smoothed_coordinate(0), 0, {0: 1}),
-             (smoothed_coordinate(d - 1), 0, {d - 1: 1}),
+    cases = [(smoothed_coordinate(), 1, {}),
              (constant_one(), 0, {}),
+             poly(0, {d - 1: 1}),
              poly(1, {0: 1})]
     if d >= 2:
         cases.append(poly(2, {0: 1, d - 1: 2}))
@@ -309,17 +307,14 @@ def test_monomials_match_the_dense_formulas_bitwise(d):
 
 
 def test_monomial_errors_are_pinned():
-    """A pinned width that does not match, and a coordinate beyond d, are
-    refused by ``value`` and ``grad`` alike with the same message."""
+    """A pinned width that does not match is refused by ``value`` and
+    ``grad`` alike with the same message."""
     c = np.zeros(3)
     for ev in ("value", "grad"):
         with pytest.raises(RejectedInputError,
                            match=r"^test function pinned to d=2$"):
             getattr(clamped_polynomial(1, (1, 0)), ev)(c, np.zeros((3, 3)))
-        with pytest.raises(RejectedInputError,
-                           match=r"^coordinate w_3 needs d > 2$"):
-            getattr(smoothed_coordinate(2), ev)(c, np.zeros((3, 2)))
-    assert smoothed_coordinate(2).d is None and constant_one().d is None
+    assert smoothed_coordinate().d is None and constant_one().d is None
     assert clamped_polynomial(1, (1, 0, 0)).d == 3
 
 

@@ -18,8 +18,7 @@ from meanfield_sgd import diagnostics, sgd
 from meanfield_sgd.diagnostics import (N_BOOT, ChaosTable, LimitRow,
                                       LimitTable, LlnTable, MartingaleTable,
                                       MomentTable, _ci95, _DecompositionObserver)
-from meanfield_sgd.meanfield import (NODE_COLUMNS, Quadrature, drift,
-                                     node_arrays, work_buffers)
+from meanfield_sgd.meanfield import NODE_COLUMNS, Quadrature, drift, node_arrays
 from meanfield_sgd.sgd import step_increments
 from tests.conftest import counting
 
@@ -345,14 +344,13 @@ def test_drift_pairing_matches_reference_formula(kind, n, model, init):
     act = activation(kind)
     quad = freeze_quadrature(QuadratureSpec("fixed-grid", 1024), model)
     nodes = node_arrays(quad, np.float64)
-    work = work_buffers(n, quad.n, act, np.float64)
     ens = Ensemble.from_init(init, act, 1.0,
                              RandomStreams(19).stream(0, purpose="init"), n)
     x, y = np.array([0.3, -0.4]), 0.2
     grads = [f.grad(ens.c, ens.w) for f in FS]
     assert len(grads) == 3
     for alpha in (1.0, 0.7):
-        g1, g2 = drift(ens.c, ens.w, nodes, act, alpha, work)
+        g1, g2 = drift(ens.c, ens.w, nodes, act, alpha)
         for f, (fc, fw) in zip(FS, grads):
             *_, e1, e2, s1, s2 = _reference_components(f, quad, alpha, act,
                                                        ens, x, y)
@@ -360,12 +358,12 @@ def test_drift_pairing_matches_reference_formula(kind, n, model, init):
             assert p1 / n / n == pytest.approx(e1, rel=1e-12, abs=1e-12 * s1)
             assert p2 / n / n == pytest.approx(e2, rel=1e-12, abs=1e-12 * s2)
         for frozen in (None, 0.5 * quad.y):
-            g1, g2 = drift(ens.c, ens.w, nodes, act, alpha, work, frozen)
+            g1, g2 = drift(ens.c, ens.w, nodes, act, alpha, frozen)
             r1, r2, s1, s2 = _reference_field(quad, alpha, act, ens, frozen)
             assert g1.shape == (n,) and g2.shape == (n, 2)
             assert np.all(np.abs(g1 - r1) <= 1e-12 * s1)
             assert np.all(np.abs(g2 - r2) <= 1e-12 * s2)
-    g1, g2 = drift(ens.c, ens.w, nodes, act, 0.0, work)
+    g1, g2 = drift(ens.c, ens.w, nodes, act, 0.0)
     assert [(fc @ g1, np.vdot(fw, g2)) for fc, fw in grads] == \
         [(0.0, 0.0)] * len(grads)
 
@@ -384,9 +382,8 @@ def test_drift_column_walk_matches_reference_field(kind, m, k):
     quad = Quadrature(rng.uniform(-1, 1, (k, 2)), rng.standard_normal(k),
                       QuadratureSpec("monte-carlo", k))
     nodes = node_arrays(quad, np.float64)
-    work = work_buffers(m, k, act, np.float64)
     for q in (None, rng.standard_normal(k)):
-        g1, g2 = drift(c, w, nodes, act, 0.7, work, q)
+        g1, g2 = drift(c, w, nodes, act, 0.7, q)
         r1, r2, s1, s2 = _reference_field(quad, 0.7, act,
                                           EmpiricalMeasure(c, w), q)
         assert g1.shape == (m,) and g2.shape == (m, 2)
@@ -408,8 +405,7 @@ def test_tanh_polynomial_form_holds_where_tanh_saturates():
                       QuadratureSpec("monte-carlo", k))
     assert np.mean(np.abs(cloud.w @ quad.x.T) > 5) > 0.3
     nodes = node_arrays(quad, np.float64)
-    g1, g2 = drift(cloud.c, cloud.w, nodes, TANH, 1.0,
-                   work_buffers(m, k, TANH, np.float64))
+    g1, g2 = drift(cloud.c, cloud.w, nodes, TANH, 1.0)
     _, exact, _, scale = _reference_field(
         quad, 1.0, TANH, cloud, deriv=lambda z: 1.0 / np.cosh(z) ** 2)
     _, per_entry, _, _ = _reference_field(quad, 1.0, TANH, cloud)

@@ -2,7 +2,9 @@
 invariances, Picard iteration, and the weak-form residual."""
 
 import dataclasses
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from meanfield_sgd import (ConfigError, DataModel, DivergedError,
                            noisy_polynomial, pair, picard_iterate, q_on_nodes,
                            sample_init, seed_resampled_floor,
                            solve_selfconsistent, wasserstein, weak_residual,
-                           weak_residuals, work_buffers)
+                           weak_residuals)
 from meanfield_sgd import core, meanfield
 from meanfield_sgd.cli import load_solution, save_solution
 from meanfield_sgd.core import activation_deriv
@@ -271,13 +273,12 @@ def test_drift_hand_values():
     quad = Quadrature(np.array([[1.0, 0.0]]), np.array([2.0]),
                       QuadratureSpec("monte-carlo", 1))
     nodes = node_arrays(quad, np.float64)
-    work = work_buffers(1, 1, TANH, np.float64)
     s = np.tanh(0.5)
-    g1, g2 = drift(c, w, nodes, TANH, 1.0, work, q=np.zeros(1))
+    g1, g2 = drift(c, w, nodes, TANH, 1.0, q=np.zeros(1))
     assert g1[0] == pytest.approx(2 * s, abs=1e-15)
     assert g2[0, 0] == pytest.approx(2 * (1 - s * s), abs=1e-15)
     assert g2[0, 1] == 0.0
-    g1, g2 = drift(c, w, nodes, TANH, 0.5, work)
+    g1, g2 = drift(c, w, nodes, TANH, 0.5)
     assert g1[0] == pytest.approx(0.5 * (2 - s) * s, abs=1e-15)
     assert g2[0, 0] == pytest.approx(0.5 * (2 - s) * (1 - s * s), abs=1e-15)
     # two equal slices a unit of time apart: <f, mu> does not move, so the
@@ -290,8 +291,40 @@ def test_drift_hand_values():
                               1, w.shape[1]).repeat(len(c), 0)))
     resid, norm = weak_residual(sol, f)
     assert resid == norm == pytest.approx(g1[0] + g2[0, 0], rel=1e-6)
-    g1, g2 = drift(c, w, nodes, TANH, 1.0, work, q=np.full(1, 2.0))
+    g1, g2 = drift(c, w, nodes, TANH, 1.0, q=np.full(1, 2.0))
     assert g1[0] == 0.0 and not g2.any()
+
+
+
+@pytest.mark.parametrize("kind", ["tanh", "smooth-bump"])
+def test_concurrent_drift_calls_match_sequential_ones(kind):
+    """Two threads call ``drift`` at once on one float32 cloud and one
+    ``node_arrays``, one at the cloud's own Q and one at a frozen Q.  Each
+    walk allocates its own work block, so the two (g1, g2) are those of two
+    sequential calls bit for bit; smooth-bump adds its separate z block."""
+    m, k = 4000, 2048
+    act = activation(kind)
+    rng = np.random.default_rng(9)
+    c = rng.uniform(-1, 1, m).astype(np.float32)
+    w = rng.standard_normal((m, 2)).astype(np.float32)
+    quad = Quadrature(rng.uniform(-1, 1, (k, 2)), rng.standard_normal(k),
+                      QuadratureSpec("monte-carlo", k))
+    nodes = node_arrays(quad, np.float32)
+    qs = (None, 0.5 * quad.y)
+    want = [drift(c, w, nodes, act, 1.0, q) for q in qs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            for _ in range(4):
+                futures = [pool.submit(drift, c, w, nodes, act, 1.0, q)
+                           for q in qs]
+                got = [f.result(timeout=60) for f in futures]
+                for (g1, g2), (r1, r2) in zip(got, want):
+                    assert g1.tobytes() == r1.tobytes()
+                    assert g2.tobytes() == r2.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +441,9 @@ def test_kept_fields_give_the_residual_bitwise(kind, streams, model, init,
     assert g1s.shape == (n_snaps - 1, 96) and g2s.shape == (n_snaps - 1, 96, 2)
     assert g1s.dtype == g2s.dtype == np.float32
     nodes = node_arrays(sol.quad, np.float32)
-    work = work_buffers(96, 80, sol.act, np.float32)
     for c, w, g1, g2 in zip(sol.c, sol.w, g1s, g2s):
         fresh = drift(c.astype(np.float32), w.astype(np.float32), nodes,
-                      sol.act, sol.alpha, work)
+                      sol.act, sol.alpha)
         assert np.array_equal(fresh[0], g1) and np.array_equal(fresh[1], g2)
     fs = default_test_functions(2) + [constant_one()]
     got = weak_residuals(sol, fs)
@@ -510,7 +542,7 @@ def test_kept_fields_are_all_the_solve_adds_to_its_peak(kind, wide_solution):
     peaks = [_traced_peak(lambda: _evolve(sol.slice(0), act, 1.0, sol.dt,
                                           steps[-1], steps, sol.quad, q))
              for q in (None, q_rows)]
-    kept = (steps.shape[0] - 1) * sol.n_paths * (1 + sol.d) * 4
+    kept = (steps.shape[0] - 1) * sol.n_paths * (1 + sol.w.shape[2]) * 4
     assert sum(f.nbytes for f in sol.fields) == kept
     assert peaks[0] <= peaks[1] + kept
 
@@ -560,7 +592,7 @@ def test_picard_requires_tolerance_and_flags_non_convergence(streams, model):
             picard_iterate(m0, **bad)
     res = picard_iterate(m0, tol=1e-12, max_iters=2)
     assert not res.converged
-    assert res.n_iterations == 2
+    assert len(res.distances) == 2
 
 
 def test_seed_resampled_floor(streams, model, init):

@@ -63,7 +63,7 @@ def test_pairing_constant_is_exactly_one():
 def test_pairing_mean_of_clamped_coordinate():
     mu = EmpiricalMeasure(np.array([1.0, 2.0, -0.5]), np.zeros((3, 2)))
     # all |c| <= 4: the clamp is inactive and the pairing is the plain mean
-    assert pair(smoothed_coordinate("c"), mu) == np.mean(mu.c)
+    assert pair(smoothed_coordinate(), mu) == np.mean(mu.c)
 
 
 def test_pairing_dimension_guard():
@@ -271,15 +271,15 @@ def test_histogram_degenerate_single_atom():
 
 
 def test_histogram_w_selector_and_callable():
+    """Only "c" names a readout: a w coordinate and a callable are refused."""
     rng = np.random.default_rng(6)
     mu = cloud(rng, 50, 3)
-    h = histogram(mu, "w2", bins=5)
-    assert h.n == 50
-    assert np.array_equal(h.edges, np.linspace(mu.w[:, 1].min(),
-                                               mu.w[:, 1].max(), 6))
-    # a callable readout is not a selector: only "c" and "w<j>" name one
-    with pytest.raises(RejectedInputError, match="unknown selector"):
-        histogram(mu, lambda m: m.c + 1.0, bins=5)
+    h = histogram(mu, "c", bins=5)
+    assert h.n == 50 and h.selector == "c"
+    assert np.array_equal(h.edges, np.linspace(mu.c.min(), mu.c.max(), 6))
+    for selector in ("w2", lambda m: m.c + 1.0):
+        with pytest.raises(RejectedInputError, match="unknown selector"):
+            histogram(mu, selector, bins=5)
 
 
 def test_histogram_w1_hand_values():
