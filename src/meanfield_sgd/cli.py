@@ -17,12 +17,18 @@ that diverges after its output directory exists ends there too, with
 earlier, like one refused, leaves no directory.
 
 An ``--out`` whose manifest names another config hash is refused before
-any work; the same config may run into its own directory again.
+any work; the same config may run into its own directory again, also on
+another corpus whose images have the same size (``_LAYOUT``).
 
 BLAS runs on one thread whatever OPENBLAS_NUM_THREADS says: the package
 pins it as it is imported (``_blas``), so artifacts at every input width
 are the same at every thread count, and the manifest records the count as
-``blas_threads``.  ``workers=`` is the program's only parallelism.
+``blas_threads``.  Besides ``workers=``, ``meanfield.drift`` walks the
+second half of its quadrature nodes on a worker thread from
+``meanfield.THREADED_ROWS`` paths on; no output depends on it.
+
+``images=`` and ``labels=`` enter the config hash by the bytes of the
+files they name, so the hash follows the corpus, not where it lies.
 
 Exit codes: 0 ok; 2 refused config, i/o error or out of memory; 3 diverged
 or not converged; 4 failed verification.
@@ -132,11 +138,49 @@ def parse_config(path: str | None) -> dict:
 # is a cache: verify takes a limit from it only when that run has this config
 # hash, this seed and status=ok, which is the limit it would solve itself
 _UNHASHED = {"meanfield_dir", "workers"}
+# input files: the hash names each by its bytes, so one corpus at two paths
+# is one config and another corpus written over a path is another; and its
+# layout by the IDX header bytes that give one item's size (an image's rows
+# and columns, which set d and so the names of the files a run writes; a
+# label has none)
+_CORPUS = {"images": slice(8, 16), "labels": slice(8, 8)}
+#: the hex digits of a config hash that name its layout: the hashed keys
+#: with each corpus file named by its item size, which fix the names of the
+#: files a run writes
+_LAYOUT = slice(8, 16)
+
+
+def _digest(entries: dict) -> str:
+    text = "\n".join(f"{k}={entries[k]}" for k in sorted(entries))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _corpus_names(path: str, size: slice) -> tuple[str, str]:
+    """A corpus file's two names in the config hash: sha256:<hex> of its
+    bytes, and item:<hex> of the header bytes ``size``.  A file that
+    cannot be read is named by its path in both: a command that reads it
+    refuses it, and one whose model does not read it runs."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(size.stop)
+        return f"sha256:{_sha256(Path(path))}", f"item:{head[size].hex()}"
+    except OSError:
+        return path, path
 
 
 def config_hash(cfg: dict) -> str:
-    canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg) if k not in _UNHASHED)
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    """16 hex digits that name a config.  The first 8 are those of the
+    SHA-256 of its hashed key=value lines in key order, with each non-empty
+    ``_CORPUS`` value named by its file's bytes; the ``_LAYOUT`` digits
+    those of the same lines with each named by its item size.  Without a
+    corpus the two texts are one, and the hash is the first 16 digits of
+    its SHA-256."""
+    canon = {k: cfg[k] for k in cfg if k not in _UNHASHED}
+    names = {key: _corpus_names(canon[key], size)
+             for key, size in _CORPUS.items() if canon[key]}
+    by_bytes = _digest({**canon, **{k: v[0] for k, v in names.items()}})
+    by_layout = _digest({**canon, **{k: v[1] for k, v in names.items()}})
+    return by_bytes[:_LAYOUT.start] + by_layout[_LAYOUT]
 
 
 def _list(entries: dict, key: str, parse) -> list:
@@ -272,11 +316,13 @@ def read_manifest(out: Path) -> dict:
 def _refuse_other_config(out: Path, cfg_hash: str):
     """Refuse an ``out`` whose manifest names another config: its files,
     stale ones too, would be hashed into this run's manifest.  The same
-    config writes the same file names, so it may run there again."""
+    config writes the same file names, so it may run there again, at any
+    seed and on any corpus of the same item size: only the ``_LAYOUT``
+    digits of the two hashes must match."""
     path = out / "manifest.txt"
     if path.is_file():
-        have = _read_keys(path).get("config_hash")
-        if have != cfg_hash:
+        have = _read_keys(path).get("config_hash") or ""
+        if have[_LAYOUT] != cfg_hash[_LAYOUT]:
             raise ConfigError(f"{out} holds the artifacts of config_hash="
                               f"{have}, this run has {cfg_hash}; choose "
                               f"another --out")

@@ -13,6 +13,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
+import os
 import zlib
 from dataclasses import dataclass, field
 from functools import partial
@@ -47,6 +48,12 @@ def max_abs(a: np.ndarray) -> float:
     """max |a| as max(a.max(), -a.min()), which makes no |a| temporary; NaN
     when ``a`` holds a NaN, since max and min both propagate it."""
     return float(max(a.max(), -a.min()))
+
+
+def usable_cores() -> int:
+    """The CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def check_alpha(alpha: float) -> float:

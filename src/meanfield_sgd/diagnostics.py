@@ -28,14 +28,13 @@ at the horizon T.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .core import (Activation, RandomStreams, RejectedInputError,
-                   TestFunction, activation)
+                   TestFunction, activation, usable_cores)
 from .data import DataModel, InitLaw
 from .measure import csv_row, pair, resample, sliced_wasserstein
 from .meanfield import MeanFieldSolution
@@ -110,9 +109,7 @@ def run_study(model: DataModel, init: InitLaw, act: Activation, alpha: float,
         raise RejectedInputError("a replica study needs R >= 2")
     study = ReplicaStudy(float(T), tuple(int(n) for n in n_grid), R, streams,
                          model, init, act, float(alpha))
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    procs = min(workers, R, cores)
+    procs = min(workers, R, usable_cores())
     chunks = [c.tolist() for c in np.array_split(np.arange(R), max(1, procs))]
     tasks = [(model, init, act, alpha, T, n, chunk, streams)
              for n in study.n_grid for chunk in chunks]

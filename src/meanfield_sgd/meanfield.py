@@ -21,15 +21,20 @@ set.  One kernel, ``drift``, evaluates the velocity field: the Euler step
 integrates it, and the weak residual pairs test-function gradients with it,
 taking the fields a self-consistent solve kept at its slices.
 It walks blocks of ``NODE_COLUMNS`` (32) node columns by all M particles,
-in a work block each call allocates for itself, so no (M x nodes) array is
-formed and two calls share no scratch.  Q at a node sums over particles
+in a work block each walk allocates for itself, so no (M x nodes) array is
+formed and two walks share no scratch.  Q at a node sums over particles
 only, so one block of sigma yields Q and the residual weight at its nodes
 and then their share of the field, and each (path, node) pair takes one
-sigma per step.  ``q_on_nodes``, the frozen Q of a Picard step, walks the
-same blocks.  The solvers run in float32 (a factor ~3 on the (M x nodes)
-sweeps that dominate); snapshots are stored in float64.  Float32
-round-off (~1e-6 relative) is far below the O(dt) + O(1/sqrt(M)) +
-O(1/sqrt(nodes)) error budget of everything computed from these solutions.
+sigma per step.  So the nodes split into two halves that need nothing of
+each other: ``drift`` sums each half's float64 partials apart and adds
+them in one order, and from ``THREADED_ROWS`` particles on it walks the
+second half on a worker thread that lives only for the call.  The field's
+bits do not depend on whether it did.  ``q_on_nodes``, the frozen Q of a
+Picard step, walks the same blocks.  The solvers run in float32 (a factor
+~3 on the (M x nodes) sweeps that dominate); snapshots are stored in
+float64.  Float32 round-off (~1e-6 relative) is far below the O(dt) +
+O(1/sqrt(M)) + O(1/sqrt(nodes)) error budget of everything computed from
+these solutions.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (Activation, ConfigError, RandomStreams, RejectedInputError,
-                   activation, check_alpha, guard_divergence, max_abs)
+                   activation, check_alpha, guard_divergence, max_abs,
+                   usable_cores)
 from .data import DataModel, InitLaw, conditional_mean, sample_data, sample_init
 from .measure import EmpiricalMeasure, pair, wasserstein
 
@@ -185,28 +191,86 @@ def node_arrays(quad: Quadrature,
 #: K = 4096, 65-67 ms with 16 or 24 columns, 48-50 ms with 32 or 40 and
 #: 62-69 ms with 64 or 128, where the (M x width) float32 block outgrows L2
 #: cache; at M = 4000, K = 2048, 15 ms with 16, 8.5 ms with 32 and 12 ms
-#: with 128.  Another width would also move the field's bits
+#: with 128.  Another width would also move the field's bits; ``drift``
+#: splits its nodes into halves at a multiple of it
 NODE_COLUMNS = 32
 
+#: cloud rows from which ``drift`` walks its second node half on a worker
+#: thread.  Rows, not M x K, set the gain: each block's numpy calls release
+#: the interpreter lock for a time that grows with M, and between them the
+#: two threads wait on each other.  One tanh field, one OpenBLAS thread, 2
+#: vCPUs, half B forced off -> on, medians of 15-41 alternations (3-9 at
+#: d = 784), wall and CPU:
+#:
+#:   M x K (d)          off        on          CPU off -> on
+#:   200 x 512 (2)      0.6 ms     0.9 ms      0.6 -> 1.2 ms
+#:   256 x 4096 (2)     4.6 ms     6.1 ms      4.6 -> 8.6 ms
+#:   1000 x 16384 (2)   53.6 ms    53.2 ms     53.6 -> 83.9 ms
+#:   2000 x 4096 (2)    26.7 ms    19.8 ms     26.6 -> 33.9 ms
+#:   4000 x 2048 (2)    26.8 ms    16.0 ms     26.8 -> 29.5 ms
+#:   8000 x 2048 (2)    73.2 ms    41.9 ms     73.2 -> 73.2 ms
+#:   8192 x 64 (2)      2.0 ms     1.6 ms      2.0 -> 2.6 ms
+#:   10^4 x 1024 (2)    38.6 ms    22.9 ms     38.7 -> 41.5 ms
+#:   10^4 x 4096 (2)    150.8 ms   96.3 ms     150.8 -> 176.2 ms
+#:   2 10^4 x 4096 (2)  364.8 ms   198.4 ms    364.8 -> 371.0 ms
+#:   1000 x 256 (784)   37.2 ms    24.7 ms     37.2 -> 43.1 ms
+#:   10^4 x 1024 (784)  1708 ms    945 ms      1708 -> 1786 ms
+#:
+#: On another 2-vCPU host with faster calls 2000 x 4096 lost (12.4 -> 16.9
+#: ms), 4000 x 2048 gained only 1.18x, and a Picard meanfield at M = 200
+#: took 0.85 s on one thread and 1.62 s on two, while 8000 x 4096 gained
+#: 1.41x and 10^4 x 4096 1.88x.  From 8192 rows every shape measured gains
+#: on both hosts; below it the benchmark's verify-d2 limit (4000 paths),
+#: acceptance criterion 08 (2000) and Picard runs at m <= 256 stay on one
+#: thread, and so do image-model clouds of fewer rows, which would gain too
+THREADED_ROWS = 8192
 
-def _blocks(w: np.ndarray, xt: np.ndarray, act: Activation):
+
+def _blocks(w: np.ndarray, xt: np.ndarray, act: Activation, lo: int = 0,
+            hi: int | None = None):
     """(j, sigma, z) over the (M x ``NODE_COLUMNS``) column blocks of the
-    (M x K) array z = w x^T, the last one ragged.  sigma and z are views of
-    one (M x min(K, ``NODE_COLUMNS``)) block in w's dtype that the walk
-    allocates for itself, so its work grows with M and never with K; z has
-    a second block when sigma' cannot come from sigma and z must outlive
-    it."""
-    m, k = w.shape[0], xt.shape[1]
-    buf = np.empty(m * min(k, NODE_COLUMNS), dtype=w.dtype)
+    (M x K) array z = w x^T from column ``lo`` (a block boundary) to ``hi``
+    (default K), the last one ragged.  sigma and z are views of one (M x
+    min(hi - lo, ``NODE_COLUMNS``)) block in w's dtype that the walk
+    allocates for itself, so its work grows with M and never with K, and
+    two walks share no scratch; z has a second block when sigma' cannot
+    come from sigma and z must outlive it."""
+    m, hi = w.shape[0], xt.shape[1] if hi is None else hi
+    buf = np.empty(m * min(hi - lo, NODE_COLUMNS), dtype=w.dtype)
     zbuf = buf if act.deriv_poly is not None else np.empty_like(buf)
-    for lo in range(0, k, NODE_COLUMNS):
-        j = slice(lo, min(lo + NODE_COLUMNS, k))
-        width = j.stop - lo
+    for start in range(lo, hi, NODE_COLUMNS):
+        j = slice(start, min(start + NODE_COLUMNS, hi))
+        width = j.stop - start
         sig = buf[:m * width].reshape(m, width)
         z = zbuf[:m * width].reshape(m, width)
         np.matmul(w, xt[:, j], out=z)
         act.value(z, out=sig)
         yield j, sig, z
+
+
+def _partials(c: np.ndarray, w: np.ndarray, nodes, act: Activation,
+              alpha: float, r_all: np.ndarray | None, lo: int, hi: int):
+    """``drift``'s float64 sums over node columns [lo, hi): K g1, K g2 / c
+    without its a0 term, and sum_k r_k x_k, which that term multiplies."""
+    x, xt, y = nodes
+    m = c.shape[0]
+    a0, a1, a2 = act.deriv_poly or (0.0, 0.0, 1.0)
+    g1, g2, rx_sum = np.zeros(m), np.zeros(w.shape), np.zeros(w.shape[1])
+    part1, part2 = np.empty_like(c, w.dtype), np.empty_like(w)
+    for j, sig, z in _blocks(w, xt, act, lo, hi):
+        r = alpha * (y[j] - (c @ sig) / m) if r_all is None else r_all[j]
+        rx = r[:, None] * x[j]
+        g1 += np.matmul(sig, r, out=part1)
+        if a1:
+            g2 += np.matmul(sig, a1 * rx, out=part2)
+        if a0:
+            rx_sum += rx.sum(axis=0)
+        # the block that carries the top term of sigma': sigma^2, or
+        # without the polynomial sigma' itself
+        top = (np.square(sig, out=sig) if act.deriv_poly is not None
+               else act.deriv(z, out=sig))
+        g2 += np.matmul(top, a2 * rx, out=part2)
+    return g1, g2, rx_sum
 
 
 def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
@@ -235,33 +299,43 @@ def drift(c: np.ndarray, w: np.ndarray, nodes, act: Activation, alpha: float,
     so sigma' is one in-place square of the block; without the polynomial
     (smooth-bump) it is evaluated from a z block and takes the a2 slot.
     Block products run in the inputs' dtype, block sums in float64, and the
-    field comes back in the inputs' dtype.  The work memory is one (M x
-    ``NODE_COLUMNS``) block (two for smooth-bump) whatever K is, and no
-    (M x K) array is formed; narrower blocks made OpenBLAS's products
-    slower per node, wider ones outgrew L2 cache at M = 10^4.
+    field comes back in the inputs' dtype.
+
+    Since no node's share needs another node's column, the K columns split
+    at a block boundary into two halves, A the first ceil(B/2) of the B
+    blocks and B the rest.  Each half sums its own float64 partials
+    (``_partials``) and the field is always (A) + (B), so its bits are the
+    same whether the halves run one after the other or at once.  With
+    ``THREADED_ROWS`` or more particles, a non-empty half B and two usable
+    CPUs, half B runs on a worker thread that the call starts and joins,
+    while the calling thread runs half A; an exception in either half
+    reaches the caller after the join.  The work memory is one (M x
+    ``NODE_COLUMNS``) block per half (two for smooth-bump) whatever K is,
+    plus half B's (M x d) float64 partials, and no (M x K) array is formed;
+    narrower blocks made OpenBLAS's products slower per node, wider ones
+    outgrew L2 cache at M = 10^4.
     """
-    x, xt, y = nodes
-    m = c.shape[0]
-    a0, a1, a2 = act.deriv_poly or (0.0, 0.0, 1.0)
+    y = nodes[2]
+    k = y.shape[0]
+    a0 = act.deriv_poly[0] if act.deriv_poly else 0.0
     r_all = None if q is None else alpha * (y - q.astype(y.dtype, copy=False))
-    g1, g2, rx_sum = np.zeros(m), np.zeros(w.shape), np.zeros(w.shape[1])
-    part1, part2 = np.empty_like(c, w.dtype), np.empty_like(w)
-    for j, sig, z in _blocks(w, xt, act):
-        r = alpha * (y[j] - (c @ sig) / m) if q is None else r_all[j]
-        rx = r[:, None] * x[j]
-        g1 += np.matmul(sig, r, out=part1)
-        if a1:
-            g2 += np.matmul(sig, a1 * rx, out=part2)
-        if a0:
-            rx_sum += rx.sum(axis=0)
-        # the block that carries the top term of sigma': sigma^2, or
-        # without the polynomial sigma' itself
-        top = (np.square(sig, out=sig) if act.deriv_poly is not None
-               else act.deriv(z, out=sig))
-        g2 += np.matmul(top, a2 * rx, out=part2)
+    mid = min(k, NODE_COLUMNS * -(-k // (2 * NODE_COLUMNS)))
+    args = (c, w, nodes, act, alpha, r_all)
+    if mid < k and c.shape[0] >= THREADED_ROWS and usable_cores() > 1:
+        # imported here: only this branch uses it, and it adds 5 ms to a start
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(1) as pool:
+            later = pool.submit(_partials, *args, mid, k)
+            first = _partials(*args, 0, mid)
+            second = later.result()
+    else:
+        first, second = _partials(*args, 0, mid), _partials(*args, mid, k)
+    for total, part in zip(first, second):
+        total += part
+    g1, g2, rx_sum = first
     g2 += a0 * rx_sum
-    g1 /= y.shape[0]
-    g2 /= y.shape[0]
+    g1 /= k
+    g2 /= k
     g2 *= c[:, None]
     return g1.astype(c.dtype), g2.astype(w.dtype)
 

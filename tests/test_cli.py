@@ -152,6 +152,108 @@ def test_config_hash_ignores_line_order(tmp_path):
     assert ha != config_hash(parse_config(None))
 
 
+def test_one_corpus_at_two_paths_is_one_config(tmp_path):
+    """``config_hash`` names images= and labels= by the files' bytes, so a
+    corpus copied to another directory hashes the same and ``mnist-hist``
+    writes the same bytes from either copy, manifest included."""
+    first, second = tmp_path / "a", tmp_path / "b"
+    first.mkdir()
+    second.mkdir()
+    corpus = make_idx_pair(first, n_per_class=40)
+    for path in corpus:
+        shutil.copy(path, second / path.name)
+    outs, hashes = [], []
+    for where in (first, second):
+        cfg = _write_cfg(where, f"images={where / corpus[0].name}\n"
+                                f"labels={where / corpus[1].name}\n"
+                                "mnist_n_grid=20,40\nt_horizon=0.1\nbins=10\n")
+        hashes.append(config_hash(parse_config(cfg)))
+        outs.append(where / "out")
+        assert main(["mnist-hist", "--config", cfg, "--out", str(outs[-1]),
+                     "--quiet"]) == 0
+    assert hashes[0] == hashes[1]
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert all((outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+               for name in names)
+
+
+def test_verify_refuses_a_limit_solved_on_another_corpus_at_its_path(
+        tmp_path, capsys):
+    """``meanfield`` on corpus A, then corpus B written over A's files:
+    ``verify`` with ``meanfield_dir=`` exits 2 naming both config hashes
+    before any training.  B's images have A's size, so the two hashes share
+    their ``_LAYOUT`` digits and ``meanfield`` on B may run into A's
+    directory again, as a rerun at another seed may.  A corpus file that is
+    gone exits 2 with the one i/o error line of the command that reads it,
+    and a model that does not read it runs."""
+    images, labels = make_idx_pair(tmp_path, n_per_class=40)
+    cfg = _write_cfg(tmp_path, _IMAGE_CFG.replace("m=1000", "m=16").replace(
+        "quad_nodes=256", "quad_nodes=16") + f"images={images}\n"
+                                               f"labels={labels}\n")
+    mf = tmp_path / "mf"
+    assert main(["meanfield", "--config", cfg, "--out", str(mf),
+                 "--quiet"]) == 0
+    solved_on = config_hash(parse_config(cfg))
+    make_idx_pair(tmp_path, n_per_class=40, seed=100)
+    now = config_hash(parse_config(cfg))
+    assert now != solved_on
+    with open(cfg, "a") as fh:
+        fh.write(f"meanfield_dir={mf}\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"config_hash={solved_on}" in err and now in err
+    assert not (tmp_path / "v").exists()
+    assert now[cli._LAYOUT] == solved_on[cli._LAYOUT]
+    assert main(["meanfield", "--config", cfg, "--out", str(mf),
+                 "--quiet"]) == 0
+    assert check_manifest(mf)["config_hash"] == now
+    labels.unlink()
+    for model, code in (("mnist", 2), ("teacher", 0)):
+        text = Path(cfg).read_text().replace("model=mnist", f"model={model}")
+        other = _write_cfg(tmp_path, text, name=f"{model}.cfg")
+        assert main(["meanfield", "--config", other, "--quiet",
+                     "--out", str(tmp_path / model)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.splitlines() == [f"i/o error: [Errno 2] No such file "
+                                        f"or directory: '{labels}'"]
+        assert (tmp_path / model).exists() == (code == 0)
+
+
+def test_two_corpora_take_two_directories_and_another_size_is_refused(
+        tmp_path, monkeypatch, capsys):
+    """Two corpora at two paths run into two default directories.  A
+    corpus of another image size written over one of them cannot rerun
+    into its ``--out``: another d writes other file names (``verify``'s
+    bump label carries it) next to the old ones, which the new manifest
+    would list.  The refusal is one line and leaves the directory as it
+    was."""
+    monkeypatch.chdir(tmp_path)
+    dirs = []
+    for name, seed in (("a", 99), ("b", 100)):
+        where = tmp_path / name
+        where.mkdir()
+        images, labels = make_idx_pair(where, n_per_class=40, seed=seed)
+        cfg = _write_cfg(where, f"images={images}\nlabels={labels}\n"
+                                "mnist_n_grid=20,40\nt_horizon=0.1\nbins=10\n")
+        assert main(["mnist-hist", "--config", cfg, "--quiet"]) == 0
+        dirs.append(f"mnist-hist-{config_hash(parse_config(cfg))[:8]}-s0")
+    assert dirs[0] != dirs[1]
+    assert sorted(dirs) == sorted(p.name for p in Path("runs").iterdir())
+    out = tmp_path / "runs" / dirs[1]
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    make_idx_pair(where, n_per_class=40, size=20)
+    capsys.readouterr()
+    assert main(["mnist-hist", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {out} holds")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_slug_makes_filenames_safe():
     assert _slug("psi(c^1*w1^1)") == "psi-c-1-w1-1"
     assert _slug("bump(s=1.5)") == "bump-s-1.5"

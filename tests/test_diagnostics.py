@@ -2,6 +2,7 @@
 decay, the decomposition reconciliation, limit distance, and chaos."""
 
 import concurrent.futures
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from meanfield_sgd import (EmpiricalMeasure, Ensemble, InitLaw,
                            martingale_decay, moment_bound,
                            reconcile_decomposition, run_default, run_study,
                            sample_data, sample_init, solve_selfconsistent)
-from meanfield_sgd import diagnostics, sgd
+from meanfield_sgd import core, diagnostics, meanfield, sgd
 from meanfield_sgd.diagnostics import (N_BOOT, ChaosTable, LimitRow,
                                       LimitTable, LlnTable, MartingaleTable,
                                       MomentTable, _ci95, _DecompositionObserver)
@@ -45,6 +46,34 @@ def test_run_study_is_deterministic_and_parallel_invariant(model, init):
     assert serial.max_moments == pooled.max_moments
 
 
+def test_run_study_forks_after_a_threaded_solve(model, init, monkeypatch):
+    """A solve whose ``drift`` walked half its nodes on a worker thread
+    leaves no thread behind, so a ``workers=2`` study forked after it in
+    the same process trains bitwise the clouds of ``workers=1``."""
+    monkeypatch.setattr(meanfield, "THREADED_ROWS", 0)
+    monkeypatch.setattr(meanfield, "usable_cores", lambda: 2)
+    off_main, real = set(), meanfield._partials
+
+    def recorded(*args):
+        off_main.add(threading.current_thread() is not threading.main_thread())
+        return real(*args)
+
+    monkeypatch.setattr(meanfield, "_partials", recorded)
+    start = threading.active_count()
+    solve_selfconsistent(init, model, 64, 0.05, 0.1,
+                         quad=QuadratureSpec("monte-carlo", 4 * NODE_COLUMNS),
+                         rng=RandomStreams(6).stream(purpose="limit"))
+    assert off_main == {False, True}
+    assert threading.active_count() == start
+    kw = dict(model=model, init=init, act=TANH, alpha=1.0, T=0.25,
+              n_grid=[16, 32], R=4, streams=RandomStreams(5))
+    pooled = run_study(**kw, workers=2)
+    serial = run_study(**kw, workers=1)
+    for key in serial.clouds:
+        ca, cb = serial.clouds[key], pooled.clouds[key]
+        assert np.array_equal(ca.c, cb.c) and np.array_equal(ca.w, cb.w)
+
+
 @pytest.mark.parametrize("cores,want", [(64, 3), (2, 2), (1, None)])
 def test_run_study_pool_is_capped_by_replicas_and_cores(
         model, init, monkeypatch, cores, want):
@@ -69,7 +98,7 @@ def test_run_study_pool_is_capped_by_replicas_and_cores(
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
-    monkeypatch.setattr(diagnostics.os, "sched_getaffinity",
+    monkeypatch.setattr(core.os, "sched_getaffinity",
                         lambda pid: set(range(cores)))
     kw = dict(model=model, init=init, act=TANH, alpha=1.0, T=0.25,
               n_grid=[16], R=3, streams=RandomStreams(5))

@@ -3,6 +3,7 @@ invariances, Picard iteration, and the weak-form residual."""
 
 import dataclasses
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,8 +24,8 @@ from meanfield_sgd import core, meanfield
 from meanfield_sgd.cli import load_solution, save_solution
 from meanfield_sgd.core import activation_deriv
 from meanfield_sgd.data import conditional_mean
-from meanfield_sgd.meanfield import (NODE_COLUMNS, Quadrature, _evolve,
-                                     _snapshot_plan, _trapz)
+from meanfield_sgd.meanfield import (NODE_COLUMNS, THREADED_ROWS, Quadrature,
+                                     _evolve, _snapshot_plan, _trapz)
 from tests.conftest import counting
 
 TANH = activation("tanh")
@@ -327,6 +328,115 @@ def test_concurrent_drift_calls_match_sequential_ones(kind):
         sys.setswitchinterval(interval)
 
 
+def force_threads(monkeypatch, on: bool):
+    """``drift`` walks its second node half on a worker thread at any cloud
+    size (``on``) or at none; two usable CPUs either way."""
+    monkeypatch.setattr(meanfield, "THREADED_ROWS", 0 if on else sys.maxsize)
+    monkeypatch.setattr(meanfield, "usable_cores", lambda: 2)
+
+
+def recorded_halves(monkeypatch) -> list:
+    """Wrap ``_partials`` to record, per node half walked, whether it ran
+    off the main thread and how many threads were alive."""
+    seen = []
+    real = meanfield._partials
+
+    def recorded(*args):
+        seen.append((threading.current_thread() is not threading.main_thread(),
+                     threading.active_count()))
+        return real(*args)
+
+    monkeypatch.setattr(meanfield, "_partials", recorded)
+    return seen
+
+
+def _cloud_and_nodes(m, k, seed=11):
+    rng = np.random.default_rng(seed)
+    cloud = EmpiricalMeasure(rng.uniform(-1, 1, m), rng.standard_normal((m, 2)))
+    quad = Quadrature(rng.uniform(-1, 1, (k, 2)), rng.standard_normal(k),
+                      QuadratureSpec("monte-carlo", k))
+    return cloud, quad
+
+
+@pytest.mark.parametrize("kind", ["tanh", "smooth-bump"])
+@pytest.mark.parametrize("m,k", [(THREADED_ROWS, 256),
+                                 (300, 5 * NODE_COLUMNS - 7),
+                                 (300, NODE_COLUMNS)],
+                         ids=["above-threshold", "ragged", "one-block"])
+def test_field_bits_do_not_depend_on_the_worker_thread(monkeypatch, kind, m,
+                                                       k):
+    """``drift`` at the cloud's own and at a frozen Q, a two-step solve with
+    its kept fields, and the weak residual of that solve with its fields
+    dropped (one ``drift`` per slice) give the same bytes with the worker
+    thread forced off and on: at the threshold's own cloud size, on five
+    blocks the last of them ragged (halves of three and two), and on one
+    block, where half B is empty and no thread starts."""
+    cloud, quad = _cloud_and_nodes(m, k)
+    act, fs = activation(kind), default_test_functions(2)
+    seen = recorded_halves(monkeypatch)
+    got = {}
+    for on in (False, True):
+        force_threads(monkeypatch, on)
+        seen.clear()
+        c, w = cloud.c.astype(np.float32), cloud.w.astype(np.float32)
+        nodes = node_arrays(quad, np.float32)
+        fields = [drift(c, w, nodes, act, 1.0, q) for q in (None, 0.5 * quad.y)]
+        sol = solve_selfconsistent(cloud, default_model(), None, 0.05, 0.1,
+                                   quad=quad, act=act)
+        resid = weak_residuals(dataclasses.replace(sol, fields=None), fs)
+        got[on] = ([a.tobytes() for pair_ in fields for a in pair_]
+                   + [a.tobytes() for a in (sol.c, sol.w, *sol.fields)],
+                   resid)
+        # 2 fields, 2 Euler steps and 3 slices: 7 calls of two halves each
+        assert len(seen) == 14
+        assert sum(off for off, _ in seen) == (7 if on and k > NODE_COLUMNS
+                                               else 0)
+    assert got[False] == got[True]
+
+
+def test_worker_thread_lives_only_for_the_call(monkeypatch):
+    """From ``THREADED_ROWS`` particles on, with two usable CPUs, half B
+    runs on one worker thread beside the caller; one row fewer or one CPU
+    keeps it on the calling thread.  No more than two threads run, and the
+    count is back where it started when ``drift`` returns."""
+    monkeypatch.setattr(meanfield, "usable_cores", lambda: 2)
+    seen = recorded_halves(monkeypatch)
+    start = threading.active_count()
+    cloud, quad = _cloud_and_nodes(THREADED_ROWS, 2 * NODE_COLUMNS)
+    c, w = cloud.c.astype(np.float32), cloud.w.astype(np.float32)
+    nodes = node_arrays(quad, np.float32)
+    drift(c, w, nodes, TANH, 1.0)
+    assert sorted(off for off, _ in seen) == [False, True]
+    assert max(n for _, n in seen) <= start + 1
+    assert threading.active_count() == start
+    seen.clear()
+    drift(c[1:], w[1:], nodes, TANH, 1.0)
+    monkeypatch.setattr(meanfield, "usable_cores", lambda: 1)
+    drift(c, w, nodes, TANH, 1.0)
+    assert [off for off, _ in seen] == [False] * 4
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_an_error_in_either_half_reaches_the_caller(monkeypatch, where):
+    """An activation that runs out of memory on the worker thread (half B)
+    or on the calling one (half A) raises that MemoryError from ``drift``,
+    and the worker has been joined: no thread outlives the call."""
+    def value(z, out=None):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker == (where == "worker"):
+            raise MemoryError(f"sigma on the {where}")
+        return np.tanh(z, out=out)
+
+    act = core.Activation("tanh", value, deriv_poly=TANH.deriv_poly)
+    force_threads(monkeypatch, True)
+    start = threading.active_count()
+    cloud, quad = _cloud_and_nodes(200, 4 * NODE_COLUMNS)
+    with pytest.raises(MemoryError, match=f"on the {where}"):
+        drift(cloud.c.astype(np.float32), cloud.w.astype(np.float32),
+              node_arrays(quad, np.float32), act, 1.0)
+    assert threading.active_count() == start
+
+
 # ---------------------------------------------------------------------------
 # weak residual
 
@@ -521,13 +631,17 @@ def _peak_in_half_mb(fn, wide_solution) -> float:
 
 
 @pytest.mark.parametrize("kind", ["tanh", "smooth-bump"])
-def test_solve_memory_stays_below_three_row_blocks(kind, wide_solution):
+def test_solve_memory_stays_below_three_row_blocks(kind, wide_solution,
+                                                   monkeypatch):
     """Two Euler steps from the wide cloud; smooth-bump keeps a second (z)
-    row block."""
+    row block.  With the worker thread forced on each node half holds its
+    own blocks at once: one unit for tanh, two for smooth-bump."""
     assert wide_solution[1].times.shape[0] == 3
-    assert _peak_in_half_mb(lambda sol: solve_selfconsistent(
-        sol.slice(0), default_model(), None, 0.01, 0.02, quad=sol.quad,
-        act=activation(kind)), wide_solution) < 3
+    for on in (False, True):
+        force_threads(monkeypatch, on)
+        assert _peak_in_half_mb(lambda sol: solve_selfconsistent(
+            sol.slice(0), default_model(), None, 0.01, 0.02, quad=sol.quad,
+            act=activation(kind)), wide_solution) < 3
 
 
 @pytest.mark.parametrize("kind", ["tanh", "smooth-bump"])
@@ -547,10 +661,14 @@ def test_kept_fields_are_all_the_solve_adds_to_its_peak(kind, wide_solution):
     assert peaks[0] <= peaks[1] + kept
 
 
-def test_weak_residuals_memory_stays_below_three_row_blocks(wide_solution):
+def test_weak_residuals_memory_stays_below_three_row_blocks(wide_solution,
+                                                            monkeypatch):
+    """With the worker thread off and forced on."""
     fs = default_test_functions(2)
-    assert _peak_in_half_mb(lambda sol: weak_residuals(sol, fs),
-                            wide_solution) < 3
+    for on in (False, True):
+        force_threads(monkeypatch, on)
+        assert _peak_in_half_mb(lambda sol: weak_residuals(sol, fs),
+                                wide_solution) < 3
 
 
 def test_q_on_nodes_memory_stays_below_three_row_blocks(wide_solution):
